@@ -82,7 +82,14 @@ from .decompose import (
     toggleability_space_dims,
     verify_independence,
 )
-from .qpoly import Polynomial, RationalFunction, q_binomial, q_factorial, q_number
+from .qpoly import (
+    CertificateError,
+    Polynomial,
+    RationalFunction,
+    q_binomial,
+    q_factorial,
+    q_number,
+)
 from .lifted import (
     BPoint,
     LiftedStatistic,

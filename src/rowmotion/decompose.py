@@ -1,16 +1,26 @@
 """Exact decomposition of statistics as constant + signed-toggleability span.
 
 A Decomposition is the certificate f = c + sum_p c_p T_p (or its q-analogue
-with T^q_p over Q(q)).  Every returned certificate is verified entrywise by
-exact reconstruction before it leaves this module.
+with T^q_p over Q(q)).  The columns 1, T_0, ..., T_{n-1} are linearly
+independent, so a certificate is unique when it exists.
+
+`decompose` solves first on the rows at the ideals {}, <p> (the down-set of
+p) and <p> - {p} for every element p: at most 2n+1 rows, which have reached
+full rank n+1 on every poset tried.  Only when they fall short does it solve
+on every ideal.  Either way the candidate is then checked exactly once
+against every ideal, as a sparse integer residual over the poset's toggle
+table.  A candidate that fails the check was the only possible solution, so
+the statistic is not in the span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
+    DependentColumnsError,
     intersect_spans,
     null_space_basis,
     rank_rational,
@@ -20,6 +30,7 @@ from .linalg import (
 )
 from .poset import CapExceededError, Poset
 from .qpoly import (
+    CertificateError,
     Polynomial,
     RationalFunction,
     q_binomial,
@@ -27,7 +38,17 @@ from .qpoly import (
     q_number,
     rational_roots,
 )
-from .statistics import QRATIONAL, RATIONAL, Statistic, t_in, t_out, t_q, t_signed
+from .statistics import (
+    QRATIONAL,
+    RATIONAL,
+    Statistic,
+    accumulate_toggles,
+    t_in,
+    t_out,
+    t_q,
+    t_signed,
+    toggle_vector,
+)
 
 __all__ = [
     "Decomposition",
@@ -54,24 +75,13 @@ class Decomposition:
     def reconstruction(self):
         """The statistic vector c + sum_p c_p T_p, recomputed from scratch."""
         P = self.poset
-        out = []
-        for mask in P.ideal_masks():
-            acc = self.constant
-            for p in range(P.n):
-                c = self.coeffs[p]
-                if not c:
-                    continue
-                if mask >> p & 1:
-                    if P.up_covers[p] & mask == 0:  # toggle-out
-                        if self.kind == QRATIONAL:
-                            acc = acc - c * RationalFunction.q()
-                        else:
-                            acc = acc - c
-                else:
-                    if P.down_covers[p] & mask == P.down_covers[p]:  # toggle-in
-                        acc = acc + c
-            out.append(acc)
-        return tuple(out)
+        if self.kind == QRATIONAL:
+            q = RationalFunction.q()
+            minus = [-(c * q) for c in self.coeffs]
+        else:
+            minus = [-c for c in self.coeffs]
+        out = [self.constant] * len(P.ideal_masks())
+        return tuple(accumulate_toggles(P, out, self.coeffs, minus))
 
     def to_json_dict(self):
         if self.kind == RATIONAL:
@@ -101,27 +111,58 @@ def _rf_json(x: RationalFunction):
 
 def decompose(P: Poset, f: Statistic):
     """Unique certificate f = c + sum c_p T_p over Q, or None if f is not in
-    the span.  The certificate is verified by exact reconstruction."""
+    the span.  The certificate is checked exactly against every ideal."""
     if f.kind != RATIONAL:
         raise ValueError("decompose expects a rational-valued statistic")
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    masks = P.ideal_masks()
-    ones = [Fraction(1)] * len(masks)
-    columns = [ones] + [t_signed(P, p).values for p in range(P.n)]
-    sol = solve_exact(columns, list(f.values))
-    if sol is None:
+    try:
+        sol = _solve_on_rows(P, f.values, _structured_rows(P))
+    except DependentColumnsError:
+        sol = _solve_on_rows(P, f.values, range(len(f.values)))
+    if sol is None or not _is_certificate(P, f.values, sol):
         return None
-    dec = Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
-    assert dec.reconstruction() == f.values, "certificate failed verification"
-    return dec
+    return Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
+
+
+def _structured_rows(P: Poset):
+    """Canonical indices of the ideals {}, <p> and <p> - {p}, for every p."""
+    rows = {0}
+    for p in range(P.n):
+        down = P.down_set[p]
+        rows.add(P.ideal_index(down))
+        rows.add(P.ideal_index(down ^ 1 << p))
+    return sorted(rows)
+
+
+def _solve_on_rows(P, values, rows):
+    """solve_exact on the certificate system restricted to the ideals `rows`."""
+    columns = [[1] * len(rows)]
+    for p in range(P.n):
+        col = toggle_vector(P, p, 1, -1, 0)
+        columns.append([col[i] for i in rows])
+    return solve_exact(columns, [values[i] for i in rows])
+
+
+def _is_certificate(P, values, sol):
+    """True iff values == sol[0] + sum_p sol[p+1] * T_p on every ideal.
+
+    Everything is scaled to integers over one common denominator, so the
+    check is integer arithmetic over the toggle-table entries.
+    """
+    scale = lcm(*(x.denominator for x in sol), *(v.denominator for v in values))
+    ints = [x.numerator * (scale // x.denominator) for x in sol]
+    c0, coeffs = ints[0], ints[1:]
+    residual = [v.numerator * (scale // v.denominator) - c0 for v in values]
+    accumulate_toggles(P, residual, [-c for c in coeffs], coeffs)
+    return not any(residual)
 
 
 def q_decompose(P: Poset, f: Statistic):
     """Certificate f = c(q) + sum c_p(q) T^q_p over Q(q), or None.
 
     The input is a rational-valued statistic viewed inside Q(q).  Returned
-    coefficients are asserted to have no poles at any nonnegative rational
+    coefficients are checked to have no poles at any nonnegative rational
     (their denominators have no nonnegative rational roots and are positive
     at sampled points), which is what makes every specialization q := r/s
     legal.
@@ -140,7 +181,7 @@ def q_decompose(P: Poset, f: Statistic):
         return None
     dec = Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
     for c in (dec.constant, *dec.coeffs):
-        _assert_no_nonnegative_pole(c)
+        _check_no_nonnegative_pole(c)
     return dec
 
 
@@ -159,31 +200,21 @@ def _verify_q_certificate(P, fq, sol):
             h = h.exact_div(poly_gcd(h, c.den)) * c.den
     cleared = [c.num * h.exact_div(c.den) for c in sol]
     qpow = Polynomial((0, 1))
-    for i, mask in enumerate(P.ideal_masks()):
-        acc = cleared[0]
-        for p in range(P.n):
-            cp = cleared[p + 1]
-            if cp.is_zero():
-                continue
-            if mask >> p & 1:
-                if P.up_covers[p] & mask == 0:
-                    acc = acc - cp * qpow
-            elif P.down_covers[p] & mask == P.down_covers[p]:
-                acc = acc + cp
-        target = fq.values[i]
-        if acc * target.den != target.num * h:
-            return False
-    return True
+    acc = [cleared[0]] * len(P.ideal_masks())
+    accumulate_toggles(P, acc, cleared[1:], [-(c * qpow) for c in cleared[1:]])
+    return all(a * t.den == t.num * h for a, t in zip(acc, fq.values))
 
 
-def _assert_no_nonnegative_pole(c: RationalFunction):
+def _check_no_nonnegative_pole(c: RationalFunction):
     den = c.den
     if den.degree <= 0:
         return
     roots = rational_roots(den)
-    assert all(r < 0 for r in roots), f"denominator {den} has a root >= 0"
+    if any(r >= 0 for r in roots):
+        raise CertificateError(f"denominator {den} has a root >= 0")
     for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
-        assert den.evaluate(z) > 0, f"denominator {den} not positive at q={z}"
+        if den.evaluate(z) <= 0:
+            raise CertificateError(f"denominator {den} not positive at q={z}")
 
 
 def verify_independence(P: Poset, q_value) -> bool:
@@ -191,17 +222,8 @@ def verify_independence(P: Poset, q_value) -> bool:
     q_value = Fraction(q_value)
     if q_value < 0:
         raise ValueError("independence is only guaranteed for q >= 0")
-    masks = P.ideal_masks()
-    rows = [[Fraction(1)] * len(masks)]
-    for p in range(P.n):
-        row = []
-        for mask in masks:
-            if mask >> p & 1:
-                row.append(-q_value if P.up_covers[p] & mask == 0 else Fraction(0))
-            else:
-                addable = P.down_covers[p] & mask == P.down_covers[p]
-                row.append(Fraction(1) if addable else Fraction(0))
-        rows.append(row)
+    rows = [[1] * len(P.ideal_masks())]
+    rows += [toggle_vector(P, p, 1, -q_value, 0) for p in range(P.n)]
     return rank_rational(rows) == P.n + 1
 
 

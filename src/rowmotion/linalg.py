@@ -3,7 +3,13 @@
 The rational path scales rows to integers and eliminates fraction-free
 (cross-multiplication with per-row content stripping), so intermediate
 entries stay integral.  The Q(q) path eliminates in the fraction field with
-gcd-normalized rational functions and picks lowest-degree pivots.
+gcd-normalized rational functions.
+
+`solve_exact` reads rows only until the columns reach full rank and returns
+that prefix's solution unchecked.  A caller picks which rows to offer: the
+certificate solver in `decompose` offers a few structured rows first and
+every row only when those fall short of full rank, then checks the
+candidate once against every row itself.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
-from .qpoly import Polynomial, RationalFunction, RF_ONE, RF_ZERO
+from .qpoly import RF_ONE, RF_ZERO
 
 
 # -- integer echelon over Q -------------------------------------------------------
@@ -85,17 +91,25 @@ def rank_rational(rows) -> int:
     return ech.rank
 
 
+class DependentColumnsError(ValueError):
+    """The rows given do not determine the solution: the columns restricted
+    to them are linearly dependent."""
+
+
 def solve_exact(columns, rhs):
     """Solve sum_j x_j * columns[j] = rhs exactly over Q.
 
-    Requires the columns to be linearly independent.  Returns the unique
-    solution as Fractions, or None when the system is inconsistent.
+    Rows enter the echelon in the given order until the columns reach full
+    rank; the rows after that are not read.  Returns None when the rows read
+    are inconsistent, and otherwise the unique solution of those rows, as
+    Fractions, unchecked against the rest: the caller checks the result.
+    Raises DependentColumnsError when all rows together have rank below the
+    column count.
     """
     k = len(columns)
     m = len(rhs)
     ech = IntEchelon(k + 1)
     pivots_a = 0
-    kept = []
     for i in range(m):
         row = [columns[j][i] for j in range(k)] + [rhs[i]]
         c = ech.add(row)
@@ -104,11 +118,10 @@ def solve_exact(columns, rhs):
         if c == k:
             return None  # 0 = nonzero
         pivots_a += 1
-        kept.append(i)
         if pivots_a == k:
             break
     if pivots_a < k:
-        raise ValueError("columns are linearly dependent")
+        raise DependentColumnsError("columns are linearly dependent")
     sol = [Fraction(0)] * k
     for c in sorted(ech.rows, reverse=True):
         row = ech.rows[c]
@@ -116,15 +129,6 @@ def solve_exact(columns, rhs):
         for j in range(c + 1, k):
             acc -= row[j] * sol[j]
         sol[c] = acc / row[c]
-    # the echelon only saw a spanning prefix; verify against every row
-    for i in range(m):
-        acc = Fraction(0)
-        for j in range(k):
-            v = columns[j][i]
-            if v:
-                acc += sol[j] * v
-        if acc != rhs[i]:
-            return None
     return sol
 
 
@@ -187,7 +191,7 @@ def solve_exact_rf(columns, rhs, verify=True):
         if pivots_a == k:
             break
     if pivots_a < k:
-        raise ValueError("columns are linearly dependent")
+        raise DependentColumnsError("columns are linearly dependent")
     sol = [RF_ZERO] * k
     for c in sorted(ech.rows, reverse=True):
         row = ech.rows[c]
@@ -206,30 +210,6 @@ def solve_exact_rf(columns, rhs, verify=True):
             if acc != rhs[i]:
                 return None
     return sol
-
-
-def rank_poly_matrix(rows) -> int:
-    """Rank over Q(q) of a matrix of Polynomial entries.
-
-    Exact via specialization: any r x r minor has q-degree at most the sum of
-    the r largest per-row entry degrees, so evaluating at more integer points
-    than that bound and taking the maximum integer rank is exact.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    row_deg = sorted(
-        (max((max(e.degree, 0) for e in r), default=0) for r in rows),
-        reverse=True,
-    )
-    bound = sum(row_deg[: min(len(rows), ncols)])
-    best = 0
-    for z in range(1, bound + 2):
-        zf = Fraction(z)
-        num_rows = [[e.evaluate(zf) for e in r] for r in rows]
-        best = max(best, rank_rational(num_rows))
-    return best
 
 
 # -- subspace arithmetic over Q -------------------------------------------------------

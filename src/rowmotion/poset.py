@@ -9,7 +9,8 @@ element identity.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Optional, Sequence
+from array import array
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_IDEAL_CAP = 2_000_000
 
@@ -20,6 +21,17 @@ class MalformedPosetError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An enumeration would exceed the configured resource cap."""
+
+
+class ToggleTable(NamedTuple):
+    """Where each element can be toggled, as canonical ideal indices.
+
+    addable[p] lists, in increasing order, the ideals I with p not in I and
+    I + p an ideal; removable[p] the ideals with p in I and I - p an ideal.
+    """
+
+    addable: tuple
+    removable: tuple
 
 
 class Poset:
@@ -100,15 +112,16 @@ class Poset:
             if up[x] == 0:
                 self.maximal_mask |= 1 << x
 
+        self._coord_index = (
+            None if self.coords is None else {c: i for i, c in enumerate(self.coords)}
+        )
         if self.coords is not None:
             self._check_grid_consistency()
 
         self.rank = self._compute_rank()
-        self._coord_index = (
-            None if self.coords is None else {c: i for i, c in enumerate(self.coords)}
-        )
         self._ideal_masks: Optional[tuple] = None
         self._ideal_index: Optional[dict] = None
+        self._toggle_table: Optional[ToggleTable] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -133,23 +146,17 @@ class Poset:
         return tuple(order)
 
     def _check_grid_consistency(self):
-        boxes = set(self.coords)
-        if len(boxes) != self.n:
+        index = self._coord_index
+        if len(index) != self.n:
             raise MalformedPosetError("duplicate grid coordinates")
         adjacent = set()
         for x, (i, j) in enumerate(self.coords):
             for nb in ((i + 1, j), (i, j + 1)):
-                if nb in boxes:
-                    adjacent.add((x, self._index_of_coord(nb, boxes)))
+                if nb in index:
+                    adjacent.add((x, index[nb]))
         stored = set(self.covers)
         if stored != adjacent:
             raise MalformedPosetError("covers do not match grid adjacency")
-
-    def _index_of_coord(self, c, _boxes=None):
-        for x, cc in enumerate(self.coords):
-            if cc == c:
-                return x
-        raise KeyError(c)
 
     def _compute_rank(self):
         """Rank function with min rank 0 per connected component, or None."""
@@ -292,6 +299,27 @@ class Poset:
     def ideal_index(self, mask):
         self.ideal_masks()
         return self._ideal_index[mask]
+
+    def toggle_table(self) -> ToggleTable:
+        """Cached ToggleTable over the canonical ideal enumeration.
+
+        This is the one place that decides whether p is addable to or
+        removable from an ideal; every toggleability vector is read off it.
+        """
+        if self._toggle_table is None:
+            masks = self.ideal_masks()
+            index = self._ideal_index
+            addable = []
+            removable = []
+            for p in range(self.n):
+                bit = 1 << p
+                test = self.up_covers[p] | bit  # p present, no upper cover
+                rem = [i for i, m in enumerate(masks) if m & test == bit]
+                removable.append(array("l", rem))
+                # p is addable to J exactly when J = I - p with p removable from I
+                addable.append(array("l", sorted(index[masks[i] ^ bit] for i in rem)))
+            self._toggle_table = ToggleTable(tuple(addable), tuple(removable))
+        return self._toggle_table
 
     # -- serialization -----------------------------------------------------------
 

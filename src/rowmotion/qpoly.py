@@ -11,6 +11,13 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 
+class CertificateError(ArithmeticError):
+    """An exact identity that a returned result rests on does not hold.
+
+    Raised by checks that must survive `python -O`, in place of `assert`.
+    """
+
+
 class Polynomial:
     """Dense univariate polynomial over Q; coeffs[k] multiplies q**k."""
 
@@ -325,10 +332,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at q = {z}")
         return self.num.evaluate(z) / d
 
-    def complexity(self):
-        """Degree proxy used for pivot selection in exact elimination."""
-        return max(self.num.degree, 0) + max(self.den.degree, 0)
-
     def __str__(self):
         if self.is_polynomial():
             return str(self.num)
@@ -376,11 +379,12 @@ def q_factorial(n: int) -> Polynomial:
 
 
 def q_binomial(n: int, k: int) -> RationalFunction:
-    """Gaussian binomial; always a polynomial in q, asserted on construction."""
+    """Gaussian binomial; always a polynomial in q, checked on construction."""
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
     out = RationalFunction(q_factorial(n), q_factorial(k) * q_factorial(n - k))
-    assert out.is_polynomial(), "q-binomial failed to reduce to a polynomial"
+    if not out.is_polynomial():
+        raise CertificateError("q-binomial failed to reduce to a polynomial")
     return out
 
 

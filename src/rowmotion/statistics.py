@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .poset import Antichain, OrderIdeal, Poset, _bits
-from .qpoly import Polynomial, RationalFunction
+from .poset import Antichain, OrderIdeal, Poset
+from .qpoly import RF_ONE, RF_ZERO, RationalFunction
 
 RATIONAL = "rational"
 QRATIONAL = "q"
@@ -116,25 +117,53 @@ def _join(a, op, b):
 # -- construction from toggle/indicator coefficients -----------------------------
 
 
+def accumulate_toggles(P: Poset, acc, tin, tout):
+    """Add sum_p (tin[p]*T+_p + tout[p]*T-_p) into the vector `acc`, in place.
+
+    The scalars may be of any type closed under +; zero coefficients are
+    skipped.  Work is proportional to the toggle-table entries touched.
+    """
+    table = P.toggle_table()
+    for coeffs, where in ((tin, table.addable), (tout, table.removable)):
+        for c, idx in zip(coeffs, where):
+            if c:
+                for i in idx:
+                    acc[i] = acc[i] + c
+    return acc
+
+
+def toggle_vector(P: Poset, p: int, plus, minus, zero):
+    """Vector with `plus` where p is addable, `minus` where it is removable."""
+    table = P.toggle_table()
+    vals = [zero] * len(P.ideal_masks())
+    for i in table.addable[p]:
+        vals[i] = plus
+    for i in table.removable[p]:
+        vals[i] = minus
+    return vals
+
+
 def from_combo(P: Poset, tin, tout, ind, label="") -> Statistic:
     """Statistic sum_p (tin_p*T+_p + tout_p*T-_p + ind_p*1_p)."""
     tin = tuple(Fraction(c) for c in tin)
     tout = tuple(Fraction(c) for c in tout)
     ind = tuple(Fraction(c) for c in ind)
-    support = [
-        p for p in range(P.n) if tin[p] or tout[p] or ind[p]
-    ]
-    vals = []
-    for mask in P.ideal_masks():
-        acc = Fraction(0)
-        for p in support:
-            if mask >> p & 1:
-                acc += ind[p]
-                if tout[p] and P.up_covers[p] & mask == 0:
-                    acc += tout[p]
-            elif tin[p] and P.down_covers[p] & mask == P.down_covers[p]:
-                acc += tin[p]
-        vals.append(acc)
+    # accumulate in integers over the common denominator of the coefficients
+    scale = lcm(*(c.denominator for c in tin + tout + ind))
+
+    def scaled(coeffs):
+        return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+    masks = P.ideal_masks()
+    acc = [0] * len(masks)
+    supports = {}  # coefficient -> mask of the elements carrying it in ind
+    for p, c in enumerate(scaled(ind)):
+        if c:
+            supports[c] = supports.get(c, 0) | 1 << p
+    for c, support in supports.items():
+        acc = [a + c * (m & support).bit_count() for a, m in zip(acc, masks)]
+    accumulate_toggles(P, acc, scaled(tin), scaled(tout))
+    vals = [Fraction(a, scale) for a in acc]
     return Statistic(P, vals, label=label, combo=(tin, tout, ind))
 
 
@@ -176,11 +205,7 @@ def _el(P, p, prefix):
 
 def t_q(P: Poset, p: int) -> Statistic:
     """T^q_p = T+_p - q*T-_p, with values in Q(q)."""
-    vals = []
-    for mask in P.ideal_masks():
-        tin = 0 if mask >> p & 1 else int(P.down_covers[p] & mask == P.down_covers[p])
-        tout = int(mask >> p & 1 and P.up_covers[p] & mask == 0)
-        vals.append(RationalFunction(Polynomial((tin, -tout))))
+    vals = toggle_vector(P, p, RF_ONE, -RationalFunction.q(), RF_ZERO)
     return Statistic(P, vals, kind=QRATIONAL, label=_el(P, p, "Tq"))
 
 

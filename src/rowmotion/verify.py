@@ -225,13 +225,10 @@ def check_spans(spec: str):
 
 
 # Known small-size deviations from the generic dimension table; each extra
-# dimension is witnessed by an explicit verified certificate (chains have the
-# whole function space in the span; a few tiny shapes admit sporadic
-# coincidences between indicator and toggleability combinations).
+# dimension is witnessed by an explicit verified certificate (a few tiny
+# shapes admit sporadic coincidences between indicator and toggleability
+# combinations).
 _TABLE2_EXCEPTIONS = {
-    ("rect", 1, 1): {"dim_I_q": 1},
-    ("rect", 1, 3): {"dim_I_q": 3},
-    ("rect", 1, 4): {"dim_I_q": 4},
     ("sstair", 2): {"dim_I_q": 3},
     ("sstair", 3): {"dim_I_q": 3},
     ("rootA", 1): {"dim_I_q": 1},
@@ -244,8 +241,9 @@ _TABLE2_EXCEPTIONS = {
 def expected_table2(family: str, *params) -> dict:
     if family == "rect":
         a, b = params
+        # a chain (a == 1) has the whole function space in the span
         exp = {"dim_A": a + b - 1, "dim_I": a + b - 1,
-               "dim_A_q": a + b - 1, "dim_I_q": 2}
+               "dim_A_q": a + b - 1, "dim_I_q": b if a == 1 else 2}
     elif family == "sstair":
         n, = params
         exp = {"dim_A": 2 * n - 1, "dim_I": 2 * n - 1,

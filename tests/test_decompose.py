@@ -232,3 +232,127 @@ def test_certificate_json():
     assert qdata["kind"] == "q"
     assert qdata["constant"]["num"] == ["1/1", "1/1"]
     assert qdata["constant"]["den"] == ["1/1", "0/1", "1/1"]
+
+
+# -- row selection and the single certificate check ---------------------------
+
+LADDER = ("rect:2,3", "rect:3,4", "sstair:4", "rootA:4", "rootB:3", "dtd:4", "E6")
+NOT_IN_SPAN = ("rootD:4", "trap:2,3", "trap:2,4", "vchain:2", "vchain:3")
+
+
+def _ladder_statistics():
+    from rowmotion.families import from_specifier
+
+    for spec in LADDER:
+        P = from_specifier(spec)
+        for kind in ("antichain_card", "ideal_card"):
+            yield spec, P, named_statistic(P, kind)
+
+
+def _not_in_span_statistics():
+    from rowmotion.families import from_specifier
+
+    for spec in NOT_IN_SPAN:
+        P = from_specifier(spec)
+        yield spec, P, named_statistic(P, "antichain_card")
+    P = rectangle(3, 3)
+    yield "rect:3,3 centre", P, 2 * indicator_ideal(P, P.element_at((2, 2)))
+
+
+def _spy_on_solve(monkeypatch):
+    """Record the number of rows offered to each solve_exact call."""
+    import importlib
+
+    mod = importlib.import_module("rowmotion.decompose")
+    calls = []
+
+    def spy(columns, rhs):
+        calls.append(len(rhs))
+        return solve_exact(columns, rhs)
+
+    monkeypatch.setattr(mod, "solve_exact", spy)
+    return mod, calls
+
+
+def _answer(dec):
+    return None if dec is None else (dec.constant, dec.coeffs)
+
+
+def test_structured_rows_reach_full_rank(monkeypatch):
+    mod, calls = _spy_on_solve(monkeypatch)
+    for spec, P, f in _ladder_statistics():
+        calls.clear()
+        dec = decompose(P, f)
+        assert dec is not None or f.label == "ideal_card", spec
+        assert calls == [len(mod._structured_rows(P))], spec
+        assert calls[0] <= 2 * P.n + 1
+    for spec, P, f in _not_in_span_statistics():
+        calls.clear()
+        assert decompose(P, f) is None, spec
+        assert len(calls) == 1, spec
+
+
+def test_full_scan_fallback_gives_same_answers(monkeypatch):
+    expected = [_answer(decompose(P, f)) for _, P, f in _ladder_statistics()]
+    mod, calls = _spy_on_solve(monkeypatch)
+    monkeypatch.setattr(mod, "_structured_rows", lambda P: [0])
+    for (spec, P, f), want in zip(_ladder_statistics(), expected):
+        calls.clear()
+        dec = decompose(P, f)
+        assert calls == [1, len(P.ideal_masks())], spec  # the fallback ran
+        assert _answer(dec) == want, spec
+    for spec, P, f in _not_in_span_statistics():
+        calls.clear()
+        assert decompose(P, f) is None, spec
+        assert calls[0] == 1 and calls[-1] == len(P.ideal_masks()), spec
+
+
+def test_wrong_candidate_fails_the_check():
+    import importlib
+
+    mod = importlib.import_module("rowmotion.decompose")
+    P = rectangle(3, 3)
+    f = named_statistic(P, "antichain_card")
+    dec = decompose(P, f)
+    sol = [dec.constant, *dec.coeffs]
+    assert mod._is_certificate(P, f.values, sol)
+    for k in range(len(sol)):
+        bad = list(sol)
+        bad[k] += Fraction(1, 7)
+        assert not mod._is_certificate(P, f.values, bad)
+
+
+def test_reconstruction_matches_statistic():
+    for _, P, f in _ladder_statistics():
+        dec = decompose(P, f)
+        assert dec is None or dec.reconstruction() == f.values
+    P = rectangle(2, 3)
+    fq = named_statistic(P, "antichain_card")
+    assert q_decompose(P, fq).reconstruction() == fq.as_q().values
+
+
+def test_pole_check_survives_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    code = (
+        "from rowmotion.decompose import _check_no_nonnegative_pole\n"
+        "from rowmotion.qpoly import CertificateError, Polynomial, RationalFunction\n"
+        "assert False, 'asserts are on'\n"
+    )
+    # under -O the line above is dropped; the pole check must still raise
+    code += (
+        "c = RationalFunction(Polynomial((1,)), Polynomial((-1, 1)))  # 1/(q-1)\n"
+        "try:\n"
+        "    _check_no_nonnegative_pole(c)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"

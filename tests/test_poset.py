@@ -2,6 +2,7 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rowmotion import (
     MalformedPosetError,
@@ -210,3 +211,40 @@ def test_ideal_cap():
     P = rectangle(3, 3)
     with pytest.raises(CapExceededError):
         P.ideal_masks(cap=5)
+
+
+def test_grid_consistency_checks():
+    with pytest.raises(MalformedPosetError):
+        Poset(2, [(0, 1)], coords=[(1, 1), (1, 1)])
+    with pytest.raises(MalformedPosetError):
+        Poset(2, [], coords=[(1, 1), (1, 2)])  # missing adjacency cover
+    with pytest.raises(MalformedPosetError):
+        Poset(2, [(0, 1)], coords=[(1, 1), (2, 2)])  # cover between far boxes
+    P = Poset(3, [(0, 1), (0, 2)], coords=[(1, 1), (1, 2), (2, 1)])
+    assert P.element_at((2, 1)) == 2
+
+
+@st.composite
+def small_posets(draw):
+    """Random posets on up to 7 elements, covers drawn from pairs lo < hi."""
+    n = draw(st.integers(0, 7))
+    pairs = [(lo, hi) for hi in range(n) for lo in range(hi)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset(n, [pr for pr, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets())
+def test_toggle_table_matches_mask_definitions(P):
+    masks = P.ideal_masks()
+    table = P.toggle_table()
+    assert table is P.toggle_table()  # cached
+    assert len(table.addable) == len(table.removable) == P.n
+    for p in range(P.n):
+        down, up, bit = P.down_covers[p], P.up_covers[p], 1 << p
+        addable = [i for i, m in enumerate(masks)
+                   if not m & bit and down & m == down]
+        removable = [i for i, m in enumerate(masks)
+                     if m & bit and up & m == 0]
+        assert list(table.addable[p]) == addable
+        assert list(table.removable[p]) == removable

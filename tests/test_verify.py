@@ -42,3 +42,11 @@ def test_expected_table2_generic_and_exceptions():
     assert expected_table2("rootA", 2)["dim_I_q"] == 1  # small-size exception
     with pytest.raises(ValueError):
         expected_table2("mystery", 1)
+
+
+def test_expected_table2_chains_follow_the_computed_dimensions():
+    from rowmotion.decompose import toggleability_space_dims
+    from rowmotion.families import rectangle
+
+    for b in range(1, 8):
+        assert expected_table2("rect", 1, b) == toggleability_space_dims(rectangle(1, b))
