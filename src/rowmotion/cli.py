@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import dynamics, families, qrow, statistics as st, verify
 from .decompose import decompose, q_decompose
 from .poset import CapExceededError, enumerate_antichains, enumerate_ideals
-from .qpoly import Polynomial, RationalFunction, q_binomial, q_number
+from .qpoly import RationalFunction, q_binomial, q_factorial, q_number
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -100,8 +100,8 @@ def cmd_orbits(args) -> int:
 def _lifted_orbit_payload(args, P) -> int:
     from . import lifted
 
-    alpha = Fraction(args.alpha) if args.alpha else None
-    omega = Fraction(args.omega) if args.omega else None
+    alpha = st.parse_fraction(args.alpha) if args.alpha else None
+    omega = st.parse_fraction(args.omega) if args.omega else None
     values = _start_values(args, P)
     if args.level == "pl":
         pt = lifted.PLPoint(P, values,
@@ -155,7 +155,7 @@ def _start_values(args, P):
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
             data = json.load(fh)
-        return [Fraction(v) for v in data]
+        return [st.parse_fraction(v) for v in data]
     raise ValueError("start must be 'random:<seed>' or 'file:<path>'")
 
 
@@ -299,6 +299,8 @@ def _parse_term(tokens, pos):
     while pos < len(tokens) and tokens[pos] in "*/":
         op = tokens[pos]
         rhs, pos = _parse_factor(tokens, pos + 1)
+        if op == "/" and rhs.is_zero():
+            raise ValueError("division by zero in q-expression")
         value = value * rhs if op == "*" else value / rhs
     return value, pos
 
@@ -306,19 +308,22 @@ def _parse_term(tokens, pos):
 def _parse_factor(tokens, pos):
     value, pos = _parse_base(tokens, pos)
     if pos < len(tokens) and tokens[pos] == "^":
-        exp = int(tokens[pos + 1])
-        value = value ** exp
+        value = value ** int(_token(tokens, pos + 1))
         pos += 2
     return value, pos
 
 
-def _parse_base(tokens, pos):
+def _token(tokens, pos):
     if pos >= len(tokens):
         raise ValueError("q-expression ended unexpectedly")
-    tok = tokens[pos]
+    return tokens[pos]
+
+
+def _parse_base(tokens, pos):
+    tok = _token(tokens, pos)
     if tok == "(":
         value, pos = _parse_expr(tokens, pos + 1)
-        if tokens[pos] != ")":
+        if _token(tokens, pos) != ")":
             raise ValueError("unbalanced parentheses in q-expression")
         return value, pos + 1
     if tok == "q":
@@ -326,19 +331,20 @@ def _parse_base(tokens, pos):
     if tok.isdigit():
         return RationalFunction.const(int(tok)), pos + 1
     if tok in ("qnum", "qfact", "qbinom"):
-        if tokens[pos + 1] != "(":
+        if _token(tokens, pos + 1) != "(":
             raise ValueError(f"{tok} needs parenthesized arguments")
         argv = []
         p = pos + 2
-        while tokens[p] != ")":
+        while _token(tokens, p) != ")":
             if tokens[p] != ",":
                 argv.append(int(tokens[p]))
             p += 1
+        arity = 2 if tok == "qbinom" else 1
+        if len(argv) != arity:
+            raise ValueError(f"{tok} takes {arity} argument(s), not {len(argv)}")
         if tok == "qnum":
             return RationalFunction(q_number(*argv)), p + 1
         if tok == "qfact":
-            from .qpoly import q_factorial
-
             return RationalFunction(q_factorial(*argv)), p + 1
         return q_binomial(*argv), p + 1
     raise ValueError(f"unexpected token {tok!r} in q-expression")

@@ -10,32 +10,34 @@ full rank n+1 on every poset tried.  Only when they fall short does it solve
 on every ideal.  Either way the candidate is then checked exactly once
 against every ideal, as a sparse integer residual over the poset's toggle
 table.  A candidate that fails the check was the only possible solution, so
-the statistic is not in the span.
+the statistic is not in the span.  `q_decompose` solves on the same rows by
+specializing q to integers and interpolating (see its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .linalg import (
     DependentColumnsError,
+    IntEchelon,
     intersect_spans,
     null_space_basis,
     rank_rational,
     solve_exact,
-    solve_exact_rf,
+    solve_fraction_free,
     span_basis,
 )
-from .poset import CapExceededError, Poset
+from .poset import CapExceededError, Poset, enumerate_antichains
 from .qpoly import (
     CertificateError,
     Polynomial,
     RationalFunction,
-    q_binomial,
-    q_factorial,
-    q_number,
+    interpolate,
+    poly_gcd,
     rational_roots,
 )
 from .statistics import (
@@ -43,10 +45,7 @@ from .statistics import (
     RATIONAL,
     Statistic,
     accumulate_toggles,
-    t_in,
-    t_out,
-    t_q,
-    t_signed,
+    antichain_toggleability,
     toggle_vector,
 )
 
@@ -57,9 +56,6 @@ __all__ = [
     "verify_independence",
     "toggleability_space_dims",
     "antichain_span_dim",
-    "q_number",
-    "q_factorial",
-    "q_binomial",
 ]
 
 
@@ -84,15 +80,10 @@ class Decomposition:
         return tuple(accumulate_toggles(P, out, self.coeffs, minus))
 
     def to_json_dict(self):
-        if self.kind == RATIONAL:
-            enc = _frac_str
-            cst = enc(self.constant)
-        else:
-            enc = _rf_json
-            cst = enc(self.constant)
+        enc = _frac_str if self.kind == RATIONAL else _rf_json
         return {
             "kind": self.kind,
-            "constant": cst,
+            "constant": enc(self.constant),
             "coeffs": {str(p): enc(c) for p, c in enumerate(self.coeffs)},
             "verified": True,
         }
@@ -144,8 +135,9 @@ def _solve_on_rows(P, values, rows):
     return solve_exact(columns, [values[i] for i in rows])
 
 
-def _is_certificate(P, values, sol):
-    """True iff values == sol[0] + sum_p sol[p+1] * T_p on every ideal.
+def _is_certificate(P, values, sol, z=1):
+    """True iff values == sol[0] + sum_p sol[p+1] * T^z_p on every ideal,
+    with T^z_p = 1 where p is addable and -z where removable (T_p at z = 1).
 
     Everything is scaled to integers over one common denominator, so the
     check is integer arithmetic over the toggle-table entries.
@@ -154,35 +146,91 @@ def _is_certificate(P, values, sol):
     ints = [x.numerator * (scale // x.denominator) for x in sol]
     c0, coeffs = ints[0], ints[1:]
     residual = [v.numerator * (scale // v.denominator) - c0 for v in values]
-    accumulate_toggles(P, residual, [-c for c in coeffs], coeffs)
+    accumulate_toggles(P, residual, [-c for c in coeffs], [z * c for c in coeffs])
     return not any(residual)
 
 
 def q_decompose(P: Poset, f: Statistic):
     """Certificate f = c(q) + sum c_p(q) T^q_p over Q(q), or None.
 
-    The input is a rational-valued statistic viewed inside Q(q).  Returned
-    coefficients are checked to have no poles at any nonnegative rational
-    (their denominators have no nonnegative rational roots and are positive
-    at sampled points), which is what makes every specialization q := r/s
-    legal.
+    f, with rational or Q(q) values, is cleared to integer polynomials
+    g = s(q) * f of degree <= d; the solve does no arithmetic in Q(q).  On
+    n+1 ideals whose rows are independent at q = 1 (structured rows as in
+    `decompose`, else any ideals), entries of q-degree <= 1 give, by
+    Cramer's rule, x_j = N_j(q) / det(q) with deg det <= n, deg N_j <= n+d.
+    That square system is solved in integers at q = 0, 1, 2, ..., skipping
+    roots of det, until n+1+d points are in hand; det and the N_j are then
+    interpolated once.  The first point is no pole, so a Q(q) certificate
+    would specialize to the candidate there: a nonzero residual over the
+    ideals returns None before any interpolation.  The result is checked
+    once, as a polynomial identity over every ideal; its coefficients are
+    checked to have no pole at any nonnegative rational, which makes every
+    specialization q := r/s legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
     fq = f.as_q()
-    masks = P.ideal_masks()
-    one_rf = RationalFunction.const(1)
-    ones = [one_rf] * len(masks)
-    columns = [ones] + [t_q(P, p).values for p in range(P.n)]
-    sol = solve_exact_rf(columns, list(fq.values), verify=False)
-    if sol is None:
-        return None
+    rhs, scale = _cleared_rhs(fq.values)
+    square = _square_rows(P, _structured_rows(P))
+    if len(square) <= P.n:
+        square = _square_rows(P, range(len(rhs)))
+        if len(square) <= P.n:
+            raise DependentColumnsError("columns are linearly dependent")
+    need = P.n + 1 + max(0, *(g.degree for g in rhs))
+    good = []  # (z, det, det * x) at the points where det != 0
+    for z in _sample_points():
+        det, y = solve_fraction_free(
+            [[-z if s < 0 else s for s in row] for _, row in square],
+            [int(rhs[i].evaluate(z)) for i, _ in square],
+        )
+        if not det:
+            continue
+        if not good and not _is_certificate(
+            P, [det * int(g.evaluate(z)) for g in rhs], y, z
+        ):
+            return None
+        good.append((z, det, *y))
+        if len(good) == need:
+            break
+    points, *columns = zip(*good)
+    det_poly, *num_polys = interpolate(points, columns)
+    den = det_poly * scale
+    sol = [RationalFunction(num, den) for num in num_polys]
     if not _verify_q_certificate(P, fq, sol):
         return None
-    dec = Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
-    for c in (dec.constant, *dec.coeffs):
+    for c in sol:
         _check_no_nonnegative_pole(c)
-    return dec
+    return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
+
+
+_sample_points = count  # the integers at which q_decompose specializes q
+
+
+def _cleared_rhs(values):
+    """(g, s): the polynomials g[i] = s * values[i], with integer
+    coefficients, and s in Q[q] the least common denominator that does it."""
+    den = Polynomial((1,))
+    for d in {v.den for v in values}:
+        den = den.exact_div(poly_gcd(den, d)) * d
+    polys = [v.num if v.den == den else v.num * den.exact_div(v.den) for v in values]
+    k = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [p * k for p in polys], den * k
+
+
+def _square_rows(P, candidates):
+    """Up to n+1 pairs (i, row) for the first ideals i among `candidates`
+    whose rows [1, T_0(i), ..., T_{n-1}(i)] are independent; at q = z the
+    -1 entries (p removable) read -z."""
+    cols = [toggle_vector(P, p, 1, -1, 0) for p in range(P.n)]
+    ech = IntEchelon(P.n + 1)
+    square = []
+    for i in candidates:
+        row = [1] + [col[i] for col in cols]
+        if ech.add(row) is not None:
+            square.append((i, row))
+            if len(square) == P.n + 1:
+                break
+    return square
 
 
 def _verify_q_certificate(P, fq, sol):
@@ -192,8 +240,6 @@ def _verify_q_certificate(P, fq, sol):
     h*f(I) = h*c + sum_p (h*c_p) * T^q_p(I) entrywise over Q[q] is
     equivalent to the rational-function identity and avoids per-entry gcds.
     """
-    from .qpoly import poly_gcd
-
     h = Polynomial((1,))
     for c in sol:
         if c.den.degree > 0:
@@ -242,27 +288,19 @@ def toggleability_space_dims(P: Poset) -> dict:
     masks = P.ideal_masks()
     nideals = len(masks)
     ones = [1] * nideals
-    t_rows = [t_signed(P, p).values for p in range(P.n)]
-    out_rows = [t_out(P, p).values for p in range(P.n)]
-    ind_rows = []
-    for p in range(P.n):
-        ind_rows.append([1 if m >> p & 1 else 0 for m in masks])
+    t_rows = [toggle_vector(P, p, 1, -1, 0) for p in range(P.n)]
+    out_rows = [toggle_vector(P, p, 0, 1, 0) for p in range(P.n)]
+    ind_rows = [[m >> p & 1 for m in masks] for p in range(P.n)]
 
     base = [ones] + t_rows
     rank_m = rank_rational(base)
     dim_a = P.n - (rank_rational(base + out_rows) - rank_m)
     dim_i = P.n - (rank_rational(base + ind_rows) - rank_m)
 
-    tin_rows = [t_in(P, p).values for p in range(P.n)]
-
     def q_dim(obs_rows):
         space = None
         for z in range(P.n + 2):
-            zf = Fraction(z)
-            cols = [ones] + [
-                [a - zf * b for a, b in zip(tin_rows[p], out_rows[p])]
-                for p in range(P.n)
-            ]
+            cols = [ones] + [toggle_vector(P, p, 1, -z, 0) for p in range(P.n)]
             # x feasible at q=z iff [cols | -obs] has a null vector over x
             equations = []
             for i in range(nideals):
@@ -290,13 +328,5 @@ def antichain_span_dim(P: Poset, cap: int = 1000) -> int:
     masks = P.ideal_masks()
     if len(masks) > cap:
         raise CapExceededError(f"antichain count {len(masks)} exceeds cap {cap}")
-    anti = [P.max_of_ideal_mask(m) for m in masks]  # all antichains, via max(I)
-    rows = []
-    for am in anti:
-        row = []
-        for mask in masks:
-            tin = int(P.min_complement_mask(mask) & am == am)
-            tout = int(P.max_of_ideal_mask(mask) & am == am)
-            row.append(tin - tout)
-        rows.append(row)
-    return rank_rational(rows)
+    return rank_rational([antichain_toggleability(P, A, "signed").values
+                          for A in enumerate_antichains(P)])

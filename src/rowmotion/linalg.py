@@ -1,9 +1,12 @@
-"""Exact linear algebra over Q and Q(q).
+"""Exact linear algebra over Q, all of it on integers.
 
 The rational path scales rows to integers and eliminates fraction-free
 (cross-multiplication with per-row content stripping), so intermediate
-entries stay integral.  The Q(q) path eliminates in the fraction field with
-gcd-normalized rational functions.
+entries stay integral.  There is no elimination over Q(q): a certificate
+over Q(q) is solved in `decompose` by specializing q to integers, solving
+each square integer system with the Bareiss kernel `solve_fraction_free`
+(which returns the determinant and the Cramer numerators det * x), and
+interpolating those polynomials in q once, since their degrees are bounded.
 
 `solve_exact` reads rows only until the columns reach full rank and returns
 that prefix's solution unchecked.  A caller picks which rows to offer: the
@@ -16,9 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-
-from .qpoly import RF_ONE, RF_ZERO
-
 
 # -- integer echelon over Q -------------------------------------------------------
 
@@ -77,18 +77,9 @@ class IntEchelon:
                 return c
         return None
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
 
 def rank_rational(rows) -> int:
-    if not rows:
-        return 0
-    ech = IntEchelon(len(rows[0]))
-    for row in rows:
-        ech.add(list(row))
-    return ech.rank
+    return len(span_basis(rows))
 
 
 class DependentColumnsError(ValueError):
@@ -132,84 +123,40 @@ def solve_exact(columns, rhs):
     return sol
 
 
-# -- elimination over Q(q) ----------------------------------------------------------
+# -- fraction-free square solve ------------------------------------------------------
 
 
-class RFEchelon:
-    """Incremental echelon over Q(q) with monic pivots."""
+def solve_fraction_free(rows, rhs):
+    """Bareiss elimination of the square integer system rows . x = rhs.
 
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = {}
-
-    def reduce(self, row):
-        for c in sorted(self.rows):
-            if row[c]:
-                piv = self.rows[c]
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, piv)]
-        return row
-
-    def add(self, row):
-        row = self.reduce(row)
-        pivot = None
-        for c, v in enumerate(row):
-            if v:
-                pivot = c
-                break
-        if pivot is None:
-            return None
-        inv = RF_ONE / row[pivot]
-        row = [x * inv for x in row]
-        self.rows[pivot] = row
-        return pivot
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
-def solve_exact_rf(columns, rhs, verify=True):
-    """Solve over Q(q); mirrors solve_exact with RationalFunction scalars.
-
-    With verify=False the solution of a full-rank row prefix is returned
-    unchecked; the caller must confirm it against every row (sound because
-    the columns are independent, so a solution is unique if one exists).
+    Returns (det, y) with det the determinant of `rows` and y = det * x, both
+    integers by Cramer's rule, or (0, None) when `rows` is singular.  Every
+    division is exact: each entry after step k is a minor of order k+1.
     """
-    k = len(columns)
-    m = len(rhs)
-    ech = RFEchelon(k + 1)
-    pivots_a = 0
-    for i in range(m):
-        row = [columns[j][i] for j in range(k)] + [rhs[i]]
-        c = ech.add(row)
-        if c is None:
-            continue
-        if c == k:
-            return None
-        pivots_a += 1
-        if pivots_a == k:
-            break
-    if pivots_a < k:
-        raise DependentColumnsError("columns are linearly dependent")
-    sol = [RF_ZERO] * k
-    for c in sorted(ech.rows, reverse=True):
-        row = ech.rows[c]
-        acc = row[k]
-        for j in range(c + 1, k):
-            if row[j]:
-                acc = acc - row[j] * sol[j]
-        sol[c] = acc
-    if verify:
-        for i in range(m):
-            acc = RF_ZERO
-            for j in range(k):
-                v = columns[j][i]
-                if v:
-                    acc = acc + sol[j] * v
-            if acc != rhs[i]:
-                return None
-    return sol
+    n = len(rows)
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0, None
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pk = m[k]
+        piv = pk[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            a = ri[k]
+            ri[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(ri[k + 1:], pk[k + 1:])]
+        prev = piv
+    # back substitution for det * x; each quotient is a Cramer numerator
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        acc = prev * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))
+        y[k] = acc // row[k]
+    return sign * prev, [sign * v for v in y]
 
 
 # -- subspace arithmetic over Q -------------------------------------------------------

@@ -532,24 +532,6 @@ def _longest_down_chain(P: Poset):
     return depth
 
 
-def connected_components(P: Poset):
-    comp = [-1] * P.n
-    c = 0
-    for start in range(P.n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = c
-        while stack:
-            x = stack.pop()
-            for y in _bits(P.up_covers[x] | P.down_covers[x]):
-                if comp[y] < 0:
-                    comp[y] = c
-                    stack.append(y)
-        c += 1
-    return comp, c
-
-
 def poset_isomorphic(P: Poset, Q: Poset) -> bool:
     """Exact isomorphism test by backtracking on cover digraphs."""
     if P.n != Q.n or len(P.covers) != len(Q.covers):

@@ -8,7 +8,7 @@ that equality is plain componentwise comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 
 class CertificateError(ArithmeticError):
@@ -226,6 +226,31 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             r = [v // c for v in r]
         a, b = b, r
     return Polynomial(a).monic()
+
+
+def interpolate(xs, columns):
+    """Polynomials of degree < len(xs) through integer data at the distinct
+    integer nodes xs, one per sequence of values in `columns`.
+
+    Lagrange interpolation over one integer denominator W, the lcm of the
+    w_i = prod_{j != i} (x_i - x_j): the integer basis polynomials
+    (W / w_i) * prod_{j != i} (q - x_j) are built once for every column.
+    """
+    basis = []
+    for i, x in enumerate(xs):
+        b, w = [1], 1
+        for j, y in enumerate(xs):
+            if j != i:
+                b = [u - y * v for u, v in zip([0] + b, b + [0])]
+                w *= x - y
+        basis.append((b, w))
+    W = _int_lcm(*(w for _, w in basis))
+    basis = [[W // w * c for c in b] for b, w in basis]
+    return [
+        Polynomial(Fraction(sum(y * b[t] for y, b in zip(ys, basis)), W)
+                   for t in range(len(xs)))
+        for ys in columns
+    ]
 
 
 class RationalFunction:

@@ -62,9 +62,6 @@ class FlavorAlphabet:
             theta[symbols[k]] = symbols[(k + 1) % m]
         return cls(r, s, tuple(theta))
 
-    def is_zero_flavor(self, symbol: int) -> bool:
-        return symbol < self.s
-
     @property
     def q(self) -> Fraction:
         return Fraction(self.r, self.s)

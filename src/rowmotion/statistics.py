@@ -492,7 +492,7 @@ def parse_statistic(P: Poset, text: str) -> Statistic:
         coeff, atom = Fraction(1), tok
         if "*" in tok:
             cs, _, atom = tok.partition("*")
-            coeff = Fraction(cs)
+            coeff = parse_fraction(cs)
         term = (sign * coeff) * _parse_atom(P, atom)
         total = term if total is None else total + term
         sign = Fraction(1)
@@ -501,6 +501,14 @@ def parse_statistic(P: Poset, text: str) -> Statistic:
         raise ValueError(f"dangling operator in {text!r}")
     total.label = text.strip()
     return total
+
+
+def parse_fraction(text) -> Fraction:
+    """Fraction(text); a zero denominator or a non-number is a ValueError."""
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, TypeError):
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _parse_atom(P, atom):

@@ -7,6 +7,7 @@ across processes; results are assembled deterministically either way.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -374,6 +375,9 @@ def run_suite(suite: str, max_cells: int = 16, max_size: int = 4,
               seed: int = 1, jobs: int = 1) -> SuiteResult:
     if suite not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     bound = max_size if suite == "table2" else max_cells
     items = _SUITE_BUILDERS[suite](bound, seed)
     if jobs > 1 and len(items) > 1:

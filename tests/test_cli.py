@@ -1,6 +1,6 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -181,3 +181,57 @@ def test_parse_q_expression():
     )
     with pytest.raises(ValueError):
         parse_q_expression("qnum(3) +")
+
+
+QROW = ("qrow", "--family", "rect:2,2", "--r", "1", "--s", "2", "--stat", "antichain_card")
+
+
+@pytest.mark.parametrize("argv", [
+    QROW + ("--expect", "qnum("),
+    QROW + ("--expect", "q^"),
+    QROW + ("--expect", "1/(q-q)"),
+    ("decompose", "rect:2,2", "1/0*diag"),
+    ("orbits", "rect:2,2", "--level", "pl", "--alpha", "1/0"),
+], ids=["qnum-open", "caret-end", "zero-divisor", "zero-coefficient", "zero-alpha"])
+def test_malformed_input_is_a_usage_error(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_jobs_below_one_is_a_usage_error():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("verify", "table2", "--max", "2", "--jobs", "0")
+    assert code == 2 and err.getvalue().startswith("error: ")
+
+
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
+    import os
+
+    from rowmotion import verify
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code1, out1 = run_cli("verify", "table2", "--max", "2", "--jobs", "100000")
+    code2, out2 = run_cli("verify", "table2", "--max", "2")
+    assert workers == [3]
+    assert (code1, out1) == (code2, out2)

@@ -28,7 +28,7 @@ from rowmotion.families import (
     shifted_staircase,
     trapezoid,
 )
-from rowmotion.linalg import rank_rational, solve_exact
+from rowmotion.linalg import rank_rational, solve_exact, solve_fraction_free
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
 from rowmotion.statistics import RATIONAL, indicator_ideal
 
@@ -93,6 +93,41 @@ def test_certificate_uniqueness_under_row_permutation():
         cols = [[col[i] for i in perm] for col in columns]
         rhs = [f.values[i] for i in perm]
         assert solve_exact(cols, rhs) == base
+
+
+def _leibniz_det(rows):
+    import itertools
+
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = -1 if sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_fraction_free_solve_matches_rational_solve():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(n)]
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        det, y = solve_fraction_free(rows, rhs)
+        assert det == _leibniz_det(rows)
+        if not det:
+            assert y is None
+            singular += 1
+            continue
+        columns = [[row[j] for row in rows] for j in range(n)]
+        assert [Fraction(v, det) for v in y] == solve_exact(columns, rhs)
+    assert 0 < singular < 60
+    # a zero leading entry needs a row swap, which flips the sign of det
+    assert solve_fraction_free([[0, 1], [1, 0]], [2, 3]) == (-1, [-3, -2])
 
 
 def test_random_in_span_statistics_recovered():
@@ -356,3 +391,147 @@ def test_pole_check_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
+
+
+# -- Q(q) certificates by specialization and interpolation ----------------------
+
+
+def _q_module():
+    import importlib
+
+    return importlib.import_module("rowmotion.decompose")
+
+
+def test_q_decompose_large_rectangles():
+    for a, b in ((5, 6), (6, 6)):
+        P = rectangle(a, b)
+        dec = q_decompose(P, named_statistic(P, "antichain_card"))
+        assert dec.constant == RationalFunction(
+            q_number(a) * q_number(b), q_number(a + b)
+        )
+
+
+def test_q_decompose_skips_singular_points(monkeypatch):
+    from itertools import chain, count
+
+    mod = _q_module()
+    cases = [(P, named_statistic(P, "antichain_card"))
+             for P in (rectangle(3, 3), shifted_staircase(3))]
+    expected = [_answer(q_decompose(P, f)) for P, f in cases]
+    solve = mod.solve_fraction_free
+    dets = []
+
+    def spy(rows, rhs):
+        det, y = solve(rows, rhs)
+        dets.append(det)
+        return det, y
+
+    monkeypatch.setattr(mod, "solve_fraction_free", spy)
+    # q = -1 makes the chosen rows singular on both posets
+    monkeypatch.setattr(mod, "_sample_points", lambda: chain([-1], count()))
+    for (P, f), want in zip(cases, expected):
+        dets.clear()
+        assert _answer(q_decompose(P, f)) == want
+        assert dets[0] == 0 and all(dets[1:])
+        assert len(dets) == P.n + 2
+
+
+def test_q_full_scan_fallback_gives_same_answers(monkeypatch):
+    from rowmotion.families import from_specifier
+
+    mod = _q_module()
+    cases = [(P, named_statistic(P, kind))
+             for P in (rectangle(2, 3), shifted_staircase(3), from_specifier("rootD:4"))
+             for kind in ("antichain_card", "ideal_card")]
+    expected = [_answer(q_decompose(P, f)) for P, f in cases]
+    assert expected.count(None) == 4
+    monkeypatch.setattr(mod, "_structured_rows", lambda P: [0])
+    for (P, f), want in zip(cases, expected):
+        assert _answer(q_decompose(P, f)) == want
+    monkeypatch.setattr(mod, "_square_rows", lambda P, candidates: [])
+    with pytest.raises(mod.DependentColumnsError):
+        q_decompose(*cases[0])
+
+
+def test_q_decompose_not_in_span_controls():
+    from rowmotion.families import from_specifier
+
+    for a in range(2, 6):  # rect:1,1 has two ideals and two unknowns
+        P = rectangle(a, a)
+        assert q_decompose(P, named_statistic(P, "ideal_card")) is None, a
+    for spec in ("trap:2,3", "rootD:4"):
+        P = from_specifier(spec)
+        assert q_decompose(P, named_statistic(P, "antichain_card")) is None, spec
+
+
+def test_q_early_reject_before_interpolation(monkeypatch):
+    from rowmotion.families import from_specifier
+
+    mod = _q_module()
+    calls = []
+
+    def counting(xs, columns):
+        calls.append(len(xs))
+        return interpolate(xs, columns)
+
+    interpolate = mod.interpolate
+    monkeypatch.setattr(mod, "interpolate", counting)
+    for a in (2, 3, 4):
+        P = rectangle(a, a)
+        assert q_decompose(P, named_statistic(P, "ideal_card")) is None
+    for spec in ("trap:2,3", "rootD:4"):
+        P = from_specifier(spec)
+        assert q_decompose(P, named_statistic(P, "antichain_card")) is None
+    assert calls == []
+    P = rectangle(3, 3)
+    assert q_decompose(P, named_statistic(P, "antichain_card")) is not None
+    assert calls == [P.n + 1]
+
+
+def test_q_decompose_q_valued_statistics():
+    from rowmotion import t_q
+    from rowmotion.statistics import QRATIONAL
+
+    P = rectangle(2, 3)
+    for p in range(P.n):
+        dec = q_decompose(P, t_q(P, p))
+        assert dec.constant == 0
+        assert dec.coeffs == tuple(int(x == p) for x in range(P.n))
+    q = RationalFunction.q()
+    const = RationalFunction(Polynomial((1,)), Polynomial((1, 1)))  # 1/(1+q)
+    c0 = RationalFunction(Polynomial((1, 1)), Polynomial((2, 1)))   # (1+q)/(2+q)
+    c3 = q * q - 3
+    f = Statistic(P, [const] * len(P.ideal_masks()), kind=QRATIONAL)
+    f = f + c0 * t_q(P, 0) + c3 * t_q(P, 3)
+    dec = q_decompose(P, f)
+    assert dec.constant == const
+    assert dec.coeffs == tuple(
+        c0 if x == 0 else c3 if x == 3 else 0 for x in range(P.n)
+    )
+    assert dec.reconstruction() == f.values
+
+
+def test_q_certificate_check_survives_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # with asserts off and the early reject disabled, the cleared polynomial
+    # identity alone must still turn down a statistic outside the span
+    code = (
+        "import importlib\n"
+        "from rowmotion import named_statistic, q_decompose\n"
+        "from rowmotion.families import rectangle\n"
+        "assert False, 'asserts are on'\n"
+        "mod = importlib.import_module('rowmotion.decompose')\n"
+        "mod._is_certificate = lambda *args: True\n"
+        "P = rectangle(3, 3)\n"
+        "print(q_decompose(P, named_statistic(P, 'ideal_card')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "None"

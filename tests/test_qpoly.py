@@ -7,6 +7,7 @@ from rowmotion.families import rectangle
 from rowmotion.qpoly import (
     Polynomial,
     RationalFunction,
+    interpolate,
     poly_gcd,
     q_binomial,
     q_factorial,
@@ -123,3 +124,15 @@ def test_rational_function_pole_detection():
         pass
     else:
         raise AssertionError("expected a pole at q=1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.lists(polys, min_size=1, max_size=3),
+       hyp.sets(hyp.integers(-8, 8), min_size=6, max_size=9))
+def test_interpolate_recovers_polynomials(ps, nodes):
+    from math import lcm
+
+    xs = sorted(nodes)
+    scale = lcm(*(c.denominator for p in ps for c in p.coeffs))
+    columns = [[int(p.evaluate(x) * scale) for x in xs] for p in ps]
+    assert interpolate(xs, columns) == [p * scale for p in ps]
