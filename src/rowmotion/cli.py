@@ -8,6 +8,7 @@ Exit codes: 0 answer produced / checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import random
 import sys
@@ -37,9 +38,9 @@ def _emit_csv(payload):
         raise ValueError("this command has no CSV table form")
     if rows:
         header = list(rows[0])
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([str(row[h]) for h in header] for row in rows)
 
 
 def _frac(x: Fraction) -> str:
@@ -100,35 +101,17 @@ def cmd_orbits(args) -> int:
 def _lifted_orbit_payload(args, P) -> int:
     from . import lifted
 
-    alpha = st.parse_fraction(args.alpha) if args.alpha else None
-    omega = st.parse_fraction(args.omega) if args.omega else None
-    values = _start_values(args, P)
-    if args.level == "pl":
-        pt = lifted.PLPoint(P, values,
-                            alpha if alpha is not None else Fraction(0),
-                            omega if omega is not None else Fraction(1))
-    else:
-        pt = lifted.BPoint(P, values,
-                           alpha if alpha is not None else Fraction(1),
-                           omega if omega is not None else Fraction(1))
+    bounds = {name: st.parse_fraction(text)
+              for name, text in (("alpha", args.alpha), ("omega", args.omega)) if text}
+    point = lifted.PLPoint if args.level == "pl" else lifted.BPoint
+    pt = point(P, _start_values(args, P), **bounds)
     sigma = None
     if args.variant.startswith("sigma:"):
         sigma = tuple(int(t) for t in args.variant[6:].split(","))
     elif args.variant != "rowmotion":
         raise ValueError("lifted levels support variants rowmotion and sigma:<perm>")
     states = lifted.lifted_orbit(pt, sigma=sigma, max_iter=args.max_iter)
-    if args.level == "pl":
-        laws = all(
-            sum(lifted.pl_t_signed(s, p) for s in states) == 0
-            for p in range(P.n)
-        )
-    else:
-        laws = True
-        for p in range(P.n):
-            prod = Fraction(1)
-            for s in states:
-                prod *= lifted.b_t_ratio(s, p)
-            laws = laws and prod == 1
+    laws = lifted.toggleability_orbit_law(states)
     payload = {
         "family": args.family,
         "level": args.level,
@@ -155,6 +138,8 @@ def _start_values(args, P):
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("a start file must hold a JSON list of values")
         return [st.parse_fraction(v) for v in data]
     raise ValueError("start must be 'random:<seed>' or 'file:<path>'")
 

@@ -84,19 +84,24 @@ def _check_rank_permutation(P: Poset, sigma):
     return sigma
 
 
+def sigma_order(P: Poset, sigma) -> tuple:
+    """The elements toggled by rank-permuted rowmotion, in order: the ranks
+    in reversed sigma order, each rank's elements (which commute) in turn."""
+    sigma = _check_rank_permutation(P, sigma)
+    return tuple(p for i in reversed(sigma) for p in _bits(P.rank_mask(i)))
+
+
 def rowmotion_sigma(P: Poset, sigma):
     """Rank-permuted rowmotion: rank toggles applied in reversed sigma order.
 
     The identity permutation recovers rowmotion (top rank toggled first).
     """
-    sigma = _check_rank_permutation(P, sigma)
-    rank_elems = [tuple(_bits(P.rank_mask(i))) for i in range(P.max_rank() + 1)]
+    order = sigma_order(P, sigma)
 
     def step(I: OrderIdeal) -> OrderIdeal:
         mask = I.mask
-        for i in reversed(sigma):
-            for p in rank_elems[i]:
-                mask = P.toggle_mask(p, mask)
+        for p in order:
+            mask = P.toggle_mask(p, mask)
         return OrderIdeal._make(P, mask)
 
     return step

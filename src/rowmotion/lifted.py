@@ -1,10 +1,13 @@
 """Piecewise-linear and birational rowmotion over exact rationals.
 
 Points carry boundary parameters alpha and omega (the values attached to the
-adjoined bottom and top elements).  All arithmetic is Fraction-exact; orbit
-return is detected by exact equality.  Birational statistics with fractional
-exponents stay in factored form and are compared after clearing exponent
-denominators.
+adjoined bottom and top elements).  Both levels share one point type and one
+sweep, which toggles in place on a value list and builds one point at the
+end.  Constancy checks and orbit laws are one law, `_law_sides`: a sum (PL)
+or product (birational) over a list of states, one state for constancy.
+All arithmetic is Fraction-exact; orbit return is detected by exact
+equality.  Birational statistics with fractional exponents stay in factored
+form and are compared after clearing exponent denominators.
 """
 
 from __future__ import annotations
@@ -14,16 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .dynamics import sigma_order
 from .poset import CapExceededError, OrderIdeal, Poset, _bits
 from .statistics import Statistic
 
 
 @dataclass(frozen=True)
-class PLPoint:
+class _Point:
     poset: Poset
     values: tuple
-    alpha: Fraction = Fraction(0)
-    omega: Fraction = Fraction(1)
+    alpha: Fraction
+    omega: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
@@ -35,29 +39,32 @@ class PLPoint:
     def replace_value(self, p, v):
         vals = list(self.values)
         vals[p] = v
-        return PLPoint(self.poset, vals, self.alpha, self.omega)
+        return type(self)(self.poset, vals, self.alpha, self.omega)
 
 
 @dataclass(frozen=True)
-class BPoint:
-    poset: Poset
-    values: tuple
+class PLPoint(_Point):
+    alpha: Fraction = Fraction(0)
+    omega: Fraction = Fraction(1)
+
+    def _toggled(self, vals, p):
+        return (min(_upper_values(self, vals, p)) + max(_lower_values(self, vals, p))
+                - vals[p])
+
+
+@dataclass(frozen=True)
+class BPoint(_Point):
     alpha: Fraction = Fraction(1)
     omega: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "omega", Fraction(self.omega))
-        if len(self.values) != self.poset.n:
-            raise ValueError("point length must equal the element count")
+        super().__post_init__()
         if self.alpha <= 0 or self.omega <= 0 or any(v <= 0 for v in self.values):
             raise ValueError("birational points must be strictly positive")
 
-    def replace_value(self, p, v):
-        vals = list(self.values)
-        vals[p] = v
-        return BPoint(self.poset, vals, self.alpha, self.omega)
+    def _toggled(self, vals, p):
+        return sum(_lower_values(self, vals, p)) / (
+            vals[p] * sum(1 / v for v in _upper_values(self, vals, p)))
 
 
 def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint:
@@ -67,58 +74,45 @@ def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint
     return PLPoint(P, vals, alpha, omega)
 
 
-def _lower_values(pt, p):
-    P = pt.poset
-    dm = P.down_covers[p]
-    if dm == 0:
-        return (pt.alpha,)
-    return tuple(pt.values[r] for r in _bits(dm))
+def _lower_values(pt, vals, p):
+    dm = pt.poset.down_covers[p]
+    return tuple(vals[r] for r in _bits(dm)) if dm else (pt.alpha,)
 
 
-def _upper_values(pt, p):
-    P = pt.poset
-    um = P.up_covers[p]
-    if um == 0:
-        return (pt.omega,)
-    return tuple(pt.values[r] for r in _bits(um))
+def _upper_values(pt, vals, p):
+    um = pt.poset.up_covers[p]
+    return tuple(vals[r] for r in _bits(um)) if um else (pt.omega,)
+
+
+def _sweep(pt, order):
+    """Toggle at each element of `order` in turn, in place on one value list."""
+    vals = list(pt.values)
+    for p in order:
+        vals[p] = pt._toggled(vals, p)
+    return type(pt)(pt.poset, vals, pt.alpha, pt.omega)
 
 
 # -- piecewise-linear level ---------------------------------------------------------
 
 
 def pl_toggle(pt: PLPoint, p: int) -> PLPoint:
-    new = min(_upper_values(pt, p)) + max(_lower_values(pt, p)) - pt.values[p]
-    return pt.replace_value(p, new)
+    return _sweep(pt, (p,))
 
 
 def pl_rowmotion(pt: PLPoint) -> PLPoint:
-    for p in reversed(pt.poset._linext):
-        pt = pl_toggle(pt, p)
-    return pt
-
-
-def _sigma_order(P, sigma):
-    from .dynamics import _check_rank_permutation
-
-    sigma = _check_rank_permutation(P, sigma)
-    order = []
-    for i in reversed(sigma):
-        order.extend(_bits(P.rank_mask(i)))
-    return order
+    return _sweep(pt, reversed(pt.poset._linext))
 
 
 def pl_rowmotion_sigma(pt: PLPoint, sigma) -> PLPoint:
-    for p in _sigma_order(pt.poset, sigma):
-        pt = pl_toggle(pt, p)
-    return pt
+    return _sweep(pt, sigma_order(pt.poset, sigma))
 
 
 def pl_t_in(pt: PLPoint, p: int) -> Fraction:
-    return pt.values[p] - max(_lower_values(pt, p))
+    return pt.values[p] - max(_lower_values(pt, pt.values, p))
 
 
 def pl_t_out(pt: PLPoint, p: int) -> Fraction:
-    return min(_upper_values(pt, p)) - pt.values[p]
+    return min(_upper_values(pt, pt.values, p)) - pt.values[p]
 
 
 def pl_t_signed(pt: PLPoint, p: int) -> Fraction:
@@ -129,29 +123,23 @@ def pl_t_signed(pt: PLPoint, p: int) -> Fraction:
 
 
 def b_toggle(pt: BPoint, p: int) -> BPoint:
-    num = sum(_lower_values(pt, p))
-    den = pt.values[p] * sum(1 / v for v in _upper_values(pt, p))
-    return pt.replace_value(p, num / den)
+    return _sweep(pt, (p,))
 
 
 def b_rowmotion(pt: BPoint) -> BPoint:
-    for p in reversed(pt.poset._linext):
-        pt = b_toggle(pt, p)
-    return pt
+    return _sweep(pt, reversed(pt.poset._linext))
 
 
 def b_rowmotion_sigma(pt: BPoint, sigma) -> BPoint:
-    for p in _sigma_order(pt.poset, sigma):
-        pt = b_toggle(pt, p)
-    return pt
+    return _sweep(pt, sigma_order(pt.poset, sigma))
 
 
 def b_t_in(pt: BPoint, p: int) -> Fraction:
-    return pt.values[p] / sum(_lower_values(pt, p))
+    return pt.values[p] / sum(_lower_values(pt, pt.values, p))
 
 
 def b_t_out(pt: BPoint, p: int) -> Fraction:
-    return 1 / (pt.values[p] * sum(1 / v for v in _upper_values(pt, p)))
+    return 1 / (pt.values[p] * sum(1 / v for v in _upper_values(pt, pt.values, p)))
 
 
 def b_t_ratio(pt: BPoint, p: int) -> Fraction:
@@ -256,20 +244,32 @@ def certificate_witness(stat: Statistic, decomposition) -> tuple:
     return h, decomposition.constant
 
 
-def check_pl_constant(h: LiftedStatistic, c: Fraction, pt: PLPoint) -> bool:
-    return h.eval_pl(pt) == c * (pt.omega - pt.alpha)
-
-
-def check_b_constant(h: LiftedStatistic, c: Fraction, pt: BPoint) -> bool:
-    """Compare the factored product with (omega/alpha)^c after clearing
-    exponent denominators."""
-    factors = h.b_factors(pt)
+def _law_sides(h: LiftedStatistic, c, states) -> tuple:
+    """Both sides of the law of h with constant c over `states`, which share
+    their boundary values: sum of h = #states * c * (omega - alpha) at the PL
+    level, product of h = (omega/alpha)^(#states * c) at the birational
+    level, the product raised to the least power that clears every exponent
+    denominator."""
     c = Fraction(c)
-    scale = lcm(c.denominator, *(e.denominator for _, e in factors)) if factors else c.denominator
+    first = states[0]
+    if isinstance(first, PLPoint):
+        lhs = sum((h.eval_pl(pt) for pt in states), Fraction(0))
+        return lhs, len(states) * c * (first.omega - first.alpha)
+    factors = [f for pt in states for f in h.b_factors(pt)]
+    scale = lcm(c.denominator, *(e.denominator for _, e in factors))
     lhs = Fraction(1)
     for base, e in factors:
         lhs *= base ** int(e * scale)
-    rhs = (pt.omega / pt.alpha) ** int(c * scale)
+    return lhs, (first.omega / first.alpha) ** int(c * scale * len(states))
+
+
+def check_pl_constant(h: LiftedStatistic, c: Fraction, pt: PLPoint) -> bool:
+    lhs, rhs = _law_sides(h, c, (pt,))
+    return lhs == rhs
+
+
+def check_b_constant(h: LiftedStatistic, c: Fraction, pt: BPoint) -> bool:
+    lhs, rhs = _law_sides(h, c, (pt,))
     return lhs == rhs
 
 
@@ -282,17 +282,15 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     Returns the orbit states; raises CapExceededError if the point does not
     return within max_iter steps (reported as inconclusive by callers).
     """
-    if isinstance(start, PLPoint):
-        step = pl_rowmotion if sigma is None else (lambda x: pl_rowmotion_sigma(x, sigma))
-    else:
-        step = b_rowmotion if sigma is None else (lambda x: b_rowmotion_sigma(x, sigma))
+    P = start.poset
+    order = tuple(reversed(P._linext)) if sigma is None else sigma_order(P, sigma)
     states = [start]
-    cur = step(start)
+    cur = _sweep(start, order)
     while cur != start:
         if len(states) >= max_iter:
             raise CapExceededError(f"no return within {max_iter} iterations")
         states.append(cur)
-        cur = step(cur)
+        cur = _sweep(cur, order)
     return states
 
 
@@ -317,20 +315,21 @@ def orbit_homomesy_lifted(h: LiftedStatistic, c, start, sigma=None,
         states = lifted_orbit(start, sigma=sigma, max_iter=max_iter)
     except CapExceededError:
         return LiftedOrbitReport(False, 0, None, None, None)
-    c = Fraction(c)
-    if isinstance(start, PLPoint):
-        lhs = sum((h.eval_pl(pt) for pt in states), Fraction(0))
-        rhs = len(states) * c * (start.omega - start.alpha)
-        return LiftedOrbitReport(True, len(states), lhs == rhs, lhs, rhs)
-    factors = []
-    for pt in states:
-        factors.extend(h.b_factors(pt))
-    scale = lcm(c.denominator, *(e.denominator for _, e in factors)) if factors else c.denominator
-    lhs = Fraction(1)
-    for base, e in factors:
-        lhs *= base ** int(e * scale)
-    rhs = (start.omega / start.alpha) ** int(c * scale * len(states))
+    lhs, rhs = _law_sides(h, c, states)
     return LiftedOrbitReport(True, len(states), lhs == rhs, lhs, rhs)
+
+
+def toggleability_orbit_law(states) -> bool:
+    """Whether every signed toggleability T_p = T+_p - T-_p obeys the law with
+    constant 0 over `states`: orbit sum 0 (PL), orbit product 1 (birational)."""
+    P = states[0].poset
+    for p in range(P.n):
+        unit = tuple(int(r == p) for r in range(P.n))
+        T = LiftedStatistic(P, unit, tuple(-u for u in unit), (0,) * P.n)
+        lhs, rhs = _law_sides(T, 0, states)
+        if lhs != rhs:
+            return False
+    return True
 
 
 # -- sampling ------------------------------------------------------------------------

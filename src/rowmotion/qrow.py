@@ -86,12 +86,7 @@ class QLabeling:
 
     @property
     def ideal_mask(self) -> int:
-        s = self.alphabet.s
-        mask = 0
-        for p, x in enumerate(self.labels):
-            if x < s:
-                mask |= 1 << p
-        return mask
+        return ideal_mask_of(self.labels, self.alphabet)
 
     def ideal(self) -> OrderIdeal:
         return OrderIdeal._make(self.poset, self.ideal_mask)
@@ -197,10 +192,7 @@ def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None,
             continue
         orbit = []
         labels = list(start)
-        mask = 0
-        for p, x in enumerate(labels):
-            if x < s:
-                mask |= 1 << p
+        mask = ideal_mask_of(start, alphabet)
         cur = start
         while cur not in visited:
             visited.add(cur)
@@ -216,6 +208,7 @@ def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None,
 
 
 def ideal_mask_of(labels, alphabet) -> int:
+    """Mask of the zero-labeled elements (labels below s)."""
     mask = 0
     for p, x in enumerate(labels):
         if x < alphabet.s:

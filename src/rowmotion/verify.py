@@ -74,6 +74,11 @@ def _orbit_cycles(P, step):
     return ideals, dynamics.permutation_orbits(perm)
 
 
+def _zero_mesic(s, cycles) -> bool:
+    """Whether the statistic s sums to 0 over every orbit (index cycle)."""
+    return all(sum(s.values[i] for i in cyc) == 0 for cyc in cycles)
+
+
 def check_striker(spec: str, seed: int):
     """Signed toggleability sums vanish on every orbit of rowmotion and of
     sampled (or, in low rank, all) rank-permuted variants."""
@@ -81,9 +86,8 @@ def check_striker(spec: str, seed: int):
     ideals, cycles = _orbit_cycles(P, lambda I: dynamics.rowmotion(P, I))
     stats = [st.t_signed(P, p) for p in range(P.n)]
     for s in stats:
-        for cyc in cycles:
-            if sum(s.values[i] for i in cyc) != 0:
-                return False, f"{spec}: rowmotion orbit breaks {s.label}"
+        if not _zero_mesic(s, cycles):
+            return False, f"{spec}: rowmotion orbit breaks {s.label}"
     top = P.max_rank()
     if top <= 3:
         sigmas = list(permutations(range(top + 1)))
@@ -94,9 +98,8 @@ def check_striker(spec: str, seed: int):
         step = dynamics.rowmotion_sigma(P, sigma)
         _, cycles = _orbit_cycles(P, step)
         for s in stats:
-            for cyc in cycles:
-                if sum(s.values[i] for i in cyc) != 0:
-                    return False, f"{spec}: sigma={sigma} breaks {s.label}"
+            if not _zero_mesic(s, cycles):
+                return False, f"{spec}: sigma={sigma} breaks {s.label}"
     return True, ""
 
 
@@ -108,9 +111,8 @@ def check_antichain_striker(spec: str):
 
     for A in enumerate_antichains(P):
         s = st.antichain_toggleability(P, A, "signed")
-        for cyc in cycles:
-            if sum(s.values[i] for i in cyc) != 0:
-                return False, f"{spec}: antichain {A.members} not 0-mesic"
+        if not _zero_mesic(s, cycles):
+            return False, f"{spec}: antichain {A.members} not 0-mesic"
     return True, ""
 
 

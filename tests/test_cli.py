@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -51,6 +52,12 @@ def test_orbits_csv():
     lines = out.strip().splitlines()
     assert lines[0] == "orbit,size,representative"
     assert len(lines) == 3
+    for argv in (("orbits", "rect:2,2"), ("orbits", "rect:2,2", "--level", "pl"),
+                 ("verify", "striker", "--max-cells", "4")):
+        code, out = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_decompose_command():
@@ -162,6 +169,18 @@ def test_lifted_start_from_file(tmp_path):
     data = json.loads(out)
     assert code == 0
     assert data["start"] == ["1/2", "3", "5/7", "2"]
+
+
+@pytest.mark.parametrize("content", ["5", '"1234"', '{"a": 1}'])
+def test_lifted_start_file_must_hold_a_list(tmp_path, content):
+    path = tmp_path / "start.json"
+    path.write_text(content)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("orbits", "rect:2,2", "--level", "pl", "--start", f"file:{path}")
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_verify_parallel_jobs_match_serial():

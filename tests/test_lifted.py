@@ -284,3 +284,30 @@ def test_orbit_cap_is_inconclusive():
         assert rep.holds is None
     else:  # some starts do return; the law must then hold
         assert rep.holds
+
+
+def test_vertex_specialization_of_rank_permuted_rowmotion():
+    from itertools import permutations
+
+    from rowmotion import rowmotion_sigma
+
+    for P in (rectangle(2, 3), shifted_staircase(3)):
+        for sigma in permutations(range(P.max_rank() + 1)):
+            step = rowmotion_sigma(P, sigma)
+            for I in enumerate_ideals(P):
+                assert pl_rowmotion_sigma(vertex_point(I), sigma) == vertex_point(step(I))
+
+
+def test_toggleability_orbit_law_rejects_broken_orbits():
+    from rowmotion.lifted import toggleability_orbit_law
+
+    rng = random.Random(43)
+    P = rectangle(2, 3)
+    for pt in (random_pl_point(P, rng, alpha=Fraction(-1, 2), omega=Fraction(5, 3)),
+               random_b_point(P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5))):
+        states = lifted_orbit(pt)
+        assert len(states) > 1 and toggleability_orbit_law(states)
+        assert not toggleability_orbit_law(states[:-1])
+        tampered = list(states)
+        tampered[1] = tampered[1].replace_value(0, tampered[1].values[0] + Fraction(1, 5))
+        assert not toggleability_orbit_law(tampered)
