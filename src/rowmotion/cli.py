@@ -108,8 +108,11 @@ def _lifted_orbit_payload(args, P) -> int:
     sigma = None
     if args.variant.startswith("sigma:"):
         sigma = tuple(int(t) for t in args.variant[6:].split(","))
+    elif args.variant == "gyration":
+        sigma = dynamics.gyration_sigma(P)
     elif args.variant != "rowmotion":
-        raise ValueError("lifted levels support variants rowmotion and sigma:<perm>")
+        raise ValueError(
+            "lifted levels support variants rowmotion, gyration and sigma:<perm>")
     states = lifted.lifted_orbit(pt, sigma=sigma, max_iter=args.max_iter)
     laws = lifted.toggleability_orbit_law(states)
     payload = {

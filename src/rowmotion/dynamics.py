@@ -1,4 +1,15 @@
-"""Toggles, rowmotion and its rank-permuted variants, and orbit computation."""
+"""Toggles, rowmotion and its rank-permuted variants, and orbit computation.
+
+Rowmotion, rank-permuted rowmotion (gyration included) and antichain
+rowmotion are products of toggles along a fixed element order: rowmotion
+toggles a linear extension from the top (`rowmotion_order`), the rank
+permutations toggle `sigma_order`.  Once a poset's ideals are enumerated,
+these maps read each image from `Poset.sweep_permutation` of their order, a
+permutation of canonical ideal indices built once per poset and order from
+the toggle table.  On a poset whose ideals were never enumerated they work
+on the masks instead (`rowmotion_mask`, `toggle_mask`), since no canonical
+index exists there.
+"""
 
 from __future__ import annotations
 
@@ -46,9 +57,24 @@ def toggle(P: Poset, p: int, I: OrderIdeal) -> OrderIdeal:
     return OrderIdeal._make(P, P.toggle_mask(p, I.mask))
 
 
+def rowmotion_order(P: Poset) -> tuple:
+    """The elements toggled by rowmotion, in order: a linear extension read
+    from the top."""
+    return P._linext[::-1]
+
+
+def _image_index(P: Poset, order, mask) -> int:
+    """Canonical index of the image of the ideal `mask` under the toggles at
+    `order`; the poset's ideals must be enumerated."""
+    return P.sweep_permutation(order)[P._ideal_index[mask]]
+
+
 def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
     """The ideal generated by the minimal elements of the complement of I."""
-    return OrderIdeal._make(P, P.rowmotion_mask(I.mask))
+    if P._ideal_masks is None:
+        return OrderIdeal._make(P, P.rowmotion_mask(I.mask))
+    return OrderIdeal._make(
+        P, P._ideal_masks[_image_index(P, rowmotion_order(P), I.mask)])
 
 
 def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> OrderIdeal:
@@ -99,29 +125,43 @@ def rowmotion_sigma(P: Poset, sigma):
     order = sigma_order(P, sigma)
 
     def step(I: OrderIdeal) -> OrderIdeal:
-        mask = I.mask
-        for p in order:
-            mask = P.toggle_mask(p, mask)
-        return OrderIdeal._make(P, mask)
+        if P._ideal_masks is None:
+            mask = I.mask
+            for p in order:
+                mask = P.toggle_mask(p, mask)
+            return OrderIdeal._make(P, mask)
+        return OrderIdeal._make(P, P._ideal_masks[_image_index(P, order, I.mask)])
 
     return step
 
 
-def gyration(P: Poset):
-    """Toggle all even ranks, then all odd ranks."""
+def gyration_sigma(P: Poset) -> tuple:
+    """The rank permutation of gyration: odd ranks, then even ranks, so that
+    all even ranks are toggled first and all odd ranks after them."""
     if P.rank is None:
         raise ValueError("poset is not ranked")
     top = P.max_rank()
-    sigma = tuple(range(1, top + 1, 2)) + tuple(range(0, top + 1, 2))
-    return rowmotion_sigma(P, sigma)
+    return tuple(range(1, top + 1, 2)) + tuple(range(0, top + 1, 2))
+
+
+def gyration(P: Poset):
+    """Toggle all even ranks, then all odd ranks."""
+    return rowmotion_sigma(P, gyration_sigma(P))
 
 
 def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
-    """min of the complement of the ideal generated by A."""
+    """min of the complement of the ideal generated by A.
+
+    That is max of the rowmotion image of the ideal generated by A, so with
+    the ideals enumerated it is read off the rowmotion permutation.
+    """
     if A.poset is not P:
         raise ValueError("antichain belongs to a different poset")
     gen = P.generated_ideal_mask(A.mask)
-    return Antichain._make(P, P.min_complement_mask(gen))
+    if P._ideal_masks is None:
+        return Antichain._make(P, P.min_complement_mask(gen))
+    return Antichain._make(
+        P, P.antichain_masks()[_image_index(P, rowmotion_order(P), gen)])
 
 
 # -- orbits -----------------------------------------------------------------------

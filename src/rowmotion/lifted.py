@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .dynamics import sigma_order
+from .dynamics import rowmotion_order, sigma_order
 from .poset import CapExceededError, OrderIdeal, Poset, _bits
 from .statistics import Statistic
 
@@ -100,7 +100,7 @@ def pl_toggle(pt: PLPoint, p: int) -> PLPoint:
 
 
 def pl_rowmotion(pt: PLPoint) -> PLPoint:
-    return _sweep(pt, reversed(pt.poset._linext))
+    return _sweep(pt, rowmotion_order(pt.poset))
 
 
 def pl_rowmotion_sigma(pt: PLPoint, sigma) -> PLPoint:
@@ -127,7 +127,7 @@ def b_toggle(pt: BPoint, p: int) -> BPoint:
 
 
 def b_rowmotion(pt: BPoint) -> BPoint:
-    return _sweep(pt, reversed(pt.poset._linext))
+    return _sweep(pt, rowmotion_order(pt.poset))
 
 
 def b_rowmotion_sigma(pt: BPoint, sigma) -> BPoint:
@@ -283,7 +283,7 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     return within max_iter steps (reported as inconclusive by callers).
     """
     P = start.poset
-    order = tuple(reversed(P._linext)) if sigma is None else sigma_order(P, sigma)
+    order = rowmotion_order(P) if sigma is None else sigma_order(P, sigma)
     states = [start]
     cur = _sweep(start, order)
     while cur != start:

@@ -122,6 +122,8 @@ class Poset:
         self._ideal_masks: Optional[tuple] = None
         self._ideal_index: Optional[dict] = None
         self._toggle_table: Optional[ToggleTable] = None
+        self._sweeps: dict = {}
+        self._antichain_masks: Optional[tuple] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -253,8 +255,10 @@ class Poset:
 
     def generated_ideal_mask(self, antichain_mask):
         m = 0
-        for x in _bits(antichain_mask):
-            m |= self.down_set[x]
+        while antichain_mask:
+            low = antichain_mask & -antichain_mask
+            m |= self.down_set[low.bit_length() - 1]
+            antichain_mask ^= low
         return m
 
     def rowmotion_mask(self, mask):
@@ -273,26 +277,38 @@ class Poset:
         """All order-ideal masks, sorted by (cardinality, mask value).
 
         The result is cached; the canonical position of each ideal in this
-        tuple indexes every statistic vector built on this poset.
+        tuple indexes every statistic vector built on this poset.  The search
+        goes by cardinality and carries each ideal's addable mask forward:
+        adding x drops x and gains the upper covers of x whose lower covers
+        are all in the new ideal.
         """
         if self._ideal_masks is None:
-            frontier = [0]
-            seen = {0}
-            while frontier:
-                nxt = []
-                for mask in frontier:
-                    add = self.min_complement_mask(mask)
-                    for x in _bits(add):
-                        new = mask | (1 << x)
-                        if new not in seen:
-                            if len(seen) >= cap:
-                                raise CapExceededError(
-                                    f"more than {cap} order ideals")
-                            seen.add(new)
-                            nxt.append(new)
-                frontier = nxt
-            self._ideal_masks = tuple(
-                sorted(seen, key=lambda m: (_popcount(m), m)))
+            down = self.down_covers
+            # gains[x]: (bit, lower covers) of each upper cover of x
+            gains = [tuple((1 << y, down[y]) for y in _bits(self.up_covers[x]))
+                     for x in range(self.n)]
+            out = [0]
+            layer = {0: self.minimal_mask}  # ideal -> its addable mask
+            while layer:
+                nxt = {}
+                for mask, add in layer.items():
+                    rest = add
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        new = mask | low
+                        if new in nxt:
+                            continue
+                        if len(out) + len(nxt) >= cap:
+                            raise CapExceededError(f"more than {cap} order ideals")
+                        grow = add ^ low
+                        for ybit, dy in gains[low.bit_length() - 1]:
+                            if dy & new == dy:
+                                grow |= ybit
+                        nxt[new] = grow
+                out += sorted(nxt)
+                layer = nxt
+            self._ideal_masks = tuple(out)
             self._ideal_index = {m: i for i, m in enumerate(self._ideal_masks)}
         return self._ideal_masks
 
@@ -316,10 +332,46 @@ class Poset:
                 test = self.up_covers[p] | bit  # p present, no upper cover
                 rem = [i for i, m in enumerate(masks) if m & test == bit]
                 removable.append(array("l", rem))
-                # p is addable to J exactly when J = I - p with p removable from I
-                addable.append(array("l", sorted(index[masks[i] ^ bit] for i in rem)))
+                # p is addable to J exactly when J = I - p with p removable
+                # from I; I -> I - p keeps the canonical order, so
+                # addable[p][k] and removable[p][k] are the two ends of one
+                # toggle.
+                addable.append(array("l", [index[masks[i] ^ bit] for i in rem]))
             self._toggle_table = ToggleTable(tuple(addable), tuple(removable))
         return self._toggle_table
+
+    def sweep_permutation(self, order) -> array:
+        """The toggles at `order` (first element first) as a permutation of
+        canonical ideal indices: entry i is the index of the image of ideal i.
+
+        Each toggle swaps the aligned pairs of the toggle table, so no mask is
+        tested.  Cached per order for the life of the poset.
+        """
+        order = tuple(order)
+        perm = self._sweeps.get(order)
+        if perm is None:
+            table = self.toggle_table()
+            owner = list(range(len(self._ideal_masks)))  # owner[j]: start now at j
+            for p in order:
+                for a, b in zip(table.addable[p], table.removable[p]):
+                    owner[a], owner[b] = owner[b], owner[a]
+            perm = array("l", [0]) * len(owner)
+            for j, i in enumerate(owner):
+                perm[i] = j
+            self._sweeps[order] = perm
+        return perm
+
+    def antichain_masks(self) -> tuple:
+        """Cached max(I) for every ideal I, in the canonical ideal order, read
+        off the toggle table: p is in max(I) exactly when p is removable."""
+        if self._antichain_masks is None:
+            amasks = [0] * len(self.ideal_masks())
+            for p, rem in enumerate(self.toggle_table().removable):
+                bit = 1 << p
+                for k in rem:
+                    amasks[k] |= bit
+            self._antichain_masks = tuple(amasks)
+        return self._antichain_masks
 
     # -- serialization -----------------------------------------------------------
 
@@ -485,9 +537,8 @@ def enumerate_ideals(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
 
 def enumerate_antichains(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
     """All antichains, as max(I) over the canonical ideal enumeration."""
-    return tuple(
-        Antichain._make(P, P.max_of_ideal_mask(m)) for m in P.ideal_masks(cap=cap)
-    )
+    P.ideal_masks(cap=cap)
+    return tuple(Antichain._make(P, m) for m in P.antichain_masks())
 
 
 def dual(P: Poset) -> Poset:

@@ -13,10 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import floordiv
 
+from .dynamics import rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
 from .qpoly import RationalFunction
-from .statistics import RATIONAL, Statistic
+from .statistics import RATIONAL, Statistic, common_numerators
 
 DEFAULT_LABELING_CAP = 2_000_000
 
@@ -126,39 +128,43 @@ def _iter_label_tuples(P, alphabet):
         yield from product(*ranges)
 
 
-def _theta_table(P, alphabet, local_theta):
-    if local_theta is None:
-        return [alphabet.theta] * P.n
-    table = []
-    for p in range(P.n):
-        th = local_theta[p]
-        th = th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
-        table.append(th)
-    return table
+def _toggles(P, alphabet, local_theta, order):
+    """The toggles at `order`, in order, as (p, p's test masks, moves).
 
-
-def _sweep(P, s, thetas, labels, mask, order):
-    """Apply toggles at the given elements in the given order, in place."""
+    p is active in the zero-labeled mask M when M & (p + upper covers) is p
+    (removable) or M & (p + lower covers) is the lower covers (addable).
+    moves[x] for the old label x is (theta_p(x), the change of the labeling
+    code, the bit that flips in M or 0).
+    """
+    m, s = alphabet.r + alphabet.s, alphabet.s
+    out = []
     for p in order:
-        if mask >> p & 1:
-            active = P.up_covers[p] & mask == 0
-        else:
-            active = P.down_covers[p] & mask == P.down_covers[p]
-        if active:
-            old = labels[p]
-            new = thetas[p][old]
+        th = alphabet.theta if local_theta is None else local_theta[p]
+        th = th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
+        weight, bit, down = m ** p, 1 << p, P.down_covers[p]
+        moves = tuple((y, (y - x) * weight, bit if (x < s) != (y < s) else 0)
+                      for x, y in enumerate(th))
+        out.append((p, P.up_covers[p] | bit, bit, down | bit, down, moves))
+    return tuple(out)
+
+
+def _sweep(toggles, labels, mask, code):
+    """Apply the toggles in turn, in place on `labels`; returns the new
+    zero-labeled mask and labeling code."""
+    for p, up_test, bit, down_test, down, moves in toggles:
+        if mask & up_test == bit or mask & down_test == down:
+            new, delta, flip = moves[labels[p]]
             labels[p] = new
-            if (old < s) != (new < s):
-                mask ^= 1 << p
-    return mask
+            code += delta
+            mask ^= flip
+    return mask, code
 
 
 def q_toggle(P: Poset, alphabet: FlavorAlphabet, p: int, L: QLabeling,
              local_theta=None) -> QLabeling:
     """Apply theta to the label of p when p is active, else do nothing."""
-    thetas = _theta_table(P, alphabet, local_theta)
     labels = list(L.labels)
-    _sweep(P, alphabet.s, thetas, labels, L.ideal_mask, (p,))
+    _sweep(_toggles(P, alphabet, local_theta, (p,)), labels, L.ideal_mask, 0)
     return QLabeling(P, alphabet, tuple(labels))
 
 
@@ -169,41 +175,59 @@ def q_rowmotion(P: Poset, alphabet: FlavorAlphabet, L: QLabeling,
     The result does not depend on the extension; passing one exists so that
     independence can be exercised directly.
     """
-    thetas = _theta_table(P, alphabet, local_theta)
     labels = list(L.labels)
-    order = tuple(reversed(P._linext if extension is None else extension.order))
-    _sweep(P, alphabet.s, thetas, labels, L.ideal_mask, order)
+    order = (rowmotion_order(P) if extension is None
+             else tuple(reversed(extension.order)))
+    _sweep(_toggles(P, alphabet, local_theta, order), labels, L.ideal_mask, 0)
     return QLabeling(P, alphabet, tuple(labels))
+
+
+def _walk(P, alphabet, local_theta, cap):
+    """Every labeling once, orbit by orbit, under q-rowmotion.
+
+    Orbits start at their first labeling in the order of
+    `enumerate_labelings`.  Yields (labels, mask, first) per labeling: the
+    labels as a list that the next step changes in place, the zero-labeled
+    mask, and whether the labeling starts an orbit.  Visited labelings are
+    kept as integer codes, sum of label_p * (r+s)^p, updated per toggle.
+    """
+    count = labeling_count(P, alphabet)
+    if count > cap:
+        raise CapExceededError(f"{count} labelings exceed the cap {cap}")
+    toggles = _toggles(P, alphabet, local_theta, rowmotion_order(P))
+    m, s = alphabet.r + alphabet.s, alphabet.s
+    weights = [m ** p for p in range(P.n)]
+    zeros = [tuple(x * w for x in range(s)) for w in weights]
+    ones = [tuple(x * w for x in range(s, m)) for w in weights]
+    visited = set()
+    for mask in P.ideal_masks():
+        # the same order as _iter_label_tuples, on weighted labels
+        ranges = [zeros[p] if mask >> p & 1 else ones[p] for p in range(P.n)]
+        for digits in product(*ranges):
+            start = sum(digits)
+            if start in visited:
+                continue
+            labels = list(map(floordiv, digits, weights))
+            cur, code, first = mask, start, True
+            while code not in visited:
+                visited.add(code)
+                yield labels, cur, first
+                first = False
+                cur, code = _sweep(toggles, labels, cur, code)
+            if code != start:
+                raise AssertionError("q-rowmotion failed to be a bijection")
+    if len(visited) != count:
+        raise AssertionError("orbits do not partition the labeling space")
 
 
 def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None,
              cap: int = DEFAULT_LABELING_CAP):
     """Orbits of q-rowmotion as lists of raw label tuples."""
-    count = labeling_count(P, alphabet)
-    if count > cap:
-        raise CapExceededError(f"{count} labelings exceed the cap {cap}")
-    thetas = _theta_table(P, alphabet, local_theta)
-    s = alphabet.s
-    order = tuple(reversed(P._linext))
-    visited = set()
     orbits = []
-    for start in _iter_label_tuples(P, alphabet):
-        if start in visited:
-            continue
-        orbit = []
-        labels = list(start)
-        mask = ideal_mask_of(start, alphabet)
-        cur = start
-        while cur not in visited:
-            visited.add(cur)
-            orbit.append(cur)
-            mask = _sweep(P, s, thetas, labels, mask, order)
-            cur = tuple(labels)
-        if cur != start:
-            raise AssertionError("q-rowmotion failed to be a bijection")
-        orbits.append(orbit)
-    if len(visited) != count:
-        raise AssertionError("orbits do not partition the labeling space")
+    for labels, _, first in _walk(P, alphabet, local_theta, cap):
+        if first:
+            orbits.append([])
+        orbits[-1].append(tuple(labels))
     return orbits
 
 
@@ -242,14 +266,18 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
         raise ValueError("statistic lives on a different poset")
     if f.kind != RATIONAL:
         raise ValueError("lift a rational-valued statistic (specialize q first)")
-    averages = []
+    # integer orbit sums over the common denominator of the values
+    nums, den = common_numerators(f.values)
+    value = dict(zip(P.ideal_masks(), nums))
+    totals = []
     sizes = []
-    for orbit in q_orbits(P, alphabet, local_theta=local_theta, cap=cap):
-        total = Fraction(0)
-        for labels in orbit:
-            total += f.values[P.ideal_index(ideal_mask_of(labels, alphabet))]
-        averages.append(total / len(orbit))
-        sizes.append(len(orbit))
+    for _, mask, first in _walk(P, alphabet, local_theta, cap):
+        if first:
+            totals.append(0)
+            sizes.append(0)
+        totals[-1] += value[mask]
+        sizes[-1] += 1
+    averages = [Fraction(t, den * k) for t, k in zip(totals, sizes)]
     homomesic = all(a == averages[0] for a in averages)
     matches = None
     if expected is not None:

@@ -536,6 +536,13 @@ class HomomesyReport:
         return self.orbit_averages[0] if self.is_homomesic else None
 
 
+def common_numerators(values):
+    """(integer numerators, common denominator) of rational values: value k
+    is numerators[k] / denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
     """Exact per-orbit averages of a statistic under a bijection.
 
@@ -554,17 +561,23 @@ def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
     if len(perm) != len(stat.values):
         raise ValueError("action and statistic have different state counts")
     cycles = dynamics.permutation_orbits(perm)
-    averages = []
-    sizes = []
-    for cyc in cycles:
-        total = stat.values[cyc[0]]
-        for i in cyc[1:]:
-            total = total + stat.values[i]
-        averages.append(total / Fraction(len(cyc)))
-        sizes.append(len(cyc))
-    grand = stat.values[0]
-    for v in stat.values[1:]:
-        grand = grand + v
-    grand = grand / Fraction(len(stat.values))
+    sizes = tuple(len(cyc) for cyc in cycles)
+    if stat.kind == RATIONAL:
+        # integer orbit sums over the common denominator of the values
+        nums, den = common_numerators(stat.values)
+        averages = [Fraction(sum(map(nums.__getitem__, cyc)), den * len(cyc))
+                    for cyc in cycles]
+        grand = Fraction(sum(nums), den * len(nums))
+    else:
+        averages = []
+        for cyc in cycles:
+            total = stat.values[cyc[0]]
+            for i in cyc[1:]:
+                total = total + stat.values[i]
+            averages.append(total / Fraction(len(cyc)))
+        grand = stat.values[0]
+        for v in stat.values[1:]:
+            grand = grand + v
+        grand = grand / Fraction(len(stat.values))
     homomesic = all(a == averages[0] for a in averages)
-    return HomomesyReport(homomesic, grand, tuple(averages), tuple(sizes))
+    return HomomesyReport(homomesic, grand, tuple(averages), sizes)

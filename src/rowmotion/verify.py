@@ -74,9 +74,10 @@ def _orbit_cycles(P, step):
     return ideals, dynamics.permutation_orbits(perm)
 
 
-def _zero_mesic(s, cycles) -> bool:
-    """Whether the statistic s sums to 0 over every orbit (index cycle)."""
-    return all(sum(s.values[i] for i in cyc) == 0 for cyc in cycles)
+def _zero_mesic(nums, cycles) -> bool:
+    """Whether a statistic, given by its numerators, sums to 0 over every
+    orbit (index cycle)."""
+    return all(sum(map(nums.__getitem__, cyc)) == 0 for cyc in cycles)
 
 
 def check_striker(spec: str, seed: int):
@@ -85,8 +86,9 @@ def check_striker(spec: str, seed: int):
     P = families.from_specifier(spec)
     ideals, cycles = _orbit_cycles(P, lambda I: dynamics.rowmotion(P, I))
     stats = [st.t_signed(P, p) for p in range(P.n)]
-    for s in stats:
-        if not _zero_mesic(s, cycles):
+    nums = [st.common_numerators(s.values)[0] for s in stats]
+    for s, ns in zip(stats, nums):
+        if not _zero_mesic(ns, cycles):
             return False, f"{spec}: rowmotion orbit breaks {s.label}"
     top = P.max_rank()
     if top <= 3:
@@ -97,8 +99,8 @@ def check_striker(spec: str, seed: int):
     for sigma in sigmas:
         step = dynamics.rowmotion_sigma(P, sigma)
         _, cycles = _orbit_cycles(P, step)
-        for s in stats:
-            if not _zero_mesic(s, cycles):
+        for s, ns in zip(stats, nums):
+            if not _zero_mesic(ns, cycles):
                 return False, f"{spec}: sigma={sigma} breaks {s.label}"
     return True, ""
 
@@ -111,7 +113,7 @@ def check_antichain_striker(spec: str):
 
     for A in enumerate_antichains(P):
         s = st.antichain_toggleability(P, A, "signed")
-        if not _zero_mesic(s, cycles):
+        if not _zero_mesic(st.common_numerators(s.values)[0], cycles):
             return False, f"{spec}: antichain {A.members} not 0-mesic"
     return True, ""
 

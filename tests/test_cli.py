@@ -254,3 +254,24 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
     code2, out2 = run_cli("verify", "table2", "--max", "2")
     assert workers == [3]
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("level", ["pl", "birational"])
+def test_lifted_levels_run_gyration(level):
+    # gyration on rect:2,3 is rank-permuted rowmotion for sigma = (1, 3, 0, 2)
+    base = ("orbits", "rect:2,3", "--level", level, "--start", "random:4")
+    code, out = run_cli(*base, "--variant", "gyration")
+    data = json.loads(out)
+    assert code == 0 and data["toggleability_orbit_law"] is True
+    code, ref = run_cli(*base, "--variant", "sigma:1,3,0,2")
+    assert code == 0
+    assert data["rows"] == json.loads(ref)["rows"]
+    assert data["variant"] == "gyration"
+
+
+def test_lifted_levels_refuse_other_variants():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("orbits", "rect:2,2", "--level", "pl", "--variant", "antichain")
+    assert code == 2
+    assert "rowmotion, gyration and sigma:<perm>" in err.getvalue()

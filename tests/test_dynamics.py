@@ -194,3 +194,48 @@ def test_antichain_rowmotion_partitions_antichains():
     anti = enumerate_antichains(P)
     orbits = orbit_partition(lambda A: antichain_rowmotion(P, A), anti)
     assert sum(o.period for o in orbits) == len(anti)
+
+
+def _mask_sweep(P, order, mask):
+    for p in order:
+        mask = P.toggle_mask(p, mask)
+    return mask
+
+
+@pytest.mark.parametrize("spec", ["rect:3,4", "sstair:4", "rootB:3", "E6"])
+def test_cached_permutations_match_mask_definitions(spec):
+    from rowmotion.dynamics import gyration_sigma, sigma_order
+    from rowmotion.families import from_specifier
+
+    P = from_specifier(spec)
+    ideals = enumerate_ideals(P)  # enumerated: every map reads its permutation
+    rng = random.Random(5)
+    sigma = tuple(rng.sample(range(P.max_rank() + 1), P.max_rank() + 1))
+    gyr, sig = gyration(P), rowmotion_sigma(P, sigma)
+    for I in ideals:
+        m = I.mask
+        assert rowmotion(P, I).mask == P.generated_ideal_mask(P.min_complement_mask(m))
+        assert gyr(I).mask == _mask_sweep(P, sigma_order(P, gyration_sigma(P)), m)
+        assert sig(I).mask == _mask_sweep(P, sigma_order(P, sigma), m)
+    for A in enumerate_antichains(P):
+        assert antichain_rowmotion(P, A) == minimal_complement(ideal_generated_by(A))
+
+
+def test_maps_on_a_poset_whose_ideals_were_never_enumerated():
+    from rowmotion.dynamics import sigma_order
+
+    fresh, ref = rectangle(3, 3), rectangle(3, 3)
+    sigma = (2, 0, 4, 1, 3)
+    gyr, sig = gyration(fresh), rowmotion_sigma(fresh, sigma)
+    for J in enumerate_ideals(ref):
+        I = OrderIdeal(fresh, J.members)
+        assert rowmotion(fresh, I).mask == rowmotion(ref, J).mask
+        assert gyr(I).mask == gyration(ref)(J).mask
+        assert sig(I).mask == _mask_sweep(fresh, sigma_order(fresh, sigma), I.mask)
+        A = Antichain(fresh, maximal_elements(J).members)
+        assert antichain_rowmotion(fresh, A).mask == minimal_complement(J).mask
+    assert fresh._ideal_masks is None  # the mask path enumerated nothing
+    # a step built before the enumeration reads the permutation after it
+    for I, J in zip(enumerate_ideals(fresh), enumerate_ideals(ref)):
+        assert gyr(I).mask == gyration(ref)(J).mask
+    assert fresh._sweeps

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rowmotion import (
+    CapExceededError,
     MalformedPosetError,
     OrderIdeal,
     Poset,
@@ -248,3 +249,45 @@ def test_toggle_table_matches_mask_definitions(P):
                      if m & bit and up & m == 0]
         assert list(table.addable[p]) == addable
         assert list(table.removable[p]) == removable
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets())
+def test_toggle_table_pairs_are_single_toggles(P):
+    """addable[p][k] is removable[p][k] with p taken out: the aligned pairs
+    that Poset.sweep_permutation swaps."""
+    masks = P.ideal_masks()
+    table = P.toggle_table()
+    for p in range(P.n):
+        assert len(table.addable[p]) == len(table.removable[p])
+        for a, b in zip(table.addable[p], table.removable[p]):
+            assert masks[a] == masks[b] ^ (1 << p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_permutation_matches_mask_toggles(data):
+    P = data.draw(small_posets())
+    order = data.draw(st.lists(st.integers(0, max(P.n - 1, 0)), max_size=12)
+                      if P.n else st.just([]))
+    masks = P.ideal_masks()
+    perm = P.sweep_permutation(order)
+    assert perm is P.sweep_permutation(tuple(order))  # cached
+    assert sorted(perm) == list(range(len(masks)))
+    for i, m in enumerate(masks):
+        for p in order:
+            m = P.toggle_mask(p, m)
+        assert masks[perm[i]] == m
+
+
+def test_ideal_masks_match_brute_force_and_cap_boundary():
+    for P in (rectangle(3, 4), shifted_staircase(4), root_poset_A(4), chain_of_vs(3),
+              Poset(4, []), Poset(0, [])):
+        masks = brute_ideals(P)
+        assert list(P.ideal_masks()) == masks
+        # the cap allows exactly the ideal count and refuses one fewer
+        fresh = Poset(P.n, P.covers)
+        assert fresh.ideal_masks(cap=len(masks)) == P.ideal_masks()
+        if len(masks) > 1:
+            with pytest.raises(CapExceededError):
+                Poset(P.n, P.covers).ideal_masks(cap=len(masks) - 1)

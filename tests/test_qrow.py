@@ -206,3 +206,66 @@ def test_enumeration_grouped_by_ideal():
             boundaries.append(m)
             prev = m
     assert boundaries == list(P.ideal_masks())
+
+
+def _reference_orbits(P, alphabet, local_theta=None):
+    """q-rowmotion orbits from QLabeling objects, first labeling first."""
+    orbits, seen = [], set()
+    for L in enumerate_labelings(P, alphabet):
+        if L.labels in seen:
+            continue
+        orbit, cur = [], L
+        while cur.labels not in seen:
+            seen.add(cur.labels)
+            orbit.append(cur.labels)
+            cur = q_rowmotion(P, alphabet, cur, local_theta=local_theta)
+        assert cur == L
+        orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 3)])
+def test_q_homomesy_check_matches_fraction_recomputation(a, b):
+    from rowmotion import parse_statistic
+
+    P = rectangle(a, b)
+    rng = random.Random(31)
+    f = parse_statistic(P, "2*antichain_card - 1/3*ideal_card + 5/7*pfiber:1")
+    for r, s in ((1, 2), (2, 1)):
+        alphabet = FlavorAlphabet.random(r, s, rng)
+        orbits = q_orbits(P, alphabet)
+        assert orbits == _reference_orbits(P, alphabet)
+        averages = tuple(
+            sum((f.values[P.ideal_index(ideal_mask_of(x, alphabet))] for x in o),
+                Fraction(0)) / len(o)
+            for o in orbits)
+        rep = q_homomesy_check(P, alphabet, f, expected=averages[0])
+        assert rep.orbit_averages == averages
+        assert rep.orbit_sizes == tuple(len(o) for o in orbits)
+        assert rep.is_homomesic == (len(set(averages)) == 1)
+        assert rep.matches_expected == rep.is_homomesic
+
+
+def test_q_orbits_with_local_thetas_match_reference():
+    rng = random.Random(41)
+    P = shifted_staircase(3)
+    alphabet = FlavorAlphabet.default(2, 1)
+    local = [FlavorAlphabet.random(2, 1, rng) for _ in range(P.n)]
+    assert (q_orbits(P, alphabet, local_theta=local)
+            == _reference_orbits(P, alphabet, local_theta=local))
+
+
+def test_q_walk_raises_when_the_map_is_not_a_bijection(monkeypatch):
+    from rowmotion import qrow
+
+    P = rectangle(2, 2)
+    alphabet = FlavorAlphabet.default(1, 2)
+    first = (0, sum(2 * 3 ** p for p in range(P.n)))  # the labeling 2222
+
+    # every labeling goes to the first one: not injective
+    monkeypatch.setattr(qrow, "_sweep", lambda toggles, labels, mask, code: first)
+    f = named_statistic(P, "antichain_card")
+    with pytest.raises(AssertionError, match="bijection"):
+        q_homomesy_check(P, alphabet, f)
+    with pytest.raises(AssertionError, match="bijection"):
+        q_orbits(P, alphabet)
