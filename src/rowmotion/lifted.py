@@ -3,11 +3,18 @@
 Points carry boundary parameters alpha and omega (the values attached to the
 adjoined bottom and top elements).  Both levels share one point type and one
 sweep, which toggles in place on a value list and builds one point at the
-end.  Constancy checks and orbit laws are one law, `_law_sides`: a sum (PL)
-or product (birational) over a list of states, one state for constancy.
-All arithmetic is Fraction-exact; orbit return is detected by exact
-equality.  Birational statistics with fractional exponents stay in factored
-form and are compared after clearing exponent denominators.
+end; orbit return is detected by exact equality.
+
+Each point builds one integer table the first time a law or an atom is
+asked of it: at the PL level the numerators of T+_p, T-_p, omega - x_p and
+omega - alpha over one common denominator D; at the birational level the
+integers that every birational atom is a monomial in.  A lifted statistic
+clears its coefficients once, to integers over one denominator E.
+Constancy checks and orbit laws are one law, `_law_sides`, over a list of
+states (one state for constancy): the PL sum is an integer dot product per
+state, and the birational product collects integer exponents per distinct
+base, the right-hand side moved across, so what cancels is never multiplied
+out.  Every comparison is of exact integers.
 """
 
 from __future__ import annotations
@@ -15,10 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
 
 from .dynamics import rowmotion_order, sigma_order
-from .poset import CapExceededError, OrderIdeal, Poset, _bits
+from .poset import CapExceededError, OrderIdeal, Poset
 from .statistics import Statistic
 
 
@@ -51,6 +59,22 @@ class PLPoint(_Point):
         return (min(_upper_values(self, vals, p)) + max(_lower_values(self, vals, p))
                 - vals[p])
 
+    @cached_property
+    def _atoms(self):
+        """(D, atoms): over the common denominator D, the integer numerators
+        of T+_p for every p, then of T-_p, then of omega - x_p, then of
+        omega - alpha."""
+        P, alpha, omega = self.poset, self.alpha, self.omega
+        D = lcm(alpha.denominator, omega.denominator, *(v.denominator for v in self.values))
+        x = [v.numerator * (D // v.denominator) for v in self.values]
+        a = alpha.numerator * (D // alpha.denominator)
+        w = omega.numerator * (D // omega.denominator)
+        t_in = [xp - max((x[r] for r in low), default=a)
+                for xp, low in zip(x, P.lower_covers)]
+        t_out = [min((x[u] for u in up), default=w) - xp
+                 for xp, up in zip(x, P.upper_covers)]
+        return D, (*t_in, *t_out, *(w - xp for xp in x), w - a)
+
 
 @dataclass(frozen=True)
 class BPoint(_Point):
@@ -66,6 +90,35 @@ class BPoint(_Point):
         return sum(_lower_values(self, vals, p)) / (
             vals[p] * sum(1 / v for v in _upper_values(self, vals, p)))
 
+    @cached_property
+    def _atoms(self):
+        """The integers n_p for every p, then d_p, then L_p, then U_p, then
+        omega_n, omega_d, alpha_n and alpha_d.
+
+        Here x_p = n_p/d_p, omega = omega_n/omega_d, alpha = alpha_n/alpha_d,
+        the sum of the lower-cover values of p (alpha when there is none) is
+        L_p / prod d_r, and the sum of the reciprocal upper-cover values
+        (1/omega when there is none) is U_p / prod n_u."""
+        P, alpha, omega = self.poset, self.alpha, self.omega
+        num = [v.numerator for v in self.values]
+        den = [v.denominator for v in self.values]
+        low = [_cleared_sum([num[r] for r in c], [den[r] for r in c]) if c
+               else alpha.numerator for c in P.lower_covers]
+        up = [_cleared_sum([den[u] for u in c], [num[u] for u in c]) if c
+              else omega.denominator for c in P.upper_covers]
+        return (*num, *den, *low, *up, omega.numerator, omega.denominator,
+                alpha.numerator, alpha.denominator)
+
+
+def _cleared_sum(nums, dens):
+    """The numerator of sum(n/d) over the denominator prod(d), unreduced.  It
+    is symmetric in the terms, so the lower sum and the reciprocal upper sum
+    of the same two elements give the same integer, which then cancels."""
+    total, common = 0, 1
+    for n, d in zip(nums, dens):
+        total, common = total * d + n * common, common * d
+    return total
+
 
 def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint:
     """Indicator of the complement of I; the combinatorial embedding."""
@@ -75,13 +128,13 @@ def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint
 
 
 def _lower_values(pt, vals, p):
-    dm = pt.poset.down_covers[p]
-    return tuple(vals[r] for r in _bits(dm)) if dm else (pt.alpha,)
+    low = pt.poset.lower_covers[p]
+    return tuple(vals[r] for r in low) if low else (pt.alpha,)
 
 
 def _upper_values(pt, vals, p):
-    um = pt.poset.up_covers[p]
-    return tuple(vals[r] for r in _bits(um)) if um else (pt.omega,)
+    up = pt.poset.upper_covers[p]
+    return tuple(vals[u] for u in up) if up else (pt.omega,)
 
 
 def _sweep(pt, order):
@@ -108,15 +161,15 @@ def pl_rowmotion_sigma(pt: PLPoint, sigma) -> PLPoint:
 
 
 def pl_t_in(pt: PLPoint, p: int) -> Fraction:
-    return pt.values[p] - max(_lower_values(pt, pt.values, p))
+    return _atom(pt, (p, 1, 0, 0))
 
 
 def pl_t_out(pt: PLPoint, p: int) -> Fraction:
-    return min(_upper_values(pt, pt.values, p)) - pt.values[p]
+    return _atom(pt, (p, 0, 1, 0))
 
 
 def pl_t_signed(pt: PLPoint, p: int) -> Fraction:
-    return pl_t_in(pt, p) - pl_t_out(pt, p)
+    return _atom(pt, (p, 1, -1, 0))
 
 
 # -- birational level ----------------------------------------------------------------
@@ -135,32 +188,25 @@ def b_rowmotion_sigma(pt: BPoint, sigma) -> BPoint:
 
 
 def b_t_in(pt: BPoint, p: int) -> Fraction:
-    return pt.values[p] / sum(_lower_values(pt, pt.values, p))
+    return _atom(pt, (p, 1, 0, 0))
 
 
 def b_t_out(pt: BPoint, p: int) -> Fraction:
-    return 1 / (pt.values[p] * sum(1 / v for v in _upper_values(pt, pt.values, p)))
+    return _atom(pt, (p, 0, 1, 0))
 
 
 def b_t_ratio(pt: BPoint, p: int) -> Fraction:
-    return b_t_in(pt, p) / b_t_out(pt, p)
+    return _atom(pt, (p, 1, -1, 0))
+
+
+_KINDS = {"in": (1, 0, 0), "out": (0, 1, 0), "signed": (1, -1, 0)}
 
 
 def lifted_toggleability(pt, p: int, kind: str) -> Fraction:
     """T+/T-/signed at the level of the given point (PL or birational)."""
-    table = {
-        (PLPoint, "in"): pl_t_in,
-        (PLPoint, "out"): pl_t_out,
-        (PLPoint, "signed"): pl_t_signed,
-        (BPoint, "in"): b_t_in,
-        (BPoint, "out"): b_t_out,
-        (BPoint, "signed"): b_t_ratio,
-    }
-    try:
-        fn = table[(type(pt), kind)]
-    except KeyError:
+    if type(pt) not in (PLPoint, BPoint) or kind not in _KINDS:
         raise ValueError(f"no lifted statistic for {type(pt).__name__}/{kind}")
-    return fn(pt, p)
+    return _atom(pt, (p, *_KINDS[kind]))
 
 
 # -- lifting linear statistics ---------------------------------------------------------
@@ -176,28 +222,16 @@ class LiftedStatistic:
     coeff_ind: tuple
     label: str = ""
 
-    def eval_pl(self, pt: PLPoint) -> Fraction:
-        acc = Fraction(0)
-        for p in range(self.poset.n):
-            if self.coeff_in[p]:
-                acc += self.coeff_in[p] * pl_t_in(pt, p)
-            if self.coeff_out[p]:
-                acc += self.coeff_out[p] * pl_t_out(pt, p)
-            if self.coeff_ind[p]:
-                acc += self.coeff_ind[p] * (pt.omega - pt.values[p])
-        return acc
-
-    def b_factors(self, pt: BPoint):
-        """Factored form [(base, exponent), ...] of the birational value."""
-        out = []
-        for p in range(self.poset.n):
-            if self.coeff_in[p]:
-                out.append((b_t_in(pt, p), self.coeff_in[p]))
-            if self.coeff_out[p]:
-                out.append((b_t_out(pt, p), self.coeff_out[p]))
-            if self.coeff_ind[p]:
-                out.append((pt.omega / pt.values[p], self.coeff_ind[p]))
-        return out
+    @cached_property
+    def _terms(self):
+        """The law terms of the coefficients, cleared once to integers over
+        one denominator E (`_law_terms`)."""
+        n = self.poset.n
+        coeffs = [Fraction(a) for a in (*self.coeff_in, *self.coeff_out, *self.coeff_ind)]
+        E = lcm(*(a.denominator for a in coeffs))
+        ints = [a.numerator * (E // a.denominator) for a in coeffs]
+        return _law_terms(self.poset, E, [(p, ints[p], ints[n + p], ints[2 * n + p])
+                                          for p in range(n)])
 
 
 def lift_statistic(stat: Statistic, check_hypothesis: bool = True) -> LiftedStatistic:
@@ -214,12 +248,8 @@ def lift_statistic(stat: Statistic, check_hypothesis: bool = True) -> LiftedStat
         )
     P = stat.poset
     if check_hypothesis:
-        bad = [
-            p
-            for p in range(P.n)
-            if bin(P.up_covers[p]).count("1") > 2
-            or bin(P.down_covers[p]).count("1") > 2
-        ]
+        bad = [p for p in range(P.n)
+               if len(P.upper_covers[p]) > 2 or len(P.lower_covers[p]) > 2]
         if bad:
             raise ValueError(
                 f"lifting requires every element to cover and be covered by "
@@ -244,33 +274,95 @@ def certificate_witness(stat: Statistic, decomposition) -> tuple:
     return h, decomposition.constant
 
 
-def _law_sides(h: LiftedStatistic, c, states) -> tuple:
-    """Both sides of the law of h with constant c over `states`, which share
-    their boundary values: sum of h = #states * c * (omega - alpha) at the PL
-    level, product of h = (omega/alpha)^(#states * c) at the birational
-    level, the product raised to the least power that clears every exponent
-    denominator."""
+def _law_terms(P: Poset, E: int, support) -> tuple:
+    """(E, PL terms, birational terms) of the statistic with coefficients
+    `support` = ((p, a, b, d), ...) over E on T+_p, T-_p and omega - x_p (PL)
+    or omega/x_p (birational).  PL terms are (slot, coefficient) pairs of the
+    PL table.  Birational terms are the nonzero (slot, exponent) pairs of
+    the birational table, from T+_p = n_p prod d_r / (d_p L_p),
+    T-_p = d_p prod n_u / (n_p U_p) and omega/x_p = omega_n d_p / (omega_d n_p)."""
+    n = P.n
+    pl = []
+    ex = [0] * (4 * n + 4)
+    wn, wd, ad = 4 * n, 4 * n + 1, 4 * n + 3
+    for p, a, b, d in support:
+        pl += [(slot, k) for slot, k in ((p, a), (n + p, b), (2 * n + p, d)) if k]
+        ex[p] += a - b - d
+        ex[n + p] += b + d - a
+        ex[2 * n + p] -= a
+        ex[3 * n + p] -= b
+        ex[wn] += d
+        ex[wd] -= d
+        for slot in [n + r for r in P.lower_covers[p]] or [ad]:  # prod d_r
+            ex[slot] += a
+        for slot in P.upper_covers[p] or (wn,):  # prod n_u
+            ex[slot] += b
+    return E, tuple(pl), tuple((slot, e) for slot, e in enumerate(ex) if e)
+
+
+def _law_sides(terms, c, states) -> tuple:
+    """Integers (lhs, rhs, den) such that the two sides of the law of the
+    statistic `terms` (from `_law_terms`) with constant c over `states`
+    (which share their boundary values) are lhs/den and rhs/den; the law
+    holds exactly when lhs == rhs.
+
+    PL: the sum of the statistic is #states * c * (omega - alpha); each state
+    is one integer dot product over its D * E.  Birational: the product of
+    the statistic is (omega/alpha)^(#states * c), both sides raised to the
+    least power S that clears c and E."""
+    E, pl_terms, b_terms = terms
     c = Fraction(c)
-    first = states[0]
-    if isinstance(first, PLPoint):
-        lhs = sum((h.eval_pl(pt) for pt in states), Fraction(0))
-        return lhs, len(states) * c * (first.omega - first.alpha)
-    factors = [f for pt in states for f in h.b_factors(pt)]
-    scale = lcm(c.denominator, *(e.denominator for _, e in factors))
-    lhs = Fraction(1)
-    for base, e in factors:
-        lhs *= base ** int(e * scale)
-    return lhs, (first.omega / first.alpha) ** int(c * scale * len(states))
+    cn, cd = c.numerator, c.denominator
+    if isinstance(states[0], PLPoint):
+        total, den = 0, 1  # the sum over the states so far is total / (den * E)
+        for pt in states:
+            D, atoms = pt._atoms
+            total, den = total * D + sum(k * atoms[i] for i, k in pl_terms) * den, den * D
+        D, atoms = states[0]._atoms
+        return total * cd, len(states) * cn * atoms[-1] * (den // D) * E, den * E * cd
+    ex = {}  # exponent (times E) per distinct integer base
+    for pt in states:
+        bases = pt._atoms
+        for i, e in b_terms:
+            base = bases[i]
+            ex[base] = ex.get(base, 0) + e
+    S = lcm(E, cd)
+    if S != E:
+        ex = {base: e * (S // E) for base, e in ex.items()}
+    m = cn * (S // cd) * len(states)
+    wn, wd, an, ad = states[0]._atoms[-4:]
+    for base, e in ((wn, -m), (ad, -m), (wd, m), (an, m)):  # (omega/alpha)^m moved across
+        ex[base] = ex.get(base, 0) + e
+    left, right = _power_product(ex.items(), 1), _power_product(ex.items(), -1)
+    rn, rd = (wn * ad) ** abs(m), (wd * an) ** abs(m)  # (omega/alpha)^m = rn/rd
+    if m < 0:
+        rn, rd = rd, rn
+    return left * rn, right * rn, right * rd
+
+
+def _power_product(factors, sign):
+    """Product of base^(sign * e) over the pairs with sign * e > 0."""
+    return prod(pow(base, sign * e) for base, e in factors if sign * e > 0)
+
+
+def _atom(pt, term) -> Fraction:
+    """The lifted atom combination `term` = (p, a, b, d) at pt: the left side
+    of its law with constant 0."""
+    lhs, _, den = _law_sides(_law_terms(pt.poset, 1, (term,)), 0, (pt,))
+    return Fraction(lhs, den)
+
+
+def _law_holds(terms, c, states) -> bool:
+    lhs, rhs, _ = _law_sides(terms, c, states)
+    return lhs == rhs
 
 
 def check_pl_constant(h: LiftedStatistic, c: Fraction, pt: PLPoint) -> bool:
-    lhs, rhs = _law_sides(h, c, (pt,))
-    return lhs == rhs
+    return _law_holds(h._terms, c, (pt,))
 
 
 def check_b_constant(h: LiftedStatistic, c: Fraction, pt: BPoint) -> bool:
-    lhs, rhs = _law_sides(h, c, (pt,))
-    return lhs == rhs
+    return _law_holds(h._terms, c, (pt,))
 
 
 # -- orbits and orbit laws --------------------------------------------------------------
@@ -315,21 +407,17 @@ def orbit_homomesy_lifted(h: LiftedStatistic, c, start, sigma=None,
         states = lifted_orbit(start, sigma=sigma, max_iter=max_iter)
     except CapExceededError:
         return LiftedOrbitReport(False, 0, None, None, None)
-    lhs, rhs = _law_sides(h, c, states)
-    return LiftedOrbitReport(True, len(states), lhs == rhs, lhs, rhs)
+    lhs, rhs, den = _law_sides(h._terms, c, states)
+    return LiftedOrbitReport(True, len(states), lhs == rhs, Fraction(lhs, den),
+                             Fraction(rhs, den))
 
 
 def toggleability_orbit_law(states) -> bool:
     """Whether every signed toggleability T_p = T+_p - T-_p obeys the law with
     constant 0 over `states`: orbit sum 0 (PL), orbit product 1 (birational)."""
     P = states[0].poset
-    for p in range(P.n):
-        unit = tuple(int(r == p) for r in range(P.n))
-        T = LiftedStatistic(P, unit, tuple(-u for u in unit), (0,) * P.n)
-        lhs, rhs = _law_sides(T, 0, states)
-        if lhs != rhs:
-            return False
-    return True
+    return all(_law_holds(_law_terms(P, 1, ((p, 1, -1, 0),)), 0, states)
+               for p in range(P.n))
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -80,6 +80,9 @@ class Poset:
             down[hi] |= 1 << lo
         self.up_covers = tuple(up)
         self.down_covers = tuple(down)
+        # the same covers as tuples of elements, for loops over them
+        self.upper_covers = tuple(tuple(_bits(m)) for m in up)
+        self.lower_covers = tuple(tuple(_bits(m)) for m in down)
 
         self._linext = self._lex_min_extension()  # also proves acyclicity
 
@@ -285,7 +288,7 @@ class Poset:
         if self._ideal_masks is None:
             down = self.down_covers
             # gains[x]: (bit, lower covers) of each upper cover of x
-            gains = [tuple((1 << y, down[y]) for y in _bits(self.up_covers[x]))
+            gains = [tuple((1 << y, down[y]) for y in self.upper_covers[x])
                      for x in range(self.n)]
             out = [0]
             layer = {0: self.minimal_mask}  # ideal -> its addable mask
@@ -578,7 +581,7 @@ def rank_of(P: Poset) -> int:
 def _longest_down_chain(P: Poset):
     depth = [0] * P.n
     for x in P._linext:
-        for y in _bits(P.down_covers[x]):
+        for y in P.lower_covers[x]:
             depth[x] = max(depth[x], depth[y] + 1)
     return depth
 

@@ -8,6 +8,7 @@ which is what the piecewise-linear and birational lifts consume.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -503,11 +504,27 @@ def parse_statistic(P: Poset, text: str) -> Statistic:
     return total
 
 
+# Python's default limit on the digits of an int read from a string; it bounds
+# both the length of a number and its decimal exponent, since Fraction("1e-k")
+# builds 10**k.
+MAX_NUMBER_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def parse_fraction(text) -> Fraction:
-    """Fraction(text); a zero denominator or a non-number is a ValueError."""
+    """Fraction(text); a zero denominator, a non-number, an infinite float, or
+    a number longer than MAX_NUMBER_DIGITS characters or with a decimal
+    exponent beyond it is a ValueError."""
+    if isinstance(text, str):
+        if len(text) > MAX_NUMBER_DIGITS:
+            raise ValueError(f"a number may have at most {MAX_NUMBER_DIGITS} characters")
+        for m in _EXPONENT.finditer(text):
+            if abs(int(m.group(1))) > MAX_NUMBER_DIGITS:
+                raise ValueError(f"decimal exponent {m.group(1)} is beyond "
+                                 f"+-{MAX_NUMBER_DIGITS}: {text!r}")
     try:
         return Fraction(text)
-    except (ZeroDivisionError, TypeError):
+    except (ZeroDivisionError, TypeError, OverflowError):
         raise ValueError(f"not a rational number: {text!r}") from None
 
 

@@ -221,6 +221,37 @@ def test_malformed_input_is_a_usage_error(argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("content", ["[1e400, 1, 1, 1]", "[1, -1e400, 1, 1]"])
+def test_lifted_start_file_with_an_infinite_value(tmp_path, content):
+    # JSON reads 1e400 as an infinite float, which no rational equals
+    path = tmp_path / "start.json"
+    path.write_text(content)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("orbits", "rect:2,2", "--level", "pl", "--start", f"file:{path}")
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbits", "rect:2,2", "--level", "pl", "--start", "random:1", "--omega=1e-99999999"),
+    ("orbits", "rect:2,2", "--level", "birational", "--alpha=1E+4301"),
+    ("decompose", "rect:2,2", "1e99999999*diag"),
+], ids=["omega", "alpha", "coefficient"])
+def test_decimal_exponent_beyond_the_bound_is_a_usage_error(argv):
+    import time
+
+    start = time.perf_counter()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert time.perf_counter() - start < 5  # refused before any 10**k is built
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "4300" in lines[0]
+
+
 def test_verify_jobs_below_one_is_a_usage_error():
     err = io.StringIO()
     with redirect_stderr(err):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
 from rowmotion import (
     OrderIdeal,
@@ -311,3 +312,209 @@ def test_toggleability_orbit_law_rejects_broken_orbits():
         tampered = list(states)
         tampered[1] = tampered[1].replace_value(0, tampered[1].values[0] + Fraction(1, 5))
         assert not toggleability_orbit_law(tampered)
+
+
+# -- soundness of the integer law kernel -------------------------------------------
+
+
+def _certificates():
+    from rowmotion.families import from_specifier
+
+    for spec, kind in (("rect:2,2", "ideal_card"), ("rect:2,3", "antichain_card"),
+                       ("sstair:3", "diag"), ("E6", "antichain_card")):
+        P = from_specifier(spec)
+        f = named_statistic(P, kind)
+        yield (P, *certificate_witness(f, decompose(P, f)))
+
+
+def _points(P, rng, k=4):
+    # boundaries apart, so that a wrong constant changes the right-hand side
+    pls = [random_pl_point(P, rng, alpha=Fraction(-1, 3), omega=Fraction(8, 5))
+           for _ in range(k)]
+    bps = [random_b_point(P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5), bound=30)
+           for _ in range(k)]
+    return pls, bps
+
+
+def test_wrong_constants_are_rejected_at_both_levels():
+    rng = random.Random(101)
+    for P, h, c in _certificates():
+        assert c != -1  # so that 2c + 1 differs from c
+        pls, bps = _points(P, rng)
+        for pt in pls:
+            assert check_pl_constant(h, c, pt)
+            assert not check_pl_constant(h, c + Fraction(1, 3), pt)
+            assert not check_pl_constant(h, 2 * c + 1, pt)
+        for pt in bps:
+            assert check_b_constant(h, c, pt)
+            assert not check_b_constant(h, c + Fraction(1, 3), pt)
+            assert not check_b_constant(h, 2 * c + 1, pt)
+
+
+def test_bumped_coefficient_is_rejected():
+    from rowmotion.lifted import LiftedStatistic
+
+    rng = random.Random(103)
+    for P, h, c in _certificates():
+        pls, bps = _points(P, rng, k=2)
+        for p in range(P.n):
+            out = list(h.coeff_out)
+            out[p] += Fraction(1, 2)
+            bumped = LiftedStatistic(P, h.coeff_in, tuple(out), h.coeff_ind)
+            assert not any(check_pl_constant(bumped, c, pt) for pt in pls)
+            assert not any(check_b_constant(bumped, c, pt) for pt in bps)
+
+
+def test_half_integer_exponents_with_alpha_not_one():
+    from rowmotion.families import from_specifier
+
+    P = from_specifier("E7")
+    f = named_statistic(P, "ideal_card")
+    h, c = certificate_witness(f, decompose(P, f))
+    assert c == Fraction(27, 2)
+    assert any(Fraction(a).denominator == 2 for a in (*h.coeff_in, *h.coeff_out))
+    rng = random.Random(107)
+    for alpha, omega in ((Fraction(2, 3), Fraction(7, 5)), (Fraction(9, 4), Fraction(1, 3))):
+        pt = random_b_point(P, rng, alpha=alpha, omega=omega, bound=40)
+        assert check_b_constant(h, c, pt)
+        assert not check_b_constant(h, c + Fraction(1, 2), pt)
+
+
+def _reference_atoms(pt, p):
+    """T+_p, T-_p and the indicator atom from the raw values, in Fractions."""
+    covers, x = pt.poset.covers, pt.values
+    low = [x[r] for r, q in covers if q == p] or [pt.alpha]
+    up = [x[u] for q, u in covers if q == p] or [pt.omega]
+    if isinstance(pt, PLPoint):
+        return x[p] - max(low), min(up) - x[p], pt.omega - x[p]
+    return x[p] / sum(low), 1 / (x[p] * sum(1 / u for u in up)), pt.omega / x[p]
+
+
+def _reference_sides(h, c, states):
+    """Both sides of the law from the definitions: the sum or the product
+    over `states`, the product raised to the least power clearing c and
+    every coefficient."""
+    from math import lcm
+
+    first = states[0]
+    coeffs = list(zip(h.coeff_in, h.coeff_out, h.coeff_ind))
+    if isinstance(first, PLPoint):
+        lhs = sum(a * t for pt in states for p, cs in enumerate(coeffs)
+                  for a, t in zip(cs, _reference_atoms(pt, p)))
+        return Fraction(lhs), len(states) * c * (first.omega - first.alpha)
+    scale = lcm(c.denominator, *(Fraction(a).denominator for cs in coeffs for a in cs))
+    lhs = Fraction(1)
+    for pt in states:
+        for p, cs in enumerate(coeffs):
+            for a, t in zip(cs, _reference_atoms(pt, p)):
+                lhs *= t ** int(a * scale)
+    return lhs, (first.omega / first.alpha) ** int(c * scale * len(states))
+
+
+def _fractions(max_den):
+    return hyp.builds(Fraction, hyp.integers(-3, 3), hyp.integers(1, max_den))
+
+
+@hyp.composite
+def _law_cases(draw):
+    """A random statistic, constant and list of states sharing boundaries."""
+    from rowmotion.families import from_specifier
+
+    P = from_specifier(draw(hyp.sampled_from(["rect:2,3", "sstair:3"])))
+    coeffs = [tuple(draw(_fractions(2)) for _ in range(P.n)) for _ in range(3)]
+    c = draw(_fractions(3))
+    point = draw(hyp.sampled_from([PLPoint, BPoint]))
+    value = hyp.builds(Fraction, hyp.integers(1, 30), hyp.integers(1, 30))
+    alpha, omega = draw(value) - (point is PLPoint), draw(value)
+    states = [point(P, [draw(value) for _ in range(P.n)], alpha, omega)
+              for _ in range(draw(hyp.integers(1, 3)))]
+    return P, coeffs, c, states
+
+
+@given(_law_cases())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_law_sides_match_the_definitions(case):
+    from rowmotion.lifted import LiftedStatistic, _law_sides
+
+    P, coeffs, c, states = case
+    h = LiftedStatistic(P, *coeffs)
+    lhs, rhs, den = _law_sides(h._terms, c, states)
+    ref_lhs, ref_rhs = _reference_sides(h, c, states)
+    assert den > 0
+    assert (Fraction(lhs, den), Fraction(rhs, den)) == (ref_lhs, ref_rhs)
+    assert (lhs == rhs) == (ref_lhs == ref_rhs)
+
+
+def test_orbit_report_sides_match_the_definitions():
+    rng = random.Random(109)
+    for P, h, c in _certificates():
+        if P.n > 6:
+            continue
+        pls, bps = _points(P, rng, k=1)
+        for pt in pls + bps:
+            rep = orbit_homomesy_lifted(h, c, pt)
+            assert rep.holds
+            assert (rep.lhs, rep.rhs) == _reference_sides(h, c, lifted_orbit(pt))
+            # a third added to c leaves its denominator out of E
+            wrong_c = c + Fraction(1, 3)
+            wrong = orbit_homomesy_lifted(h, wrong_c, pt)
+            assert not wrong.holds
+            assert (wrong.lhs, wrong.rhs) == _reference_sides(h, wrong_c, lifted_orbit(pt))
+
+
+def test_atoms_match_the_definitions_with_three_covers():
+    from rowmotion.families import from_specifier
+
+    P = from_specifier("rootD:4")  # one element covers three, one is covered by three
+    assert max(map(len, P.lower_covers)) == 3 and max(map(len, P.upper_covers)) == 3
+    rng = random.Random(113)
+    for pt in (random_pl_point(P, rng, alpha=Fraction(-2, 7), omega=Fraction(9, 4)),
+               random_b_point(P, rng, alpha=Fraction(3, 8), omega=Fraction(5, 2))):
+        for p in range(P.n):
+            t_in, t_out, _ = _reference_atoms(pt, p)
+            assert lifted_toggleability(pt, p, "in") == t_in
+            assert lifted_toggleability(pt, p, "out") == t_out
+            signed = t_in - t_out if isinstance(pt, PLPoint) else t_in / t_out
+            assert lifted_toggleability(pt, p, "signed") == signed
+
+
+def _run_optimized(code):
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", *code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_verify_lifting_under_python_optimize():
+    out = _run_optimized(["-m", "rowmotion.cli", "verify", "lifting", "--seed", "1"])
+    assert out.returncode == 0, out.stderr
+
+
+def test_tampered_constant_rejected_under_python_optimize():
+    # with asserts off, the law itself must still turn down a wrong constant
+    code = (
+        "import random\n"
+        "from rowmotion import certificate_witness, decompose, named_statistic\n"
+        "from rowmotion.families import rectangle\n"
+        "from rowmotion.lifted import (check_b_constant, check_pl_constant,\n"
+        "    orbit_homomesy_lifted, random_b_point, random_pl_point)\n"
+        "assert False, 'asserts are on'\n"
+        "P = rectangle(2, 3)\n"
+        "f = named_statistic(P, 'antichain_card')\n"
+        "h, c = certificate_witness(f, decompose(P, f))\n"
+        "rng = random.Random(5)\n"
+        "pl = random_pl_point(P, rng, alpha=-1, omega=2)\n"
+        "bp = random_b_point(P, rng, alpha=2, omega=3)\n"
+        "print(check_pl_constant(h, c, pl), check_b_constant(h, c, bp),\n"
+        "      check_pl_constant(h, c + 1, pl), check_b_constant(h, c + 1, bp),\n"
+        "      orbit_homomesy_lifted(h, c + 1, bp).holds)\n"
+    )
+    out = _run_optimized(["-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True", "False", "False", "False"]

@@ -377,3 +377,16 @@ def test_gyration_striker_for_statistics():
         stat = t_signed(S, p)
         for o in orbits:
             assert sum(stat.value_on(I) for I in o) == 0
+
+
+def test_parse_fraction_bounds():
+    from rowmotion.statistics import MAX_NUMBER_DIGITS, parse_fraction
+
+    assert parse_fraction("2/3") == Fraction(2, 3)
+    assert parse_fraction("1_0e1_0") == 10 ** 11
+    assert parse_fraction(f"1e-{MAX_NUMBER_DIGITS}") == Fraction(1, 10 ** MAX_NUMBER_DIGITS)
+    assert parse_fraction(0.5) == Fraction(1, 2)
+    for bad in (f"1e{MAX_NUMBER_DIGITS + 1}", "2.5E-99999999", "7" * (MAX_NUMBER_DIGITS + 1),
+                float("inf"), float("-inf"), float("nan"), "1/0", None, "x"):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)
