@@ -1,8 +1,10 @@
 """Command-line driver: orbit tables, certificates, verification suites, and
 q-rowmotion experiments, with deterministic JSON/CSV output.
 
-Exit codes: 0 answer produced / checks pass, 1 verification failure,
-2 usage error, 3 resource cap exceeded.
+Exit codes: 0 answer produced / checks pass, 1 verification failure (the
+mathematics failed), 2 usage error, 3 resource cap exceeded, 4 internal
+error.  Every failure prints one `error:` line to stderr, except a resource
+cap, which prints a JSON object to stdout.
 """
 
 from __future__ import annotations
@@ -12,17 +14,24 @@ import csv
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import dynamics, families, qrow, statistics as st, verify
 from .decompose import decompose, q_decompose
 from .poset import CapExceededError, enumerate_antichains, enumerate_ideals
-from .qpoly import RationalFunction, q_binomial, q_factorial, q_number
+from .qpoly import (
+    CertificateError,
+    RationalFunction,
+    format_fraction,
+    q_binomial,
+    q_factorial,
+    q_number,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, payload):
@@ -41,10 +50,6 @@ def _emit_csv(payload):
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(header)
         out.writerows([str(row[h]) for h in header] for row in rows)
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # -- orbits ---------------------------------------------------------------------------
@@ -119,12 +124,12 @@ def _lifted_orbit_payload(args, P) -> int:
         "family": args.family,
         "level": args.level,
         "variant": args.variant,
-        "alpha": _frac(pt.alpha),
-        "omega": _frac(pt.omega),
-        "start": [_frac(v) for v in pt.values],
+        "alpha": format_fraction(pt.alpha),
+        "omega": format_fraction(pt.omega),
+        "start": [format_fraction(v) for v in pt.values],
         "period": len(states),
         "toggleability_orbit_law": laws,
-        "rows": [{"step": k, "values": [_frac(v) for v in s.values]}
+        "rows": [{"step": k, "values": [format_fraction(v) for v in s.values]}
                  for k, s in enumerate(states)],
     }
     _emit(args, payload)
@@ -175,7 +180,8 @@ def cmd_decompose(args) -> int:
         "family": args.family,
         "stat": args.stat,
         "status": "ok",
-        "constant": f"c = {dec.constant}",
+        "constant": "c = " + (format_fraction(dec.constant) if dec.kind == st.RATIONAL
+                              else str(dec.constant)),
         "certificate": dec.to_json_dict(),
     }
     _emit(args, payload)
@@ -218,11 +224,11 @@ def cmd_qrow(args) -> int:
         "theta": list(alphabet.theta),
         "stat": args.stat,
         "orbit_sizes": list(report.orbit_sizes),
-        "orbit_averages": [_frac(a) for a in report.orbit_averages],
+        "orbit_averages": [format_fraction(a) for a in report.orbit_averages],
         "is_homomesic": report.is_homomesic,
     }
     if expected is not None:
-        payload["expected_at_q"] = _frac(report.expected)
+        payload["expected_at_q"] = format_fraction(report.expected)
         payload["matches_expected"] = report.matches_expected
     _emit(args, payload)
     if expected is not None:
@@ -236,11 +242,29 @@ def cmd_qrow(args) -> int:
 #   term   := factor (('*'|'/') factor)*
 #   factor := base ('^' int)?
 #   base   := 'q' | int | 'qnum(n)' | 'qfact(n)' | 'qbinom(n,k)' | '(' expr ')'
+#
+# No polynomial of degree above MAX_Q_DEGREE is built: each rule checks the
+# degree of what it is about to build first.  At the bound the slowest single
+# rule, (1+q)^300, takes about 0.6 s on a 2-core x86-64 host.
+
+MAX_Q_DEGREE = 300
+
+
+def _bound_degree(degree):
+    if degree > MAX_Q_DEGREE:
+        raise ValueError(f"q-expression degree {degree} exceeds the bound {MAX_Q_DEGREE}")
+
+
+def _degree(value: RationalFunction) -> int:
+    return max(value.num.degree, value.den.degree, 0)
 
 
 def parse_q_expression(text: str) -> RationalFunction:
     tokens = _tokenize_q(text)
-    value, pos = _parse_expr(tokens, 0)
+    try:
+        value, pos = _parse_expr(tokens, 0)
+    except RecursionError:
+        raise ValueError("q-expression is nested too deeply") from None
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in q-expression: {tokens[pos:]}")
     return value
@@ -278,6 +302,7 @@ def _parse_expr(tokens, pos):
     while pos < len(tokens) and tokens[pos] in "+-":
         op = tokens[pos]
         rhs, pos = _parse_term(tokens, pos + 1)
+        _bound_degree(_degree(value) + _degree(rhs))
         value = value + rhs if op == "+" else value - rhs
     return value, pos
 
@@ -289,6 +314,7 @@ def _parse_term(tokens, pos):
         rhs, pos = _parse_factor(tokens, pos + 1)
         if op == "/" and rhs.is_zero():
             raise ValueError("division by zero in q-expression")
+        _bound_degree(_degree(value) + _degree(rhs))
         value = value * rhs if op == "*" else value / rhs
     return value, pos
 
@@ -296,7 +322,11 @@ def _parse_term(tokens, pos):
 def _parse_factor(tokens, pos):
     value, pos = _parse_base(tokens, pos)
     if pos < len(tokens) and tokens[pos] == "^":
-        value = value ** int(_token(tokens, pos + 1))
+        k = int(_token(tokens, pos + 1))
+        if k > MAX_Q_DEGREE:
+            raise ValueError(f"q-expression exponent {k} exceeds the bound {MAX_Q_DEGREE}")
+        _bound_degree(k * _degree(value))
+        value = value ** k
         pos += 2
     return value, pos
 
@@ -330,6 +360,8 @@ def _parse_base(tokens, pos):
         arity = 2 if tok == "qbinom" else 1
         if len(argv) != arity:
             raise ValueError(f"{tok} takes {arity} argument(s), not {len(argv)}")
+        n = argv[0]  # qfact(n) and qbinom(n, k) build [n]_q!
+        _bound_degree(n - 1 if tok == "qnum" else n * (n - 1) // 2)
         if tok == "qnum":
             return RationalFunction(q_number(*argv)), p + 1
         if tok == "qfact":
@@ -404,6 +436,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CertificateError as exc:
+        print(f"error: a certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

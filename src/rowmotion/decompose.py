@@ -4,31 +4,34 @@ A Decomposition is the certificate f = c + sum_p c_p T_p (or its q-analogue
 with T^q_p over Q(q)).  The columns 1, T_0, ..., T_{n-1} are linearly
 independent, so a certificate is unique when it exists.
 
-`decompose` solves first on the rows at the ideals {}, <p> (the down-set of
-p) and <p> - {p} for every element p: at most 2n+1 rows, which have reached
-full rank n+1 on every poset tried.  Only when they fall short does it solve
-on every ideal.  Either way the candidate is then checked exactly once
-against every ideal, as a sparse integer residual over the poset's toggle
-table.  A candidate that fails the check was the only possible solution, so
-the statistic is not in the span.  `q_decompose` solves on the same rows by
-specializing q to integers and interpolating (see its docstring).
+`decompose` and `q_decompose` share one certificate system per poset,
+factored once at q = 1 by the Bareiss kernel of `linalg` and cached on the
+poset: the rows [1, T_0(I), ..., T_{n-1}(I)] at the ideals {}, <p> (the
+down-set of p) and <p> - {p} for every element p, at most 2n+1 rows.  They
+can fall short of rank n+1 (on the affine D4 star, with covers (0,1),
+(1,2), (1,3), (1,5) and 4 isolated, they have rank 6), and only then are
+the rows at every ideal factored instead.  `decompose` replays the
+factorization on a statistic and checks the candidate exactly once against
+every ideal, as a sparse integer residual over the toggle table; a
+candidate that fails was the only possible solution, so the statistic is
+not in the span.  `q_decompose` refactors the same pivot rows at integer
+values of q and interpolates (see its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count
 from math import lcm
 
 from .linalg import (
     DependentColumnsError,
-    IntEchelon,
+    factor,
     intersect_spans,
     null_space_basis,
     rank_rational,
-    solve_exact,
-    solve_fraction_free,
     span_basis,
 )
 from .poset import CapExceededError, Poset, enumerate_antichains
@@ -36,6 +39,7 @@ from .qpoly import (
     CertificateError,
     Polynomial,
     RationalFunction,
+    format_fraction,
     interpolate,
     poly_gcd,
     rational_roots,
@@ -46,6 +50,7 @@ from .statistics import (
     Statistic,
     accumulate_toggles,
     antichain_toggleability,
+    common_numerators,
     toggle_vector,
 )
 
@@ -80,7 +85,7 @@ class Decomposition:
         return tuple(accumulate_toggles(P, out, self.coeffs, minus))
 
     def to_json_dict(self):
-        enc = _frac_str if self.kind == RATIONAL else _rf_json
+        enc = _frac_json if self.kind == RATIONAL else _rf_json
         return {
             "kind": self.kind,
             "constant": enc(self.constant),
@@ -89,14 +94,13 @@ class Decomposition:
         }
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+_frac_json = partial(format_fraction, slash=True)
 
 
 def _rf_json(x: RationalFunction):
     return {
-        "num": [_frac_str(c) for c in x.num.coeffs],
-        "den": [_frac_str(c) for c in x.den.coeffs],
+        "num": [_frac_json(c) for c in x.num.coeffs],
+        "den": [_frac_json(c) for c in x.den.coeffs],
     }
 
 
@@ -107,13 +111,29 @@ def decompose(P: Poset, f: Statistic):
         raise ValueError("decompose expects a rational-valued statistic")
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    try:
-        sol = _solve_on_rows(P, f.values, _structured_rows(P))
-    except DependentColumnsError:
-        sol = _solve_on_rows(P, f.values, range(len(f.values)))
-    if sol is None or not _is_certificate(P, f.values, sol):
+    ideals, _, fact = _system(P)
+    nums, den = common_numerators(f.values)
+    y = fact.replay([nums[i] for i in ideals])
+    if not _is_certificate(P, [fact.det * v for v in nums], y):
         return None
+    sol = [Fraction(v, fact.det * den) for v in y]
     return Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
+
+
+def _system(P: Poset):
+    """(ideals, rows, Bareiss factorization at q = 1) of the n+1 pivot rows
+    of P's certificate system, from the structured rows if they suffice."""
+    if P._certificate_system is None:
+        for candidates in (_structured_rows(P), range(len(P.ideal_masks()))):
+            rows = _rows_at(P, candidates)
+            fact = factor(rows)
+            if fact is not None:
+                P._certificate_system = (
+                    [candidates[i] for i in fact.rows], [rows[i] for i in fact.rows], fact)
+                break
+        else:
+            raise DependentColumnsError("columns are linearly dependent")
+    return P._certificate_system
 
 
 def _structured_rows(P: Poset):
@@ -126,27 +146,26 @@ def _structured_rows(P: Poset):
     return sorted(rows)
 
 
-def _solve_on_rows(P, values, rows):
-    """solve_exact on the certificate system restricted to the ideals `rows`."""
-    columns = [[1] * len(rows)]
+def _rows_at(P, ideals):
+    """The rows [1, T_0(I), ..., T_{n-1}(I)] at the ideals with the given
+    indices, built one toggle column at a time."""
+    rows = [[1] for _ in ideals]
     for p in range(P.n):
         col = toggle_vector(P, p, 1, -1, 0)
-        columns.append([col[i] for i in rows])
-    return solve_exact(columns, [values[i] for i in rows])
+        for row, i in zip(rows, ideals):
+            row.append(col[i])
+    return rows
 
 
 def _is_certificate(P, values, sol, z=1):
     """True iff values == sol[0] + sum_p sol[p+1] * T^z_p on every ideal,
     with T^z_p = 1 where p is addable and -z where removable (T_p at z = 1).
 
-    Everything is scaled to integers over one common denominator, so the
+    The solvers pass integers (det * numerators against det * x), so the
     check is integer arithmetic over the toggle-table entries.
     """
-    scale = lcm(*(x.denominator for x in sol), *(v.denominator for v in values))
-    ints = [x.numerator * (scale // x.denominator) for x in sol]
-    c0, coeffs = ints[0], ints[1:]
-    residual = [v.numerator * (scale // v.denominator) - c0 for v in values]
-    accumulate_toggles(P, residual, [-c for c in coeffs], [z * c for c in coeffs])
+    residual = [v - sol[0] for v in values]
+    accumulate_toggles(P, residual, [-c for c in sol[1:]], [z * c for c in sol[1:]])
     return not any(residual)
 
 
@@ -154,12 +173,12 @@ def q_decompose(P: Poset, f: Statistic):
     """Certificate f = c(q) + sum c_p(q) T^q_p over Q(q), or None.
 
     f, with rational or Q(q) values, is cleared to integer polynomials
-    g = s(q) * f of degree <= d; the solve does no arithmetic in Q(q).  On
-    n+1 ideals whose rows are independent at q = 1 (structured rows as in
-    `decompose`, else any ideals), entries of q-degree <= 1 give, by
-    Cramer's rule, x_j = N_j(q) / det(q) with deg det <= n, deg N_j <= n+d.
-    That square system is solved in integers at q = 0, 1, 2, ..., skipping
-    roots of det, until n+1+d points are in hand; det and the N_j are then
+    g = s(q) * f of degree <= d; the solve does no arithmetic in Q(q).  The
+    n+1 pivot rows shared with `decompose`, independent at q = 1, have
+    entries of q-degree <= 1, so by Cramer's rule x_j = N_j(q) / det(q)
+    with deg det <= n, deg N_j <= n+d.  That square system, in one fixed row
+    order, is factored and replayed on g at q = 0, 1, 2, ..., skipping roots
+    of det, until n+1+d points are in hand; det and the N_j are then
     interpolated once.  The first point is no pole, so a Q(q) certificate
     would specialize to the candidate there: a nonzero residual over the
     ideals returns None before any interpolation.  The result is checked
@@ -171,25 +190,19 @@ def q_decompose(P: Poset, f: Statistic):
         raise ValueError("statistic lives on a different poset")
     fq = f.as_q()
     rhs, scale = _cleared_rhs(fq.values)
-    square = _square_rows(P, _structured_rows(P))
-    if len(square) <= P.n:
-        square = _square_rows(P, range(len(rhs)))
-        if len(square) <= P.n:
-            raise DependentColumnsError("columns are linearly dependent")
+    ideals, square, _ = _system(P)
     need = P.n + 1 + max(0, *(g.degree for g in rhs))
     good = []  # (z, det, det * x) at the points where det != 0
     for z in _sample_points():
-        det, y = solve_fraction_free(
-            [[-z if s < 0 else s for s in row] for _, row in square],
-            [int(rhs[i].evaluate(z)) for i, _ in square],
-        )
-        if not det:
+        fact = factor([[-z if s < 0 else s for s in row] for row in square])
+        if fact is None:
             continue
+        y = fact.replay([int(rhs[i].evaluate(z)) for i in ideals])
         if not good and not _is_certificate(
-            P, [det * int(g.evaluate(z)) for g in rhs], y, z
+            P, [fact.det * int(g.evaluate(z)) for g in rhs], y, z
         ):
             return None
-        good.append((z, det, *y))
+        good.append((z, fact.det, *y))
         if len(good) == need:
             break
     points, *columns = zip(*good)
@@ -215,22 +228,6 @@ def _cleared_rhs(values):
     polys = [v.num if v.den == den else v.num * den.exact_div(v.den) for v in values]
     k = lcm(*(c.denominator for p in polys for c in p.coeffs))
     return [p * k for p in polys], den * k
-
-
-def _square_rows(P, candidates):
-    """Up to n+1 pairs (i, row) for the first ideals i among `candidates`
-    whose rows [1, T_0(i), ..., T_{n-1}(i)] are independent; at q = z the
-    -1 entries (p removable) read -z."""
-    cols = [toggle_vector(P, p, 1, -1, 0) for p in range(P.n)]
-    ech = IntEchelon(P.n + 1)
-    square = []
-    for i in candidates:
-        row = [1] + [col[i] for col in cols]
-        if ech.add(row) is not None:
-            square.append((i, row))
-            if len(square) == P.n + 1:
-                break
-    return square
 
 
 def _verify_q_certificate(P, fq, sol):

@@ -1,24 +1,23 @@
 """Exact linear algebra over Q, all of it on integers.
 
-The rational path scales rows to integers and eliminates fraction-free
-(cross-multiplication with per-row content stripping), so intermediate
-entries stay integral.  There is no elimination over Q(q): a certificate
-over Q(q) is solved in `decompose` by specializing q to integers, solving
-each square integer system with the Bareiss kernel `solve_fraction_free`
-(which returns the determinant and the Cramer numerators det * x), and
-interpolating those polynomials in q once, since their degrees are bounded.
+One fraction-free kernel solves linear systems.  `factor` runs a Bareiss
+elimination over an integer matrix that may have more rows than columns: it
+reads rows in order, pivots each on its first nonzero column, and stops at
+the first n independent rows, whose multipliers it keeps.  `Bareiss.replay`
+then turns any integer right-hand side into det * x, the Cramer numerators,
+in O(n^2) with the same exact divisions.  Every certificate solve in
+`decompose`, over Q and over Q(q) specialized at integers, runs on it.
 
-`solve_exact` reads rows only until the columns reach full rank and returns
-that prefix's solution unchecked.  A caller picks which rows to offer: the
-certificate solver in `decompose` offers a few structured rows first and
-every row only when those fall short of full rank, then checks the
-candidate once against every row itself.
+`IntEchelon`, an incremental integer echelon with content-stripped rows,
+serves only the rank, span and null-space functions below.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import mul
+from typing import NamedTuple
 
 # -- integer echelon over Q -------------------------------------------------------
 
@@ -51,8 +50,7 @@ def _strip_content(row):
 class IntEchelon:
     """Incremental integer row echelon with content-stripped rows."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.rows = {}  # pivot column -> integer row
 
     def reduce(self, row):
@@ -87,76 +85,78 @@ class DependentColumnsError(ValueError):
     to them are linearly dependent."""
 
 
-def solve_exact(columns, rhs):
-    """Solve sum_j x_j * columns[j] = rhs exactly over Q.
+# -- the fraction-free kernel ---------------------------------------------------------
 
-    Rows enter the echelon in the given order until the columns reach full
-    rank; the rows after that are not read.  Returns None when the rows read
-    are inconsistent, and otherwise the unique solution of those rows, as
-    Fractions, unchecked against the rest: the caller checks the result.
-    Raises DependentColumnsError when all rows together have rank below the
-    column count.
+
+class Bareiss(NamedTuple):
+    """Bareiss factorization of the first n independent rows of an integer
+    matrix with n columns: `rows` are their input indices, `lu` the rows
+    after elimination with columns in pivot order (minors above the
+    diagonal, multipliers below), `place[c]` the pivot position of input
+    column c, and `det` the determinant of those rows in input order."""
+
+    rows: tuple
+    lu: tuple
+    place: tuple
+    det: int
+
+    def replay(self, rhs):
+        """det * x for the solution x of the pivot rows . x = rhs, with one
+        integer of rhs per pivot row.  It repeats the elimination's exact
+        divisions, so each entry is a Cramer numerator and an integer."""
+        lu, n = self.lu, len(self.lu)
+        b = list(rhs)
+        last = 1
+        for k in range(n):
+            piv, bk = lu[k][k], b[k]
+            for i in range(k + 1, n):
+                b[i] = (piv * b[i] - lu[i][k] * bk) // last
+            last = piv
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = lu[k]
+            acc = last * b[k] - sum(map(mul, row[k + 1:], y[k + 1:]))
+            y[k] = acc // row[k]
+        unit = self.det // last  # +-1, the sign of the column order
+        return [unit * y[k] for k in self.place]
+
+
+def factor(rows):
+    """Fraction-free (Bareiss) elimination of integer rows of length n.
+
+    Rows are read in order.  Each is eliminated against the pivot rows
+    before it and kept, pivoting on its first nonzero column, unless nothing
+    of it is left; reading stops at n pivot rows.  Every division is exact,
+    each entry being a minor of the input.  Returns None when the columns
+    are dependent.
     """
-    k = len(columns)
-    m = len(rhs)
-    ech = IntEchelon(k + 1)
-    pivots_a = 0
-    for i in range(m):
-        row = [columns[j][i] for j in range(k)] + [rhs[i]]
-        c = ech.add(row)
+    n = len(rows[0])
+    cols = list(range(n))  # the input column at each pivot position
+    pivots, lu = [], []
+    for i, row in enumerate(rows):
+        r = [row[c] for c in cols]
+        last = 1
+        for j, u in enumerate(lu):
+            piv, a = u[j], r[j]
+            r[j + 1:] = [(piv * x - a * y) // last for x, y in zip(r[j + 1:], u[j + 1:])]
+            last = piv
+        k = len(lu)
+        c = next((c for c in range(k, n) if r[c]), None)
         if c is None:
-            continue
-        if c == k:
-            return None  # 0 = nonzero
-        pivots_a += 1
-        if pivots_a == k:
+            continue  # in the span of the pivot rows before it
+        if c != k:
+            cols[k], cols[c] = cols[c], cols[k]
+            for u in lu + [r]:
+                u[k], u[c] = u[c], u[k]
+        pivots.append(i)
+        lu.append(r)
+        if k + 1 == n:
             break
-    if pivots_a < k:
-        raise DependentColumnsError("columns are linearly dependent")
-    sol = [Fraction(0)] * k
-    for c in sorted(ech.rows, reverse=True):
-        row = ech.rows[c]
-        acc = Fraction(row[k])
-        for j in range(c + 1, k):
-            acc -= row[j] * sol[j]
-        sol[c] = acc / row[c]
-    return sol
-
-
-# -- fraction-free square solve ------------------------------------------------------
-
-
-def solve_fraction_free(rows, rhs):
-    """Bareiss elimination of the square integer system rows . x = rhs.
-
-    Returns (det, y) with det the determinant of `rows` and y = det * x, both
-    integers by Cramer's rule, or (0, None) when `rows` is singular.  Every
-    division is exact: each entry after step k is a minor of order k+1.
-    """
-    n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    sign, prev = 1, 1
-    for k in range(n):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0, None
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pk = m[k]
-        piv = pk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            a = ri[k]
-            ri[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(ri[k + 1:], pk[k + 1:])]
-        prev = piv
-    # back substitution for det * x; each quotient is a Cramer numerator
-    y = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = m[k]
-        acc = prev * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))
-        y[k] = acc // row[k]
-    return sign * prev, [sign * v for v in y]
+    else:
+        return None
+    swaps = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+    place = sorted(range(n), key=cols.__getitem__)
+    return Bareiss(tuple(pivots), tuple(lu), tuple(place), -r[-1] if swaps & 1 else r[-1])
 
 
 # -- subspace arithmetic over Q -------------------------------------------------------
@@ -164,7 +164,7 @@ def solve_fraction_free(rows, rhs):
 
 def null_space_basis(equations, nvars):
     """Basis of {z : row . z = 0 for every equation row}, over Q."""
-    ech = IntEchelon(nvars)
+    ech = IntEchelon()
     for row in equations:
         ech.add(list(row))
     pivots = sorted(ech.rows)
@@ -186,9 +186,7 @@ def null_space_basis(equations, nvars):
 
 def span_basis(vectors):
     """An independent subset spanning the same space."""
-    if not vectors:
-        return []
-    ech = IntEchelon(len(vectors[0]))
+    ech = IntEchelon()
     out = []
     for v in vectors:
         if ech.add(list(v)) is not None:

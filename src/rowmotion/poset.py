@@ -125,6 +125,7 @@ class Poset:
         self._ideal_masks: Optional[tuple] = None
         self._ideal_index: Optional[dict] = None
         self._toggle_table: Optional[ToggleTable] = None
+        self._certificate_system = None  # factored by rowmotion.decompose
         self._sweeps: dict = {}
         self._antichain_masks: Optional[tuple] = None
 

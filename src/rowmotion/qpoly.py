@@ -10,12 +10,31 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
+from .poset import CapExceededError
+
+# Python's default limit on the digits of an int converted to or from text;
+# it bounds the numbers read from input and the numbers written out.
+MAX_NUMBER_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_NUMBER_DIGITS  # the least integer with more digits
+
 
 class CertificateError(ArithmeticError):
     """An exact identity that a returned result rests on does not hold.
 
     Raised by checks that must survive `python -O`, in place of `assert`.
     """
+
+
+def format_fraction(x, slash=False) -> str:
+    """x as 'n/d', or as 'n' when d = 1 unless `slash`: the one formatter of
+    every printed rational.  A numerator or denominator of more than
+    MAX_NUMBER_DIGITS digits raises CapExceededError before any text is
+    built."""
+    n, d = x.numerator, x.denominator
+    if abs(n) >= _TOO_LONG or d >= _TOO_LONG:
+        raise CapExceededError(
+            f"an output number exceeds the limit of {MAX_NUMBER_DIGITS} digits")
+    return f"{n}/{d}" if slash or d != 1 else str(n)
 
 
 class Polynomial:
@@ -156,10 +175,11 @@ class Polynomial:
             if c == 0:
                 continue
             if k == 0:
-                parts.append(str(c))
+                parts.append(format_fraction(c))
             else:
                 var = "q" if k == 1 else f"q^{k}"
-                parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}*{var}")
+                parts.append(var if c == 1 else f"-{var}" if c == -1
+                             else f"{format_fraction(c)}*{var}")
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__

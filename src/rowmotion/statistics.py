@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .poset import Antichain, OrderIdeal, Poset
-from .qpoly import RF_ONE, RF_ZERO, RationalFunction
+from .qpoly import MAX_NUMBER_DIGITS, RF_ONE, RF_ZERO, RationalFunction, format_fraction
 
 RATIONAL = "rational"
 QRATIONAL = "q"
@@ -80,7 +80,7 @@ class Statistic:
             self.poset,
             tuple(c * v for v in self.values),
             kind=self.kind,
-            label=f"{c}*{self.label}",
+            label=f"{format_fraction(c) if isinstance(c, Fraction) else c}*{self.label}",
             combo=combo,
         )
 
@@ -504,10 +504,8 @@ def parse_statistic(P: Poset, text: str) -> Statistic:
     return total
 
 
-# Python's default limit on the digits of an int read from a string; it bounds
-# both the length of a number and its decimal exponent, since Fraction("1e-k")
-# builds 10**k.
-MAX_NUMBER_DIGITS = 4300
+# MAX_NUMBER_DIGITS bounds both the length of a number and its decimal
+# exponent, since Fraction("1e-k") builds 10**k.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 

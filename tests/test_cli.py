@@ -4,6 +4,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from rowmotion.cli import main, parse_q_expression
 from rowmotion.qpoly import Polynomial, RationalFunction, q_binomial, q_number
@@ -306,3 +307,217 @@ def test_lifted_levels_refuse_other_variants():
         code, _ = run_cli("orbits", "rect:2,2", "--level", "pl", "--variant", "antichain")
     assert code == 2
     assert "rowmotion, gyration and sigma:<perm>" in err.getvalue()
+
+
+# -- output limits, input bounds and the exit-code taxonomy ---------------------
+
+
+def run_cli_err(*argv):
+    """(exit code, stdout, stderr) of one CLI call; argparse's own refusals
+    end in SystemExit, whose code is the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# each call, and a smaller number (k digits) that it prints in full
+LONG_OUTPUT = [
+    (("orbits", "rect:2,2", "--level", "pl", "--start", "random:1", "--omega={}"), 4000),
+    (("decompose", "rect:2,2", "{}*ideal_card"), 4299),
+    (("qrow", "--family", "rect:2,2", "--r", "1", "--s", "1", "--stat", "{}*antichain_card"),
+     4299),
+]
+
+
+@pytest.mark.parametrize("argv, k", LONG_OUTPUT, ids=["omega", "decompose", "qrow"])
+def test_output_number_beyond_4300_digits_is_a_resource_cap(argv, k):
+    # 1e-4300 has a denominator of 4301 digits, more than str() will write
+    code, out, err = run_cli_err(*(a.format("1e-4300") for a in argv))
+    assert code == 3 and err == ""
+    data = json.loads(out)
+    assert data["error"] == "resource cap" and "4300 digits" in data["detail"]
+    code, out, err = run_cli_err(*(a.format(f"1e-{k}") for a in argv))
+    assert code == 0 and err == ""
+    assert "0" * (k - 10) in out  # a number of about k digits, in full
+
+
+def test_format_fraction_is_byte_identical_below_the_limit():
+    from fractions import Fraction
+
+    from rowmotion.qpoly import MAX_NUMBER_DIGITS, format_fraction
+
+    for x in (Fraction(0), Fraction(-3), Fraction(7, 2), Fraction(-1, 10 ** 4299),
+              Fraction(-(10 ** MAX_NUMBER_DIGITS - 1), 3)):
+        assert format_fraction(x) == str(x)
+        assert format_fraction(x, slash=True) == f"{x.numerator}/{x.denominator}"
+    from rowmotion import CapExceededError
+
+    for x in (Fraction(10 ** MAX_NUMBER_DIGITS), Fraction(-(10 ** MAX_NUMBER_DIGITS)),
+              Fraction(1, 10 ** MAX_NUMBER_DIGITS)):
+        with pytest.raises(CapExceededError):
+            format_fraction(x)
+
+
+@pytest.mark.parametrize("spec", ["rect:3000,3000", "rect:100,101", "sstair:200",
+                                  "rootA:200", "rootB:101", "trap:100,101", "dtd:5001",
+                                  "vchain:3334"])
+def test_family_size_is_bounded_before_building(spec):
+    import time
+
+    from rowmotion.families import MAX_ELEMENTS
+
+    start = time.perf_counter()
+    code, out, _ = run_cli_err("orbits", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert str(MAX_ELEMENTS) in json.loads(out)["detail"]
+
+
+def test_file_poset_size_is_bounded_before_building(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 10 ** 9, "covers": []}))
+    code, out, _ = run_cli_err("orbits", f"file:{path}")
+    assert code == 3 and "resource cap" in out
+    for bad in ([1, 2], {"n": None, "covers": []}, {"n": 3, "covers": 5}):
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli_err("orbits", f"file:{path}")
+        assert code == 2 and err.startswith("error: malformed poset file"), bad
+
+
+def test_size_bound_is_above_every_poset_in_use():
+    from rowmotion.families import MAX_ELEMENTS, from_specifier
+
+    # the largest posets of the tests, demos and benchmark
+    for spec in ("rect:9,9", "E7", "sstair:6", "rootB:4", "vchain:4", "dtd:6"):
+        assert from_specifier(spec).n < MAX_ELEMENTS
+
+
+@pytest.mark.parametrize("expr", ["q^99999999", "qfact(3000)", "qbinom(3000,2)",
+                                  "qnum(99999)", "qnum(200)*qnum(200)",
+                                  "qnum(200)/qnum(150)", "1/qnum(200) + 1/qnum(200)",
+                                  "2^99999999"])
+def test_q_expression_degree_is_bounded(expr):
+    import time
+
+    from rowmotion.cli import MAX_Q_DEGREE
+
+    start = time.perf_counter()
+    code, out, err = run_cli_err(*QROW, "--expect", expr)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(MAX_Q_DEGREE) in err
+
+
+def test_q_expression_nesting_is_a_usage_error():
+    code, _, err = run_cli_err(*QROW, "--expect", "(" * 5000 + "q" + ")" * 5000)
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_failed_certificate_check_exits_1(monkeypatch):
+    import rowmotion.cli as cli
+    from rowmotion.qpoly import CertificateError
+
+    def fail(P, f):
+        raise CertificateError("denominator has a root >= 0")
+
+    monkeypatch.setattr(cli, "q_decompose", fail)
+    code, out, err = run_cli_err("decompose", "--q", "rect:2,2", "antichain_card")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: a certificate check failed: denominator has a root >= 0"]
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    import rowmotion.cli as cli
+
+    def broken(P, f):
+        raise ZeroDivisionError("a defect")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    code, out, err = run_cli_err("decompose", "rect:2,2", "antichain_card")
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert err.splitlines() == ["error: internal error: ZeroDivisionError: a defect"]
+
+
+# -- parser fuzzing ----------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None,
+                suppress_health_check=list(HealthCheck))
+
+
+def _fuzz_text(tokens, *shaped):
+    """Free text, text glued from the grammar's own tokens and small numbers,
+    or text of the grammar's shape, to reach past each parser's first check."""
+    glued = hst.lists(hst.sampled_from(tokens), max_size=8).map("".join)
+    return hst.one_of(hst.text(max_size=24), glued, *shaped)
+
+
+def _shaped(heads, terms):
+    """Up to `terms` of head:arg[,arg] with small arguments, joined by ' + '."""
+    args = hst.lists(hst.integers(-1, 3).map(str), max_size=2)
+    one = hst.builds(lambda h, a: f"{h}:{','.join(a)}" if a else h,
+                     hst.sampled_from(heads), args)
+    return hst.lists(one, min_size=1, max_size=terms).map(" + ".join)
+
+
+def _assert_documented(argv):
+    code, _, err = run_cli_err(*argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+
+
+FAMILY_TOKENS = ["rect", "sstair", "rootA", "rootB", "dtd", "trap", "vchain", "rootD",
+                 "E6", "E7", "file", ":", ",", "-", "0", "1", "2", "3", " ", "x"]
+STAT_TOKENS = ["ideal_card", "antichain_card", "file:", "pfiber:", "nfiber:", "sfiber:",
+               "rankalt", "diag", "color:", "rookA:", "tout:", "*", "+", "-", "/", ".",
+               "e", "0", "1", "2", "3", ",", " "]
+Q_TOKENS = ["q", "qnum", "qfact", "qbinom", "(", ")", ",", "+", "-", "*", "/", "^",
+            "0", "1", "2", "3", " "]
+
+
+@FUZZ
+@given(_fuzz_text(FAMILY_TOKENS, _shaped(
+    ["rect", "sstair", "rootA", "rootB", "dtd", "trap", "vchain", "rootD", "E6"], 1)))
+def test_fuzz_family_specifier(spec):
+    _assert_documented(["orbits", spec])
+
+
+@FUZZ
+@given(_fuzz_text(STAT_TOKENS, _shaped(
+    ["ideal_card", "antichain_card", "2*file", "-1/2*pfiber", "nfiber", "sfiber", "rankalt",
+     "diag", "color", "rookA", "1e-3*tout"], 3)))
+def test_fuzz_statistic_specifier(stat):
+    _assert_documented(["decompose", "rect:2,3", stat])
+    _assert_documented(["decompose", "--q", "sstair:2", stat])
+
+
+@FUZZ
+@given(_fuzz_text(Q_TOKENS))
+def test_fuzz_q_expression(expr):
+    _assert_documented(list(QROW) + ["--expect", expr])
+
+
+_JSON = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=8),
+    lambda inner: hst.lists(inner, max_size=5) | hst.dictionaries(hst.text(max_size=3), inner),
+    max_leaves=8)
+
+
+@FUZZ
+@given(hst.one_of(hst.text(max_size=40), _JSON.map(json.dumps),
+                  hst.lists(hst.one_of(hst.integers(), hst.text(max_size=6)),
+                            min_size=4, max_size=4).map(json.dumps)))
+def test_fuzz_start_file(content):
+    import os
+    import tempfile
+
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(content)
+        _assert_documented(["orbits", "rect:2,2", "--level", "pl", "--start", f"file:{path}"])
+    finally:
+        os.unlink(path)

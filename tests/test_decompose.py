@@ -28,7 +28,7 @@ from rowmotion.families import (
     shifted_staircase,
     trapezoid,
 )
-from rowmotion.linalg import rank_rational, solve_exact, solve_fraction_free
+from rowmotion.linalg import factor, rank_rational
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
 from rowmotion.statistics import RATIONAL, indicator_ideal
 
@@ -78,21 +78,28 @@ def test_decompose_implies_homomesy_under_all_rank_permutations():
         assert rep.is_homomesic and rep.constant == dec.constant
 
 
+def _solve(rows, rhs):
+    """The unique solution of the integer system rows . x = rhs, by the kernel."""
+    fact = factor(rows)
+    return [Fraction(v, fact.det) for v in fact.replay([rhs[i] for i in fact.rows])]
+
+
 def test_certificate_uniqueness_under_row_permutation():
     P = rectangle(2, 3)
     f = named_statistic(P, "ideal_card")
-    masks = P.ideal_masks()
-    columns = [[Fraction(1)] * len(masks)] + [
-        list(t_signed(P, p).values) for p in range(P.n)
+    columns = [[1] * len(P.ideal_masks())] + [
+        [int(v) for v in t_signed(P, p).values] for p in range(P.n)
     ]
-    base = solve_exact(columns, list(f.values))
+    rows = [list(row) for row in zip(*columns)]
+    rhs = [int(v) for v in f.values]
+    base = _solve(rows, rhs)
+    dec = decompose(P, f)
+    assert base == [dec.constant, *dec.coeffs]
     rng = random.Random(3)
     for _ in range(5):
-        perm = list(range(len(masks)))
+        perm = list(range(len(rows)))
         rng.shuffle(perm)
-        cols = [[col[i] for i in perm] for col in columns]
-        rhs = [f.values[i] for i in perm]
-        assert solve_exact(cols, rhs) == base
+        assert _solve([rows[i] for i in perm], [rhs[i] for i in perm]) == base
 
 
 def _leibniz_det(rows):
@@ -109,6 +116,10 @@ def _leibniz_det(rows):
     return total
 
 
+def _solves(rows, rhs, det, y):
+    return all(sum(a * v for a, v in zip(row, y)) == det * b for row, b in zip(rows, rhs))
+
+
 def test_fraction_free_solve_matches_rational_solve():
     rng = random.Random(11)
     singular = 0
@@ -117,17 +128,41 @@ def test_fraction_free_solve_matches_rational_solve():
         rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
                 for _ in range(n)]
         rhs = [rng.randint(-9, 9) for _ in range(n)]
-        det, y = solve_fraction_free(rows, rhs)
-        assert det == _leibniz_det(rows)
-        if not det:
-            assert y is None
+        fact = factor(rows)
+        det = _leibniz_det(rows)
+        if fact is None:
+            assert det == 0
             singular += 1
             continue
-        columns = [[row[j] for row in rows] for j in range(n)]
-        assert [Fraction(v, det) for v in y] == solve_exact(columns, rhs)
+        assert fact.det == det
+        assert _solves(rows, rhs, det, fact.replay(rhs))
     assert 0 < singular < 60
     # a zero leading entry needs a row swap, which flips the sign of det
-    assert solve_fraction_free([[0, 1], [1, 0]], [2, 3]) == (-1, [-3, -2])
+    fact = factor([[0, 1], [1, 0]])
+    assert (fact.det, fact.replay([2, 3])) == (-1, [-3, -2])
+
+
+def test_tall_factor_pivots_on_independent_rows():
+    rng = random.Random(12)
+    deficient = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-4, 4))) for _ in range(n)]
+                for _ in range(rng.randint(n, 2 * n + 2))]
+        rhs = [rng.randint(-9, 9) for _ in rows]
+        fact = factor(rows)
+        if rank_rational(rows) < n:
+            assert fact is None
+            deficient += 1
+            continue
+        # the pivot rows are the first n independent rows, in input order,
+        # and det is their determinant
+        assert list(fact.rows) == [i for i in range(len(rows))
+                                   if rank_rational(rows[:i + 1]) > rank_rational(rows[:i])]
+        assert fact.det == _leibniz_det([rows[i] for i in fact.rows])
+        b = [rhs[i] for i in fact.rows]
+        assert _solves([rows[i] for i in fact.rows], b, fact.det, fact.replay(b))
+    assert 0 < deficient < 60
 
 
 def test_random_in_span_statistics_recovered():
@@ -294,18 +329,18 @@ def _not_in_span_statistics():
     yield "rect:3,3 centre", P, 2 * indicator_ideal(P, P.element_at((2, 2)))
 
 
-def _spy_on_solve(monkeypatch):
-    """Record the number of rows offered to each solve_exact call."""
+def _spy_on_factor(monkeypatch):
+    """Record the number of rows of each factorization decompose runs."""
     import importlib
 
     mod = importlib.import_module("rowmotion.decompose")
     calls = []
 
-    def spy(columns, rhs):
-        calls.append(len(rhs))
-        return solve_exact(columns, rhs)
+    def spy(rows):
+        calls.append(len(rows))
+        return factor(rows)
 
-    monkeypatch.setattr(mod, "solve_exact", spy)
+    monkeypatch.setattr(mod, "factor", spy)
     return mod, calls
 
 
@@ -314,13 +349,18 @@ def _answer(dec):
 
 
 def test_structured_rows_reach_full_rank(monkeypatch):
-    mod, calls = _spy_on_solve(monkeypatch)
+    mod, calls = _spy_on_factor(monkeypatch)
+    seen = set()
     for spec, P, f in _ladder_statistics():
         calls.clear()
         dec = decompose(P, f)
         assert dec is not None or f.label == "ideal_card", spec
-        assert calls == [len(mod._structured_rows(P))], spec
-        assert calls[0] <= 2 * P.n + 1
+        if spec in seen:  # a second statistic on the poset factors nothing
+            assert calls == [], spec
+        else:
+            assert calls == [len(mod._structured_rows(P))], spec
+            assert calls[0] <= 2 * P.n + 1
+        seen.add(spec)
     for spec, P, f in _not_in_span_statistics():
         calls.clear()
         assert decompose(P, f) is None, spec
@@ -329,17 +369,48 @@ def test_structured_rows_reach_full_rank(monkeypatch):
 
 def test_full_scan_fallback_gives_same_answers(monkeypatch):
     expected = [_answer(decompose(P, f)) for _, P, f in _ladder_statistics()]
-    mod, calls = _spy_on_solve(monkeypatch)
+    mod, calls = _spy_on_factor(monkeypatch)
     monkeypatch.setattr(mod, "_structured_rows", lambda P: [0])
+    seen = set()
     for (spec, P, f), want in zip(_ladder_statistics(), expected):
         calls.clear()
         dec = decompose(P, f)
-        assert calls == [1, len(P.ideal_masks())], spec  # the fallback ran
+        # the fallback ran for the first statistic, and its system is kept
+        assert calls == ([] if spec in seen else [1, len(P.ideal_masks())]), spec
+        seen.add(spec)
         assert _answer(dec) == want, spec
     for spec, P, f in _not_in_span_statistics():
         calls.clear()
         assert decompose(P, f) is None, spec
-        assert calls[0] == 1 and calls[-1] == len(P.ideal_masks()), spec
+        assert calls == [1, len(P.ideal_masks())], spec
+
+
+def test_star_takes_the_all_ideals_fallback():
+    """The affine D4 star: its structured rows have rank n < n+1."""
+    import importlib
+
+    from rowmotion import constant_statistic, t_q
+    from rowmotion.statistics import QRATIONAL
+
+    mod = importlib.import_module("rowmotion.decompose")
+    P = Poset(6, [(0, 1), (1, 2), (1, 3), (1, 5)])  # element 4 is isolated
+    assert rank_rational(mod._rows_at(P, mod._structured_rows(P))) == P.n
+    f = constant_statistic(P, Fraction(3, 2)) + 2 * t_signed(P, 1)
+    f = f - Fraction(1, 3) * t_signed(P, 4)
+    dec = decompose(P, f)
+    ideals, _, _ = mod._system(P)  # the fallback chose rows beyond the structured ones
+    assert not set(ideals) <= set(mod._structured_rows(P))
+    assert dec.constant == Fraction(3, 2)
+    assert dec.coeffs == (0, 2, 0, 0, Fraction(-1, 3), 0)
+    q = RationalFunction.q()
+    fq = Statistic(P, [RationalFunction.const(Fraction(3, 2))] * len(P.ideal_masks()),
+                   kind=QRATIONAL)
+    fq = fq + (q + 1) * t_q(P, 1) - Fraction(1, 3) * t_q(P, 4)
+    qdec = q_decompose(P, fq)
+    assert qdec.constant == Fraction(3, 2)
+    assert qdec.coeffs == (0, q + 1, 0, 0, Fraction(-1, 3), 0)
+    g = named_statistic(P, "antichain_card")
+    assert decompose(P, g) is None and q_decompose(P, g) is None
 
 
 def test_wrong_candidate_fails_the_check():
@@ -418,15 +489,14 @@ def test_q_decompose_skips_singular_points(monkeypatch):
     cases = [(P, named_statistic(P, "antichain_card"))
              for P in (rectangle(3, 3), shifted_staircase(3))]
     expected = [_answer(q_decompose(P, f)) for P, f in cases]
-    solve = mod.solve_fraction_free
     dets = []
 
-    def spy(rows, rhs):
-        det, y = solve(rows, rhs)
-        dets.append(det)
-        return det, y
+    def spy(rows):
+        fact = factor(rows)
+        dets.append(0 if fact is None else fact.det)
+        return fact
 
-    monkeypatch.setattr(mod, "solve_fraction_free", spy)
+    monkeypatch.setattr(mod, "factor", spy)
     # q = -1 makes the chosen rows singular on both posets
     monkeypatch.setattr(mod, "_sample_points", lambda: chain([-1], count()))
     for (P, f), want in zip(cases, expected):
@@ -439,18 +509,25 @@ def test_q_decompose_skips_singular_points(monkeypatch):
 def test_q_full_scan_fallback_gives_same_answers(monkeypatch):
     from rowmotion.families import from_specifier
 
+    def cases():
+        return [(P, named_statistic(P, kind))
+                for P in (rectangle(2, 3), shifted_staircase(3), from_specifier("rootD:4"))
+                for kind in ("antichain_card", "ideal_card")]
+
     mod = _q_module()
-    cases = [(P, named_statistic(P, kind))
-             for P in (rectangle(2, 3), shifted_staircase(3), from_specifier("rootD:4"))
-             for kind in ("antichain_card", "ideal_card")]
-    expected = [_answer(q_decompose(P, f)) for P, f in cases]
+    expected = [_answer(q_decompose(P, f)) for P, f in cases()]
     assert expected.count(None) == 4
+    mod, calls = _spy_on_factor(monkeypatch)
     monkeypatch.setattr(mod, "_structured_rows", lambda P: [0])
-    for (P, f), want in zip(cases, expected):
+    for (P, f), want in zip(cases(), expected):
+        calls.clear()
         assert _answer(q_decompose(P, f)) == want
-    monkeypatch.setattr(mod, "_square_rows", lambda P, candidates: [])
-    with pytest.raises(mod.DependentColumnsError):
-        q_decompose(*cases[0])
+        if f.label == "antichain_card":  # the first statistic on P ran the fallback
+            assert calls[:2] == [1, len(P.ideal_masks())]
+    monkeypatch.setattr(mod, "factor", lambda rows: None)
+    for solve in (q_decompose, decompose):
+        with pytest.raises(mod.DependentColumnsError):
+            solve(*cases()[0])
 
 
 def test_q_decompose_not_in_span_controls():
