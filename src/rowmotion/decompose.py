@@ -15,7 +15,9 @@ factorization on a statistic and checks the candidate exactly once against
 every ideal, as a sparse integer residual over the toggle table; a
 candidate that fails was the only possible solution, so the statistic is
 not in the span.  `q_decompose` refactors the same pivot rows at integer
-values of q and interpolates (see its docstring).
+values of q and interpolates (see its docstring).  `toggleability_space_dims`
+(Table 2) replays the same factorizations on each observable and takes the
+rank of the stacked residuals, so the package has one elimination kernel.
 """
 
 from __future__ import annotations
@@ -23,17 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import count, islice
 from math import lcm
 
-from .linalg import (
-    DependentColumnsError,
-    factor,
-    intersect_spans,
-    null_space_basis,
-    rank_rational,
-    span_basis,
-)
+from .linalg import DependentColumnsError, factor, rank_rational
 from .poset import CapExceededError, Poset, enumerate_antichains
 from .qpoly import (
     CertificateError,
@@ -127,7 +122,7 @@ def _system(P: Poset):
         for candidates in (_structured_rows(P), range(len(P.ideal_masks()))):
             rows = _rows_at(P, candidates)
             fact = factor(rows)
-            if fact is not None:
+            if fact.det:
                 P._certificate_system = (
                     [candidates[i] for i in fact.rows], [rows[i] for i in fact.rows], fact)
                 break
@@ -157,16 +152,33 @@ def _rows_at(P, ideals):
     return rows
 
 
-def _is_certificate(P, values, sol, z=1):
-    """True iff values == sol[0] + sum_p sol[p+1] * T^z_p on every ideal,
-    with T^z_p = 1 where p is addable and -z where removable (T_p at z = 1).
+def _residual(P, values, sol, z=1):
+    """values - sol[0] - sum_p sol[p+1] * T^z_p on every ideal, with
+    T^z_p = 1 where p is addable and -z where removable (T_p at z = 1).
 
-    The solvers pass integers (det * numerators against det * x), so the
-    check is integer arithmetic over the toggle-table entries.
+    The solvers pass integers (det * numerators against det * x), so this
+    is integer arithmetic over the toggle-table entries.
     """
     residual = [v - sol[0] for v in values]
-    accumulate_toggles(P, residual, [-c for c in sol[1:]], [z * c for c in sol[1:]])
-    return not any(residual)
+    return accumulate_toggles(P, residual, [-c for c in sol[1:]], [z * c for c in sol[1:]])
+
+
+def _is_certificate(P, values, sol, z=1):
+    """True iff values == sol[0] + sum_p sol[p+1] * T^z_p on every ideal."""
+    return not any(_residual(P, values, sol, z))
+
+
+_sample_points = count  # the integers at which q is specialized
+
+
+def _nonsingular_points(P: Poset):
+    """(z, factorization at q = z) of the pivot rows of P's certificate
+    system, at each of the `_sample_points` where they are nonsingular."""
+    _, square, _ = _system(P)
+    for z in _sample_points():
+        fact = factor([[-z if s < 0 else s for s in row] for row in square])
+        if fact.det:
+            yield z, fact
 
 
 def q_decompose(P: Poset, f: Statistic):
@@ -188,40 +200,36 @@ def q_decompose(P: Poset, f: Statistic):
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    fq = f.as_q()
-    rhs, scale = _cleared_rhs(fq.values)
-    ideals, square, _ = _system(P)
+    rhs, scale = _cleared_rhs(f)
+    ideals, _, _ = _system(P)
     need = P.n + 1 + max(0, *(g.degree for g in rhs))
     good = []  # (z, det, det * x) at the points where det != 0
-    for z in _sample_points():
-        fact = factor([[-z if s < 0 else s for s in row] for row in square])
-        if fact is None:
-            continue
+    for z, fact in islice(_nonsingular_points(P), need):
         y = fact.replay([int(rhs[i].evaluate(z)) for i in ideals])
         if not good and not _is_certificate(
             P, [fact.det * int(g.evaluate(z)) for g in rhs], y, z
         ):
             return None
         good.append((z, fact.det, *y))
-        if len(good) == need:
-            break
     points, *columns = zip(*good)
     det_poly, *num_polys = interpolate(points, columns)
     den = det_poly * scale
     sol = [RationalFunction(num, den) for num in num_polys]
-    if not _verify_q_certificate(P, fq, sol):
+    if not _verify_q_certificate(P, rhs, scale, sol):
         return None
     for c in sol:
         _check_no_nonnegative_pole(c)
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
 
 
-_sample_points = count  # the integers at which q_decompose specializes q
-
-
-def _cleared_rhs(values):
-    """(g, s): the polynomials g[i] = s * values[i], with integer
-    coefficients, and s in Q[q] the least common denominator that does it."""
+def _cleared_rhs(f: Statistic):
+    """(g, s): the polynomials g[i] = s * f(I_i), with integer coefficients,
+    and s in Q[q] the least common denominator that does it.  A rational
+    statistic clears to constants over one integer, with no Q(q) arithmetic."""
+    if f.kind == RATIONAL:
+        nums, den = common_numerators(f.values)
+        return [Polynomial((v,)) for v in nums], Polynomial((den,))
+    values = f.values
     den = Polynomial((1,))
     for d in {v.den for v in values}:
         den = den.exact_div(poly_gcd(den, d)) * d
@@ -230,12 +238,13 @@ def _cleared_rhs(values):
     return [p * k for p in polys], den * k
 
 
-def _verify_q_certificate(P, fq, sol):
+def _verify_q_certificate(P, g, s, sol):
     """Exact reconstruction check, cleared to a polynomial identity.
 
-    With h(q) the product of all coefficient denominators, verifying
-    h*f(I) = h*c + sum_p (h*c_p) * T^q_p(I) entrywise over Q[q] is
-    equivalent to the rational-function identity and avoids per-entry gcds.
+    With h(q) the product of all coefficient denominators and f = g / s the
+    cleared statistic, verifying s*(h*c + sum_p (h*c_p) * T^q_p(I)) = h*g(I)
+    entrywise over Q[q] is equivalent to the rational-function identity and
+    avoids per-entry gcds.
     """
     h = Polynomial((1,))
     for c in sol:
@@ -245,7 +254,7 @@ def _verify_q_certificate(P, fq, sol):
     qpow = Polynomial((0, 1))
     acc = [cleared[0]] * len(P.ideal_masks())
     accumulate_toggles(P, acc, cleared[1:], [-(c * qpow) for c in cleared[1:]])
-    return all(a * t.den == t.num * h for a, t in zip(acc, fq.values))
+    return all(a * s == h * gi for a, gi in zip(acc, g))
 
 
 def _check_no_nonnegative_pole(c: RationalFunction):
@@ -275,49 +284,42 @@ def toggleability_space_dims(P: Poset) -> dict:
     of the antichain indicators (dim_A) and ideal indicators (dim_I), plus
     their q-analogues.
 
-    All four spaces consist of rational-coefficient combinations of the
-    observables.  For the q-analogues, membership of a rational vector in the
-    Q(q)-span of {1, T^q_p} is decided exactly by specialization: the
-    defining minors have q-degree at most n+1, so membership at n+2 distinct
-    nonnegative integers (where the specialized columns stay independent) is
-    equivalent to membership over Q(q).
+    All four spaces consist of rational-coefficient combinations a of the n
+    observables.  At a point z where the pivot rows of the certificate system
+    are nonsingular, each observable's candidate from those rows leaves a
+    residual R_j(z) over every ideal (`_residual`), and sum_j a_j * obs_j is
+    in the span of {1, T^z_p} iff R(z) a = 0; each dimension is n minus the
+    rank of the stacked R.  Over Q that is z = 1.  Over Q(q), det(q) * R(q)
+    has q-degree at most n+1 (pivot-row entries of degree <= 1, an adjugate
+    of degree <= n, observables constant in q), so it vanishes iff it
+    vanishes at n+2 points, here the first n+2 nonsingular ones.
     """
     masks = P.ideal_masks()
-    nideals = len(masks)
-    ones = [1] * nideals
-    t_rows = [toggle_vector(P, p, 1, -1, 0) for p in range(P.n)]
     out_rows = [toggle_vector(P, p, 0, 1, 0) for p in range(P.n)]
     ind_rows = [[m >> p & 1 for m in masks] for p in range(P.n)]
-
-    base = [ones] + t_rows
-    rank_m = rank_rational(base)
-    dim_a = P.n - (rank_rational(base + out_rows) - rank_m)
-    dim_i = P.n - (rank_rational(base + ind_rows) - rank_m)
-
-    def q_dim(obs_rows):
-        space = None
-        for z in range(P.n + 2):
-            cols = [ones] + [toggle_vector(P, p, 1, -z, 0) for p in range(P.n)]
-            # x feasible at q=z iff [cols | -obs] has a null vector over x
-            equations = []
-            for i in range(nideals):
-                equations.append(
-                    [col[i] for col in cols] + [-row[i] for row in obs_rows]
-                )
-            nv = len(cols) + len(obs_rows)
-            basis = null_space_basis(equations, nv)
-            proj = span_basis([v[len(cols):] for v in basis])
-            space = proj if space is None else intersect_spans(space, proj)
-            if not space:
-                return 0
-        return len(space)
-
+    at_one = [(1, _system(P)[2])]
+    points = list(islice(_nonsingular_points(P), P.n + 2))
     return {
-        "dim_A": dim_a,
-        "dim_I": dim_i,
-        "dim_A_q": q_dim(out_rows),
-        "dim_I_q": q_dim(ind_rows),
+        "dim_A": P.n - _residual_rank(P, out_rows, at_one),
+        "dim_I": P.n - _residual_rank(P, ind_rows, at_one),
+        "dim_A_q": P.n - _residual_rank(P, out_rows, points),
+        "dim_I_q": P.n - _residual_rank(P, ind_rows, points),
     }
+
+
+def _residual_rank(P, observables, points):
+    """Rank of the residual maps R(z), stacked over the (z, factorization)
+    points: column j of R(z) is the residual over every ideal of
+    observables[j] after its candidate from the pivot rows at q = z."""
+    ideals = _system(P)[0]
+    rows = []
+    for z, fact in points:
+        residuals = [
+            _residual(P, [fact.det * v for v in obs], fact.replay([obs[i] for i in ideals]), z)
+            for obs in observables
+        ]
+        rows += [row for row in zip(*residuals) if any(row)]
+    return len(factor(rows).rows) if rows else 0
 
 
 def antichain_span_dim(P: Poset, cap: int = 1000) -> int:

@@ -287,6 +287,9 @@ class Poset:
         are all in the new ideal.
         """
         if self._ideal_masks is None:
+            # each mask holds n bits: bound the count so the memory stays
+            # that of DEFAULT_IDEAL_CAP masks of 64 bits
+            cap = min(cap, DEFAULT_IDEAL_CAP * 64 // max(self.n, 64))
             down = self.down_covers
             # gains[x]: (bit, lower covers) of each upper cover of x
             gains = [tuple((1 << y, down[y]) for y in self.upper_covers[x])

@@ -377,6 +377,40 @@ def test_family_size_is_bounded_before_building(spec):
     assert str(MAX_ELEMENTS) in json.loads(out)["detail"]
 
 
+def test_ideal_enumeration_is_bounded_by_memory():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # rect:100,100 is inside the element bound but has C(200,100) ideals of
+    # 10 000 bits each: the count cap must shrink with the mask size.  The
+    # address-space limit turns a regression into a MemoryError (exit 4)
+    # instead of gigabytes of memory.
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from rowmotion.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['orbits', 'rect:100,100'])\n"
+        "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "print(code, time.perf_counter() - start, usage.ru_maxrss, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    code, seconds, max_rss_kb = out.stderr.splitlines()[-1].split()
+    assert code == "3"
+    data = json.loads(out.stdout)
+    assert data["error"] == "resource cap" and "order ideals" in data["detail"]
+    assert float(seconds) < 5
+    # building the 10 000-element poset alone takes about 70 MB; the
+    # enumeration adds a few MB, where a count cap alone lets it pass 1 GB
+    assert int(max_rss_kb) < 150 * 1024
+
+
 def test_file_poset_size_is_bounded_before_building(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": 10 ** 9, "covers": []}))

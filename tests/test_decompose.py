@@ -30,7 +30,7 @@ from rowmotion.families import (
 )
 from rowmotion.linalg import factor, rank_rational
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
-from rowmotion.statistics import RATIONAL, indicator_ideal
+from rowmotion.statistics import RATIONAL, indicator_ideal, t_out
 
 
 def chain(n):
@@ -116,6 +116,25 @@ def _leibniz_det(rows):
     return total
 
 
+def _rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions: a reference that
+    shares no code with the kernel in linalg."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                m = rows[r][c] / top[c]
+                rows[r] = [a - m * b for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
 def _solves(rows, rhs, det, y):
     return all(sum(a * v for a, v in zip(row, y)) == det * b for row, b in zip(rows, rhs))
 
@@ -130,7 +149,7 @@ def test_fraction_free_solve_matches_rational_solve():
         rhs = [rng.randint(-9, 9) for _ in range(n)]
         fact = factor(rows)
         det = _leibniz_det(rows)
-        if fact is None:
+        if fact.det == 0:
             assert det == 0
             singular += 1
             continue
@@ -151,18 +170,43 @@ def test_tall_factor_pivots_on_independent_rows():
                 for _ in range(rng.randint(n, 2 * n + 2))]
         rhs = [rng.randint(-9, 9) for _ in rows]
         fact = factor(rows)
-        if rank_rational(rows) < n:
-            assert fact is None
+        # the pivot rows are the first independent rows, in input order
+        assert list(fact.rows) == [i for i in range(len(rows))
+                                   if _rank(rows[:i + 1]) > _rank(rows[:i])]
+        if _rank(rows) < n:
+            assert fact.det == 0
             deficient += 1
             continue
-        # the pivot rows are the first n independent rows, in input order,
         # and det is their determinant
-        assert list(fact.rows) == [i for i in range(len(rows))
-                                   if rank_rational(rows[:i + 1]) > rank_rational(rows[:i])]
         assert fact.det == _leibniz_det([rows[i] for i in fact.rows])
         b = [rhs[i] for i in fact.rows]
         assert _solves([rows[i] for i in fact.rows], b, fact.det, fact.replay(b))
     assert 0 < deficient < 60
+
+
+def test_factor_rank_on_wide_and_deficient_matrices():
+    rng = random.Random(13)
+    deficient = 0
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        rank = rng.randint(0, n)
+        # products of random m x rank and rank x n factors: rank at most `rank`,
+        # and wide whenever fewer than n rows are drawn
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rng.randint(1, n + 2))]
+        right = [[rng.choice((0, 0, 1, -1, rng.randint(-5, 5))) for _ in range(n)]
+                 for _ in range(rank)]
+        rows = [[sum(a * right[k][c] for k, a in enumerate(row)) for c in range(n)]
+                for row in left]
+        fact = factor(rows)
+        want = _rank(rows)
+        assert len(fact.rows) == want
+        assert (fact.det == 0) == (want < n)
+        deficient += want < n
+        scaled = [[Fraction(v, d) for v in row] for row, d in
+                  zip(rows, (rng.randint(1, 6) for _ in rows))]
+        assert rank_rational(scaled) == want
+    assert 0 < deficient < 80
+    assert rank_rational([]) == 0
 
 
 def test_random_in_span_statistics_recovered():
@@ -268,6 +312,62 @@ def test_toggleability_space_dims_examples():
     assert dims == {"dim_A": 3, "dim_I": 3, "dim_A_q": 1, "dim_I_q": 0}
 
 
+def _random_poset(rng, n):
+    """A random poset on 0..n-1 (a < b only for a < b as integers), given by
+    its cover relations."""
+    below = [0] * n  # below[b]: mask of the elements under b
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < 0.35:
+                below[b] |= 1 << a | below[a]
+    return Poset(n, [(a, b) for b in range(n) for a in range(b) if below[b] >> a & 1
+                     and not any(below[c] >> a & 1 for c in range(n) if below[b] >> c & 1)])
+
+
+def _classical_dims(P):
+    """dim_A and dim_I from the rank formula n - (rank(M + obs) - rank(M)),
+    with M the rows 1, T_0, ..., T_{n-1}, by the Fraction reference rank."""
+    base = [[1] * len(P.ideal_masks())] + [t_signed(P, p).values for p in range(P.n)]
+    out_rows = [t_out(P, p).values for p in range(P.n)]
+    ind_rows = [[m >> p & 1 for m in P.ideal_masks()] for p in range(P.n)]
+    rank_m = _rank(base)
+    return {"dim_A": P.n - (_rank(base + out_rows) - rank_m),
+            "dim_I": P.n - (_rank(base + ind_rows) - rank_m)}
+
+
+# (n, covers) -> toggleability_space_dims, recorded before the dimensions
+# were computed from the certificate system; the first is the affine D4 star,
+# whose structured rows fall short of full rank
+TABLE2_OFF_FAMILY = [
+    ((6, [(0, 1), (1, 2), (1, 3), (1, 5)]), (5, 5, 4, 4)),
+    ((6, [(0, 1), (1, 2), (2, 5), (4, 5)]), (5, 5, 2, 2)),
+    ((3, [(1, 2)]), (3, 3, 3, 3)),
+    ((6, [(0, 5), (1, 5), (2, 5), (4, 5)]), (5, 5, 4, 4)),
+    ((6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)]), (4, 4, 2, 2)),
+    ((7, [(0, 2), (0, 3), (1, 4), (3, 4), (3, 6), (5, 6)]), (3, 3, 0, 0)),
+    ((4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (2, 2, 2, 2)),
+    ((7, [(0, 1), (0, 6), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4)]), (4, 4, 1, 1)),
+    ((7, [(0, 3), (0, 6), (1, 3), (1, 4), (4, 5)]), (4, 4, 1, 1)),
+]
+
+
+def test_toggleability_space_dims_off_the_families():
+    import importlib
+
+    mod = importlib.import_module("rowmotion.decompose")
+    rng = random.Random(2024)
+    for k, ((n, covers), want) in enumerate(TABLE2_OFF_FAMILY):
+        P = Poset(n, covers)
+        if k:  # the rest are the seeded random posets, in order
+            assert P.covers == _random_poset(rng, rng.randint(3, 7)).covers
+        dims = toggleability_space_dims(P)
+        assert tuple(dims.values()) == want, covers
+        assert list(dims) == ["dim_A", "dim_I", "dim_A_q", "dim_I_q"]
+        assert {k: dims[k] for k in ("dim_A", "dim_I")} == _classical_dims(P), covers
+    star = Poset(*TABLE2_OFF_FAMILY[0][0])
+    assert not set(mod._system(star)[0]) <= set(mod._structured_rows(star))
+
+
 def test_antichain_span_dims():
     P = rectangle(2, 2)
     assert antichain_span_dim(P) == 4
@@ -280,7 +380,7 @@ def test_antichain_span_dims():
         orbits = orbit_partition(lambda I: rowmotion(D, I), ideals)
         assert antichain_span_dim(D) == len(ideals) - len(orbits)
         rows = [t_signed(D, p).values for p in range(D.n)]
-        assert rank_rational(rows) == len(ideals) - len(orbits)
+        assert _rank(rows) == len(ideals) - len(orbits)
 
 
 def test_antichain_span_cap():
@@ -394,7 +494,7 @@ def test_star_takes_the_all_ideals_fallback():
 
     mod = importlib.import_module("rowmotion.decompose")
     P = Poset(6, [(0, 1), (1, 2), (1, 3), (1, 5)])  # element 4 is isolated
-    assert rank_rational(mod._rows_at(P, mod._structured_rows(P))) == P.n
+    assert _rank(mod._rows_at(P, mod._structured_rows(P))) == P.n
     f = constant_statistic(P, Fraction(3, 2)) + 2 * t_signed(P, 1)
     f = f - Fraction(1, 3) * t_signed(P, 4)
     dec = decompose(P, f)
@@ -493,7 +593,7 @@ def test_q_decompose_skips_singular_points(monkeypatch):
 
     def spy(rows):
         fact = factor(rows)
-        dets.append(0 if fact is None else fact.det)
+        dets.append(fact.det)
         return fact
 
     monkeypatch.setattr(mod, "factor", spy)
@@ -524,7 +624,7 @@ def test_q_full_scan_fallback_gives_same_answers(monkeypatch):
         assert _answer(q_decompose(P, f)) == want
         if f.label == "antichain_card":  # the first statistic on P ran the fallback
             assert calls[:2] == [1, len(P.ideal_masks())]
-    monkeypatch.setattr(mod, "factor", lambda rows: None)
+    monkeypatch.setattr(mod, "factor", lambda rows: factor(rows)._replace(det=0))
     for solve in (q_decompose, decompose):
         with pytest.raises(mod.DependentColumnsError):
             solve(*cases()[0])
