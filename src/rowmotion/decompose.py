@@ -4,20 +4,23 @@ A Decomposition is the certificate f = c + sum_p c_p T_p (or its q-analogue
 with T^q_p over Q(q)).  The columns 1, T_0, ..., T_{n-1} are linearly
 independent, so a certificate is unique when it exists.
 
-`decompose` and `q_decompose` share one certificate system per poset,
-factored once at q = 1 by the Bareiss kernel of `linalg` and cached on the
-poset: the rows [1, T_0(I), ..., T_{n-1}(I)] at the ideals {}, <p> (the
-down-set of p) and <p> - {p} for every element p, at most 2n+1 rows.  They
-can fall short of rank n+1 (on the affine D4 star, with covers (0,1),
-(1,2), (1,3), (1,5) and 4 isolated, they have rank 6), and only then are
-the rows at every ideal factored instead.  `decompose` replays the
-factorization on a statistic and checks the candidate exactly once against
-every ideal, as a sparse integer residual over the toggle table; a
-candidate that fails was the only possible solution, so the statistic is
-not in the span.  `q_decompose` refactors the same pivot rows at integer
-values of q and interpolates (see its docstring).  `toggleability_space_dims`
-(Table 2) replays the same factorizations on each observable and takes the
-rank of the stacked residuals, so the package has one elimination kernel.
+`decompose` and `q_decompose` read a statistic's cleared form
+(`Statistic.nums` over `Statistic.den`), so every solve and check runs on
+integers.  They share one certificate system per poset, factored once at
+q = 1 by the Bareiss kernel of `linalg` and cached on the poset: the rows
+[1, T_0(I), ..., T_{n-1}(I)] at the ideals {}, <p> (the down-set of p) and
+<p> - {p} for every element p, at most 2n+1 rows.  They can fall short of
+rank n+1 (on the affine D4 star, with covers (0,1), (1,2), (1,3), (1,5) and
+4 isolated, they have rank 6), and only then are the rows at every ideal
+factored instead.  `decompose` replays the factorization on a statistic and
+checks the candidate exactly once against every ideal, as a sparse integer
+residual over the toggle table; a candidate that fails was the only
+possible solution, so the statistic is not in the span.  `q_decompose`
+refactors the same pivot rows at integer values of q, interpolates, and
+checks the result with the same residual at integer values of q (see its
+docstring).  `toggleability_space_dims` (Table 2) replays the same
+factorizations on each observable and takes the rank of the stacked
+residuals, so the package has one elimination kernel.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from functools import partial
 from itertools import count, islice
 from math import lcm
 
-from .linalg import DependentColumnsError, factor, rank_rational
+from .linalg import DependentColumnsError, factor
 from .poset import CapExceededError, Poset, enumerate_antichains
 from .qpoly import (
     CertificateError,
-    Polynomial,
     RationalFunction,
     format_fraction,
+    horner,
     interpolate,
-    poly_gcd,
     rational_roots,
 )
 from .statistics import (
@@ -45,7 +47,6 @@ from .statistics import (
     Statistic,
     accumulate_toggles,
     antichain_toggleability,
-    common_numerators,
     toggle_vector,
 )
 
@@ -107,11 +108,11 @@ def decompose(P: Poset, f: Statistic):
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
     ideals, _, fact = _system(P)
-    nums, den = common_numerators(f.values)
+    nums = f.nums
     y = fact.replay([nums[i] for i in ideals])
     if not _is_certificate(P, [fact.det * v for v in nums], y):
         return None
-    sol = [Fraction(v, fact.det * den) for v in y]
+    sol = [Fraction(v, fact.det * f.den) for v in y]
     return Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
 
 
@@ -184,77 +185,83 @@ def _nonsingular_points(P: Poset):
 def q_decompose(P: Poset, f: Statistic):
     """Certificate f = c(q) + sum c_p(q) T^q_p over Q(q), or None.
 
-    f, with rational or Q(q) values, is cleared to integer polynomials
-    g = s(q) * f of degree <= d; the solve does no arithmetic in Q(q).  The
-    n+1 pivot rows shared with `decompose`, independent at q = 1, have
-    entries of q-degree <= 1, so by Cramer's rule x_j = N_j(q) / det(q)
-    with deg det <= n, deg N_j <= n+d.  That square system, in one fixed row
+    f, with rational or Q(q) values, is read in its cleared form g / s, g
+    integer polynomials of degree <= d; the solve does no arithmetic in Q(q).
+    The n+1 pivot rows shared with `decompose`, independent at q = 1, have
+    entries of q-degree <= 1, so by Cramer's rule x_j = N_j(q) / det(q) with
+    deg det <= n, deg N_j <= n+d.  That square system, in one fixed row
     order, is factored and replayed on g at q = 0, 1, 2, ..., skipping roots
     of det, until n+1+d points are in hand; det and the N_j are then
     interpolated once.  The first point is no pole, so a Q(q) certificate
     would specialize to the candidate there: a nonzero residual over the
     ideals returns None before any interpolation.  The result is checked
-    once, as a polynomial identity over every ideal; its coefficients are
-    checked to have no pole at any nonnegative rational, which makes every
-    specialization q := r/s legal.
+    once, as a polynomial identity over every ideal (`_is_q_certificate`);
+    its coefficients are then checked to have no pole at any nonnegative
+    rational, which makes every specialization q := r/s legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    rhs, scale = _cleared_rhs(f)
     ideals, _, _ = _system(P)
-    need = P.n + 1 + max(0, *(g.degree for g in rhs))
     good = []  # (z, det, det * x) at the points where det != 0
-    for z, fact in islice(_nonsingular_points(P), need):
-        y = fact.replay([int(rhs[i].evaluate(z)) for i in ideals])
-        if not good and not _is_certificate(
-            P, [fact.det * int(g.evaluate(z)) for g in rhs], y, z
-        ):
+    for z, fact in islice(_nonsingular_points(P), P.n + 1 + _degrees(f)[1]):
+        g, _ = _cleared_at(f, z)
+        y = fact.replay([g[i] for i in ideals])
+        if not good and not _is_certificate(P, [fact.det * v for v in g], y, z):
             return None
         good.append((z, fact.det, *y))
     points, *columns = zip(*good)
     det_poly, *num_polys = interpolate(points, columns)
-    den = det_poly * scale
-    sol = [RationalFunction(num, den) for num in num_polys]
-    if not _verify_q_certificate(P, rhs, scale, sol):
+    sol = [RationalFunction(num, det_poly * f.den) for num in num_polys]
+    if not _is_q_certificate(P, f, sol):
         return None
-    for c in sol:
+    for c in {c.den: c for c in sol}.values():  # once per distinct denominator
         _check_no_nonnegative_pole(c)
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
 
 
-def _cleared_rhs(f: Statistic):
-    """(g, s): the polynomials g[i] = s * f(I_i), with integer coefficients,
-    and s in Q[q] the least common denominator that does it.  A rational
-    statistic clears to constants over one integer, with no Q(q) arithmetic."""
+def _degrees(f: Statistic):
+    """(deg s, max deg g) of the cleared form g / s of f."""
     if f.kind == RATIONAL:
-        nums, den = common_numerators(f.values)
-        return [Polynomial((v,)) for v in nums], Polynomial((den,))
-    values = f.values
-    den = Polynomial((1,))
-    for d in {v.den for v in values}:
-        den = den.exact_div(poly_gcd(den, d)) * d
-    polys = [v.num if v.den == den else v.num * den.exact_div(v.den) for v in values]
-    k = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [p * k for p in polys], den * k
+        return 0, 0
+    return f.den.degree, max(0, *(g.degree for g in set(f.nums)))
 
 
-def _verify_q_certificate(P, g, s, sol):
-    """Exact reconstruction check, cleared to a polynomial identity.
+def _cleared_at(f: Statistic, z: int):
+    """(g(z) on every ideal, s(z)), in integers, for f in cleared form g / s."""
+    if f.kind == RATIONAL:
+        return f.nums, f.den
+    return [horner(g, z) for g in f.nums], horner(f.den, z)
 
-    With h(q) the product of all coefficient denominators and f = g / s the
-    cleared statistic, verifying s*(h*c + sum_p (h*c_p) * T^q_p(I)) = h*g(I)
-    entrywise over Q[q] is equivalent to the rational-function identity and
-    avoids per-entry gcds.
+
+def _is_q_certificate(P, f, sol):
+    """Whether f = sol[0] + sum_p sol[p+1] * T^q_p on every ideal, over Q(q).
+
+    With f = g / s cleared and each sol[j] = N_j / D_j cleared to integer
+    polynomials, H * (s * C_I - g_I), where C_I is the right-hand side on
+    ideal I and H the lcm of the D_j, is a polynomial in q of degree at most
+    B = sum of deg D over the distinct D + max(deg s + max_j (deg N_j -
+    deg D_j) + 1, max_I deg g_I).  It is checked to vanish at the first B+1
+    integers z >= 0 where no D_j vanishes, so it is zero.  At each z every
+    number is an integer: with L the lcm of the D_j(z), the kernel of
+    `decompose` checks L * g(z) = s(z) * (L * C(z)) on every ideal.
     """
-    h = Polynomial((1,))
+    parts = []
     for c in sol:
-        if c.den.degree > 0:
-            h = h.exact_div(poly_gcd(h, c.den)) * c.den
-    cleared = [c.num * h.exact_div(c.den) for c in sol]
-    qpow = Polynomial((0, 1))
-    acc = [cleared[0]] * len(P.ideal_masks())
-    accumulate_toggles(P, acc, cleared[1:], [-(c * qpow) for c in cleared[1:]])
-    return all(a * s == h * gi for a, gi in zip(acc, g))
+        k = lcm(*(a.denominator for a in c.num.coeffs + c.den.coeffs))
+        parts.append((c.num * k, c.den * k))
+    dens = {D for _, D in parts}
+    deg_s, deg_g = _degrees(f)
+    bound = sum(D.degree for D in dens) + max(
+        deg_s + 1 + max(N.degree - D.degree for N, D in parts), deg_g)
+    poles_free = (z for z in count() if all(horner(D, z) for D in dens))
+    for z in islice(poles_free, bound + 1):
+        g, s = _cleared_at(f, z)
+        at = [(horner(N, z), horner(D, z)) for N, D in parts]
+        L = lcm(*(d for _, d in at))
+        x = [s * n * (L // d) for n, d in at]
+        if any(_residual(P, [L * v for v in g], x, z)):
+            return False
+    return True
 
 
 def _check_no_nonnegative_pole(c: RationalFunction):
@@ -274,9 +281,11 @@ def verify_independence(P: Poset, q_value) -> bool:
     q_value = Fraction(q_value)
     if q_value < 0:
         raise ValueError("independence is only guaranteed for q >= 0")
+    # the rows [1], T^q_p scaled by the denominator of q, in integers
+    a, b = q_value.numerator, q_value.denominator
     rows = [[1] * len(P.ideal_masks())]
-    rows += [toggle_vector(P, p, 1, -q_value, 0) for p in range(P.n)]
-    return rank_rational(rows) == P.n + 1
+    rows += [toggle_vector(P, p, b, -a, 0) for p in range(P.n)]
+    return len(factor(rows).rows) == P.n + 1
 
 
 def toggleability_space_dims(P: Poset) -> dict:
@@ -327,5 +336,5 @@ def antichain_span_dim(P: Poset, cap: int = 1000) -> int:
     masks = P.ideal_masks()
     if len(masks) > cap:
         raise CapExceededError(f"antichain count {len(masks)} exceeds cap {cap}")
-    return rank_rational([antichain_toggleability(P, A, "signed").values
-                          for A in enumerate_antichains(P)])
+    rows = [antichain_toggleability(P, A, "signed").nums for A in enumerate_antichains(P)]
+    return len(factor(rows).rows)

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q, all of it on integers.
+"""Exact linear algebra over Q, all of it on integers: callers pass integer
+rows (a statistic's cleared numerators, or rows scaled by a denominator).
 
 One fraction-free kernel serves both solving and rank.  `factor` runs a
 Bareiss elimination over an integer matrix that may have more rows than
@@ -13,29 +14,8 @@ integers, runs on it, and so does every rank.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm as _int_lcm
 from operator import mul
 from typing import NamedTuple
-
-
-def _scale_row_to_int(row):
-    lcm = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            lcm = _int_lcm(lcm, x.denominator)
-    out = []
-    for x in row:
-        if isinstance(x, Fraction):
-            out.append(int(x * lcm))
-        else:
-            out.append(int(x) * lcm)
-    return out
-
-
-def rank_rational(rows) -> int:
-    """Rank over Q of rows of rationals, each scaled to integers first."""
-    return len(factor([_scale_row_to_int(row) for row in rows]).rows) if rows else 0
 
 
 class DependentColumnsError(ValueError):

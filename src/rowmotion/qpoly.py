@@ -185,6 +185,16 @@ class Polynomial:
     __repr__ = __str__
 
 
+def horner(p: Polynomial, a: int, b: int = 1, d: int = 0) -> int:
+    """b**max(d, deg p) * p(a / b), by Horner's rule in integers, for p with
+    integer coefficients: p(a) itself when b = 1."""
+    acc, w = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * a + c.numerator * w
+        w *= b
+    return acc * b ** (d - p.degree) if d > p.degree else acc
+
+
 def _as_poly(x):
     if isinstance(x, Polynomial):
         return x
@@ -286,7 +296,7 @@ class RationalFunction:
         if num.is_zero():
             self.num, self.den = Polynomial(), Polynomial((1,))
             return
-        g = poly_gcd(num, den)
+        g = poly_gcd(num, den) if den.degree > 0 else den  # a constant is prime to num
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
@@ -400,10 +410,6 @@ def _as_rf(x):
     if isinstance(x, Polynomial):
         return RationalFunction(x)
     return None
-
-
-RF_ZERO = RationalFunction.const(0)
-RF_ONE = RationalFunction.const(1)
 
 
 # -- q-numbers -------------------------------------------------------------------

@@ -18,7 +18,7 @@ from operator import floordiv
 from .dynamics import rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
 from .qpoly import RationalFunction
-from .statistics import RATIONAL, Statistic, common_numerators
+from .statistics import RATIONAL, Statistic
 
 DEFAULT_LABELING_CAP = 2_000_000
 
@@ -266,9 +266,8 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
         raise ValueError("statistic lives on a different poset")
     if f.kind != RATIONAL:
         raise ValueError("lift a rational-valued statistic (specialize q first)")
-    # integer orbit sums over the common denominator of the values
-    nums, den = common_numerators(f.values)
-    value = dict(zip(P.ideal_masks(), nums))
+    # integer orbit sums over the one denominator of the values
+    value, den = dict(zip(P.ideal_masks(), f.nums)), f.den
     totals = []
     sizes = []
     for _, mask, first in _walk(P, alphabet, local_theta, cap):

@@ -1,50 +1,74 @@
 """Statistics on order ideals as exact vectors over the canonical enumeration.
 
-A Statistic stores one scalar per order ideal (Fraction, or RationalFunction
-in q).  Linear statistics also remember their expansion in the building
-blocks (toggle-in, toggle-out, ideal-indicator coefficients per element),
-which is what the piecewise-linear and birational lifts consume.
+A Statistic is stored once, in cleared form: its value on ideal k is
+nums[k] / den, in lowest terms, with integer numerators over one positive
+integer (kind RATIONAL), or integer-coefficient Polynomial numerators over
+one Polynomial (kind QRATIONAL, values in Q(q)).  Given values are cleared
+once, by the constructor; the builders and the arithmetic below make the
+cleared form directly, and every consumer reads it.  `values` is a view that
+builds one Fraction or RationalFunction per entry on access.  Linear
+statistics also remember their expansion in the building blocks (toggle-in,
+toggle-out, ideal-indicator coefficients per element), which is what the
+piecewise-linear and birational lifts consume.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .poset import Antichain, OrderIdeal, Poset
-from .qpoly import MAX_NUMBER_DIGITS, RF_ONE, RF_ZERO, RationalFunction, format_fraction
+from .qpoly import (
+    MAX_NUMBER_DIGITS,
+    Polynomial,
+    RationalFunction,
+    format_fraction,
+    horner,
+    poly_gcd,
+)
 
 RATIONAL = "rational"
 QRATIONAL = "q"
+_FIELD = {RATIONAL: Fraction, QRATIONAL: RationalFunction}  # value = _FIELD[kind](num, den)
+_ONE = Polynomial((1,))
 
 
 class Statistic:
-    __slots__ = ("poset", "values", "kind", "label", "combo")
+    """A statistic on the order ideals of `poset`, in cleared form (see the
+    module docstring).  Give either `values`, one Fraction (RationalFunction
+    for kind QRATIONAL) per ideal, or the cleared form as `nums` and `den`,
+    which need not be in lowest terms."""
 
-    def __init__(self, poset, values, kind=RATIONAL, label="", combo=None):
-        self.poset = poset
-        self.values = tuple(values)
-        if len(self.values) != len(poset.ideal_masks()):
+    __slots__ = ("poset", "nums", "den", "kind", "label", "combo")
+
+    def __init__(self, poset, values=None, kind=RATIONAL, label="", combo=None, *,
+                 nums=None, den=1):
+        if values is not None:
+            nums, den = _clear(tuple(values), kind)
+        self.nums, self.den = _lowest(tuple(nums), den, kind)
+        if len(self.nums) != len(poset.ideal_masks()):
             raise ValueError("statistic length must equal the ideal count")
+        self.poset = poset
         self.kind = kind
         self.label = label
         self.combo = combo  # (tin, tout, ind) coefficient tuples, or None
 
+    @property
+    def values(self) -> "Values":
+        return Values(self)
+
     def value_on(self, I: OrderIdeal):
-        return self.values[self.poset.ideal_index(I.mask)]
+        return _FIELD[self.kind](self.nums[self.poset.ideal_index(I.mask)], self.den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Statistic)
-            and other.poset is self.poset
-            and other.kind == self.kind
-            and other.values == self.values
-        )
+        return (isinstance(other, Statistic) and other.poset is self.poset
+                and (other.kind, other.den, other.nums) == (self.kind, self.den, self.nums))
 
     def __hash__(self):
-        return hash((id(self.poset), self.kind, self.values))
+        return hash((id(self.poset), self.kind, self.nums, self.den))
 
     def __add__(self, other):
         if not isinstance(other, Statistic):
@@ -57,13 +81,10 @@ class Statistic:
                 tuple(a + b for a, b in zip(u, v))
                 for u, v in zip(self.combo, other.combo)
             )
-        return Statistic(
-            self.poset,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-            kind=self.kind,
-            label=_join(self.label, "+", other.label),
-            combo=combo,
-        )
+        den, a, b = _lcm_cofactors(self.den, other.den)
+        return Statistic(self.poset, kind=self.kind, label=_join(self.label, "+", other.label),
+                         combo=combo, den=den,
+                         nums=[x * a + y * b for x, y in zip(self.nums, other.nums)])
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -76,39 +97,106 @@ class Statistic:
         combo = None
         if self.combo is not None:
             combo = tuple(tuple(c * x for x in part) for part in self.combo)
-        return Statistic(
-            self.poset,
-            tuple(c * v for v in self.values),
-            kind=self.kind,
-            label=f"{format_fraction(c) if isinstance(c, Fraction) else c}*{self.label}",
-            combo=combo,
-        )
-
-    def as_q(self) -> "Statistic":
-        """View a rational statistic inside Q(q)."""
-        if self.kind == QRATIONAL:
-            return self
-        return Statistic(
-            self.poset,
-            tuple(RationalFunction.const(v) for v in self.values),
-            kind=QRATIONAL,
-            label=self.label,
-        )
+        label = f"{format_fraction(c) if isinstance(c, Fraction) else c}*{self.label}"
+        if self.kind == RATIONAL:
+            cn, cd = c.numerator, c.denominator
+        else:
+            c = c if isinstance(c, RationalFunction) else RationalFunction(c)
+            cn, cd = c.num, c.den
+        return Statistic(self.poset, kind=self.kind, label=label, combo=combo,
+                         nums=[cn * v for v in self.nums], den=self.den * cd)
 
     def specialize(self, z) -> "Statistic":
         """Evaluate a q-statistic at a rational number."""
         if self.kind != QRATIONAL:
             raise ValueError("only q-statistics specialize")
         z = Fraction(z)
-        return Statistic(
-            self.poset,
-            tuple(v.evaluate(z) for v in self.values),
-            kind=RATIONAL,
-            label=f"{self.label}|q={z}",
-        )
+        a, b = z.numerator, z.denominator
+        d = max(p.degree for p in {self.den, *self.nums})
+        den = horner(self.den, a, b, d)
+        if den == 0:
+            raise ZeroDivisionError(f"pole at q = {z}")
+        return Statistic(self.poset, label=f"{self.label}|q={z}",
+                         nums=[horner(v, a, b, d) for v in self.nums], den=den)
 
     def __repr__(self):
         return f"Statistic({self.label or 'anonymous'}, kind={self.kind})"
+
+
+class Values(Sequence):
+    """The values of a statistic, each built from its cleared form when read;
+    equal to the tuple of the same values."""
+
+    __slots__ = ("_stat",)
+
+    def __init__(self, stat):
+        self._stat = stat
+
+    def __len__(self):
+        return len(self._stat.nums)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        return _FIELD[self._stat.kind](self._stat.nums[k], self._stat.den)
+
+    def __iter__(self):
+        field, den = _FIELD[self._stat.kind], self._stat.den
+        return (field(v, den) for v in self._stat.nums)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, Values) else other)
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+def _clear(values, kind):
+    """(numerators, denominator) of the values over their least common
+    denominator."""
+    if kind == RATIONAL:
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+    den, dens = _ONE, {v.den for v in values}
+    for d in dens:
+        den = den.exact_div(poly_gcd(den, d)) * d
+    cofactor = {d: den.exact_div(d) for d in dens}
+    return [v.num * cofactor[v.den] for v in values], den
+
+
+def _lowest(nums, den, kind):
+    """The cleared form nums / den in lowest terms.  Over Q the denominator
+    is positive and shares no factor with every numerator.  Over Q(q) no
+    polynomial divides them all, and the denominator is monic times the least
+    positive integer that makes every coefficient integral."""
+    if kind == RATIONAL:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        return (nums, den) if g == 1 else (tuple(v // g for v in nums), den // g)
+    g = den
+    for v in set(nums):
+        if g.degree <= 0:
+            break
+        g = poly_gcd(g, v)
+    if g.degree > 0:
+        den, nums = den.exact_div(g), tuple(v.exact_div(g) for v in nums)
+    inv = 1 / den.leading()
+    distinct = set(nums)
+    scale = inv * lcm(*(c.denominator for p in distinct | {den} for c in (p * inv).coeffs))
+    if scale == 1:
+        return nums, den
+    scaled = {p: p * scale for p in distinct}
+    return tuple(scaled[v] for v in nums), den * scale
+
+
+def _lcm_cofactors(d, e):
+    """(l, l / d, l / e) for a least common multiple l of two denominators."""
+    if isinstance(d, int):
+        m = lcm(d, e)
+        return m, m // d, m // e
+    m = d.exact_div(poly_gcd(d, e)) * e
+    return m, m.exact_div(d), m.exact_div(e)
 
 
 def _join(a, op, b):
@@ -164,8 +252,7 @@ def from_combo(P: Poset, tin, tout, ind, label="") -> Statistic:
     for c, support in supports.items():
         acc = [a + c * (m & support).bit_count() for a, m in zip(acc, masks)]
     accumulate_toggles(P, acc, scaled(tin), scaled(tout))
-    vals = [Fraction(a, scale) for a in acc]
-    return Statistic(P, vals, label=label, combo=(tin, tout, ind))
+    return Statistic(P, label=label, combo=(tin, tout, ind), nums=acc, den=scale)
 
 
 def _unit(P, p):
@@ -206,13 +293,14 @@ def _el(P, p, prefix):
 
 def t_q(P: Poset, p: int) -> Statistic:
     """T^q_p = T+_p - q*T-_p, with values in Q(q)."""
-    vals = toggle_vector(P, p, RF_ONE, -RationalFunction.q(), RF_ZERO)
-    return Statistic(P, vals, kind=QRATIONAL, label=_el(P, p, "Tq"))
+    nums = toggle_vector(P, p, _ONE, Polynomial((0, -1)), Polynomial())
+    return Statistic(P, kind=QRATIONAL, label=_el(P, p, "Tq"), nums=nums, den=_ONE)
 
 
 def constant_statistic(P: Poset, c) -> Statistic:
     c = Fraction(c)
-    return Statistic(P, (c,) * len(P.ideal_masks()), label=str(c))
+    return Statistic(P, label=str(c), nums=[c.numerator] * len(P.ideal_masks()),
+                     den=c.denominator)
 
 
 # -- rooks ------------------------------------------------------------------------
@@ -228,110 +316,60 @@ def rook_rect(P: Poset, i: int, j: int, reduced: bool = False) -> Statistic:
     """Rectangle rook at box (i, j): a four-quadrant signed combination of
     toggleability statistics that evaluates to 1 on every order ideal; the
     reduced form is the row-plus-column sum of T- statistics."""
-    coords = _coord_arrays(P)
-    if not P.has_coord((i, j)):
-        raise ValueError(f"({i},{j}) is outside the poset")
-    tin = [Fraction(0)] * P.n
-    tout = [Fraction(0)] * P.n
-    for x, (a, b) in enumerate(coords):
-        if reduced:
-            if a == i or b == j:
-                tout[x] += 1
-            if a == i and b == j:
-                tout[x] += 1
-        else:
-            if a <= i and b <= j:
-                tin[x] += 1
-            if a < i and b < j:
-                tout[x] -= 1
-            if a >= i and b >= j:
-                tout[x] += 1
-            if a > i and b > j:
-                tin[x] -= 1
-    tag = "~R" if reduced else "R"
-    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}[{i},{j}]")
+    return _grid_rook(P, i, j, reduced, shifted=False)
 
 
 def rook_sstair(P: Poset, i: int, j: int, reduced: bool = False) -> Statistic:
     """Shifted-staircase rook at box (i, j), i <= j."""
+    return _grid_rook(P, i, j, reduced, shifted=True)
+
+
+def _grid_rook(P, i, j, reduced, shifted):
     coords = _coord_arrays(P)
     if not P.has_coord((i, j)):
         raise ValueError(f"({i},{j}) is outside the poset")
-    tin = [Fraction(0)] * P.n
-    tout = [Fraction(0)] * P.n
+    tin = [0] * P.n
+    tout = [0] * P.n
     for x, (a, b) in enumerate(coords):
+        off = not shifted or a < b  # off the diagonal of a shifted shape
         if reduced:
-            if a == i or b == j:
-                tout[x] += 1
-            if a == i and b == j:
-                tout[x] += 1
-            if a == b and (a < i or b > j):
-                tout[x] += 1
+            tout[x] = ((a == i or b == j) + (a == i and b == j)
+                       + (shifted and a == b and (a < i or b > j)))
         else:
-            if a <= i and b <= j:
-                tin[x] += 1
-            if a < i and b < j and a < b:
-                tout[x] -= 1
-            if a >= i and b >= j:
-                tout[x] += 1
-            if a > i and b > j and a < b:
-                tin[x] -= 1
+            tin[x] = (a <= i and b <= j) - (a > i and b > j and off)
+            tout[x] = (a >= i and b >= j) - (a < i and b < j and off)
     tag = "~R" if reduced else "R"
     return from_combo(P, tin, tout, _zeros(P), label=f"{tag}[{i},{j}]")
 
 
 def rook_A(P: Poset, i: int, reduced: bool = False) -> Statistic:
     """Type-A rook indexed by an anti-diagonal box (i, n+1-i)."""
-    coords = _coord_arrays(P)
-    n = max(b for _, b in coords)
-    j = n + 1 - i
-    if not P.has_coord((i, j)):
-        raise ValueError(f"no anti-diagonal box at index {i}")
-    tin = [Fraction(0)] * P.n
-    tout = [Fraction(0)] * P.n
-    for x, (a, b) in enumerate(coords):
-        if reduced:
-            if a == i and b >= j:
-                tout[x] += 1
-            if a >= i and b == j:
-                tout[x] += 1
-        else:
-            if (a, b) == (i, j):
-                tin[x] += 1
-            if a >= i and b >= j:
-                tout[x] += 1
-            if a > i and b > j:
-                tin[x] -= 1
-    tag = "~R" if reduced else "R"
-    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}A[{i}]")
+    return _root_rook(P, i, reduced, "A")
 
 
 def rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
     """Type-B rook indexed by a boundary box (i, 2n-i)."""
+    return _root_rook(P, i, reduced, "B")
+
+
+def _root_rook(P, i, reduced, typ):
     coords = _coord_arrays(P)
-    n = (max(b for _, b in coords) + 1) // 2
-    j = 2 * n - i
+    top = max(b for _, b in coords)
+    j = top + 1 - i if typ == "A" else (top + 1) // 2 * 2 - i
     if not P.has_coord((i, j)):
-        raise ValueError(f"no boundary box at index {i}")
-    tin = [Fraction(0)] * P.n
-    tout = [Fraction(0)] * P.n
+        where = "anti-diagonal" if typ == "A" else "boundary"
+        raise ValueError(f"no {where} box at index {i}")
+    tin = [0] * P.n
+    tout = [0] * P.n
     for x, (a, b) in enumerate(coords):
         if reduced:
-            if a == i and b >= j:
-                tout[x] += 1
-            if a >= i and b == j:
-                tout[x] += 1
-            if a == b and b > j:
-                tout[x] += 1
+            tout[x] = ((a == i and b >= j) + (a >= i and b == j)
+                       + (typ == "B" and a == b and b > j))
         else:
-            if (a, b) == (i, j):
-                tin[x] += 1
-            if a >= i and b >= j:
-                tout[x] += 1
-            if a > i and b > j and a < b:
-                tin[x] -= 1
+            tin[x] = ((a, b) == (i, j)) - (a > i and b > j and (typ == "A" or a < b))
+            tout[x] = a >= i and b >= j
     tag = "~R" if reduced else "R"
-    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}B[{i}]")
+    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}{typ}[{i}]")
 
 
 def var_rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
@@ -374,25 +412,42 @@ def var_rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
 # -- antichain toggleability -------------------------------------------------------
 
 
+_ANTICHAIN_SIGNS = {"in": (1, 0), "out": (0, 1), "signed": (1, -1)}
+
+
 def antichain_toggleability(P: Poset, A: Antichain, kind: str) -> Statistic:
-    """T+_A / T-_A / T_A: can the whole antichain be toggled in / out."""
+    """T+_A / T-_A / T_A: can the whole antichain be toggled in / out.
+
+    A can be toggled out of J exactly when A is in max(J) (the cached
+    `Poset.antichain_masks`), and J -> J - A maps those ideals one to one
+    onto the ideals to which A can be toggled in."""
     if A.poset is not P:
         raise ValueError("antichain belongs to a different poset")
-    if kind not in ("in", "out", "signed"):
+    if kind not in _ANTICHAIN_SIGNS:
         raise ValueError("kind must be 'in', 'out', or 'signed'")
-    am = A.mask
-    vals = []
-    for mask in P.ideal_masks():
-        if kind != "out":
-            tin = int(P.min_complement_mask(mask) & am == am)
-        if kind != "in":
-            tout = int(P.max_of_ideal_mask(mask) & am == am)
-        v = tin if kind == "in" else tout if kind == "out" else tin - tout
-        vals.append(Fraction(v))
-    return Statistic(P, vals, label=f"T{kind}_A{A.members}")
+    sign_in, sign_out = _ANTICHAIN_SIGNS[kind]
+    am, masks = A.mask, P.ideal_masks()
+    nums = [0] * len(masks)
+    for j, top in enumerate(P.antichain_masks()):
+        if top & am == am:
+            nums[j] += sign_out
+            nums[P.ideal_index(masks[j] ^ am)] += sign_in
+    return Statistic(P, label=f"T{kind}_A{A.members}", nums=nums)
 
 
 # -- named statistics ---------------------------------------------------------------
+
+
+# grid atoms: head -> (slot of the combo, which boxes (a, b) get coefficient 1
+# given the argument k, the error when none does)
+_GRID_ATOMS = {
+    "diag": (1, lambda a, b, k: a == b, None),
+    "file": (2, lambda a, b, k: b - a == k, "file {} is empty"),
+    "pfiber": (1, lambda a, b, k: a == k, "row fiber {} is empty"),
+    "nfiber": (1, lambda a, b, k: b == k, "column fiber {} is empty"),
+    "sfiber": (1, lambda a, b, k: (b == k and a <= k) or (a == k and b > k),
+               "folded fiber {} is empty"),
+}
 
 
 def named_statistic(P: Poset, kind: str) -> Statistic:
@@ -401,65 +456,32 @@ def named_statistic(P: Poset, kind: str) -> Statistic:
     Atoms: ideal_card, antichain_card, rankalt, diag, file:k, pfiber:i,
     nfiber:j, sfiber:i (folded-shape fiber through row/column i), color:c.
     """
-    head, sep, arg = kind.partition(":")
-    ones = tuple(Fraction(1) for _ in range(P.n))
-    if head == "ideal_card":
-        return from_combo(P, _zeros(P), _zeros(P), ones, label="ideal_card")
-    if head == "antichain_card":
-        return from_combo(P, _zeros(P), ones, _zeros(P), label="antichain_card")
-    if head == "rankalt":
+    head, _, arg = kind.partition(":")
+    combo = [_zeros(P), _zeros(P), _zeros(P)]  # tin, tout, ind
+    if head in ("ideal_card", "antichain_card"):
+        combo[2 if head == "ideal_card" else 1] = (Fraction(1),) * P.n
+    elif head == "rankalt":
         if P.rank is None:
             raise ValueError("rank-alternating statistic needs a ranked poset")
-        ind = tuple(Fraction(-1) ** r for r in P.rank)
-        return from_combo(P, _zeros(P), _zeros(P), ind, label="rankalt")
-    if head == "diag":
-        coords = _coord_arrays(P)
-        tout = tuple(Fraction(1) if i == j else Fraction(0) for i, j in coords)
-        return from_combo(P, _zeros(P), tout, _zeros(P), label="diag")
-    if head == "file":
-        k = int(arg)
-        coords = _coord_arrays(P)
-        ind = tuple(Fraction(1) if j - i == k else Fraction(0) for i, j in coords)
-        if not any(ind):
-            raise ValueError(f"file {k} is empty")
-        return from_combo(P, _zeros(P), _zeros(P), ind, label=f"file:{k}")
-    if head == "pfiber":
-        i = int(arg)
-        coords = _coord_arrays(P)
-        tout = tuple(Fraction(1) if a == i else Fraction(0) for a, _ in coords)
-        if not any(tout):
-            raise ValueError(f"row fiber {i} is empty")
-        return from_combo(P, _zeros(P), tout, _zeros(P), label=f"pfiber:{i}")
-    if head == "nfiber":
-        j = int(arg)
-        coords = _coord_arrays(P)
-        tout = tuple(Fraction(1) if b == j else Fraction(0) for _, b in coords)
-        if not any(tout):
-            raise ValueError(f"column fiber {j} is empty")
-        return from_combo(P, _zeros(P), tout, _zeros(P), label=f"nfiber:{j}")
-    if head == "sfiber":
-        i = int(arg)
-        coords = _coord_arrays(P)
-        tout = [Fraction(0)] * P.n
-        hit = False
-        for x, (a, b) in enumerate(coords):
-            if (b == i and a <= i) or (a == i and b > i):
-                tout[x] = Fraction(1)
-                hit = True
-        if not hit:
-            raise ValueError(f"folded fiber {i} is empty")
-        return from_combo(P, _zeros(P), tuple(tout), _zeros(P), label=f"sfiber:{i}")
-    if head == "color":
+        combo[2] = tuple(Fraction(-1) ** r for r in P.rank)
+    elif head == "color":
         if P.colors is None:
             raise ValueError("poset carries no color metadata")
-        want = arg
-        ind = tuple(
-            Fraction(1) if str(c) == want else Fraction(0) for c in P.colors
-        )
-        if not any(ind):
-            raise ValueError(f"no elements of color {want!r}")
-        return from_combo(P, _zeros(P), _zeros(P), ind, label=f"color:{want}")
-    raise ValueError(f"unknown statistic kind: {kind!r}")
+        combo[2] = tuple(Fraction(str(c) == arg) for c in P.colors)
+        if not any(combo[2]):
+            raise ValueError(f"no elements of color {arg!r}")
+        head = f"color:{arg}"
+    elif head in _GRID_ATOMS:
+        slot, pick, empty = _GRID_ATOMS[head]
+        k = None if empty is None else int(arg)
+        combo[slot] = tuple(Fraction(pick(a, b, k)) for a, b in _coord_arrays(P))
+        if empty is not None:
+            if not any(combo[slot]):
+                raise ValueError(empty.format(k))
+            head = f"{head}:{k}"
+    else:
+        raise ValueError(f"unknown statistic kind: {kind!r}")
+    return from_combo(P, *combo, label=head)
 
 
 # -- specifier mini-language ---------------------------------------------------------
@@ -551,13 +573,6 @@ class HomomesyReport:
         return self.orbit_averages[0] if self.is_homomesic else None
 
 
-def common_numerators(values):
-    """(integer numerators, common denominator) of rational values: value k
-    is numerators[k] / denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
     """Exact per-orbit averages of a statistic under a bijection.
 
@@ -573,26 +588,13 @@ def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
         if space is None:
             space = enumerate_ideals(stat.poset)
         perm = dynamics.as_index_permutation(action, space)
-    if len(perm) != len(stat.values):
+    nums, den, field = stat.nums, stat.den, _FIELD[stat.kind]
+    if len(perm) != len(nums):
         raise ValueError("action and statistic have different state counts")
     cycles = dynamics.permutation_orbits(perm)
     sizes = tuple(len(cyc) for cyc in cycles)
-    if stat.kind == RATIONAL:
-        # integer orbit sums over the common denominator of the values
-        nums, den = common_numerators(stat.values)
-        averages = [Fraction(sum(map(nums.__getitem__, cyc)), den * len(cyc))
-                    for cyc in cycles]
-        grand = Fraction(sum(nums), den * len(nums))
-    else:
-        averages = []
-        for cyc in cycles:
-            total = stat.values[cyc[0]]
-            for i in cyc[1:]:
-                total = total + stat.values[i]
-            averages.append(total / Fraction(len(cyc)))
-        grand = stat.values[0]
-        for v in stat.values[1:]:
-            grand = grand + v
-        grand = grand / Fraction(len(stat.values))
+    # orbit sums of the numerators, over the one denominator
+    averages = [field(sum(map(nums.__getitem__, cyc)), den * len(cyc)) for cyc in cycles]
+    grand = field(sum(nums), den * len(nums))
     homomesic = all(a == averages[0] for a in averages)
     return HomomesyReport(homomesic, grand, tuple(averages), sizes)

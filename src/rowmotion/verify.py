@@ -86,9 +86,8 @@ def check_striker(spec: str, seed: int):
     P = families.from_specifier(spec)
     ideals, cycles = _orbit_cycles(P, lambda I: dynamics.rowmotion(P, I))
     stats = [st.t_signed(P, p) for p in range(P.n)]
-    nums = [st.common_numerators(s.values)[0] for s in stats]
-    for s, ns in zip(stats, nums):
-        if not _zero_mesic(ns, cycles):
+    for s in stats:
+        if not _zero_mesic(s.nums, cycles):
             return False, f"{spec}: rowmotion orbit breaks {s.label}"
     top = P.max_rank()
     if top <= 3:
@@ -99,8 +98,8 @@ def check_striker(spec: str, seed: int):
     for sigma in sigmas:
         step = dynamics.rowmotion_sigma(P, sigma)
         _, cycles = _orbit_cycles(P, step)
-        for s, ns in zip(stats, nums):
-            if not _zero_mesic(ns, cycles):
+        for s in stats:
+            if not _zero_mesic(s.nums, cycles):
                 return False, f"{spec}: sigma={sigma} breaks {s.label}"
     return True, ""
 
@@ -113,7 +112,7 @@ def check_antichain_striker(spec: str):
 
     for A in enumerate_antichains(P):
         s = st.antichain_toggleability(P, A, "signed")
-        if not _zero_mesic(st.common_numerators(s.values)[0], cycles):
+        if not _zero_mesic(s.nums, cycles):
             return False, f"{spec}: antichain {A.members} not 0-mesic"
     return True, ""
 
@@ -147,7 +146,7 @@ def check_rooks(spec: str):
         return False, f"no rooks for family {family}"
     for c in pairs:
         r = full(c)
-        if any(v != 1 for v in r.values):
+        if r != st.constant_statistic(P, 1):
             return False, f"{spec}: {r.label} is not identically 1"
         diff = r - red(c)
         dec = decompose(P, diff)
@@ -169,7 +168,7 @@ def check_halfrook(spec: str):
             if a > i and b > j:
                 tin[y] -= 1
         rhs = st.from_combo(P, tin, tout, [Fraction(0)] * P.n)
-        if rhs.values != st.indicator_ideal(P, x).values:
+        if rhs != st.indicator_ideal(P, x):
             return False, f"{spec}: half-rook identity fails at ({i},{j})"
     return True, ""
 

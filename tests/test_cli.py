@@ -555,3 +555,61 @@ def test_fuzz_start_file(content):
         _assert_documented(["orbits", "rect:2,2", "--level", "pl", "--start", f"file:{path}"])
     finally:
         os.unlink(path)
+
+
+_SMALL = hst.integers(-1, 5)
+_PAIRS = hst.lists(hst.lists(_SMALL, min_size=2, max_size=2), max_size=8)
+_POSET_FILE = hst.fixed_dictionaries(
+    {"n": hst.one_of(hst.integers(-2, 6),
+                     hst.sampled_from([10 ** 6, 10 ** 40, "3", "x", 2.5, None, [], True]))},
+    optional={
+        "covers": hst.one_of(_PAIRS, hst.lists(hst.lists(_SMALL, max_size=3), max_size=4), _JSON),
+        "coords": hst.one_of(hst.none(), _PAIRS, _JSON),
+        "name": hst.one_of(hst.none(), hst.text(max_size=6), _JSON),
+        "colors": hst.one_of(hst.none(), hst.lists(hst.sampled_from(["r", "b", 0]), max_size=7),
+                             _JSON),
+    })
+
+
+def _acyclic_covers(n):
+    """Lists of pairs lo < hi < n: acyclic by construction."""
+    if n < 2:
+        return hst.just([])
+    pair = hst.integers(0, n - 2).flatmap(
+        lambda lo: hst.tuples(hst.just(lo), hst.integers(lo + 1, n - 1)).map(list))
+    return hst.lists(pair, max_size=2 * n)
+
+
+# posets of up to 6 elements, with or without metadata
+_VALID_POSET_FILE = hst.integers(1, 6).flatmap(lambda n: hst.fixed_dictionaries(
+    {"n": hst.just(n), "covers": _acyclic_covers(n)},
+    optional={
+        "coords": hst.lists(hst.lists(hst.integers(1, 3), min_size=2, max_size=2),
+                            min_size=n, max_size=n),
+        "name": hst.text(max_size=6),
+        "colors": hst.lists(hst.sampled_from(["r", "b", 0]), min_size=n, max_size=n),
+    }))
+POSET_FILE_RUNS = (
+    [["orbits", "{}", "--variant", v] for v in
+     ("rowmotion", "gyration", "antichain", "sigma:0,1", "sigma:1,0,2", "q:1,2")]
+    + [["orbits", "{}", "--level", "pl", "--variant", v] for v in
+       ("rowmotion", "gyration", "sigma:1,0")]
+    + [["decompose", "{}", "antichain_card"], ["decompose", "--q", "{}", "antichain_card"]]
+)
+
+
+@FUZZ
+@given(hst.one_of(_VALID_POSET_FILE.map(json.dumps), _POSET_FILE.map(json.dumps),
+                  _JSON.map(json.dumps), hst.text(max_size=30)))
+def test_fuzz_poset_file(content):
+    import os
+    import tempfile
+
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(content)
+        for argv in POSET_FILE_RUNS:
+            _assert_documented([a.format(f"file:{path}") for a in argv])
+    finally:
+        os.unlink(path)

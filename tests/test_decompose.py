@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -28,7 +29,7 @@ from rowmotion.families import (
     shifted_staircase,
     trapezoid,
 )
-from rowmotion.linalg import factor, rank_rational
+from rowmotion.linalg import factor
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
 from rowmotion.statistics import RATIONAL, indicator_ideal, t_out
 
@@ -202,11 +203,7 @@ def test_factor_rank_on_wide_and_deficient_matrices():
         assert len(fact.rows) == want
         assert (fact.det == 0) == (want < n)
         deficient += want < n
-        scaled = [[Fraction(v, d) for v in row] for row, d in
-                  zip(rows, (rng.randint(1, 6) for _ in rows))]
-        assert rank_rational(scaled) == want
     assert 0 < deficient < 80
-    assert rank_rational([]) == 0
 
 
 def test_random_in_span_statistics_recovered():
@@ -534,7 +531,8 @@ def test_reconstruction_matches_statistic():
         assert dec is None or dec.reconstruction() == f.values
     P = rectangle(2, 3)
     fq = named_statistic(P, "antichain_card")
-    assert q_decompose(P, fq).reconstruction() == fq.as_q().values
+    assert q_decompose(P, fq).reconstruction() == tuple(
+        RationalFunction.const(v) for v in fq.values)
 
 
 def test_pole_check_survives_optimize():
@@ -712,3 +710,95 @@ def test_q_certificate_check_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "None"
+
+
+def _q_check_bound(f, sol):
+    """The degree bound B of the Q(q) identity check, from its definition."""
+    parts = []
+    for c in sol:
+        k = lcm(*(a.denominator for a in c.num.coeffs + c.den.coeffs))
+        parts.append((c.num * k, c.den * k))
+    deg_s = 0 if f.kind == RATIONAL else f.den.degree
+    deg_g = 0 if f.kind == RATIONAL else max(g.degree for g in f.nums)
+    return sum(D.degree for D in {D for _, D in parts}) + max(
+        deg_s + 1 + max(N.degree - D.degree for N, D in parts), deg_g)
+
+
+def _falling(k):
+    """prod_{z < k} (q - z), which vanishes at q = 0, ..., k-1 only."""
+    out = Polynomial((1,))
+    for z in range(k):
+        out = out * Polynomial((-z, 1))
+    return out
+
+
+def _q_valued_statistic():
+    from rowmotion import t_q
+    from rowmotion.statistics import QRATIONAL
+
+    P = rectangle(2, 3)
+    q = RationalFunction.q()
+    const = RationalFunction(Polynomial((1,)), Polynomial((1, 1)))  # 1/(1+q)
+    f = Statistic(P, [const] * len(P.ideal_masks()), kind=QRATIONAL)
+    return P, f + RationalFunction(Polynomial((1, 1)), Polynomial((2, 1))) * t_q(P, 0) \
+        + (q * q - 3) * t_q(P, 3)
+
+
+def test_q_check_rejects_every_low_degree_tampering():
+    """A coefficient moved by prod_{z<k} (q - z) agrees with the certificate
+    at z = 0, ..., k-1; the identity check must still reject it, for every k
+    up to the bound B of the true certificate."""
+    mod = _q_module()
+    cases = [(P, named_statistic(P, "antichain_card")) for P in (rectangle(3, 3),
+                                                                 shifted_staircase(3))]
+    cases.append(_q_valued_statistic())
+    for P, f in cases:
+        dec = q_decompose(P, f)
+        sol = [dec.constant, *dec.coeffs]
+        assert mod._is_q_certificate(P, f, sol)
+        bound = _q_check_bound(f, sol)
+        for k in range(bound + 1):
+            j = 1 + k % P.n  # spread the tampering over the coefficients
+            bad = list(sol)
+            bad[j] = bad[j] + RationalFunction(_falling(k))
+            assert not mod._is_q_certificate(P, f, bad), (P.name, k)
+
+
+def test_q_check_rejects_tampering_under_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # asserts off, the early reject disabled, and every interpolated
+    # candidate moved by prod_{z<k} (q - z) in one coefficient: only the
+    # identity check stands between q_decompose and a wrong certificate
+    code = (
+        "import importlib\n"
+        "from rowmotion import named_statistic, q_decompose\n"
+        "from rowmotion.families import rectangle\n"
+        "from rowmotion.qpoly import Polynomial\n"
+        "assert False, 'asserts are on'\n"
+        "mod = importlib.import_module('rowmotion.decompose')\n"
+        "mod._is_certificate = lambda *args: True\n"
+        "interpolate = mod.interpolate\n"
+        "P = rectangle(3, 3)\n"
+        "f = named_statistic(P, 'antichain_card')\n"
+        "print(q_decompose(P, f) is not None)\n"
+        "for k in range(40):\n"
+        "    move = Polynomial((1,))\n"
+        "    for z in range(k):\n"
+        "        move = move * Polynomial((-z, 1))\n"
+        "    def tampered(xs, columns):\n"
+        "        det, *nums = interpolate(xs, columns)\n"
+        "        nums[2] = nums[2] + det * f.den * move\n"
+        "        return [det, *nums]\n"
+        "    mod.interpolate = tampered\n"
+        "    print(q_decompose(P, f))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"] + ["None"] * 40

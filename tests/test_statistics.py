@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from rowmotion import (
     Antichain,
     OrderIdeal,
+    Statistic,
     antichain_toggleability,
     constant_statistic,
     decompose,
@@ -28,6 +31,7 @@ from rowmotion import (
     var_rook_B,
 )
 from rowmotion.families import (
+    from_specifier,
     rectangle,
     root_poset_A,
     root_poset_B,
@@ -36,6 +40,7 @@ from rowmotion.families import (
     type_b_quotient,
 )
 from rowmotion.qpoly import Polynomial, RationalFunction
+from rowmotion.statistics import QRATIONAL, RATIONAL, from_combo
 
 
 def test_signed_toggleability_table_two_by_two():
@@ -390,3 +395,91 @@ def test_parse_fraction_bounds():
                 float("inf"), float("-inf"), float("nan"), "1/0", None, "x"):
         with pytest.raises(ValueError):
             parse_fraction(bad)
+
+
+# -- the cleared form ------------------------------------------------------------------
+
+
+CLEARED = settings(derandomize=True, max_examples=60, deadline=None, database=None,
+                   suppress_health_check=list(HealthCheck))
+_SPECS = ("rect:2,2", "rect:2,3", "sstair:3", "rootA:3", "vchain:1")
+_FRACTIONS = hst.builds(Fraction, hst.integers(-9, 9), hst.integers(1, 6))
+_POLYS = hst.lists(_FRACTIONS, max_size=3).map(Polynomial)
+# denominators with no root q >= 0, so every specialization below is legal
+_DENS = hst.sampled_from([(1,), (1, 1), (2, 1), (1, 0, 1), (3, 2), (1, 3, 2),
+                          (Fraction(1, 2), Fraction(1, 3))]).map(Polynomial)
+_RFS = hst.builds(RationalFunction, _POLYS, _DENS)
+
+
+def _by_definition(P, tin, tout, ind):
+    """sum_p tin_p T+_p + tout_p T-_p + ind_p 1_p on every ideal, from the
+    cover relation alone."""
+    out = []
+    for m in P.ideal_masks():
+        v = Fraction(0)
+        for p in range(P.n):
+            if m >> p & 1:
+                v += ind[p] + (tout[p] if P.up_covers[p] & m == 0 else 0)
+            elif P.down_covers[p] & m == P.down_covers[p]:
+                v += tin[p]
+        out.append(v)
+    return out
+
+
+def _assert_cleared(s, expected):
+    """Value k of s is nums[k] / den and equals expected[k]; the form is in
+    lowest terms, so s equals the statistic built from the same values."""
+    field = Fraction if s.kind == RATIONAL else RationalFunction
+    assert len(s.values) == len(s.nums) == len(expected) == len(s.poset.ideal_masks())
+    for k, want in enumerate(expected):
+        assert s.values[k] == want == field(s.nums[k], s.den)
+    for I in enumerate_ideals(s.poset)[:3]:
+        assert s.value_on(I) == expected[s.poset.ideal_index(I.mask)]
+    assert s.values == tuple(expected) and list(s.values) == list(expected)
+    assert s == Statistic(s.poset, expected, kind=s.kind)
+    assert s == Statistic(s.poset, s.values, kind=s.kind)
+    if s.kind == RATIONAL:
+        assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    else:
+        assert all(c.denominator == 1 for p in (s.den, *s.nums) for c in p.coeffs)
+
+
+@CLEARED
+@given(hst.data())
+def test_rational_statistics_stay_cleared(data):
+    P = from_specifier(data.draw(hst.sampled_from(_SPECS)))
+    combo = hst.lists(_FRACTIONS, min_size=P.n, max_size=P.n)
+    parts = [data.draw(combo) for _ in range(6)]
+    s, t = from_combo(P, *parts[:3]), from_combo(P, *parts[3:])
+    sv, tv = _by_definition(P, *parts[:3]), _by_definition(P, *parts[3:])
+    c = data.draw(_FRACTIONS)
+    _assert_cleared(s, sv)
+    _assert_cleared(s + t, [a + b for a, b in zip(sv, tv)])
+    _assert_cleared(s - s, [0] * len(sv))
+    _assert_cleared(c * s, [c * a for a in sv])
+    _assert_cleared(Statistic(P, sv), sv)
+    assert (s + t).combo == tuple(tuple(a + b for a, b in zip(u, v))
+                                  for u, v in zip(parts[:3], parts[3:]))
+
+
+@CLEARED
+@given(hst.data())
+def test_q_statistics_stay_cleared(data):
+    P = from_specifier(data.draw(hst.sampled_from(_SPECS)))
+    vector = hst.lists(_RFS, min_size=len(P.ideal_masks()), max_size=len(P.ideal_masks()))
+    u, v = data.draw(vector), data.draw(vector)
+    s, t = Statistic(P, u, kind=QRATIONAL), Statistic(P, v, kind=QRATIONAL)
+    c, x = data.draw(_RFS), data.draw(_FRACTIONS)
+    p = data.draw(hst.integers(0, P.n - 1))
+    z = data.draw(hst.builds(Fraction, hst.integers(0, 7), hst.integers(1, 4)))
+    _assert_cleared(s, u)
+    _assert_cleared(s + t, [a + b for a, b in zip(u, v)])
+    _assert_cleared(s - s, [RationalFunction.const(0)] * len(u))
+    _assert_cleared(c * s, [c * a for a in u])
+    _assert_cleared(x * s, [x * a for a in u])
+    _assert_cleared(s + c * t_q(P, p), [a + c * b for a, b in zip(u, t_q(P, p).values)])
+    _assert_cleared(s.specialize(z), [a.evaluate(z) for a in u])
+    one_over = RationalFunction(Polynomial((1,)), Polynomial((1, 1)))  # 1/(1+q)
+    w = [one_over * (k + 1) for k in range(len(u))]
+    _assert_cleared(Statistic(P, w, kind=QRATIONAL), w)
+    assert Statistic(P, w, kind=QRATIONAL).den == Polynomial((1, 1))
