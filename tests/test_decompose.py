@@ -739,9 +739,9 @@ def _q_valued_statistic():
     P = rectangle(2, 3)
     q = RationalFunction.q()
     const = RationalFunction(Polynomial((1,)), Polynomial((1, 1)))  # 1/(1+q)
+    c0 = RationalFunction(Polynomial((1, 1)), Polynomial((2, 1)))  # (1+q)/(2+q)
     f = Statistic(P, [const] * len(P.ideal_masks()), kind=QRATIONAL)
-    return P, f + RationalFunction(Polynomial((1, 1)), Polynomial((2, 1))) * t_q(P, 0) \
-        + (q * q - 3) * t_q(P, 3)
+    return P, f + c0 * t_q(P, 0) + (q * q - 3) * t_q(P, 3)
 
 
 def test_q_check_rejects_every_low_degree_tampering():
