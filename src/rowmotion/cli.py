@@ -17,7 +17,7 @@ import sys
 
 from . import dynamics, families, qrow, statistics as st, verify
 from .decompose import decompose, q_decompose
-from .poset import CapExceededError, enumerate_antichains, enumerate_ideals
+from .poset import CapExceededError, _bits
 from .qpoly import (
     CertificateError,
     RationalFunction,
@@ -68,25 +68,22 @@ def cmd_orbits(args) -> int:
         sizes = [len(o) for o in orbits]
         reps = ["".join(map(str, o[0])) for o in orbits]
     else:
-        if variant == "rowmotion":
-            step = lambda I: dynamics.rowmotion(P, I)
-            space = enumerate_ideals(P)
+        if variant in ("rowmotion", "antichain"):
+            order = dynamics.rowmotion_order(P)
         elif variant == "gyration":
-            step = dynamics.gyration(P)
-            space = enumerate_ideals(P)
-        elif variant == "antichain":
-            step = lambda A: dynamics.antichain_rowmotion(P, A)
-            space = enumerate_antichains(P)
+            order = dynamics.sigma_order(P, dynamics.gyration_sigma(P))
         elif variant.startswith("sigma:"):
             sigma = tuple(int(t) for t in variant[6:].split(","))
-            step = dynamics.rowmotion_sigma(P, sigma)
-            space = enumerate_ideals(P)
+            order = dynamics.sigma_order(P, sigma)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        orbits = dynamics.orbit_partition(step, space)
-        total = len(space)
-        sizes = [o.period for o in orbits]
-        reps = [str(list(o.states[0].members)) for o in orbits]
+        # antichain k is max of ideal k, so antichain rowmotion has the
+        # cycles of rowmotion on the ideal indices
+        cycles = dynamics.permutation_orbits(P.sweep_permutation(order))
+        masks = P.antichain_masks() if variant == "antichain" else P.ideal_masks()
+        total = len(masks)
+        sizes = [len(cyc) for cyc in cycles]
+        reps = [str(list(_bits(masks[cyc[0]]))) for cyc in cycles]
     payload = {
         "family": args.family,
         "variant": variant,

@@ -6,9 +6,13 @@ toggles a linear extension from the top (`rowmotion_order`), the rank
 permutations toggle `sigma_order`.  Once a poset's ideals are enumerated,
 these maps read each image from `Poset.sweep_permutation` of their order, a
 permutation of canonical ideal indices built once per poset and order from
-the toggle table.  On a poset whose ideals were never enumerated they work
-on the masks instead (`rowmotion_mask`, `toggle_mask`), since no canonical
-index exists there.
+the toggle table.  On a poset whose ideals were never enumerated they toggle
+the mask along the same order (`_sweep_mask`), since no canonical index
+exists there.
+
+There is one orbit kernel: the cycles of an index permutation
+(`permutation_orbits`).  `orbit_partition` reads a map on a state space as
+such a permutation (`as_index_permutation`) and maps the cycles back.
 """
 
 from __future__ import annotations
@@ -63,41 +67,39 @@ def rowmotion_order(P: Poset) -> tuple:
     return P._linext[::-1]
 
 
-def _image_index(P: Poset, order, mask) -> int:
-    """Canonical index of the image of the ideal `mask` under the toggles at
-    `order`; the poset's ideals must be enumerated."""
-    return P.sweep_permutation(order)[P._ideal_index[mask]]
+def _sweep_mask(P: Poset, order, mask) -> int:
+    """The ideal `mask` toggled at each element of `order`, first element
+    first."""
+    for p in order:
+        mask = P.toggle_mask(p, mask)
+    return mask
+
+
+def _sweep(P: Poset, order, I: OrderIdeal) -> OrderIdeal:
+    """The image of I under the toggles at `order`: read off the cached
+    permutation once the ideals are enumerated, else toggled on the mask."""
+    if P._ideal_masks is None:
+        return OrderIdeal._make(P, _sweep_mask(P, order, I.mask))
+    perm = P.sweep_permutation(order)
+    return OrderIdeal._make(P, P._ideal_masks[perm[P._ideal_index[I.mask]]])
 
 
 def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
     """The ideal generated by the minimal elements of the complement of I."""
-    if P._ideal_masks is None:
-        return OrderIdeal._make(P, P.rowmotion_mask(I.mask))
-    return OrderIdeal._make(
-        P, P._ideal_masks[_image_index(P, rowmotion_order(P), I.mask)])
+    return _sweep(P, rowmotion_order(P), I)
 
 
 def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> OrderIdeal:
     """Toggle along a linear extension, top element first."""
     if ext.poset is not P:
         raise ValueError("extension belongs to a different poset")
-    mask = I.mask
-    for p in reversed(ext.order):
-        mask = P.toggle_mask(p, mask)
-    return OrderIdeal._make(P, mask)
+    return OrderIdeal._make(P, _sweep_mask(P, reversed(ext.order), I.mask))
 
 
 def rank_toggle(P: Poset, i: int):
     """The product of toggles at all elements of rank i (they commute)."""
     elems = tuple(_bits(P.rank_mask(i)))
-
-    def step(I: OrderIdeal) -> OrderIdeal:
-        mask = I.mask
-        for p in elems:
-            mask = P.toggle_mask(p, mask)
-        return OrderIdeal._make(P, mask)
-
-    return step
+    return lambda I: OrderIdeal._make(P, _sweep_mask(P, elems, I.mask))
 
 
 def _check_rank_permutation(P: Poset, sigma):
@@ -123,16 +125,7 @@ def rowmotion_sigma(P: Poset, sigma):
     The identity permutation recovers rowmotion (top rank toggled first).
     """
     order = sigma_order(P, sigma)
-
-    def step(I: OrderIdeal) -> OrderIdeal:
-        if P._ideal_masks is None:
-            mask = I.mask
-            for p in order:
-                mask = P.toggle_mask(p, mask)
-            return OrderIdeal._make(P, mask)
-        return OrderIdeal._make(P, P._ideal_masks[_image_index(P, order, I.mask)])
-
-    return step
+    return lambda I: _sweep(P, order, I)
 
 
 def gyration_sigma(P: Poset) -> tuple:
@@ -160,8 +153,8 @@ def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
     gen = P.generated_ideal_mask(A.mask)
     if P._ideal_masks is None:
         return Antichain._make(P, P.min_complement_mask(gen))
-    return Antichain._make(
-        P, P.antichain_masks()[_image_index(P, rowmotion_order(P), gen)])
+    perm = P.sweep_permutation(rowmotion_order(P))
+    return Antichain._make(P, P.antichain_masks()[perm[P._ideal_index[gen]]])
 
 
 # -- orbits -----------------------------------------------------------------------
@@ -187,36 +180,19 @@ def orbit(step, start, cap: int = 1_000_000) -> Orbit:
 def orbit_partition(step, space) -> list[Orbit]:
     """Partition a finite state space into orbits of the bijection `step`."""
     space = list(space)
-    index = {s: k for k, s in enumerate(space)}
-    if len(index) != len(space):
-        raise ValueError("state space contains duplicates")
-    visited = [False] * len(space)
-    orbits = []
-    for k, start in enumerate(space):
-        if visited[k]:
-            continue
-        states = []
-        cur = start
-        while True:
-            i = index.get(cur)
-            if i is None:
-                raise ValueError("map leaves the given state space")
-            if visited[i]:
-                break
-            visited[i] = True
-            states.append(cur)
-            cur = step(cur)
-        if cur != start:
-            raise ValueError("map is not a bijection of the state space")
-        orbits.append(Orbit(states))
-    return orbits
+    return [Orbit(map(space.__getitem__, cyc))
+            for cyc in permutation_orbits(as_index_permutation(step, space))]
 
 
 def as_index_permutation(step, space) -> list[int]:
     """The bijection `step` on `space`, as a permutation of positions."""
     index = {s: k for k, s in enumerate(space)}
-    perm = [index[step(s)] for s in space]
-    if sorted(perm) != list(range(len(space))):
+    if len(index) != len(space):
+        raise ValueError("state space contains duplicates")
+    perm = [index.get(step(s), -1) for s in space]
+    if -1 in perm:
+        raise ValueError("map leaves the given state space")
+    if len(set(perm)) != len(perm):
         raise ValueError("map is not a bijection of the state space")
     return perm
 

@@ -234,7 +234,7 @@ class LiftedStatistic:
                                           for p in range(n)])
 
 
-def lift_statistic(stat: Statistic, check_hypothesis: bool = True) -> LiftedStatistic:
+def lift_statistic(stat: Statistic) -> LiftedStatistic:
     """Lift a linear statistic to the PL and birational levels.
 
     The constancy transfer is only guaranteed on posets where every element
@@ -247,14 +247,13 @@ def lift_statistic(stat: Statistic, check_hypothesis: bool = True) -> LiftedStat
             "combinations of T+, T-, and ideal indicators lift"
         )
     P = stat.poset
-    if check_hypothesis:
-        bad = [p for p in range(P.n)
-               if len(P.upper_covers[p]) > 2 or len(P.lower_covers[p]) > 2]
-        if bad:
-            raise ValueError(
-                f"lifting requires every element to cover and be covered by "
-                f"at most two elements; violated at {bad}"
-            )
+    bad = [p for p in range(P.n)
+           if len(P.upper_covers[p]) > 2 or len(P.lower_covers[p]) > 2]
+    if bad:
+        raise ValueError(
+            f"lifting requires every element to cover and be covered by "
+            f"at most two elements; violated at {bad}"
+        )
     tin, tout, ind = stat.combo
     return LiftedStatistic(P, tin, tout, ind, label=stat.label)
 

@@ -265,9 +265,6 @@ class Poset:
             antichain_mask ^= low
         return m
 
-    def rowmotion_mask(self, mask):
-        return self.generated_ideal_mask(self.min_complement_mask(mask))
-
     def toggle_mask(self, p, mask):
         if mask >> p & 1:
             if self.up_covers[p] & mask == 0:
@@ -388,11 +385,13 @@ class Poset:
             "covers": [list(c) for c in self.covers],
             "coords": None if self.coords is None else [list(c) for c in self.coords],
             "name": self.name,
+            "colors": None if self.colors is None else list(self.colors),
         }
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n"], d["covers"], coords=d.get("coords"), name=d.get("name"))
+        return cls(d["n"], d["covers"], coords=d.get("coords"), name=d.get("name"),
+                   colors=d.get("colors"))
 
     def __repr__(self):
         label = self.name or f"poset<{self.n}>"

@@ -576,15 +576,15 @@ class HomomesyReport:
 def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
     """Exact per-orbit averages of a statistic under a bijection.
 
-    `action` is either an index permutation of the canonical enumeration or a
-    callable on the states in `space` (default: the canonical order ideals).
+    `action` is either a callable on the states in `space` (default: the
+    canonical order ideals) or any index sequence, such as a
+    `Poset.sweep_permutation`, that permutes the canonical enumeration.
     """
     from . import dynamics
     from .poset import enumerate_ideals
 
-    if isinstance(action, (list, tuple)):
-        perm = list(action)
-    else:
+    perm = action
+    if callable(action):
         if space is None:
             space = enumerate_ideals(stat.poset)
         perm = dynamics.as_index_permutation(action, space)

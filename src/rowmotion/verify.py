@@ -21,7 +21,7 @@ from .decompose import (
     toggleability_space_dims,
     verify_independence,
 )
-from .poset import enumerate_ideals
+from .poset import enumerate_antichains
 
 SUITES = ("striker", "rooks", "halfrook", "lifting", "qstriker", "spans", "table2")
 
@@ -68,10 +68,9 @@ class SuiteResult:
 # -- check primitives (top-level, picklable) -------------------------------------
 
 
-def _orbit_cycles(P, step):
-    ideals = enumerate_ideals(P)
-    perm = dynamics.as_index_permutation(step, ideals)
-    return ideals, dynamics.permutation_orbits(perm)
+def _orbit_cycles(P, order):
+    """Cycles, on the canonical ideal indices, of the toggles at `order`."""
+    return dynamics.permutation_orbits(P.sweep_permutation(order))
 
 
 def _zero_mesic(nums, cycles) -> bool:
@@ -84,7 +83,7 @@ def check_striker(spec: str, seed: int):
     """Signed toggleability sums vanish on every orbit of rowmotion and of
     sampled (or, in low rank, all) rank-permuted variants."""
     P = families.from_specifier(spec)
-    ideals, cycles = _orbit_cycles(P, lambda I: dynamics.rowmotion(P, I))
+    cycles = _orbit_cycles(P, dynamics.rowmotion_order(P))
     stats = [st.t_signed(P, p) for p in range(P.n)]
     for s in stats:
         if not _zero_mesic(s.nums, cycles):
@@ -96,8 +95,7 @@ def check_striker(spec: str, seed: int):
         rng = random.Random(seed)
         sigmas = [tuple(rng.sample(range(top + 1), top + 1)) for _ in range(5)]
     for sigma in sigmas:
-        step = dynamics.rowmotion_sigma(P, sigma)
-        _, cycles = _orbit_cycles(P, step)
+        cycles = _orbit_cycles(P, dynamics.sigma_order(P, sigma))
         for s in stats:
             if not _zero_mesic(s.nums, cycles):
                 return False, f"{spec}: sigma={sigma} breaks {s.label}"
@@ -107,9 +105,7 @@ def check_striker(spec: str, seed: int):
 def check_antichain_striker(spec: str):
     """Antichain toggleability statistics are 0-mesic under rowmotion."""
     P = families.from_specifier(spec)
-    ideals, cycles = _orbit_cycles(P, lambda I: dynamics.rowmotion(P, I))
-    from .poset import enumerate_antichains
-
+    cycles = _orbit_cycles(P, dynamics.rowmotion_order(P))
     for A in enumerate_antichains(P):
         s = st.antichain_toggleability(P, A, "signed")
         if not _zero_mesic(s.nums, cycles):
@@ -220,8 +216,8 @@ def check_spans(spec: str):
     for z in (0, Fraction(1, 2), 1, 2):
         if not verify_independence(P, z):
             return False, f"{spec}: dependence at q={z}"
-    ideals, cycles = _orbit_cycles(P, lambda I: dynamics.rowmotion(P, I))
-    expect = len(ideals) - len(cycles)
+    cycles = _orbit_cycles(P, dynamics.rowmotion_order(P))
+    expect = len(P.ideal_masks()) - len(cycles)
     got = antichain_span_dim(P)
     if got != expect:
         return False, f"{spec}: antichain span dim {got} != {expect}"

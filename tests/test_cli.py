@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from rowmotion.cli import main, parse_q_expression
+from rowmotion.families import from_specifier
 from rowmotion.qpoly import Polynomial, RationalFunction, q_binomial, q_number
 
 
@@ -59,6 +61,79 @@ def test_orbits_csv():
         assert code == 0
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(row) == len(header) for row in rows)
+
+
+def _reference_orbits(P, variant):
+    """Orbit sizes and representatives of a variant, walked on masks with
+    the toggle definitions; representatives in order of first appearance in
+    the canonical ideal order."""
+    if variant in ("rowmotion", "antichain"):
+        order = None
+    else:
+        top = max(P.rank)
+        if variant == "gyration":
+            ranks = list(range(0, top + 1, 2)) + list(range(1, top + 1, 2))
+        else:
+            ranks = [int(t) for t in reversed(variant[6:].split(","))]
+        order = [p for r in ranks for p in range(P.n) if P.rank[p] == r]
+
+    def step(mask):
+        if order is None:
+            return P.generated_ideal_mask(P.min_complement_mask(mask))
+        for p in order:
+            mask = P.toggle_mask(p, mask)
+        return mask
+
+    seen, sizes, reps = set(), [], []
+    for start in P.ideal_masks():
+        if start in seen:
+            continue
+        rep = P.max_of_ideal_mask(start) if variant == "antichain" else start
+        reps.append(str([p for p in range(P.n) if rep >> p & 1]))
+        size, mask = 0, start
+        while mask not in seen:
+            seen.add(mask)
+            size += 1
+            mask = step(mask)
+        assert mask == start
+        sizes.append(size)
+    return sizes, reps
+
+
+def _sigma_variant(spec):
+    top = from_specifier(spec).max_rank()
+    return "sigma:" + ",".join(map(str, random.Random(3).sample(range(top + 1), top + 1)))
+
+
+@pytest.mark.parametrize("spec, variant", [
+    (spec, variant)
+    for spec in ("rect:3,4", "sstair:4", "E6", "dtd:3")
+    for variant in ("rowmotion", "gyration", "antichain", "sigma")
+] + [("file", "rowmotion"), ("file", "antichain")])
+def test_orbits_partition_matches_a_mask_reference(tmp_path, spec, variant):
+    if spec == "file":  # not graded: chains of lengths 3 and 2 from 0 to 3
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(
+            {"n": 5, "covers": [[0, 1], [1, 2], [2, 3], [0, 4], [4, 3]]}))
+        spec = f"file:{path}"
+    if variant == "sigma":
+        variant = _sigma_variant(spec)
+    code, out = run_cli("orbits", spec, "--variant", variant)
+    data = json.loads(out)
+    assert code == 0
+    sizes, reps = _reference_orbits(from_specifier(spec), variant)
+    assert data["orbit_sizes"] == sizes
+    assert data["representatives"] == reps
+    assert data["total_states"] == sum(sizes)
+
+
+def test_decompose_color_on_a_poset_file(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 2, "covers": [[0, 1]], "colors": ["r", "b"]}))
+    code, out = run_cli("decompose", f"file:{path}", "color:r")
+    data = json.loads(out)
+    assert code == 0
+    assert data["status"] == "ok" and data["constant"] == "c = 2/3"
 
 
 def test_decompose_command():

@@ -29,6 +29,7 @@ from rowmotion.families import (
     root_poset_A,
     shifted_staircase,
 )
+from rowmotion.dynamics import as_index_permutation
 from rowmotion.poset import LinearExtension, linear_extension
 
 from conftest import random_extension
@@ -194,6 +195,29 @@ def test_antichain_rowmotion_partitions_antichains():
     anti = enumerate_antichains(P)
     orbits = orbit_partition(lambda A: antichain_rowmotion(P, A), anti)
     assert sum(o.period for o in orbits) == len(anti)
+
+
+_ORBIT_ERRORS = [
+    ("duplicate", "state space contains duplicates"),
+    ("leaves", "map leaves the given state space"),
+    ("not injective", "map is not a bijection of the state space"),
+]
+
+
+@pytest.mark.parametrize("kernel", [orbit_partition, as_index_permutation])
+@pytest.mark.parametrize("case, message", _ORBIT_ERRORS)
+def test_orbit_error_contract(kernel, case, message):
+    P = rectangle(2, 2)
+    ideals = list(enumerate_ideals(P))
+    step, space = lambda I: rowmotion(P, I), ideals
+    if case == "duplicate":
+        space = ideals + ideals[:1]
+    elif case == "leaves":
+        space = ideals[:-1]  # drops the full ideal, an image of rowmotion
+    else:
+        step = lambda I: ideals[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kernel(step, space)
 
 
 def _mask_sweep(P, order, mask):

@@ -204,6 +204,7 @@ def test_json_round_trip(tmp_path):
     Q = Poset.from_dict(data)
     assert Q.covers == P.covers
     assert Q.coords == P.coords
+    assert P.colors and Q.colors == P.colors
 
 
 def test_ideal_cap():

@@ -327,11 +327,16 @@ def test_homomesy_check_basics():
 
 def test_homomesy_check_accepts_permutation():
     P = rectangle(2, 2)
-    from rowmotion.dynamics import as_index_permutation
+    from rowmotion.dynamics import as_index_permutation, rowmotion_order
 
     perm = as_index_permutation(lambda I: rowmotion(P, I), enumerate_ideals(P))
     rep = homomesy_check(named_statistic(P, "ideal_card"), perm)
     assert rep.is_homomesic and rep.constant == 2
+    for spec in ("rect:3,4", "dtd:3", "rootB:3"):
+        Q = from_specifier(spec)
+        for f in (named_statistic(Q, "antichain_card"), indicator_ideal(Q, 0)):
+            perm = Q.sweep_permutation(rowmotion_order(Q))  # an array, not a list
+            assert homomesy_check(f, perm) == homomesy_check(f, lambda I: rowmotion(Q, I))
 
 
 def test_homomesy_negative_example():
