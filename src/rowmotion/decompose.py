@@ -1,38 +1,42 @@
 """Exact decomposition of statistics as constant + signed-toggleability span.
 
 A Decomposition is the certificate f = c + sum_p c_p T_p (or its q-analogue
-with T^q_p over Q(q)).  The columns 1, T_0, ..., T_{n-1} are linearly
-independent, so a certificate is unique when it exists.
+with T^q_p = T+_p - q T-_p over Q(q)).  The columns 1, T_0, ..., T_{n-1} are
+linearly independent, so a certificate is unique when it exists.
 
-`decompose` and `q_decompose` read a statistic's cleared form
-(`Statistic.nums` over `Statistic.den`), so every solve and check runs on
-integers.  They share one certificate system per poset, factored once at
-q = 1 by the Bareiss kernel of `linalg` and cached on the poset: the rows
-[1, T_0(I), ..., T_{n-1}(I)] at the ideals {}, <p> (the down-set of p) and
-<p> - {p} for every element p, at most 2n+1 rows.  They can fall short of
-rank n+1 (on the affine D4 star, with covers (0,1), (1,2), (1,3), (1,5) and
-4 isolated, they have rank 6), and only then are the rows at every ideal
-factored instead.  `decompose` replays the factorization on a statistic and
-checks the candidate exactly once against every ideal, as a sparse integer
-residual over the toggle table; a candidate that fails was the only
-possible solution, so the statistic is not in the span.  `q_decompose`
-refactors the same pivot rows at integer values of q, interpolates, and
-checks the result with the same residual at integer values of q (see its
-docstring).  `toggleability_space_dims` (Table 2) replays the same
-factorizations on each observable and takes the rank of the stacked
-residuals, so the package has one elimination kernel.
+Certificates are solved and checked in the antichain-monomial basis: x^A,
+for an antichain A, is 1 on the ideals containing A.  The x^A are a basis of
+the functions on J(P) (their matrix against the ideals is the unitriangular
+zeta matrix of J(P)), so f equals a combination on every ideal exactly when
+their monomial coefficients agree, and no ideal is enumerated.  With C-(p)
+and C+(p) the lower and upper covers of p, 1_p = x^{p},
+T+_p = x^{C-(p)} - x^{p} and T-_p = sum over S within C+(p) of
+(-1)^|S| x^{max({p} u S)}.  The certificate system of a poset has one row
+per monomial these touch (at most 1 + 2n + sum_p 2^|C+(p)|, bounded before
+anything is built) and the columns 1, T^q_0, ..., each entry plus - q*minus
+with plus from T+ and minus from T-.  `decompose` factors it once at q = 1
+with the Bareiss kernel of `linalg`, replays that on a statistic's
+coefficients (`_monomials`) at the n+1 pivot monomials, and takes the sparse
+integer residual over every monomial: zero proves the certificate, nonzero
+proves NOT IN SPAN, since the candidate was the only possible solution.
+`q_decompose` refactors n+1 pivot rows at integer values of q, interpolates,
+and checks the result with the same residual (see its docstring).
+`toggleability_space_dims` (Table 2) takes the rank of the stacked residuals
+of its observables, so the package has one elimination kernel.  The system
+is cached on the poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import count, islice
 from math import lcm
 
-from .linalg import DependentColumnsError, factor
-from .poset import CapExceededError, Poset, enumerate_antichains
+from .dynamics import rowmotion_order
+from .linalg import factor
+from .poset import DEFAULT_IDEAL_CAP, CapExceededError, Poset, enumerate_antichains
 from .qpoly import (
     CertificateError,
     RationalFunction,
@@ -102,84 +106,139 @@ def _rf_json(x: RationalFunction):
 
 def decompose(P: Poset, f: Statistic):
     """Unique certificate f = c + sum c_p T_p over Q, or None if f is not in
-    the span.  The certificate is checked exactly against every ideal."""
+    the span.  The certificate is checked exactly, monomial by monomial."""
     if f.kind != RATIONAL:
         raise ValueError("decompose expects a rational-valued statistic")
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    ideals, _, fact = _system(P)
-    nums = f.nums
-    y = fact.replay([nums[i] for i in ideals])
-    if not _is_certificate(P, [fact.det * v for v in nums], y):
+    pivots, fact = _system(P).at_one
+    mono, den = _monomials(P, f)
+    det = fact.det
+    y = fact.replay([mono.get(A, 0) for A in pivots])
+    if not _is_certificate(P, {A: det * v for A, v in mono.items()}, y):
         return None
-    sol = [Fraction(v, fact.det * f.den) for v in y]
+    sol = [Fraction(v, det * den) for v in y]
     return Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
 
 
-def _system(P: Poset):
-    """(ideals, rows, Bareiss factorization at q = 1) of the n+1 pivot rows
-    of P's certificate system, from the structured rows if they suffice."""
+class _System:
+    """The certificate system of a poset: `columns[j]` maps each monomial of
+    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair.  Its
+    pivot rows over Q and over Q(q) are chosen on first use."""
+
+    def __init__(self, P: Poset):
+        size = sum(1 << len(up) for up in P.upper_covers)
+        if size > DEFAULT_IDEAL_CAP:
+            raise CapExceededError(
+                f"the T- expansions have {size} antichain monomials, more than "
+                f"the cap {DEFAULT_IDEAL_CAP}")
+        self.columns = [{0: [1, 0]}]
+        for p, up in enumerate(P.up_covers):
+            # T-_p is x^{p} and (-1)^|S| x^S for each nonempty S within C+(p)
+            col = {P.down_covers[p]: [1, 0], 1 << p: [-1, 1]}
+            S = up
+            while S:
+                col[S] = [0, -1 if S.bit_count() & 1 else 1]
+                S = (S - 1) & up
+            self.columns.append(col)
+        singletons = [1 << p for p in range(P.n)]
+        rest = sorted({A for col in self.columns for A in col}.difference([0], singletons),
+                      key=lambda A: (A.bit_count(), A))
+        self._order = [0, *singletons, *rest]
+        self._q_order = [0, *reversed(rest), *singletons]
+
+    def _rows(self, monomials):
+        return [[col.get(A, (0, 0)) for col in self.columns] for A in monomials]
+
+    def _pivot_rows(self, monomials):
+        """(the first n+1 monomials with rows independent at q = 1, their
+        factorization)."""
+        fact = factor([[a - b for a, b in row] for row in self._rows(monomials)])
+        return tuple(monomials[i] for i in fact.rows), fact
+
+    @cached_property
+    def at_one(self):
+        """(pivot monomials, factorization) of `decompose`: the first n+1
+        rows independent at q = 1, read {} and the singletons first."""
+        return self._pivot_rows(self._order)
+
+    @cached_property
+    def q_rows(self):
+        """The Q(q) pivot rows, as a dict from monomial to its row of
+        [plus, minus] pairs, read from the largest antichains down and the
+        singletons last: their determinant has a far lower q-degree than
+        that of the rows of `at_one` (9 against 25 on rect:5,5), which keeps
+        the interpolated certificate small."""
+        pivots, _ = self._pivot_rows(self._q_order)
+        return dict(zip(pivots, self._rows(pivots)))
+
+
+def _system(P: Poset) -> _System:
+    """The certificate system of P, built and factored on first use."""
     if P._certificate_system is None:
-        for candidates in (_structured_rows(P), range(len(P.ideal_masks()))):
-            rows = _rows_at(P, candidates)
-            fact = factor(rows)
-            if fact.det:
-                P._certificate_system = (
-                    [candidates[i] for i in fact.rows], [rows[i] for i in fact.rows], fact)
-                break
-        else:
-            raise DependentColumnsError("columns are linearly dependent")
+        P._certificate_system = _System(P)
     return P._certificate_system
 
 
-def _structured_rows(P: Poset):
-    """Canonical indices of the ideals {}, <p> and <p> - {p}, for every p."""
-    rows = {0}
-    for p in range(P.n):
-        down = P.down_set[p]
-        rows.add(P.ideal_index(down))
-        rows.add(P.ideal_index(down ^ 1 << p))
-    return sorted(rows)
-
-
-def _rows_at(P, ideals):
-    """The rows [1, T_0(I), ..., T_{n-1}(I)] at the ideals with the given
-    indices, built one toggle column at a time."""
-    rows = [[1] for _ in ideals]
-    for p in range(P.n):
-        col = toggle_vector(P, p, 1, -1, 0)
-        for row, i in zip(rows, ideals):
-            row.append(col[i])
-    return rows
+def _monomials(P: Poset, f: Statistic):
+    """(g, s) with f = sum_A g[A] x^A / s over antichain masks A, nonzero
+    g[A] only.  A combo is expanded directly from the columns of the system.
+    Values are Moebius-inverted, g(max I) = sum over S within max(I) of
+    (-1)^|S| f(I - S), one element at a time from the top: g(I) -= g(I - p)
+    over the aligned pairs of the toggle table (the lower covers that
+    removing p makes maximal come later)."""
+    if f.combo is None:
+        table = P.toggle_table()
+        g = list(f.nums)
+        for p in rowmotion_order(P):
+            for a, r in zip(table.addable[p], table.removable[p]):
+                g[r] = g[r] - g[a]
+        return {top: v for top, v in zip(P.antichain_masks(), g) if v}, f.den
+    scale = lcm(*(c.denominator for part in f.combo for c in part))
+    out = {}
+    for p, (col, *coeffs) in enumerate(zip(_system(P).columns[1:], *f.combo)):
+        if any(coeffs):
+            a, b, d = (c.numerator * (scale // c.denominator) for c in coeffs)
+            for A, (plus, minus) in col.items():
+                out[A] = out.get(A, 0) + a * plus + b * minus
+            out[1 << p] += d
+    return {A: c for A, c in out.items() if c}, scale
 
 
 def _residual(P, values, sol, z=1):
-    """values - sol[0] - sum_p sol[p+1] * T^z_p on every ideal, with
-    T^z_p = 1 where p is addable and -z where removable (T_p at z = 1).
-
-    The solvers pass integers (det * numerators against det * x), so this
-    is integer arithmetic over the toggle-table entries.
-    """
-    residual = [v - sol[0] for v in values]
-    return accumulate_toggles(P, residual, [-c for c in sol[1:]], [z * c for c in sol[1:]])
+    """values - sol[0] - sum_p sol[p+1] * T^z_p as a dict of monomial
+    coefficients (zeros kept), for `values` a dict of the same kind.  The
+    solvers pass integers, so this is integer arithmetic over the sparse
+    columns of the system."""
+    out = dict(values)
+    for c, col in zip(sol, _system(P).columns):
+        if c:
+            for A, (plus, minus) in col.items():
+                out[A] = out.get(A, 0) - c * (plus - z * minus)
+    return out
 
 
 def _is_certificate(P, values, sol, z=1):
-    """True iff values == sol[0] + sum_p sol[p+1] * T^z_p on every ideal."""
-    return not any(_residual(P, values, sol, z))
+    """True iff values == sol[0] + sum_p sol[p+1] * T^z_p, monomial by
+    monomial, which is on every ideal."""
+    return not any(_residual(P, values, sol, z).values())
 
 
 _sample_points = count  # the integers at which q is specialized
 
 
 def _nonsingular_points(P: Poset):
-    """(z, factorization at q = z) of the pivot rows of P's certificate
-    system, at each of the `_sample_points` where they are nonsingular."""
-    _, square, _ = _system(P)
+    """(z, factorization at q = z) of the Q(q) pivot rows, at each of the
+    `_sample_points` where they are nonsingular."""
     for z in _sample_points():
-        fact = factor([[-z if s < 0 else s for s in row] for row in square])
+        fact = _q_factor(P, z)
         if fact.det:
             yield z, fact
+
+
+def _q_factor(P: Poset, z: int):
+    """The Bareiss factorization of the Q(q) pivot rows at q = z."""
+    return factor([[a - z * b for a, b in row] for row in _system(P).q_rows.values()])
 
 
 def q_decompose(P: Poset, f: Statistic):
@@ -187,31 +246,35 @@ def q_decompose(P: Poset, f: Statistic):
 
     f, with rational or Q(q) values, is read in its cleared form g / s, g
     integer polynomials of degree <= d; the solve does no arithmetic in Q(q).
-    The n+1 pivot rows shared with `decompose`, independent at q = 1, have
+    The n+1 pivot rows of `_System.q_rows`, independent at q = 1, have
     entries of q-degree <= 1, so by Cramer's rule x_j = N_j(q) / det(q) with
     deg det <= n, deg N_j <= n+d.  That square system, in one fixed row
     order, is factored and replayed on g at q = 0, 1, 2, ..., skipping roots
     of det, until n+1+d points are in hand; det and the N_j are then
-    interpolated once.  The first point is no pole, so a Q(q) certificate
-    would specialize to the candidate there: a nonzero residual over the
-    ideals returns None before any interpolation.  The result is checked
-    once, as a polynomial identity over every ideal (`_is_q_certificate`);
-    its coefficients are then checked to have no pole at any nonnegative
-    rational, which makes every specialization q := r/s legal.
+    interpolated once.  det * g = sum_j N_j T^q_j holds as a polynomial
+    identity when f has a Q(q) certificate, so the candidate at every such
+    point must pass the monomial residual: at the first two points a
+    nonzero residual returns None before any interpolation.  The result is
+    checked once, as a polynomial identity in the monomial basis
+    (`_is_q_certificate`); its coefficients are then checked to have no pole
+    at any nonnegative rational, which makes every specialization q := r/s
+    legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    ideals, _, _ = _system(P)
+    pivots = _system(P).q_rows
+    form = _monomials(P, f)
     good = []  # (z, det, det * x) at the points where det != 0
-    for z, fact in islice(_nonsingular_points(P), P.n + 1 + _degrees(f)[1]):
-        g, _ = _cleared_at(f, z)
-        y = fact.replay([g[i] for i in ideals])
-        if not good and not _is_certificate(P, [fact.det * v for v in g], y, z):
+    for z, fact in islice(_nonsingular_points(P), P.n + 1 + _degrees(form)[1]):
+        g, _ = _cleared_at(form, z)
+        y = fact.replay([g.get(A, 0) for A in pivots])
+        if len(good) < 2 and not _is_certificate(
+                P, {A: fact.det * v for A, v in g.items()}, y, z):
             return None
         good.append((z, fact.det, *y))
     points, *columns = zip(*good)
     det_poly, *num_polys = interpolate(points, columns)
-    sol = [RationalFunction(num, det_poly * f.den) for num in num_polys]
+    sol = [RationalFunction(num, det_poly * form[1]) for num in num_polys]
     if not _is_q_certificate(P, f, sol):
         return None
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
@@ -219,47 +282,51 @@ def q_decompose(P: Poset, f: Statistic):
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
 
 
-def _degrees(f: Statistic):
-    """(deg s, max deg g) of the cleared form g / s of f."""
-    if f.kind == RATIONAL:
+def _degrees(form):
+    """(deg s, max deg g) of a monomial form (g, s) from `_monomials`."""
+    mono, den = form
+    if isinstance(den, int):
         return 0, 0
-    return f.den.degree, max(0, *(g.degree for g in set(f.nums)))
+    return den.degree, max(0, *(g.degree for g in mono.values()))
 
 
-def _cleared_at(f: Statistic, z: int):
-    """(g(z) on every ideal, s(z)), in integers, for f in cleared form g / s."""
-    if f.kind == RATIONAL:
-        return f.nums, f.den
-    return [horner(g, z) for g in f.nums], horner(f.den, z)
+def _cleared_at(form, z: int):
+    """(g(z) per monomial, s(z)), in integers, for a monomial form (g, s)."""
+    mono, den = form
+    if isinstance(den, int):
+        return form
+    return {A: horner(g, z) for A, g in mono.items()}, horner(den, z)
 
 
 def _is_q_certificate(P, f, sol):
     """Whether f = sol[0] + sum_p sol[p+1] * T^q_p on every ideal, over Q(q).
 
-    With f = g / s cleared and each sol[j] = N_j / D_j cleared to integer
-    polynomials, H * (s * C_I - g_I), where C_I is the right-hand side on
-    ideal I and H the lcm of the D_j, is a polynomial in q of degree at most
-    B = sum of deg D over the distinct D + max(deg s + max_j (deg N_j -
-    deg D_j) + 1, max_I deg g_I).  It is checked to vanish at the first B+1
-    integers z >= 0 where no D_j vanishes, so it is zero.  At each z every
-    number is an integer: with L the lcm of the D_j(z), the kernel of
-    `decompose` checks L * g(z) = s(z) * (L * C(z)) on every ideal.
+    With f = g / s cleared in the monomial basis and each sol[j] = N_j / D_j
+    cleared to integer polynomials, H * (s * C_A - g_A), where C_A is the
+    right-hand side's coefficient of x^A and H the lcm of the D_j, is a
+    polynomial in q of degree at most B = sum of deg D over the distinct
+    D + max(deg s + max_j (deg N_j - deg D_j) + 1, max_A deg g_A).  It is
+    checked to vanish at the first B+1 integers z >= 0 where no D_j
+    vanishes, so it is zero.  At each z every number is an integer: with L
+    the lcm of the D_j(z), the residual of `decompose` checks
+    L * g(z) = s(z) * (L * C(z)) monomial by monomial.
     """
     parts = []
     for c in sol:
         k = lcm(*(a.denominator for a in c.num.coeffs + c.den.coeffs))
         parts.append((c.num * k, c.den * k))
     dens = {D for _, D in parts}
-    deg_s, deg_g = _degrees(f)
+    form = _monomials(P, f)
+    deg_s, deg_g = _degrees(form)
     bound = sum(D.degree for D in dens) + max(
         deg_s + 1 + max(N.degree - D.degree for N, D in parts), deg_g)
     poles_free = (z for z in count() if all(horner(D, z) for D in dens))
     for z in islice(poles_free, bound + 1):
-        g, s = _cleared_at(f, z)
+        g, s = _cleared_at(form, z)
         at = [(horner(N, z), horner(D, z)) for N, D in parts]
         L = lcm(*(d for _, d in at))
         x = [s * n * (L // d) for n, d in at]
-        if any(_residual(P, [L * v for v in g], x, z)):
+        if any(_residual(P, {A: L * v for A, v in g.items()}, x, z).values()):
             return False
     return True
 
@@ -296,17 +363,17 @@ def toggleability_space_dims(P: Poset) -> dict:
     All four spaces consist of rational-coefficient combinations a of the n
     observables.  At a point z where the pivot rows of the certificate system
     are nonsingular, each observable's candidate from those rows leaves a
-    residual R_j(z) over every ideal (`_residual`), and sum_j a_j * obs_j is
-    in the span of {1, T^z_p} iff R(z) a = 0; each dimension is n minus the
-    rank of the stacked R.  Over Q that is z = 1.  Over Q(q), det(q) * R(q)
-    has q-degree at most n+1 (pivot-row entries of degree <= 1, an adjugate
-    of degree <= n, observables constant in q), so it vanishes iff it
-    vanishes at n+2 points, here the first n+2 nonsingular ones.
+    monomial residual R_j(z) (`_residual`), and sum_j a_j * obs_j is in the
+    span of {1, T^z_p} iff R(z) a = 0; each dimension is n minus the rank of
+    the stacked R.  Over Q that is z = 1.  Over Q(q), det(q) * R(q) has
+    q-degree at most n+1 (pivot-row entries of degree <= 1, an adjugate of
+    degree <= n, observables constant in q), so it vanishes iff it vanishes
+    at n+2 points, here the first n+2 nonsingular ones.
     """
-    masks = P.ideal_masks()
-    out_rows = [toggle_vector(P, p, 0, 1, 0) for p in range(P.n)]
-    ind_rows = [[m >> p & 1 for m in masks] for p in range(P.n)]
-    at_one = [(1, _system(P)[2])]
+    out_rows = [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
+                for col in _system(P).columns[1:]]
+    ind_rows = [{1 << p: 1} for p in range(P.n)]  # 1_p = x^{p}
+    at_one = [(1, _q_factor(P, 1))]
     points = list(islice(_nonsingular_points(P), P.n + 2))
     return {
         "dim_A": P.n - _residual_rank(P, out_rows, at_one),
@@ -318,16 +385,20 @@ def toggleability_space_dims(P: Poset) -> dict:
 
 def _residual_rank(P, observables, points):
     """Rank of the residual maps R(z), stacked over the (z, factorization)
-    points: column j of R(z) is the residual over every ideal of
-    observables[j] after its candidate from the pivot rows at q = z."""
-    ideals = _system(P)[0]
+    points: column j of R(z) is the monomial residual of observables[j]
+    after its candidate from the Q(q) pivot rows at q = z."""
+    pivots = _system(P).q_rows
     rows = []
     for z, fact in points:
         residuals = [
-            _residual(P, [fact.det * v for v in obs], fact.replay([obs[i] for i in ideals]), z)
+            _residual(P, {A: fact.det * v for A, v in obs.items()},
+                      fact.replay([obs.get(A, 0) for A in pivots]), z)
             for obs in observables
         ]
-        rows += [row for row in zip(*residuals) if any(row)]
+        for A in set().union(*residuals):
+            row = [r.get(A, 0) for r in residuals]
+            if any(row):
+                rows.append(row)
     return len(factor(rows).rows) if rows else 0
 
 

@@ -63,8 +63,16 @@ def toggle(P: Poset, p: int, I: OrderIdeal) -> OrderIdeal:
 
 def rowmotion_order(P: Poset) -> tuple:
     """The elements toggled by rowmotion, in order: a linear extension read
-    from the top."""
-    return P._linext[::-1]
+    from the top, kept once per poset."""
+    return P._rowmotion_order
+
+
+def _rowmotion_permutation(P: Poset):
+    """The `sweep_permutation` of `rowmotion_order`, kept on the poset so
+    that a rowmotion step does no O(n) work before its index lookup."""
+    if P._rowmotion_perm is None:
+        P._rowmotion_perm = P.sweep_permutation(P._rowmotion_order)
+    return P._rowmotion_perm
 
 
 def _sweep_mask(P: Poset, order, mask) -> int:
@@ -86,7 +94,10 @@ def _sweep(P: Poset, order, I: OrderIdeal) -> OrderIdeal:
 
 def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
     """The ideal generated by the minimal elements of the complement of I."""
-    return _sweep(P, rowmotion_order(P), I)
+    if P._ideal_masks is None:
+        return OrderIdeal._make(P, _sweep_mask(P, P._rowmotion_order, I.mask))
+    perm = _rowmotion_permutation(P)
+    return OrderIdeal._make(P, P._ideal_masks[perm[P._ideal_index[I.mask]]])
 
 
 def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> OrderIdeal:
@@ -153,7 +164,7 @@ def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
     gen = P.generated_ideal_mask(A.mask)
     if P._ideal_masks is None:
         return Antichain._make(P, P.min_complement_mask(gen))
-    perm = P.sweep_permutation(rowmotion_order(P))
+    perm = _rowmotion_permutation(P)
     return Antichain._make(P, P.antichain_masks()[perm[P._ideal_index[gen]]])
 
 

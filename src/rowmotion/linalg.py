@@ -18,11 +18,6 @@ from operator import mul
 from typing import NamedTuple
 
 
-class DependentColumnsError(ValueError):
-    """The rows given do not determine the solution: the columns restricted
-    to them are linearly dependent."""
-
-
 class Bareiss(NamedTuple):
     """Bareiss factorization of the first independent rows, at most n, of an
     integer matrix with n columns: `rows` are their input indices, `lu` the

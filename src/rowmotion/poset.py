@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_IDEAL_CAP = 2_000_000
@@ -85,27 +86,7 @@ class Poset:
         self.lower_covers = tuple(tuple(_bits(m)) for m in down)
 
         self._linext = self._lex_min_extension()  # also proves acyclicity
-
-        dset = [0] * self.n  # down_set[x]: mask of all y <= x
-        for x in self._linext:
-            m = 1 << x
-            dm = down[x]
-            while dm:
-                low = dm & -dm
-                m |= dset[low.bit_length() - 1]
-                dm ^= low
-            dset[x] = m
-        uset = [0] * self.n
-        for x in reversed(self._linext):
-            m = 1 << x
-            um = up[x]
-            while um:
-                low = um & -um
-                m |= uset[low.bit_length() - 1]
-                um ^= low
-            uset[x] = m
-        self.down_set = tuple(dset)
-        self.up_set = tuple(uset)
+        self._rowmotion_order = self._linext[::-1]  # see dynamics.rowmotion_order
 
         self.minimal_mask = 0
         self.maximal_mask = 0
@@ -127,7 +108,30 @@ class Poset:
         self._toggle_table: Optional[ToggleTable] = None
         self._certificate_system = None  # factored by rowmotion.decompose
         self._sweeps: dict = {}
+        self._rowmotion_perm: Optional[array] = None  # cached by rowmotion.dynamics
         self._antichain_masks: Optional[tuple] = None
+
+    @cached_property
+    def down_set(self) -> tuple:
+        """down_set[x]: mask of all y <= x, built on first use."""
+        dset = [0] * self.n
+        for x in self._linext:
+            m = 1 << x
+            for y in self.lower_covers[x]:
+                m |= dset[y]
+            dset[x] = m
+        return tuple(dset)
+
+    @cached_property
+    def up_set(self) -> tuple:
+        """up_set[x]: mask of all y >= x, built on first use."""
+        uset = [0] * self.n
+        for x in reversed(self._linext):
+            m = 1 << x
+            for y in self.upper_covers[x]:
+                m |= uset[y]
+            uset[x] = m
+        return tuple(uset)
 
     # -- construction helpers -------------------------------------------------
 

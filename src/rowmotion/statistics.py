@@ -7,9 +7,11 @@ one Polynomial (kind QRATIONAL, values in Q(q)).  Given values are cleared
 once, by the constructor; the builders and the arithmetic below make the
 cleared form directly, and every consumer reads it.  `values` is a view that
 builds one Fraction or RationalFunction per entry on access.  Linear
-statistics also remember their expansion in the building blocks (toggle-in,
-toggle-out, ideal-indicator coefficients per element), which is what the
-piecewise-linear and birational lifts consume.
+statistics are their expansion in the building blocks (toggle-in, toggle-out,
+ideal-indicator coefficients per element), which is what the certificate
+solver and the piecewise-linear and birational lifts consume; they build the
+cleared form only when something reads it, so building one enumerates no
+ideal.
 """
 
 from __future__ import annotations
@@ -39,22 +41,42 @@ _ONE = Polynomial((1,))
 class Statistic:
     """A statistic on the order ideals of `poset`, in cleared form (see the
     module docstring).  Give either `values`, one Fraction (RationalFunction
-    for kind QRATIONAL) per ideal, or the cleared form as `nums` and `den`,
-    which need not be in lowest terms."""
+    for kind QRATIONAL) per ideal, the cleared form as `nums` and `den`,
+    which need not be in lowest terms, or only `combo`: the (tin, tout, ind)
+    Fraction coefficient tuples of a rational statistic, whose cleared form
+    is then built on first read."""
 
-    __slots__ = ("poset", "nums", "den", "kind", "label", "combo")
+    __slots__ = ("poset", "_nums", "_den", "kind", "label", "combo")
 
     def __init__(self, poset, values=None, kind=RATIONAL, label="", combo=None, *,
                  nums=None, den=1):
-        if values is not None:
-            nums, den = _clear(tuple(values), kind)
-        self.nums, self.den = _lowest(tuple(nums), den, kind)
-        if len(self.nums) != len(poset.ideal_masks()):
-            raise ValueError("statistic length must equal the ideal count")
         self.poset = poset
         self.kind = kind
         self.label = label
         self.combo = combo  # (tin, tout, ind) coefficient tuples, or None
+        if values is not None:
+            nums, den = _clear(tuple(values), kind)
+        if nums is None:
+            if combo is None:
+                raise ValueError("a statistic needs values, nums or a combo")
+            self._nums = None
+            return
+        self._nums, self._den = _lowest(tuple(nums), den, kind)
+        if len(self._nums) != len(poset.ideal_masks()):
+            raise ValueError("statistic length must equal the ideal count")
+
+    @property
+    def nums(self) -> tuple:
+        return self._cleared()[0]
+
+    @property
+    def den(self):
+        return self._cleared()[1]
+
+    def _cleared(self):
+        if self._nums is None:
+            self._nums, self._den = _combo_nums(self.poset, self.combo)
+        return self._nums, self._den
 
     @property
     def values(self) -> "Values":
@@ -75,15 +97,15 @@ class Statistic:
             return NotImplemented
         if other.poset is not self.poset or other.kind != self.kind:
             raise ValueError("statistics live on different spaces")
-        combo = None
+        label = _join(self.label, "+", other.label)
         if self.combo is not None and other.combo is not None:
             combo = tuple(
                 tuple(a + b for a, b in zip(u, v))
                 for u, v in zip(self.combo, other.combo)
             )
+            return Statistic(self.poset, label=label, combo=combo)
         den, a, b = _lcm_cofactors(self.den, other.den)
-        return Statistic(self.poset, kind=self.kind, label=_join(self.label, "+", other.label),
-                         combo=combo, den=den,
+        return Statistic(self.poset, kind=self.kind, label=label, den=den,
                          nums=[x * a + y * b for x, y in zip(self.nums, other.nums)])
 
     def __sub__(self, other):
@@ -94,16 +116,16 @@ class Statistic:
             c = Fraction(c)
         if self.kind == RATIONAL and not isinstance(c, Fraction):
             raise TypeError("rational statistics scale by Fractions")
-        combo = None
-        if self.combo is not None:
-            combo = tuple(tuple(c * x for x in part) for part in self.combo)
         label = f"{format_fraction(c) if isinstance(c, Fraction) else c}*{self.label}"
+        if self.combo is not None:
+            combo = tuple(tuple(c * x if x else x for x in part) for part in self.combo)
+            return Statistic(self.poset, label=label, combo=combo)
         if self.kind == RATIONAL:
             cn, cd = c.numerator, c.denominator
         else:
             c = c if isinstance(c, RationalFunction) else RationalFunction(c)
             cn, cd = c.num, c.den
-        return Statistic(self.poset, kind=self.kind, label=label, combo=combo,
+        return Statistic(self.poset, kind=self.kind, label=label,
                          nums=[cn * v for v in self.nums], den=self.den * cd)
 
     def specialize(self, z) -> "Statistic":
@@ -133,7 +155,7 @@ class Values(Sequence):
         self._stat = stat
 
     def __len__(self):
-        return len(self._stat.nums)
+        return len(self._stat.poset.ideal_masks())
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -233,26 +255,28 @@ def toggle_vector(P: Poset, p: int, plus, minus, zero):
 
 
 def from_combo(P: Poset, tin, tout, ind, label="") -> Statistic:
-    """Statistic sum_p (tin_p*T+_p + tout_p*T-_p + ind_p*1_p)."""
-    tin = tuple(Fraction(c) for c in tin)
-    tout = tuple(Fraction(c) for c in tout)
-    ind = tuple(Fraction(c) for c in ind)
-    # accumulate in integers over the common denominator of the coefficients
-    scale = lcm(*(c.denominator for c in tin + tout + ind))
+    """Statistic sum_p (tin_p*T+_p + tout_p*T-_p + ind_p*1_p); nothing is
+    evaluated on the ideals until its cleared form is read."""
+    combo = tuple(tuple(Fraction(c) for c in part) for part in (tin, tout, ind))
+    return Statistic(P, label=label, combo=combo)
 
-    def scaled(coeffs):
-        return [c.numerator * (scale // c.denominator) for c in coeffs]
 
+def _combo_nums(P, combo):
+    """The cleared form of a combo, accumulated in integers over the common
+    denominator of its coefficients."""
+    scale = lcm(*(c.denominator for part in combo for c in part))
+    tin, tout, ind = ([c.numerator * (scale // c.denominator) for c in part]
+                      for part in combo)
     masks = P.ideal_masks()
     acc = [0] * len(masks)
     supports = {}  # coefficient -> mask of the elements carrying it in ind
-    for p, c in enumerate(scaled(ind)):
+    for p, c in enumerate(ind):
         if c:
             supports[c] = supports.get(c, 0) | 1 << p
     for c, support in supports.items():
         acc = [a + c * (m & support).bit_count() for a, m in zip(acc, masks)]
-    accumulate_toggles(P, acc, scaled(tin), scaled(tout))
-    return Statistic(P, label=label, combo=(tin, tout, ind), nums=acc, den=scale)
+    accumulate_toggles(P, acc, tin, tout)
+    return _lowest(tuple(acc), scale, RATIONAL)
 
 
 def _unit(P, p):

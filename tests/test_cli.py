@@ -497,6 +497,29 @@ def test_file_poset_size_is_bounded_before_building(tmp_path):
         assert code == 2 and err.startswith("error: malformed poset file"), bad
 
 
+def test_decompose_answers_past_ideal_enumeration():
+    # rect:12,12 has 2 704 156 order ideals, more than the enumeration cap
+    code, out, err = run_cli_err("decompose", "rect:12,12", "antichain_card")
+    assert code == 0 and err == ""
+    assert json.loads(out)["constant"] == "c = 6"
+
+
+def test_certificate_expansion_is_bounded_before_building(tmp_path):
+    import time
+
+    from rowmotion.poset import DEFAULT_IDEAL_CAP
+
+    # one element under 24 others: T- of it expands to 2^24 monomials
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"n": 25, "covers": [[0, k] for k in range(1, 25)]}))
+    start = time.perf_counter()
+    code, out, err = run_cli_err("decompose", f"file:{path}", "antichain_card")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and err == ""
+    detail = json.loads(out)["detail"]
+    assert str(2 ** 24 + 24) in detail and str(DEFAULT_IDEAL_CAP) in detail
+
+
 def test_size_bound_is_above_every_poset_in_use():
     from rowmotion.families import MAX_ELEMENTS, from_specifier
 

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from rowmotion import (
     Poset,
@@ -334,7 +336,7 @@ def _classical_dims(P):
 
 # (n, covers) -> toggleability_space_dims, recorded before the dimensions
 # were computed from the certificate system; the first is the affine D4 star,
-# whose structured rows fall short of full rank
+# whose rows at {} and the singletons fall short of full rank
 TABLE2_OFF_FAMILY = [
     ((6, [(0, 1), (1, 2), (1, 3), (1, 5)]), (5, 5, 4, 4)),
     ((6, [(0, 1), (1, 2), (2, 5), (4, 5)]), (5, 5, 2, 2)),
@@ -349,9 +351,6 @@ TABLE2_OFF_FAMILY = [
 
 
 def test_toggleability_space_dims_off_the_families():
-    import importlib
-
-    mod = importlib.import_module("rowmotion.decompose")
     rng = random.Random(2024)
     for k, ((n, covers), want) in enumerate(TABLE2_OFF_FAMILY):
         P = Poset(n, covers)
@@ -361,8 +360,6 @@ def test_toggleability_space_dims_off_the_families():
         assert tuple(dims.values()) == want, covers
         assert list(dims) == ["dim_A", "dim_I", "dim_A_q", "dim_I_q"]
         assert {k: dims[k] for k in ("dim_A", "dim_I")} == _classical_dims(P), covers
-    star = Poset(*TABLE2_OFF_FAMILY[0][0])
-    assert not set(mod._system(star)[0]) <= set(mod._structured_rows(star))
 
 
 def test_antichain_span_dims():
@@ -445,7 +442,22 @@ def _answer(dec):
     return None if dec is None else (dec.constant, dec.coeffs)
 
 
-def test_structured_rows_reach_full_rank(monkeypatch):
+def _monomial_rows(P):
+    """The number of monomials the certificate system of P touches: {},
+    every singleton, every lower-cover set and every nonempty set of upper
+    covers of one element."""
+    rows = {0} | {1 << p for p in range(P.n)} | set(P.down_covers)
+    for up in P.up_covers:
+        rows |= {sum(1 << q for q, keep in zip(_members(up), bits) if keep)
+                 for bits in itertools.product((0, 1), repeat=up.bit_count())}
+    return len(rows)
+
+
+def _members(mask):
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def test_monomial_rows_reach_full_rank(monkeypatch):
     mod, calls = _spy_on_factor(monkeypatch)
     seen = set()
     for spec, P, f in _ladder_statistics():
@@ -455,8 +467,7 @@ def test_structured_rows_reach_full_rank(monkeypatch):
         if spec in seen:  # a second statistic on the poset factors nothing
             assert calls == [], spec
         else:
-            assert calls == [len(mod._structured_rows(P))], spec
-            assert calls[0] <= 2 * P.n + 1
+            assert calls == [_monomial_rows(P)], spec
         seen.add(spec)
     for spec, P, f in _not_in_span_statistics():
         calls.clear()
@@ -464,26 +475,46 @@ def test_structured_rows_reach_full_rank(monkeypatch):
         assert len(calls) == 1, spec
 
 
-def test_full_scan_fallback_gives_same_answers(monkeypatch):
-    expected = [_answer(decompose(P, f)) for _, P, f in _ladder_statistics()]
-    mod, calls = _spy_on_factor(monkeypatch)
-    monkeypatch.setattr(mod, "_structured_rows", lambda P: [0])
-    seen = set()
-    for (spec, P, f), want in zip(_ladder_statistics(), expected):
-        calls.clear()
-        dec = decompose(P, f)
-        # the fallback ran for the first statistic, and its system is kept
-        assert calls == ([] if spec in seen else [1, len(P.ideal_masks())]), spec
-        seen.add(spec)
-        assert _answer(dec) == want, spec
-    for spec, P, f in _not_in_span_statistics():
-        calls.clear()
-        assert decompose(P, f) is None, spec
-        assert calls == [1, len(P.ideal_masks())], spec
+def _ideal_answer(P, f, z=Fraction(1)):
+    """[c, c_0, ..., c_{n-1}] at q = z from the rows 1, T^z_p at every ideal,
+    by Fraction elimination that shares no code with the solver, or None
+    when f at q = z is outside their span."""
+    base = [[1] * len(P.ideal_masks())] + [
+        [v if v >= 0 else z * v for v in t_signed(P, p).values] for p in range(P.n)]
+    values = [v.evaluate(z) if isinstance(v, RationalFunction) else v for v in f.values]
+    if _rank(base + [values]) > _rank(base):
+        return None
+    rows = list(zip(*base))
+    k = len(base)
+    # the normal equations, square and nonsingular as the columns are independent
+    m = [[sum(r[i] * r[j] for r in rows) for j in range(k)]
+         + [sum(r[i] * v for r, v in zip(rows, values))] for i in range(k)]
+    for c in range(k):
+        piv = next(r for r in range(c, k) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [Fraction(a) / m[c][c] for a in m[c]]
+        for r in range(k):
+            if r != c and m[r][c]:
+                m[r] = [a - m[r][c] * b for a, b in zip(m[r], m[c])]
+    return [row[-1] for row in m]
 
 
-def test_star_takes_the_all_ideals_fallback():
-    """The affine D4 star: its structured rows have rank n < n+1."""
+def _at(dec, z=Fraction(1)):
+    """The certificate of `dec` at q = z as a list, or None."""
+    if dec is None:
+        return None
+    return [c.evaluate(z) if isinstance(c, RationalFunction) else Fraction(c)
+            for c in (dec.constant, *dec.coeffs)]
+
+
+def test_ideal_rows_give_same_answers():
+    for spec, P, f in [*_ladder_statistics(), *_not_in_span_statistics()]:
+        assert _at(decompose(P, f)) == _ideal_answer(P, f), spec
+
+
+def test_affine_d4_star_certificates():
+    """The affine D4 star: its rows at {} and the singletons have rank n <
+    n+1, and a monomial of two upper covers completes the system."""
     import importlib
 
     from rowmotion import constant_statistic, t_q
@@ -491,12 +522,10 @@ def test_star_takes_the_all_ideals_fallback():
 
     mod = importlib.import_module("rowmotion.decompose")
     P = Poset(6, [(0, 1), (1, 2), (1, 3), (1, 5)])  # element 4 is isolated
-    assert _rank(mod._rows_at(P, mod._structured_rows(P))) == P.n
     f = constant_statistic(P, Fraction(3, 2)) + 2 * t_signed(P, 1)
     f = f - Fraction(1, 3) * t_signed(P, 4)
     dec = decompose(P, f)
-    ideals, _, _ = mod._system(P)  # the fallback chose rows beyond the structured ones
-    assert not set(ideals) <= set(mod._structured_rows(P))
+    assert max(A.bit_count() for A in mod._system(P).at_one[0]) == 2
     assert dec.constant == Fraction(3, 2)
     assert dec.coeffs == (0, 2, 0, 0, Fraction(-1, 3), 0)
     q = RationalFunction.q()
@@ -518,11 +547,13 @@ def test_wrong_candidate_fails_the_check():
     f = named_statistic(P, "antichain_card")
     dec = decompose(P, f)
     sol = [dec.constant, *dec.coeffs]
-    assert mod._is_certificate(P, f.values, sol)
+    mono, den = mod._monomials(P, f)
+    values = {A: Fraction(v, den) for A, v in mono.items()}
+    assert mod._is_certificate(P, values, sol)
     for k in range(len(sol)):
         bad = list(sol)
         bad[k] += Fraction(1, 7)
-        assert not mod._is_certificate(P, f.values, bad)
+        assert not mod._is_certificate(P, values, bad)
 
 
 def test_reconstruction_matches_statistic():
@@ -604,28 +635,17 @@ def test_q_decompose_skips_singular_points(monkeypatch):
         assert len(dets) == P.n + 2
 
 
-def test_q_full_scan_fallback_gives_same_answers(monkeypatch):
+def test_q_answers_match_ideal_evaluation():
     from rowmotion.families import from_specifier
 
-    def cases():
-        return [(P, named_statistic(P, kind))
-                for P in (rectangle(2, 3), shifted_staircase(3), from_specifier("rootD:4"))
-                for kind in ("antichain_card", "ideal_card")]
-
-    mod = _q_module()
-    expected = [_answer(q_decompose(P, f)) for P, f in cases()]
-    assert expected.count(None) == 4
-    mod, calls = _spy_on_factor(monkeypatch)
-    monkeypatch.setattr(mod, "_structured_rows", lambda P: [0])
-    for (P, f), want in zip(cases(), expected):
-        calls.clear()
-        assert _answer(q_decompose(P, f)) == want
-        if f.label == "antichain_card":  # the first statistic on P ran the fallback
-            assert calls[:2] == [1, len(P.ideal_masks())]
-    monkeypatch.setattr(mod, "factor", lambda rows: factor(rows)._replace(det=0))
-    for solve in (q_decompose, decompose):
-        with pytest.raises(mod.DependentColumnsError):
-            solve(*cases()[0])
+    cases = [(P, named_statistic(P, kind))
+             for P in (rectangle(2, 3), shifted_staircase(3), from_specifier("rootD:4"))
+             for kind in ("antichain_card", "ideal_card")]
+    answers = [q_decompose(P, f) for P, f in cases]
+    assert answers.count(None) == 4
+    for (P, f), dec in zip(cases, answers):
+        for z in (Fraction(2), Fraction(1, 2)):
+            assert _at(dec, z) == _ideal_answer(P, f, z), (P.name, f.label, z)
 
 
 def test_q_decompose_not_in_span_controls():
@@ -661,6 +681,36 @@ def test_q_early_reject_before_interpolation(monkeypatch):
     P = rectangle(3, 3)
     assert q_decompose(P, named_statistic(P, "antichain_card")) is not None
     assert calls == [P.n + 1]
+
+
+def test_q_second_point_rejects_before_interpolation(monkeypatch):
+    """A seeded random poset on which antichain_card has a certificate over
+    Q, so it passes the residual at the first nonsingular point (q = 0 is
+    singular there, so that is q = 1), but is outside the Q(q) span."""
+    from itertools import islice
+
+    mod = _q_module()
+    rng = random.Random(15)
+    P = _random_poset(rng, rng.randint(3, 7))
+    f = named_statistic(P, "antichain_card")
+    assert P.covers == ((0, 1), (1, 2), (1, 3))
+    assert [z for z, _ in islice(mod._nonsingular_points(P), 2)] == [1, 2]
+    assert decompose(P, f) is not None and _ideal_answer(P, f, Fraction(2)) is None
+    checks, calls = [], []
+    is_certificate, interpolate = mod._is_certificate, mod.interpolate
+
+    def checking(*args):
+        checks.append(is_certificate(*args))
+        return checks[-1]
+
+    def counting(*args):
+        calls.append(args)
+        return interpolate(*args)
+
+    monkeypatch.setattr(mod, "_is_certificate", checking)
+    monkeypatch.setattr(mod, "interpolate", counting)
+    assert q_decompose(P, f) is None
+    assert checks == [True, False] and calls == []
 
 
 def test_q_decompose_q_valued_statistics():
@@ -802,3 +852,63 @@ def test_q_check_rejects_tampering_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True"] + ["None"] * 40
+
+
+# -- the antichain-monomial basis ------------------------------------------------
+
+MONOMIAL = settings(derandomize=True, max_examples=80, deadline=None, database=None,
+                    suppress_health_check=list(HealthCheck))
+_COEFFS = hst.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@MONOMIAL
+@given(hst.data())
+def test_monomial_certificates_match_ideal_evaluation(data):
+    from rowmotion import constant_statistic
+    from rowmotion.statistics import from_combo
+
+    P = _random_poset(random.Random(data.draw(hst.integers(0, 10 ** 6))),
+                      data.draw(hst.integers(1, 8)))
+    combo = [data.draw(hst.lists(_COEFFS, min_size=P.n, max_size=P.n)) for _ in range(3)]
+    f = from_combo(P, *combo)
+    if data.draw(hst.booleans()):  # a statistic given by values only
+        f = Statistic(P, (f + constant_statistic(P, data.draw(_COEFFS))).values)
+    dec = decompose(P, f)
+    assert _at(dec) == _ideal_answer(P, f)
+    if dec is not None:
+        assert dec.reconstruction() == f.values
+    qdec = q_decompose(P, f)
+    points = (Fraction(2), Fraction(1, 2))
+    answers = [_ideal_answer(P, f, z) for z in points]
+    if qdec is None:  # outside the Q(q) span, so outside it at all but finitely many q
+        assert None in answers
+    else:
+        assert [_at(qdec, z) for z in points] == answers
+
+
+def test_combo_certificates_enumerate_no_ideal():
+    from rowmotion import lifted
+    from rowmotion.families import from_specifier
+
+    for spec in ("rect:3,4", "E7", "rect:12,12"):
+        P = from_specifier(spec)
+        f = named_statistic(P, "antichain_card")
+        dec = decompose(P, f)
+        assert P._ideal_masks is None, spec
+    assert dec.constant == 6
+    h, c = lifted.certificate_witness(f, dec)
+    rng = random.Random(12)
+    for _ in range(2):
+        pl = lifted.random_pl_point(P, rng, alpha=Fraction(-1, 2), omega=Fraction(3))
+        bp = lifted.random_b_point(P, rng, alpha=Fraction(2), omega=Fraction(5, 3))
+        assert lifted.check_pl_constant(h, c, pl) and lifted.check_b_constant(h, c, bp)
+    assert P._ideal_masks is None
+    # over Q(q) too, on a combo whose coefficients have a common denominator 6
+    P = rectangle(3, 3)
+    f = (Fraction(1, 2) * named_statistic(P, "antichain_card")
+         + Fraction(1, 3) * named_statistic(P, "pfiber:1"))
+    q3 = RationalFunction(q_number(3), q_number(6))
+    want = q3 * (RationalFunction(q_number(3)) * Fraction(1, 2)
+                 + RationalFunction(Polynomial.q_power(2)) * Fraction(1, 3))
+    assert q_decompose(P, f).constant == want
+    assert P._ideal_masks is None

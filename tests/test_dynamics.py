@@ -245,6 +245,22 @@ def test_cached_permutations_match_mask_definitions(spec):
         assert antichain_rowmotion(P, A) == minimal_complement(ideal_generated_by(A))
 
 
+def test_rowmotion_order_and_permutation_are_kept_per_poset():
+    from rowmotion.dynamics import rowmotion_order
+
+    P = rectangle(3, 3)
+    order = rowmotion_order(P)
+    assert order is rowmotion_order(P) and order == tuple(reversed(P._linext))
+    assert P._rowmotion_perm is None
+    ideals = enumerate_ideals(P)
+    rowmotion(P, ideals[0])
+    perm = P._rowmotion_perm
+    assert perm is P.sweep_permutation(order)
+    for I in ideals:
+        assert rowmotion(P, I).mask == P.ideal_masks()[perm[P.ideal_index(I.mask)]]
+    assert P._rowmotion_perm is perm
+
+
 def test_maps_on_a_poset_whose_ideals_were_never_enumerated():
     from rowmotion.dynamics import sigma_order
 

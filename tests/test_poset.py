@@ -51,6 +51,25 @@ def test_leq_incomparable_pair_matches_brute_closure():
             assert leq(P, a, b) == ((a, b) in clo)
 
 
+def test_up_and_down_sets_are_built_on_first_use():
+    from rowmotion.families import from_specifier
+
+    big = from_specifier("rect:20,20")
+    assert "up_set" not in vars(big) and "down_set" not in vars(big)
+    for P in (root_poset_A(3), shifted_staircase(3), chain_of_vs(2), big):
+        clo = brute_leq(P.n, P.covers) if P.n < 20 else None
+        assert "up_set" not in vars(P) and "down_set" not in vars(P)
+        for x in range(P.n):
+            for y in range(P.n):
+                below = bool(P.down_set[y] >> x & 1)
+                assert below == bool(P.up_set[x] >> y & 1)
+                if clo is not None:
+                    assert below == ((x, y) in clo)
+        assert P.down_set is P.down_set  # built once
+    a, b = big.element_at((1, 1)), big.element_at((20, 20))
+    assert big.up_set[a] == (1 << big.n) - 1 == big.down_set[b]
+
+
 def test_leq_index_errors():
     P = chain(3)
     with pytest.raises(IndexError):
