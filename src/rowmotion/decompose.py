@@ -12,31 +12,32 @@ their monomial coefficients agree, and no ideal is enumerated.  With C-(p)
 and C+(p) the lower and upper covers of p, 1_p = x^{p},
 T+_p = x^{C-(p)} - x^{p} and T-_p = sum over S within C+(p) of
 (-1)^|S| x^{max({p} u S)}.  The certificate system of a poset has one row
-per monomial these touch (at most 1 + 2n + sum_p 2^|C+(p)|, bounded before
-anything is built) and the columns 1, T^q_0, ..., each entry plus - q*minus
-with plus from T+ and minus from T-.  `decompose` factors it once at q = 1
-with the Bareiss kernel of `linalg`, replays that on a statistic's
-coefficients (`_monomials`) at the n+1 pivot monomials, and takes the sparse
-integer residual over every monomial: zero proves the certificate, nonzero
-proves NOT IN SPAN, since the candidate was the only possible solution.
+per monomial these touch (at most 1 + 2n + sum_p 2^|C+(p)|) and the columns
+1, T^q_0, ..., each entry plus - q*minus with plus from T+ and minus from
+T-.  `decompose` factors it once at q = 1 with the Bareiss kernel of
+`linalg`, replays that on a statistic's coefficients (`_monomials`) at the
+n+1 pivot monomials, and takes the sparse integer residual over every
+monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
+candidate was the only possible solution.
 `q_decompose` refactors n+1 pivot rows at integer values of q, interpolates,
 and checks the result with the same residual (see its docstring).
 `toggleability_space_dims` (Table 2) takes the rank of the stacked residuals
 of its observables, so the package has one elimination kernel.  The system
-is cached on the poset.
+is cached on the poset.  The size of the T- expansions and the elimination
+work of every solve are bounded before the work starts (CapExceededError).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import count, islice
 from math import lcm
 
 from .dynamics import rowmotion_order
 from .linalg import factor
-from .poset import DEFAULT_IDEAL_CAP, CapExceededError, Poset, enumerate_antichains
+from .poset import DEFAULT_IDEAL_CAP, CapExceededError, Poset, enumerate_antichains, mask_cap
 from .qpoly import (
     CertificateError,
     RationalFunction,
@@ -111,27 +112,45 @@ def decompose(P: Poset, f: Statistic):
         raise ValueError("decompose expects a rational-valued statistic")
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    pivots, fact = _system(P).at_one
+    system = _system(P)
     mono, den = _monomials(P, f)
-    det = fact.det
-    y = fact.replay([mono.get(A, 0) for A in pivots])
+    det = system.at_one.det
+    y = system.at_one.replay([mono.get(A, 0) for A in system.pivots])
     if not _is_certificate(P, {A: det * v for A, v in mono.items()}, y):
         return None
     sol = [Fraction(v, det * den) for v in y]
     return Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
 
 
+# Eliminating one row of the system against k pivot rows costs about
+# k * (n+1) integer operations, so each dense solve is bounded before it
+# starts.  At this cap a solve takes seconds, and `decompose --q` stops where
+# the ideal cap stopped it on rectangles (rect:11,11 answers, rect:12,12 not).
+WORK_CAP = 128 * DEFAULT_IDEAL_CAP
+
+
+def _bound_work(work: int, what: str):
+    if work > WORK_CAP:
+        raise CapExceededError(
+            f"{what} takes about {work} integer operations, more than the cap {WORK_CAP}")
+
+
 class _System:
     """The certificate system of a poset: `columns[j]` maps each monomial of
-    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair.  Its
-    pivot rows over Q and over Q(q) are chosen on first use."""
+    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair.
+    `pivots` maps each of n+1 monomials, whose rows are independent at
+    q = 1, to its row of pairs, and `at_one` is their factorization at
+    q = 1.  The rows are read from the largest antichains down and the
+    singletons last: the determinant of the rows chosen that way has a low
+    q-degree (9 against 25 with {} and the singletons first, on rect:5,5),
+    which keeps Q(q) certificates small, and entries of a few bits."""
 
     def __init__(self, P: Poset):
         size = sum(1 << len(up) for up in P.upper_covers)
-        if size > DEFAULT_IDEAL_CAP:
+        if size > mask_cap(P.n):
             raise CapExceededError(
                 f"the T- expansions have {size} antichain monomials, more than "
-                f"the cap {DEFAULT_IDEAL_CAP}")
+                f"the cap {mask_cap(P.n)}")
         self.columns = [{0: [1, 0]}]
         for p, up in enumerate(P.up_covers):
             # T-_p is x^{p} and (-1)^|S| x^S for each nonempty S within C+(p)
@@ -144,33 +163,14 @@ class _System:
         singletons = [1 << p for p in range(P.n)]
         rest = sorted({A for col in self.columns for A in col}.difference([0], singletons),
                       key=lambda A: (A.bit_count(), A))
-        self._order = [0, *singletons, *rest]
-        self._q_order = [0, *reversed(rest), *singletons]
+        order = [0, *reversed(rest), *singletons]
+        _bound_work(len(order) * (P.n + 1) ** 2, "factoring the certificate system")
+        self.at_one = factor([[a - b for a, b in row] for row in self._rows(order)])
+        pivots = [order[i] for i in self.at_one.rows]
+        self.pivots = dict(zip(pivots, self._rows(pivots)))
 
     def _rows(self, monomials):
         return [[col.get(A, (0, 0)) for col in self.columns] for A in monomials]
-
-    def _pivot_rows(self, monomials):
-        """(the first n+1 monomials with rows independent at q = 1, their
-        factorization)."""
-        fact = factor([[a - b for a, b in row] for row in self._rows(monomials)])
-        return tuple(monomials[i] for i in fact.rows), fact
-
-    @cached_property
-    def at_one(self):
-        """(pivot monomials, factorization) of `decompose`: the first n+1
-        rows independent at q = 1, read {} and the singletons first."""
-        return self._pivot_rows(self._order)
-
-    @cached_property
-    def q_rows(self):
-        """The Q(q) pivot rows, as a dict from monomial to its row of
-        [plus, minus] pairs, read from the largest antichains down and the
-        singletons last: their determinant has a far lower q-degree than
-        that of the rows of `at_one` (9 against 25 on rect:5,5), which keeps
-        the interpolated certificate small."""
-        pivots, _ = self._pivot_rows(self._q_order)
-        return dict(zip(pivots, self._rows(pivots)))
 
 
 def _system(P: Poset) -> _System:
@@ -237,8 +237,8 @@ def _nonsingular_points(P: Poset):
 
 
 def _q_factor(P: Poset, z: int):
-    """The Bareiss factorization of the Q(q) pivot rows at q = z."""
-    return factor([[a - z * b for a, b in row] for row in _system(P).q_rows.values()])
+    """The Bareiss factorization of the pivot rows at q = z."""
+    return factor([[a - z * b for a, b in row] for row in _system(P).pivots.values()])
 
 
 def q_decompose(P: Poset, f: Statistic):
@@ -246,7 +246,7 @@ def q_decompose(P: Poset, f: Statistic):
 
     f, with rational or Q(q) values, is read in its cleared form g / s, g
     integer polynomials of degree <= d; the solve does no arithmetic in Q(q).
-    The n+1 pivot rows of `_System.q_rows`, independent at q = 1, have
+    The n+1 pivot rows of `_System.pivots`, independent at q = 1, have
     entries of q-degree <= 1, so by Cramer's rule x_j = N_j(q) / det(q) with
     deg det <= n, deg N_j <= n+d.  That square system, in one fixed row
     order, is factored and replayed on g at q = 0, 1, 2, ..., skipping roots
@@ -262,10 +262,12 @@ def q_decompose(P: Poset, f: Statistic):
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    pivots = _system(P).q_rows
+    pivots = _system(P).pivots
     form = _monomials(P, f)
+    npoints = P.n + 1 + _degrees(form)[1]
+    _bound_work(npoints * (P.n + 1) ** 3, "the Q(q) solve")
     good = []  # (z, det, det * x) at the points where det != 0
-    for z, fact in islice(_nonsingular_points(P), P.n + 1 + _degrees(form)[1]):
+    for z, fact in islice(_nonsingular_points(P), npoints):
         g, _ = _cleared_at(form, z)
         y = fact.replay([g.get(A, 0) for A in pivots])
         if len(good) < 2 and not _is_certificate(
@@ -275,7 +277,7 @@ def q_decompose(P: Poset, f: Statistic):
     points, *columns = zip(*good)
     det_poly, *num_polys = interpolate(points, columns)
     sol = [RationalFunction(num, det_poly * form[1]) for num in num_polys]
-    if not _is_q_certificate(P, f, sol):
+    if not _is_q_certificate(P, form, sol):
         return None
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
         _check_no_nonnegative_pole(c)
@@ -298,8 +300,9 @@ def _cleared_at(form, z: int):
     return {A: horner(g, z) for A, g in mono.items()}, horner(den, z)
 
 
-def _is_q_certificate(P, f, sol):
-    """Whether f = sol[0] + sum_p sol[p+1] * T^q_p on every ideal, over Q(q).
+def _is_q_certificate(P, form, sol):
+    """Whether f = sol[0] + sum_p sol[p+1] * T^q_p on every ideal, over Q(q),
+    for the monomial form (g, s) of f.
 
     With f = g / s cleared in the monomial basis and each sol[j] = N_j / D_j
     cleared to integer polynomials, H * (s * C_A - g_A), where C_A is the
@@ -316,7 +319,6 @@ def _is_q_certificate(P, f, sol):
         k = lcm(*(a.denominator for a in c.num.coeffs + c.den.coeffs))
         parts.append((c.num * k, c.den * k))
     dens = {D for _, D in parts}
-    form = _monomials(P, f)
     deg_s, deg_g = _degrees(form)
     bound = sum(D.degree for D in dens) + max(
         deg_s + 1 + max(N.degree - D.degree for N, D in parts), deg_g)
@@ -373,6 +375,9 @@ def toggleability_space_dims(P: Poset) -> dict:
     out_rows = [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
                 for col in _system(P).columns[1:]]
     ind_rows = [{1 << p: 1} for p in range(P.n)]  # 1_p = x^{p}
+    # n+2 factorizations, then the rank of up to (n+2) * #monomials rows
+    _bound_work((P.n + 2) * len(set().union(*_system(P).columns)) * (P.n + 1) ** 2,
+                "the toggleability space dimensions")
     at_one = [(1, _q_factor(P, 1))]
     points = list(islice(_nonsingular_points(P), P.n + 2))
     return {
@@ -387,7 +392,7 @@ def _residual_rank(P, observables, points):
     """Rank of the residual maps R(z), stacked over the (z, factorization)
     points: column j of R(z) is the monomial residual of observables[j]
     after its candidate from the Q(q) pivot rows at q = z."""
-    pivots = _system(P).q_rows
+    pivots = _system(P).pivots
     rows = []
     for z, fact in points:
         residuals = [

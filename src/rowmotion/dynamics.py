@@ -68,8 +68,8 @@ def rowmotion_order(P: Poset) -> tuple:
 
 
 def _rowmotion_permutation(P: Poset):
-    """The `sweep_permutation` of `rowmotion_order`, kept on the poset so
-    that a rowmotion step does no O(n) work before its index lookup."""
+    """The `sweep_permutation` of `rowmotion_order`, referenced from the
+    poset so that a rowmotion step does not hash that order again."""
     if P._rowmotion_perm is None:
         P._rowmotion_perm = P.sweep_permutation(P._rowmotion_order)
     return P._rowmotion_perm
@@ -83,21 +83,19 @@ def _sweep_mask(P: Poset, order, mask) -> int:
     return mask
 
 
-def _sweep(P: Poset, order, I: OrderIdeal) -> OrderIdeal:
+def _sweep(P: Poset, order, I: OrderIdeal, permutation=None) -> OrderIdeal:
     """The image of I under the toggles at `order`: read off the cached
-    permutation once the ideals are enumerated, else toggled on the mask."""
+    permutation (`permutation(P)` if given, else the `sweep_permutation` of
+    `order`) once the ideals are enumerated, else toggled on the mask."""
     if P._ideal_masks is None:
         return OrderIdeal._make(P, _sweep_mask(P, order, I.mask))
-    perm = P.sweep_permutation(order)
+    perm = P.sweep_permutation(order) if permutation is None else permutation(P)
     return OrderIdeal._make(P, P._ideal_masks[perm[P._ideal_index[I.mask]]])
 
 
 def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
     """The ideal generated by the minimal elements of the complement of I."""
-    if P._ideal_masks is None:
-        return OrderIdeal._make(P, _sweep_mask(P, P._rowmotion_order, I.mask))
-    perm = _rowmotion_permutation(P)
-    return OrderIdeal._make(P, P._ideal_masks[perm[P._ideal_index[I.mask]]])
+    return _sweep(P, P._rowmotion_order, I, _rowmotion_permutation)
 
 
 def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> OrderIdeal:

@@ -16,6 +16,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 DEFAULT_IDEAL_CAP = 2_000_000
 
 
+def mask_cap(n: int, cap: int = DEFAULT_IDEAL_CAP) -> int:
+    """How many masks of n bits may be held at once: `cap`, lowered so that
+    they take no more memory than DEFAULT_IDEAL_CAP masks of 64 bits."""
+    return min(cap, DEFAULT_IDEAL_CAP * 64 // max(n, 64))
+
+
 class MalformedPosetError(ValueError):
     """Cover data does not describe a finite poset (cycle, bad index, ...)."""
 
@@ -288,9 +294,7 @@ class Poset:
         are all in the new ideal.
         """
         if self._ideal_masks is None:
-            # each mask holds n bits: bound the count so the memory stays
-            # that of DEFAULT_IDEAL_CAP masks of 64 bits
-            cap = min(cap, DEFAULT_IDEAL_CAP * 64 // max(self.n, 64))
+            cap = mask_cap(self.n, cap)
             down = self.down_covers
             # gains[x]: (bit, lower covers) of each upper cover of x
             gains = [tuple((1 << y, down[y]) for y in self.upper_covers[x])

@@ -520,6 +520,51 @@ def test_certificate_expansion_is_bounded_before_building(tmp_path):
     assert str(2 ** 24 + 24) in detail and str(DEFAULT_IDEAL_CAP) in detail
 
 
+def test_certificate_system_is_bounded_by_memory():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # rect:100,100 is inside the element bound, but its 39 601 T- monomials
+    # of 10 000 bits each are over the memory-scaled cap, and a dense factor
+    # of its 10 001 columns would take hours
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from rowmotion.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['decompose', 'rect:100,100', 'antichain_card'])\n"
+        "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    code, seconds = out.stderr.splitlines()[-1].split()
+    assert code == "3" and float(seconds) < 5
+    data = json.loads(out.stdout)
+    assert data["error"] == "resource cap" and "39601 antichain monomials" in data["detail"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("decompose", "rect:23,23", "antichain_card"), "factoring the certificate system"),
+    (("decompose", "--q", "rect:12,12", "antichain_card"), "the Q(q) solve"),
+])
+def test_certificate_work_is_bounded_before_it_starts(argv, what):
+    import time
+
+    from rowmotion.decompose import WORK_CAP
+
+    start = time.perf_counter()
+    code, out, err = run_cli_err(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and err == ""
+    detail = json.loads(out)["detail"]
+    assert detail.startswith(what) and str(WORK_CAP) in detail
+
+
 def test_size_bound_is_above_every_poset_in_use():
     from rowmotion.families import MAX_ELEMENTS, from_specifier
 

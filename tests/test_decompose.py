@@ -362,6 +362,14 @@ def test_toggleability_space_dims_off_the_families():
         assert {k: dims[k] for k in ("dim_A", "dim_I")} == _classical_dims(P), covers
 
 
+def test_toggleability_space_dims_are_bounded_before_they_start():
+    from rowmotion.poset import CapExceededError
+
+    # n+2 factorizations of 145 columns, then a rank over 146 * 266 rows
+    with pytest.raises(CapExceededError, match="toggleability space dimensions"):
+        toggleability_space_dims(rectangle(12, 12))
+
+
 def test_antichain_span_dims():
     P = rectangle(2, 2)
     assert antichain_span_dim(P) == 4
@@ -514,7 +522,7 @@ def test_ideal_rows_give_same_answers():
 
 def test_affine_d4_star_certificates():
     """The affine D4 star: its rows at {} and the singletons have rank n <
-    n+1, and a monomial of two upper covers completes the system."""
+    n+1, so a monomial of upper covers completes the system."""
     import importlib
 
     from rowmotion import constant_statistic, t_q
@@ -525,7 +533,10 @@ def test_affine_d4_star_certificates():
     f = constant_statistic(P, Fraction(3, 2)) + 2 * t_signed(P, 1)
     f = f - Fraction(1, 3) * t_signed(P, 4)
     dec = decompose(P, f)
-    assert max(A.bit_count() for A in mod._system(P).at_one[0]) == 2
+    system = mod._system(P)
+    small = system._rows([0, *(1 << p for p in range(P.n))])
+    assert len(factor([[a - b for a, b in row] for row in small]).rows) == P.n
+    assert max(A.bit_count() for A in system.pivots) >= 2
     assert dec.constant == Fraction(3, 2)
     assert dec.coeffs == (0, 2, 0, 0, Fraction(-1, 3), 0)
     q = RationalFunction.q()
@@ -805,13 +816,14 @@ def test_q_check_rejects_every_low_degree_tampering():
     for P, f in cases:
         dec = q_decompose(P, f)
         sol = [dec.constant, *dec.coeffs]
-        assert mod._is_q_certificate(P, f, sol)
+        form = mod._monomials(P, f)
+        assert mod._is_q_certificate(P, form, sol)
         bound = _q_check_bound(f, sol)
         for k in range(bound + 1):
             j = 1 + k % P.n  # spread the tampering over the coefficients
             bad = list(sol)
             bad[j] = bad[j] + RationalFunction(_falling(k))
-            assert not mod._is_q_certificate(P, f, bad), (P.name, k)
+            assert not mod._is_q_certificate(P, form, bad), (P.name, k)
 
 
 def test_q_check_rejects_tampering_under_optimize():
