@@ -61,8 +61,12 @@ def cmd_orbits(args) -> int:
     if args.level != "combinatorial":
         return _lifted_orbit_payload(args, P)
     if variant.startswith("q:"):
-        r, s = (int(t) for t in variant[2:].split(","))
-        alphabet = _alphabet(args, r, s)
+        try:
+            r, s = map(int, variant[2:].split(","))
+        except ValueError:
+            raise ValueError(
+                f"variant {variant!r} must be q:<r>,<s> with integers r and s") from None
+        alphabet = _alphabet(args, P, r, s)
         orbits = qrow.q_orbits(P, alphabet)
         total = qrow.labeling_count(P, alphabet)
         sizes = [len(o) for o in orbits]
@@ -149,7 +153,8 @@ def _start_values(args, P):
     raise ValueError("start must be 'random:<seed>' or 'file:<path>'")
 
 
-def _alphabet(args, r, s):
+def _alphabet(args, P, r, s):
+    qrow.check_labeling_count(P, r, s)
     theta = getattr(args, "theta", "default") or "default"
     if theta == "default":
         return qrow.FlavorAlphabet.default(r, s)
@@ -210,7 +215,7 @@ def cmd_verify(args) -> int:
 
 def cmd_qrow(args) -> int:
     P = families.from_specifier(args.family)
-    alphabet = _alphabet(args, args.r, args.s)
+    alphabet = _alphabet(args, P, args.r, args.s)
     stat = st.parse_statistic(P, args.stat)
     expected = parse_q_expression(args.expect) if args.expect else None
     report = qrow.q_homomesy_check(P, alphabet, stat, expected=expected)

@@ -5,15 +5,21 @@ order ideal.  Toggling applies a fixed cyclic permutation of the r+s flavor
 symbols at every active element; q-rowmotion sweeps a linear extension from
 the top.  The pair (r, s) is deliberately not reduced: the dynamics depend
 on r and s themselves, not only on q = r/s.
+
+The zero-labeled set M stays an ideal after every toggle, so only the
+elements of max(M) | min(P - M) can act.  One kernel, `_sweep`, visits only
+those, read from a table of active positions per mask, and serves
+`q_toggle`, `q_rowmotion` and the orbit walk `_walk`, which keeps visited
+labelings as integer codes and yields one whole orbit at a time.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import floordiv
+from itertools import filterfalse, product
 
 from .dynamics import rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
@@ -96,21 +102,41 @@ class QLabeling:
 
 def labeling_count(P: Poset, alphabet: FlavorAlphabet) -> int:
     """#labelings = sum over ideals of r^(n - #I) * s^#I."""
-    r, s = alphabet.r, alphabet.s
+    return sum(_count_terms(P, alphabet.r, alphabet.s))
+
+
+def check_labeling_count(P: Poset, r: int, s: int,
+                         cap: int = DEFAULT_LABELING_CAP) -> int:
+    """The labeling count for r flavors of 1 and s of 0, bounded by `cap`
+    before any alphabet is built.
+
+    r + s is bounded as well: theta has r + s symbols, and a poset without
+    elements has one labeling for every (r, s).  The count stops at the
+    first ideal size that takes it past the cap.
+    """
+    if r < 1 or s < 1:
+        raise ValueError("r and s must be positive")
+    if r + s > cap:
+        raise CapExceededError(f"{r + s} flavor symbols exceed the cap {cap}")
     total = 0
-    for mask in P.ideal_masks():
-        k = bin(mask).count("1")
-        total += r ** (P.n - k) * s ** k
+    for term in _count_terms(P, r, s):
+        total += term
+        if total > cap:
+            raise CapExceededError(f"more than {cap} labelings")
     return total
+
+
+def _count_terms(P, r, s):
+    """The labelings of each ideal size, smallest size first."""
+    sizes = Counter(map(int.bit_count, P.ideal_masks()))
+    return (c * r ** (P.n - k) * s ** k for k, c in sorted(sizes.items()))
 
 
 def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet,
                         cap: int = DEFAULT_LABELING_CAP):
     """All labelings, grouped by underlying ideal in canonical ideal order,
     lexicographic in the per-element flavor choices within each group."""
-    count = labeling_count(P, alphabet)
-    if count > cap:
-        raise CapExceededError(f"{count} labelings exceed the cap {cap}")
+    check_labeling_count(P, alphabet.r, alphabet.s, cap)
     out = []
     for labels in _iter_label_tuples(P, alphabet):
         out.append(QLabeling(P, alphabet, labels))
@@ -129,34 +155,67 @@ def _iter_label_tuples(P, alphabet):
 
 
 def _toggles(P, alphabet, local_theta, order):
-    """The toggles at `order`, in order, as (p, p's test masks, moves).
+    """The toggles at `order` as sweep positions, and the active positions
+    of each zero-labeled mask.
 
-    p is active in the zero-labeled mask M when M & (p + upper covers) is p
-    (removable) or M & (p + lower covers) is the lower covers (addable).
+    Position j holds (p, moves) for the element p toggled at step
+    len(order) - 1 - j, so a sweep runs the positions from the highest down.
     moves[x] for the old label x is (theta_p(x), the change of the labeling
     code, the bit that flips in M or 0).
     """
     m, s = alphabet.r + alphabet.s, alphabet.s
-    out = []
-    for p in order:
+    steps = []
+    for p in reversed(order):
         th = alphabet.theta if local_theta is None else local_theta[p]
         th = th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
-        weight, bit, down = m ** p, 1 << p, P.down_covers[p]
-        moves = tuple((y, (y - x) * weight, bit if (x < s) != (y < s) else 0)
-                      for x, y in enumerate(th))
-        out.append((p, P.up_covers[p] | bit, bit, down | bit, down, moves))
-    return tuple(out)
+        weight, bit = m ** p, 1 << p
+        steps.append((p, tuple((y, (y - x) * weight, bit if (x < s) != (y < s) else 0)
+                               for x, y in enumerate(th))))
+    return tuple(steps), _ActivePositions(P, [p for p, _ in steps])
+
+
+class _ActivePositions(dict):
+    """M -> the positions of the sweep whose element is active in M, that is
+    max(M) | min(P - M), as a bitmask; each entry is built on first use, so
+    a single step on a large poset enumerates no ideals."""
+
+    def __init__(self, P, elements):
+        super().__init__()
+        self.toggle_mask = P.toggle_mask
+        self.elements = elements  # elements[j]: the element at position j
+
+    def __missing__(self, mask):
+        toggle = self.toggle_mask
+        out = 0
+        for j, p in enumerate(self.elements):
+            if toggle(p, mask) != mask:
+                out |= 1 << j
+        self[mask] = out
+        return out
 
 
 def _sweep(toggles, labels, mask, code):
     """Apply the toggles in turn, in place on `labels`; returns the new
-    zero-labeled mask and labeling code."""
-    for p, up_test, bit, down_test, down, moves in toggles:
-        if mask & up_test == bit or mask & down_test == down:
-            new, delta, flip = moves[labels[p]]
-            labels[p] = new
-            code += delta
+    zero-labeled mask and labeling code.
+
+    The zero-labeled set M stays an ideal, and only the elements active in M
+    can act.  So the sweep visits only the pending active positions below
+    the current one, and reloads them from the table only when a toggle
+    moves a label across the 0/1 boundary, which is when M changes.
+    """
+    steps, active = toggles
+    pending = active[mask]
+    while pending:
+        j = pending.bit_length() - 1
+        p, moves = steps[j]
+        new, delta, flip = moves[labels[p]]
+        labels[p] = new
+        code += delta
+        if flip:
             mask ^= flip
+            pending = active[mask] & ((1 << j) - 1)
+        else:
+            pending ^= 1 << j
     return mask, code
 
 
@@ -182,18 +241,16 @@ def q_rowmotion(P: Poset, alphabet: FlavorAlphabet, L: QLabeling,
     return QLabeling(P, alphabet, tuple(labels))
 
 
-def _walk(P, alphabet, local_theta, cap):
+def _walk(P, alphabet, local_theta, cap, as_labels=False):
     """Every labeling once, orbit by orbit, under q-rowmotion.
 
     Orbits start at their first labeling in the order of
-    `enumerate_labelings`.  Yields (labels, mask, first) per labeling: the
-    labels as a list that the next step changes in place, the zero-labeled
-    mask, and whether the labeling starts an orbit.  Visited labelings are
-    kept as integer codes, sum of label_p * (r+s)^p, updated per toggle.
+    `enumerate_labelings`.  Yields one list per orbit: the zero-labeled
+    masks of its labelings in orbit order, or with `as_labels` their label
+    tuples.  Visited labelings are kept as integer codes, sum of
+    label_p * (r+s)^p, updated per toggle.
     """
-    count = labeling_count(P, alphabet)
-    if count > cap:
-        raise CapExceededError(f"{count} labelings exceed the cap {cap}")
+    count = check_labeling_count(P, alphabet.r, alphabet.s, cap)
     toggles = _toggles(P, alphabet, local_theta, rowmotion_order(P))
     m, s = alphabet.r + alphabet.s, alphabet.s
     weights = [m ** p for p in range(P.n)]
@@ -203,19 +260,17 @@ def _walk(P, alphabet, local_theta, cap):
     for mask in P.ideal_masks():
         # the same order as _iter_label_tuples, on weighted labels
         ranges = [zeros[p] if mask >> p & 1 else ones[p] for p in range(P.n)]
-        for digits in product(*ranges):
-            start = sum(digits)
-            if start in visited:
-                continue
-            labels = list(map(floordiv, digits, weights))
-            cur, code, first = mask, start, True
+        # unvisited codes only, tested as each one is reached
+        for start in filterfalse(visited.__contains__, map(sum, product(*ranges))):
+            labels = [start // w % m for w in weights]
+            cur, code, orbit = mask, start, []
             while code not in visited:
                 visited.add(code)
-                yield labels, cur, first
-                first = False
+                orbit.append(tuple(labels) if as_labels else cur)
                 cur, code = _sweep(toggles, labels, cur, code)
             if code != start:
                 raise AssertionError("q-rowmotion failed to be a bijection")
+            yield orbit
     if len(visited) != count:
         raise AssertionError("orbits do not partition the labeling space")
 
@@ -223,12 +278,7 @@ def _walk(P, alphabet, local_theta, cap):
 def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None,
              cap: int = DEFAULT_LABELING_CAP):
     """Orbits of q-rowmotion as lists of raw label tuples."""
-    orbits = []
-    for labels, _, first in _walk(P, alphabet, local_theta, cap):
-        if first:
-            orbits.append([])
-        orbits[-1].append(tuple(labels))
-    return orbits
+    return list(_walk(P, alphabet, local_theta, cap, as_labels=True))
 
 
 def ideal_mask_of(labels, alphabet) -> int:
@@ -267,15 +317,12 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
     if f.kind != RATIONAL:
         raise ValueError("lift a rational-valued statistic (specialize q first)")
     # integer orbit sums over the one denominator of the values
-    value, den = dict(zip(P.ideal_masks(), f.nums)), f.den
+    value, den = dict(zip(P.ideal_masks(), f.nums)).__getitem__, f.den
     totals = []
     sizes = []
-    for _, mask, first in _walk(P, alphabet, local_theta, cap):
-        if first:
-            totals.append(0)
-            sizes.append(0)
-        totals[-1] += value[mask]
-        sizes[-1] += 1
+    for orbit in _walk(P, alphabet, local_theta, cap):
+        totals.append(sum(map(value, orbit)))
+        sizes.append(len(orbit))
     averages = [Fraction(t, den * k) for t, k in zip(totals, sizes)]
     homomesic = all(a == averages[0] for a in averages)
     matches = None

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from rowmotion import families
+from rowmotion import Poset, families
 
 
 def brute_leq(n, covers):
@@ -91,6 +91,18 @@ def random_extension(P, rng):
         order.append(x)
         remaining.remove(x)
     return order
+
+
+def random_poset(rng, n):
+    """A random poset on 0..n-1 (a < b only for a < b as integers), given by
+    its cover relations."""
+    below = [0] * n  # below[b]: mask of the elements under b
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < 0.35:
+                below[b] |= 1 << a | below[a]
+    return Poset(n, [(a, b) for b in range(n) for a in range(b) if below[b] >> a & 1
+                     and not any(below[c] >> a & 1 for c in range(n) if below[b] >> c & 1)])
 
 
 ROSTER_SPECS = (

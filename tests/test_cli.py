@@ -486,6 +486,76 @@ def test_ideal_enumeration_is_bounded_by_memory():
     assert int(max_rss_kb) < 150 * 1024
 
 
+def test_flavor_counts_are_bounded_before_theta_is_built():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # r + s = 3 000 001 flavor symbols: the parent built (and shuffled) a
+    # 3-million-entry theta before the labeling cap tripped, taking seconds
+    # and hundreds of MB; under the address-space limit that is exit 4.
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from rowmotion.cli import main\n"
+        "for argv in (['qrow', '--family', 'rect:2,2', '--r', '3000000', '--s', '1',\n"
+        "              '--stat', 'antichain_card'],\n"
+        "             ['orbits', 'rect:2,2', '--variant', 'q:3000000,1',\n"
+        "              '--theta', 'random:3']):\n"
+        "    start = time.perf_counter()\n"
+        "    code = main(argv)\n"
+        "    print(code, time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    runs = [line.split() for line in out.stderr.splitlines()[-2:]]
+    assert [c for c, _ in runs] == ["3", "3"], out.stderr
+    assert all(float(seconds) < 1 for _, seconds in runs)
+    for line in out.stdout.splitlines():
+        assert json.loads(line) == {"error": "resource cap",
+                                    "detail": "3000001 flavor symbols exceed the cap 2000000"}
+
+
+def test_labeling_count_is_bounded_for_a_poset_without_elements(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "covers": []}))
+    # one labeling for every (r, s), but theta would have r + s symbols
+    code, out, err = run_cli_err("orbits", f"file:{path}", "--variant", "q:2000000,1")
+    assert code == 3 and err == ""
+    assert "2000001 flavor symbols" in json.loads(out)["detail"]
+    code, out, _ = run_cli_err("orbits", f"file:{path}", "--variant", "q:3,2")
+    assert code == 0 and json.loads(out)["total_states"] == 1
+    code, out, _ = run_cli_err("qrow", "--family", "rect:3,3", "--r", "30", "--s", "30",
+                               "--stat", "antichain_card")
+    assert code == 3 and json.loads(out)["detail"] == "more than 2000000 labelings"
+
+
+@pytest.mark.parametrize("variant", ["q:1", "q:1,2,3", "q:x,2", "q:", "q:1.5,2"])
+def test_malformed_q_variant_is_a_usage_error(variant):
+    code, out, err = run_cli_err("orbits", "rect:2,2", "--variant", variant)
+    assert code == 2 and out == ""
+    assert err == f"error: variant {variant!r} must be q:<r>,<s> with integers r and s\n"
+
+
+def test_python_m_rowmotion_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "rowmotion", "orbits", "rect:2,2"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == run_cli("orbits", "rect:2,2")[1]
+
+
 def test_file_poset_size_is_bounded_before_building(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": 10 ** 9, "covers": []}))

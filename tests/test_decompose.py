@@ -35,6 +35,8 @@ from rowmotion.linalg import factor
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
 from rowmotion.statistics import RATIONAL, indicator_ideal, t_out
 
+from conftest import random_poset
+
 
 def chain(n):
     return Poset(n, [(k, k + 1) for k in range(n - 1)])
@@ -311,18 +313,6 @@ def test_toggleability_space_dims_examples():
     assert dims == {"dim_A": 3, "dim_I": 3, "dim_A_q": 1, "dim_I_q": 0}
 
 
-def _random_poset(rng, n):
-    """A random poset on 0..n-1 (a < b only for a < b as integers), given by
-    its cover relations."""
-    below = [0] * n  # below[b]: mask of the elements under b
-    for b in range(n):
-        for a in range(b):
-            if rng.random() < 0.35:
-                below[b] |= 1 << a | below[a]
-    return Poset(n, [(a, b) for b in range(n) for a in range(b) if below[b] >> a & 1
-                     and not any(below[c] >> a & 1 for c in range(n) if below[b] >> c & 1)])
-
-
 def _classical_dims(P):
     """dim_A and dim_I from the rank formula n - (rank(M + obs) - rank(M)),
     with M the rows 1, T_0, ..., T_{n-1}, by the Fraction reference rank."""
@@ -355,7 +345,7 @@ def test_toggleability_space_dims_off_the_families():
     for k, ((n, covers), want) in enumerate(TABLE2_OFF_FAMILY):
         P = Poset(n, covers)
         if k:  # the rest are the seeded random posets, in order
-            assert P.covers == _random_poset(rng, rng.randint(3, 7)).covers
+            assert P.covers == random_poset(rng, rng.randint(3, 7)).covers
         dims = toggleability_space_dims(P)
         assert tuple(dims.values()) == want, covers
         assert list(dims) == ["dim_A", "dim_I", "dim_A_q", "dim_I_q"]
@@ -702,7 +692,7 @@ def test_q_second_point_rejects_before_interpolation(monkeypatch):
 
     mod = _q_module()
     rng = random.Random(15)
-    P = _random_poset(rng, rng.randint(3, 7))
+    P = random_poset(rng, rng.randint(3, 7))
     f = named_statistic(P, "antichain_card")
     assert P.covers == ((0, 1), (1, 2), (1, 3))
     assert [z for z, _ in islice(mod._nonsingular_points(P), 2)] == [1, 2]
@@ -879,7 +869,7 @@ def test_monomial_certificates_match_ideal_evaluation(data):
     from rowmotion import constant_statistic
     from rowmotion.statistics import from_combo
 
-    P = _random_poset(random.Random(data.draw(hst.integers(0, 10 ** 6))),
+    P = random_poset(random.Random(data.draw(hst.integers(0, 10 ** 6))),
                       data.draw(hst.integers(1, 8)))
     combo = [data.draw(hst.lists(_COEFFS, min_size=P.n, max_size=P.n)) for _ in range(3)]
     f = from_combo(P, *combo)

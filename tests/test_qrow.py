@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from rowmotion import (
     FlavorAlphabet,
@@ -22,9 +23,10 @@ from rowmotion import (
 from rowmotion.families import rectangle, root_poset_A, shifted_staircase
 from rowmotion.poset import LinearExtension
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
-from rowmotion.qrow import QLabeling, ideal_mask_of
+from rowmotion.poset import CapExceededError
+from rowmotion.qrow import QLabeling, check_labeling_count, ideal_mask_of
 
-from conftest import random_extension
+from conftest import random_extension, random_poset
 
 
 def test_alphabet_validation():
@@ -45,6 +47,14 @@ def test_labeling_counts():
     P = rectangle(2, 2)
     assert labeling_count(P, FlavorAlphabet.default(1, 2)) == 35
     assert labeling_count(P, FlavorAlphabet.default(1, 1)) == len(P.ideal_masks())
+    assert check_labeling_count(P, 1, 2) == 35
+    assert check_labeling_count(Poset(0, []), 5, 7) == 1
+    with pytest.raises(CapExceededError, match="flavor symbols"):
+        check_labeling_count(Poset(0, []), 5, 7, cap=11)
+    with pytest.raises(CapExceededError, match="more than 34 labelings"):
+        check_labeling_count(P, 1, 2, cap=34)
+    with pytest.raises(ValueError):
+        check_labeling_count(P, 0, 2)
 
 
 def test_labeling_validation():
@@ -208,18 +218,49 @@ def test_enumeration_grouped_by_ideal():
     assert boundaries == list(P.ideal_masks())
 
 
+def _reference_q_toggle(P, alphabet, p, labels, local_theta=None):
+    """The q-toggle at p from its definition, on a label tuple: p acts when
+    p is zero-labeled with no upper cover zero-labeled, or p is one-labeled
+    with every lower cover zero-labeled."""
+    zero = {x for x, label in enumerate(labels) if label < alphabet.s}
+    if p in zero:
+        active = not any(lo == p and hi in zero for lo, hi in P.covers)
+    else:
+        active = all(lo in zero for lo, hi in P.covers if hi == p)
+    if not active:
+        return labels
+    theta = alphabet if local_theta is None else local_theta[p]
+    theta = getattr(theta, "theta", theta)
+    return labels[:p] + (theta[labels[p]],) + labels[p + 1:]
+
+
+def _reference_q_rowmotion(P, alphabet, labels, local_theta=None, extension=None):
+    """Toggle from the top of a linear extension, by default the one that
+    takes the smallest available element first."""
+    if extension is None:
+        extension, left = [], set(range(P.n))
+        while left:
+            x = min(x for x in left if all(lo not in left for lo, hi in P.covers if hi == x))
+            extension.append(x)
+            left.remove(x)
+    for p in reversed(extension):
+        labels = _reference_q_toggle(P, alphabet, p, labels, local_theta)
+    return labels
+
+
 def _reference_orbits(P, alphabet, local_theta=None):
-    """q-rowmotion orbits from QLabeling objects, first labeling first."""
+    """q-rowmotion orbits of label tuples by the reference toggle, each
+    starting at its first labeling in the order of `enumerate_labelings`."""
     orbits, seen = [], set()
     for L in enumerate_labelings(P, alphabet):
         if L.labels in seen:
             continue
-        orbit, cur = [], L
-        while cur.labels not in seen:
-            seen.add(cur.labels)
-            orbit.append(cur.labels)
-            cur = q_rowmotion(P, alphabet, cur, local_theta=local_theta)
-        assert cur == L
+        orbit, cur = [], L.labels
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = _reference_q_rowmotion(P, alphabet, cur, local_theta)
+        assert cur == L.labels
         orbits.append(orbit)
     return orbits
 
@@ -269,3 +310,42 @@ def test_q_walk_raises_when_the_map_is_not_a_bijection(monkeypatch):
         q_homomesy_check(P, alphabet, f)
     with pytest.raises(AssertionError, match="bijection"):
         q_orbits(P, alphabet)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(hst.data())
+def test_q_kernel_matches_the_reference_toggle(data):
+    from rowmotion.statistics import Statistic
+
+    rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
+    P = random_poset(rng, data.draw(hst.integers(0, 7)))
+    # small enough for the reference walk
+    pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)
+             if labeling_count(P, FlavorAlphabet.default(r, s)) <= 3000]
+    r, s = data.draw(hst.sampled_from(pairs))
+    alphabet = data.draw(hst.sampled_from(
+        [FlavorAlphabet.default(r, s), FlavorAlphabet.random(r, s, rng)]))
+    local = None
+    if data.draw(hst.booleans()):
+        local = [FlavorAlphabet.random(r, s, rng).theta for _ in range(P.n)]
+
+    orbits = q_orbits(P, alphabet, local_theta=local)
+    assert orbits == _reference_orbits(P, alphabet, local_theta=local)
+
+    labelings = enumerate_labelings(P, alphabet)
+    ext = random_extension(P, rng)
+    for L in rng.sample(labelings, min(len(labelings), 12)):
+        for p in range(P.n):
+            assert q_toggle(P, alphabet, p, L, local_theta=local).labels == (
+                _reference_q_toggle(P, alphabet, p, L.labels, local))
+        assert q_rowmotion(P, alphabet, L, local_theta=local,
+                           extension=LinearExtension(P, ext)).labels == (
+            _reference_q_rowmotion(P, alphabet, L.labels, local, ext))
+
+    f = Statistic(P, [rng.randint(-3, 3) for _ in P.ideal_masks()])
+    rep = q_homomesy_check(P, alphabet, f, local_theta=local)
+    value = dict(zip(P.ideal_masks(), f.values))
+    sums = [sum(value[ideal_mask_of(x, alphabet)] for x in o) for o in orbits]
+    assert rep.orbit_sizes == tuple(map(len, orbits))
+    assert rep.orbit_averages == tuple(Fraction(t, len(o)) for t, o in zip(sums, orbits))
