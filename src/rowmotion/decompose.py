@@ -22,9 +22,15 @@ candidate was the only possible solution.
 `q_decompose` refactors n+1 pivot rows at integer values of q, interpolates,
 and checks the result with the same residual (see its docstring).
 `toggleability_space_dims` (Table 2) takes the rank of the stacked residuals
-of its observables, so the package has one elimination kernel.  The system
-is cached on the poset.  The size of the T- expansions and the elimination
-work of every solve are bounded before the work starts (CapExceededError).
+of its observables, and `verify_independence` the rank of the system's
+columns at a fixed q >= 0 over all of its monomial rows, so the package has
+one elimination kernel and the independence check enumerates no ideal.
+Each denominator of a Q(q) certificate is checked to be positive on
+[0, oo): nonzero at 0, then Descartes' rule of signs or an exact Sturm count
+of its positive roots, so the certificate specializes at every q = r/s >= 0.
+The system is cached on the poset.  The size of the T- expansions and the
+elimination work of every solve, `antichain_span_dim`'s dense rank over the
+ideals included, are bounded before the work starts (CapExceededError).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .qpoly import (
     format_fraction,
     horner,
     interpolate,
-    rational_roots,
+    positive_roots,
 )
 from .statistics import (
     QRATIONAL,
@@ -52,7 +58,6 @@ from .statistics import (
     Statistic,
     accumulate_toggles,
     antichain_toggleability,
-    toggle_vector,
 )
 
 __all__ = [
@@ -137,7 +142,8 @@ def _bound_work(work: int, what: str):
 
 class _System:
     """The certificate system of a poset: `columns[j]` maps each monomial of
-    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair.
+    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair, and
+    `order` lists every monomial of the columns in the order rows are read.
     `pivots` maps each of n+1 monomials, whose rows are independent at
     q = 1, to its row of pairs, and `at_one` is their factorization at
     q = 1.  The rows are read from the largest antichains down and the
@@ -163,10 +169,10 @@ class _System:
         singletons = [1 << p for p in range(P.n)]
         rest = sorted({A for col in self.columns for A in col}.difference([0], singletons),
                       key=lambda A: (A.bit_count(), A))
-        order = [0, *reversed(rest), *singletons]
-        _bound_work(len(order) * (P.n + 1) ** 2, "factoring the certificate system")
-        self.at_one = factor([[a - b for a, b in row] for row in self._rows(order)])
-        pivots = [order[i] for i in self.at_one.rows]
+        self.order = [0, *reversed(rest), *singletons]
+        _bound_work(len(self.order) * (P.n + 1) ** 2, "factoring the certificate system")
+        self.at_one = factor([[a - b for a, b in row] for row in self._rows(self.order)])
+        pivots = [self.order[i] for i in self.at_one.rows]
         self.pivots = dict(zip(pivots, self._rows(pivots)))
 
     def _rows(self, monomials):
@@ -334,26 +340,30 @@ def _is_q_certificate(P, form, sol):
 
 
 def _check_no_nonnegative_pole(c: RationalFunction):
+    """Raise CertificateError unless the denominator of c, monic and in
+    lowest terms, is positive on [0, oo), so that c specializes at every
+    q >= 0: it must not vanish at 0 and must have no positive root, which
+    `positive_roots` decides by Descartes' rule of signs and Sturm's
+    theorem."""
     den = c.den
-    if den.degree <= 0:
-        return
-    roots = rational_roots(den)
-    if any(r >= 0 for r in roots):
+    if den.degree > 0 and (not den.coeffs[0] or positive_roots(den)):
         raise CertificateError(f"denominator {den} has a root >= 0")
-    for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
-        if den.evaluate(z) <= 0:
-            raise CertificateError(f"denominator {den} not positive at q={z}")
 
 
 def verify_independence(P: Poset, q_value) -> bool:
-    """Exact rank check: {1} and the T^q_p at a fixed q >= 0 are independent."""
+    """Exact rank check: {1} and the T^q_p at a fixed q >= 0 are independent.
+
+    The rank is that of the columns of the certificate system at q = a/b,
+    with entries b*plus - a*minus, over all of its monomial rows: the x^A
+    are a basis of the functions on J(P), so no ideal is enumerated.  It is
+    the factorization `_System` does at q = 1, bounded when that was built.
+    """
     q_value = Fraction(q_value)
     if q_value < 0:
         raise ValueError("independence is only guaranteed for q >= 0")
-    # the rows [1], T^q_p scaled by the denominator of q, in integers
     a, b = q_value.numerator, q_value.denominator
-    rows = [[1] * len(P.ideal_masks())]
-    rows += [toggle_vector(P, p, b, -a, 0) for p in range(P.n)]
+    system = _system(P)
+    rows = [[b * plus - a * minus for plus, minus in row] for row in system._rows(system.order)]
     return len(factor(rows).rows) == P.n + 1
 
 
@@ -407,10 +417,10 @@ def _residual_rank(P, observables, points):
     return len(factor(rows).rows) if rows else 0
 
 
-def antichain_span_dim(P: Poset, cap: int = 1000) -> int:
-    """Dimension of the span of the antichain toggleability statistics T_A."""
-    masks = P.ideal_masks()
-    if len(masks) > cap:
-        raise CapExceededError(f"antichain count {len(masks)} exceeds cap {cap}")
+def antichain_span_dim(P: Poset) -> int:
+    """Dimension of the span of the antichain toggleability statistics T_A:
+    the rank of one dense row per antichain over the ideals, whose work is
+    bounded before it starts."""
+    _bound_work(len(P.ideal_masks()) ** 3, "the antichain span")
     rows = [antichain_toggleability(P, A, "signed").nums for A in enumerate_antichains(P)]
     return len(factor(rows).rows)

@@ -226,18 +226,21 @@ def _to_primitive_int(p: Polynomial):
 
 
 def _prem(a, b):
-    """Pseudo-remainder of integer coefficient lists a, b (deg a >= deg b)."""
+    """A positive multiple of the remainder of integer coefficient lists a
+    by b (deg a >= deg b), as integers with content 1: a pseudo-remainder
+    with the signs of the true remainder."""
     a = list(a)
     db, lead = len(b) - 1, b[-1]
     while len(a) - 1 >= db and a:
         k = len(a) - 1
-        coef = a[-1]
-        a = [c * lead for c in a]
+        coef = a[-1] if lead > 0 else -a[-1]
+        a = [c * abs(lead) for c in a]
         for j in range(len(b)):
             a[j + k - db] -= coef * b[j]
         while a and a[-1] == 0:
             a.pop()
-    return a
+    c = _int_content(a)
+    return [v // c for v in a]
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -250,12 +253,34 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _prem(a, b)
-        if r:
-            c = _int_content(r)
-            r = [v // c for v in r]
-        a, b = b, r
+        a, b = b, _prem(a, b)
     return Polynomial(a).monic()
+
+
+def _variations(numbers) -> int:
+    """The sign variations of a sequence of numbers, zeros skipped."""
+    signs = [x > 0 for x in numbers if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def positive_roots(p: Polynomial) -> int:
+    """The number of distinct roots of p in (0, oo), for p(0) != 0.
+
+    Coefficients without a sign variation give 0 at once (Descartes' rule
+    of signs).  Otherwise Sturm's theorem gives V(0) - V(oo), where V counts
+    the sign variations along the Sturm sequence p, p', ..., each term the
+    negated remainder of the two before it, down to gcd(p, p'): at 0 the
+    signs of the constant terms, at oo those of the leading coefficients.
+    Every term is kept as a primitive integer polynomial with the signs of
+    the true one (`_prem`), so no coefficient grows past the subresultants.
+    """
+    a = _to_primitive_int(p)
+    if not _variations(a):
+        return 0
+    seq = [a, [k * c for k, c in enumerate(a)][1:]]
+    while (r := _prem(seq[-2], seq[-1])):
+        seq.append([-v for v in r])
+    return _variations(s[0] for s in seq) - _variations(s[-1] for s in seq)
 
 
 def interpolate(xs, columns):
@@ -438,35 +463,3 @@ def q_binomial(n: int, k: int) -> RationalFunction:
         raise CertificateError("q-binomial failed to reduce to a polynomial")
     return out
 
-
-def rational_roots(p: Polynomial):
-    """All rational roots of a nonzero polynomial, via the rational-root test."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has every root")
-    ints = _to_primitive_int(p)
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    roots = set()
-    if shift:
-        roots.add(Fraction(0))
-        ints = ints[shift:]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for pnum in _divisors(a0):
-        for pden in _divisors(an):
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if cand not in roots and p.evaluate(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

@@ -23,7 +23,7 @@ from itertools import filterfalse, product
 
 from .dynamics import rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
-from .qpoly import RationalFunction
+from .qpoly import CertificateError, RationalFunction
 from .statistics import RATIONAL, Statistic
 
 DEFAULT_LABELING_CAP = 2_000_000
@@ -269,10 +269,10 @@ def _walk(P, alphabet, local_theta, cap, as_labels=False):
                 orbit.append(tuple(labels) if as_labels else cur)
                 cur, code = _sweep(toggles, labels, cur, code)
             if code != start:
-                raise AssertionError("q-rowmotion failed to be a bijection")
+                raise CertificateError("q-rowmotion failed to be a bijection")
             yield orbit
     if len(visited) != count:
-        raise AssertionError("orbits do not partition the labeling space")
+        raise CertificateError("orbits do not partition the labeling space")
 
 
 def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None,

@@ -243,17 +243,6 @@ def accumulate_toggles(P: Poset, acc, tin, tout):
     return acc
 
 
-def toggle_vector(P: Poset, p: int, plus, minus, zero):
-    """Vector with `plus` where p is addable, `minus` where it is removable."""
-    table = P.toggle_table()
-    vals = [zero] * len(P.ideal_masks())
-    for i in table.addable[p]:
-        vals[i] = plus
-    for i in table.removable[p]:
-        vals[i] = minus
-    return vals
-
-
 def from_combo(P: Poset, tin, tout, ind, label="") -> Statistic:
     """Statistic sum_p (tin_p*T+_p + tout_p*T-_p + ind_p*1_p); nothing is
     evaluated on the ideals until its cleared form is read."""
@@ -316,8 +305,12 @@ def _el(P, p, prefix):
 
 
 def t_q(P: Poset, p: int) -> Statistic:
-    """T^q_p = T+_p - q*T-_p, with values in Q(q)."""
-    nums = toggle_vector(P, p, _ONE, Polynomial((0, -1)), Polynomial())
+    """T^q_p = T+_p - q*T-_p, with values in Q(q): 1 where T_p is 1 and -q
+    where it is -1."""
+    unit = [int(x == p) for x in range(P.n)]
+    signs = accumulate_toggles(P, [0] * len(P.ideal_masks()), unit, [-u for u in unit])
+    value = {0: Polynomial(), 1: _ONE, -1: Polynomial((0, -1))}
+    nums = [value[v] for v in signs]
     return Statistic(P, kind=QRATIONAL, label=_el(P, p, "Tq"), nums=nums, den=_ONE)
 
 

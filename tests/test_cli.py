@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -204,6 +205,122 @@ def test_output_determinism():
         _, out1 = run_cli(*args)
         _, out2 = run_cli(*args)
         assert out1 == out2
+
+
+# sha256 of (exit code, stdout) for a fixed list of in-process calls: the
+# certificates of the q-certify ladder with and without --q, one combination,
+# one NOT IN SPAN control, four verify suites and one q-rowmotion orbit run.
+# A change that keeps every output byte-identical keeps these digests.
+GOLDEN_DIGESTS = {
+    ("decompose", "rect:2,2", "antichain_card"):
+        "b93c0e817122bece6b68b949c52110c410e73ad06de0a20ff47bfe9c9ecfc6d3",
+    ("decompose", "--q", "rect:2,2", "antichain_card"):
+        "8a6752ce8ac25865653ddbbb959bbf50b70915647504c502eac3b673f9df1a53",
+    ("decompose", "rect:2,2", "pfiber:1"):
+        "6311e0e93ed5ff71fd49e1cbef040eae7a5d27558c9ab07607237aa81a9c0076",
+    ("decompose", "--q", "rect:2,2", "pfiber:1"):
+        "b25033cb51e943b47fa5cf0371230dc5b7c45bedbf7849eee7ef580c3d8eb0da",
+    ("decompose", "rect:2,2", "pfiber:2"):
+        "6d32949bafd7c8a115b91f4f2578e002ebc2dc68b7815197718aa9a9fcd32216",
+    ("decompose", "--q", "rect:2,2", "pfiber:2"):
+        "53ae2a3ffc1b57241f945db3f301fecc97f3bd4af8b35658491c86f08d1f49a9",
+    ("decompose", "rect:2,3", "antichain_card"):
+        "d9743492c9eec5d3948010171c9f29c4232fb0d5e7d5026e31298a3ab9c126da",
+    ("decompose", "--q", "rect:2,3", "antichain_card"):
+        "8249e74c9e544dfed7b2a1f338b8c6aa85fb0d6a3c8a0ba9f53f74aa6854bcde",
+    ("decompose", "rect:2,3", "pfiber:1"):
+        "98e51026ca8a7d8ce874cd82c532be4b5a348047b2a61b7282ae714744a29e99",
+    ("decompose", "--q", "rect:2,3", "pfiber:1"):
+        "1799638b5b26d7ea301672b92ebb94c2d01c555c66af8209207f1864f9dc1aea",
+    ("decompose", "rect:2,3", "pfiber:2"):
+        "c7d3a34f52849990c929ac094a3c4b6bff1e6972450f1038e330b5ad620a2f29",
+    ("decompose", "--q", "rect:2,3", "pfiber:2"):
+        "ff01a4d3f14fac15a5956266e3602f93823ac3c7d016224de661b9924d661b3b",
+    ("decompose", "rect:2,4", "antichain_card"):
+        "5b28c54509de133e7b061e0fc7c45a95bc77f27551a5cd9241d01b0dca446444",
+    ("decompose", "--q", "rect:2,4", "antichain_card"):
+        "667a64f92a04cd4768b578e489c22799f3b69c7c143b4046ac6a29b41799dff3",
+    ("decompose", "rect:2,4", "pfiber:1"):
+        "9360149ce3a339ef55f1bca65a628f69fdf28cdb3c07c45bb30a05bdc9ba1286",
+    ("decompose", "--q", "rect:2,4", "pfiber:1"):
+        "ab5c6f645ca83c7c7daf767e6a47c5f6a516a2240617dec28b276327b792eb5c",
+    ("decompose", "rect:2,4", "pfiber:2"):
+        "b094377162baeeedb2d1bde95228552decccfce84ae702069c88a3f6a8553fab",
+    ("decompose", "--q", "rect:2,4", "pfiber:2"):
+        "383d3dad6a3ece9400c390d7932022706fedb6682ac139daa41e0f9a901191b7",
+    ("decompose", "rect:3,3", "antichain_card"):
+        "aa6fbc83f34c362bce5a29e0866d0cde965be2bef2f58966691b0cffd3e937b4",
+    ("decompose", "--q", "rect:3,3", "antichain_card"):
+        "84db9c60c7140d4ddc06ca5baf53002dbe11742ea4a91d12997a06d39d75cc76",
+    ("decompose", "rect:3,3", "pfiber:1"):
+        "54c71bbf4d8393d13e3d065b5573b4f59eb50ffe1a56a4063c2fcb88ab701dde",
+    ("decompose", "--q", "rect:3,3", "pfiber:1"):
+        "a647bb47933c03042e6c10b98ba6141c99c67a91375d0fbaded1782eb7e66976",
+    ("decompose", "rect:3,3", "pfiber:2"):
+        "12a67efd8a8139c9ac78d3c475541a32c459d3adef2319b5790aabca7180d10f",
+    ("decompose", "--q", "rect:3,3", "pfiber:2"):
+        "24aa6679b6ae80401bc1f4fc7874264aa579175f31e8f1322974a2fe35d8cd14",
+    ("decompose", "rect:3,3", "pfiber:3"):
+        "6337cbe322216361b3bb0dc7a58ab685ef65e7c8e4b858142bbb77a8c071c59f",
+    ("decompose", "--q", "rect:3,3", "pfiber:3"):
+        "c1b4b25ec4592585a54e0bc718f46d0933a3951b120a57d13dccf49b3e77f5e3",
+    ("decompose", "rect:3,4", "antichain_card"):
+        "c765fd5f9773b6b2d0c88d607ecadd2baf4c0ce301669610f9854754dd72f9ea",
+    ("decompose", "--q", "rect:3,4", "antichain_card"):
+        "96731173ad95663b7afdccc2e206eaed38a676843671fcfbece394c5926cd587",
+    ("decompose", "rect:3,4", "pfiber:1"):
+        "c7405e849f4c2c9c644a19c37650f60831c2657b6d9b982e7bb9e9b8f5619e71",
+    ("decompose", "--q", "rect:3,4", "pfiber:1"):
+        "1961f577dfe875e8059a997c892acbfc484eee4b70244efe5ed71e437f2aecc6",
+    ("decompose", "rect:3,4", "pfiber:2"):
+        "31357ae7c4ea7c8c18fb76bd092a74047359a8ec6c255b7cd63e6a523f80056f",
+    ("decompose", "--q", "rect:3,4", "pfiber:2"):
+        "70e3b3936bac7ab0274a5fe6d7a376f2d675aafe4824d81b570c9c9851f8a238",
+    ("decompose", "rect:3,4", "pfiber:3"):
+        "28206b4fa2798edf4290320408b1146fdae255572fd97bc80cf4563c7a9081ce",
+    ("decompose", "--q", "rect:3,4", "pfiber:3"):
+        "2fce5be385f19696ff397aeb5585ed35c3b33606275bf48104a1e403541df155",
+    ("decompose", "sstair:3", "antichain_card"):
+        "dd6a4af3e86bb9d13b7ecd26afafa3c3a46ce6eb60f4bd9eed32bb9969d94b85",
+    ("decompose", "--q", "sstair:3", "antichain_card"):
+        "5c63198aad0f8d6a302e5eaa3b9d46735bcd6549de72f8780c246cf83fe11d12",
+    ("decompose", "sstair:3", "diag"):
+        "12cfd7e0f061fae31da4fefc8e51578f5624b66f3fe948535f94faf74dddb992",
+    ("decompose", "--q", "sstair:3", "diag"):
+        "d81e3042e3f153ee21eadfdc1d36c7921ccbd36fbe4d18d7ed8ebf1c76969cc3",
+    ("decompose", "sstair:4", "antichain_card"):
+        "3ad8dedc5f46c6f9da5d608b40951d7672783a204215af0995daab836bb0f9a5",
+    ("decompose", "--q", "sstair:4", "antichain_card"):
+        "d4dfe93d359a5488f4755ae03101d5fac0b3b86df1ecb69fc1e1af624d8a7c39",
+    ("decompose", "sstair:4", "diag"):
+        "f7d4ef7d8e66e9cba6d11354441ffe1b3e4bda22c2a2fd111cff93fdc8297bac",
+    ("decompose", "--q", "sstair:4", "diag"):
+        "efae4072d9d75b4bdd84335351dbe8c0b88c1bf232284730f20620a5fd337a15",
+    ("decompose", "rect:2,3", "2*pfiber:1 - pfiber:2 + 1/2*antichain_card"):
+        "816e5b0de80a78ba4bf8ff238ccd0fb88560717ec2941b573cfabbfe19e233ae",
+    ("decompose", "--q", "rect:2,3", "2*pfiber:1 - pfiber:2 + 1/2*antichain_card"):
+        "d22a1edb0c33f2449f0f58a794d5c2389062f283a8a85d54526aa1b1bcb8329b",
+    ("decompose", "trap:2,3", "antichain_card"):
+        "f4514252504a5ededd712db47aca557077a9503214a17bec52f586d5c70aafdd",
+    ("decompose", "--q", "trap:2,3", "antichain_card"):
+        "f4514252504a5ededd712db47aca557077a9503214a17bec52f586d5c70aafdd",
+    ("verify", "spans"):
+        "ae736aa9b65742a0a1ba682759a20aa6e6bce555200a335a043ed7d0015e8da3",
+    ("verify", "table2", "--max", "3"):
+        "bf00aacbe95dab98cbf7e63033a592438d1b0c3b4f70211a0581935eccac85be",
+    ("verify", "striker"):
+        "8d15ed459bac2f2e6efe79cb741057bf4f9cdb026696c3e9abbd2dcdc5e789ae",
+    ("verify", "qstriker", "--seed", "1"):
+        "4df8443eef6f8e7d75215a765a074acf2b0b15262684edce85d54a42090f4c23",
+    ("orbits", "rect:3,3", "--variant", "q:1,2"):
+        "39b52da3014cd24a16c6638413e8238d5816f7d37fe60496495d3e1b3540acab",
+}
+
+
+def test_golden_cli_output():
+    for argv, digest in GOLDEN_DIGESTS.items():
+        code, out = run_cli(*argv)
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, argv
 
 
 def test_usage_error_exit_code():
@@ -675,6 +792,18 @@ def test_failed_certificate_check_exits_1(monkeypatch):
     code, out, err = run_cli_err("decompose", "--q", "rect:2,2", "antichain_card")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: a certificate check failed: denominator has a root >= 0"]
+
+
+def test_failed_q_walk_exits_1(monkeypatch):
+    from rowmotion import qrow
+
+    first = (0, sum(2 * 3 ** p for p in range(4)))  # the labeling 2222 of rect:2,2
+    # every labeling goes to the first one: not a bijection
+    monkeypatch.setattr(qrow, "_sweep", lambda toggles, labels, mask, code: first)
+    code, out, err = run_cli_err("orbits", "rect:2,2", "--variant", "q:1,2")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a certificate check failed:")
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
@@ -33,7 +33,7 @@ from rowmotion.families import (
 )
 from rowmotion.linalg import factor
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
-from rowmotion.statistics import RATIONAL, indicator_ideal, t_out
+from rowmotion.statistics import QRATIONAL, RATIONAL, indicator_ideal, t_out
 
 from conftest import random_poset
 
@@ -292,6 +292,40 @@ def test_verify_independence():
         verify_independence(P, -1)
 
 
+def _independent_on_ideals(P, z):
+    """Whether [1] and the T+_p - z*T-_p are independent as rows over the
+    ideals, by the Fraction rank `_rank`, with addable and removable read
+    off the masks."""
+    masks = P.ideal_masks()
+    rows = [[1] * len(masks)]
+    for p in range(P.n):
+        bit = 1 << p
+        rows.append([
+            (1 if not m & bit and m & P.down_covers[p] == P.down_covers[p] else 0)
+            - (z if m & bit and not m & P.up_covers[p] else 0)
+            for m in masks])
+    return _rank(rows) == P.n + 1
+
+
+def test_verify_independence_matches_the_ideal_rank(roster):
+    rng = random.Random(13)
+    posets = [P for _, P in roster] + [random_poset(rng, rng.randint(0, 8))
+                                       for _ in range(200)]
+    for P in posets:
+        for z in (0, Fraction(1, 2), 1, 2, Fraction(7, 3)):
+            assert verify_independence(P, z) == _independent_on_ideals(P, z)
+
+
+def test_verify_independence_enumerates_no_ideal():
+    import time
+
+    P = rectangle(12, 12)
+    start = time.perf_counter()
+    assert verify_independence(P, Fraction(7, 3)) is True
+    assert time.perf_counter() - start < 2
+    assert P._ideal_masks is None
+
+
 def test_chain_span_is_everything():
     # on a chain, 1 and the signed toggleabilities span the whole space
     rng = random.Random(9)
@@ -376,10 +410,15 @@ def test_antichain_span_dims():
 
 
 def test_antichain_span_cap():
+    import time
+
     from rowmotion import CapExceededError
 
-    with pytest.raises(CapExceededError):
-        antichain_span_dim(rectangle(3, 3), cap=5)
+    # 924 dense rows of 924 entries: 924^3 operations, past WORK_CAP
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="the antichain span"):
+        antichain_span_dim(rectangle(6, 6))
+    assert time.perf_counter() - start < 1
 
 
 def test_certificate_json():
@@ -592,6 +631,80 @@ def test_pole_check_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
+
+
+def _pole_raises(den):
+    from rowmotion.decompose import _check_no_nonnegative_pole
+    from rowmotion.qpoly import CertificateError
+
+    try:
+        _check_no_nonnegative_pole(RationalFunction(Polynomial((1,)), den))
+    except CertificateError:
+        return True
+    return False
+
+
+def test_pole_check_on_known_denominators():
+    import time
+
+    A = 10 ** 300
+    q = Polynomial((0, 1))
+    wide = Polynomial((1,))
+    for b in range(1, 21):
+        wide = wide * (q * q - b * q + b * b)  # the roots b(1 +- i*sqrt(3))/2
+    cases = [
+        # (q - 1/2)(q + 3)(q^2 + 1): a rational root at 1/2
+        ((q - Fraction(1, 2)) * (q + 3) * (q * q + 1), True),
+        (q * q, True),  # a double root at 0
+        ((q + 3) * (q * q + 1), False),
+        (q * q - 2, True),  # irrational roots +-sqrt(2), and den(1) < 0
+        (q * q - 2 * q + 3, False),  # complex roots with a sign variation
+        ((q - A) ** 2 + 1, False),  # 300-digit coefficients
+        ((q - Fraction(1, A)) * (q + A), True),
+        (wide, False),  # degree 40, with sign variations
+        (wide * (q - Fraction(1, 3)), True),
+    ]
+    for den, raises in cases:
+        start = time.perf_counter()
+        assert _pole_raises(den) is raises, den
+        assert time.perf_counter() - start < 1
+
+
+_RATIONAL_ROOT = hst.fractions(min_value=-6, max_value=6, max_denominator=5)
+_FACTORS = hst.one_of(
+    # (q - r), with the root r
+    _RATIONAL_ROOT.map(lambda r: (Polynomial((-r, 1)), r >= 0)),
+    # q^2 + bq + c with b^2 < 4c: no real root
+    hst.tuples(hst.integers(-9, 9), hst.integers(1, 30)).filter(
+        lambda bc: bc[0] ** 2 < 4 * bc[1]).map(
+        lambda bc: (Polynomial((bc[1], bc[0], 1)), False)),
+    # q^2 + 2mq + m^2 - k, k not a square: the roots -m +- sqrt(k)
+    hst.tuples(hst.integers(-6, 6), hst.integers(2, 60)).filter(
+        lambda mk: isqrt(mk[1]) ** 2 != mk[1]).map(
+        lambda mk: (Polynomial((mk[0] ** 2 - mk[1], 2 * mk[0], 1)),
+                    mk[0] <= 0 or mk[1] > mk[0] ** 2)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(hst.lists(_FACTORS, min_size=1, max_size=5))
+def test_pole_check_on_denominators_with_known_roots(factors):
+    den = Polynomial((1,))
+    for f, _ in factors:
+        den = den * f
+    assert _pole_raises(den) is any(nonnegative for _, nonnegative in factors)
+
+
+def test_q_decompose_with_a_huge_pole_free_constant():
+    import time
+
+    P = rectangle(2, 2)
+    c = RationalFunction(Polynomial((1,)), Polynomial((10 ** 40, 1)))  # 1/(q + 10^40)
+    f = Statistic(P, [c] * len(P.ideal_masks()), kind=QRATIONAL)
+    start = time.perf_counter()
+    dec = q_decompose(P, f)
+    assert time.perf_counter() - start < 1
+    assert dec.constant == c and not any(dec.coeffs)
 
 
 # -- Q(q) certificates by specialization and interpolation ----------------------

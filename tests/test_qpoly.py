@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings, strategies as hyp
@@ -12,7 +11,6 @@ from rowmotion.qpoly import (
     q_binomial,
     q_factorial,
     q_number,
-    rational_roots,
 )
 
 fractions = hyp.fractions(
@@ -103,17 +101,6 @@ def test_evaluation_is_a_homomorphism(a, b, z):
         return
     x = RationalFunction(a, b)
     assert x.evaluate(z) == a.evaluate(z) / b.evaluate(z)
-
-
-def test_rational_roots_exact():
-    # (q - 1/2)(q + 3)(q^2 + 1) has rational roots 1/2 and -3 only
-    p = (
-        Polynomial((Fraction(-1, 2), 1))
-        * Polynomial((3, 1))
-        * Polynomial((1, 0, 1))
-    )
-    assert rational_roots(p) == [Fraction(-3), Fraction(1, 2)]
-    assert rational_roots(Polynomial((0, 0, 1))) == [Fraction(0)]
 
 
 def test_rational_function_pole_detection():
