@@ -47,6 +47,7 @@ from .poset import DEFAULT_IDEAL_CAP, CapExceededError, Poset, enumerate_anticha
 from .qpoly import (
     CertificateError,
     RationalFunction,
+    cleared,
     format_fraction,
     horner,
     interpolate,
@@ -200,11 +201,11 @@ def _monomials(P: Poset, f: Statistic):
             for a, r in zip(table.addable[p], table.removable[p]):
                 g[r] = g[r] - g[a]
         return {top: v for top, v in zip(P.antichain_masks(), g) if v}, f.den
-    scale = lcm(*(c.denominator for part in f.combo for c in part))
-    out = {}
-    for p, (col, *coeffs) in enumerate(zip(_system(P).columns[1:], *f.combo)):
-        if any(coeffs):
-            a, b, d = (c.numerator * (scale // c.denominator) for c in coeffs)
+    ints, scale = cleared([c for part in f.combo for c in part])
+    n, out = P.n, {}
+    for p, col in enumerate(_system(P).columns[1:]):
+        a, b, d = ints[p], ints[n + p], ints[2 * n + p]
+        if a or b or d:
             for A, (plus, minus) in col.items():
                 out[A] = out.get(A, 0) + a * plus + b * minus
             out[1 << p] += d
@@ -236,15 +237,11 @@ _sample_points = count  # the integers at which q is specialized
 def _nonsingular_points(P: Poset):
     """(z, factorization at q = z) of the Q(q) pivot rows, at each of the
     `_sample_points` where they are nonsingular."""
+    rows = _system(P).pivots.values()
     for z in _sample_points():
-        fact = _q_factor(P, z)
+        fact = factor([[a - z * b for a, b in row] for row in rows])
         if fact.det:
             yield z, fact
-
-
-def _q_factor(P: Poset, z: int):
-    """The Bareiss factorization of the pivot rows at q = z."""
-    return factor([[a - z * b for a, b in row] for row in _system(P).pivots.values()])
 
 
 def q_decompose(P: Poset, f: Statistic):
@@ -382,13 +379,14 @@ def toggleability_space_dims(P: Poset) -> dict:
     degree <= n, observables constant in q), so it vanishes iff it vanishes
     at n+2 points, here the first n+2 nonsingular ones.
     """
+    system = _system(P)
     out_rows = [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
-                for col in _system(P).columns[1:]]
+                for col in system.columns[1:]]
     ind_rows = [{1 << p: 1} for p in range(P.n)]  # 1_p = x^{p}
     # n+2 factorizations, then the rank of up to (n+2) * #monomials rows
-    _bound_work((P.n + 2) * len(set().union(*_system(P).columns)) * (P.n + 1) ** 2,
+    _bound_work((P.n + 2) * len(system.order) * (P.n + 1) ** 2,
                 "the toggleability space dimensions")
-    at_one = [(1, _q_factor(P, 1))]
+    at_one = [(1, system.at_one)]
     points = list(islice(_nonsingular_points(P), P.n + 2))
     return {
         "dim_A": P.n - _residual_rank(P, out_rows, at_one),

@@ -26,6 +26,8 @@ from .poset import (
     _bits,
 )
 
+ORBIT_CAP = 1_000_000  # the most states one forward orbit may hold
+
 
 class Orbit:
     """A cycle of a bijection: states in order, first state repeated nowhere."""
@@ -58,7 +60,14 @@ def toggle(P: Poset, p: int, I: OrderIdeal) -> OrderIdeal:
     """Add p if addable, remove p if removable, otherwise leave I alone."""
     if not (0 <= p < P.n):
         raise IndexError(f"element {p} out of range")
-    return OrderIdeal._make(P, P.toggle_mask(p, I.mask))
+    return OrderIdeal._make(P, P.toggle_mask(p, _own_mask(P, I)))
+
+
+def _own_mask(P: Poset, I: OrderIdeal) -> int:
+    """The mask of I, which must be an ideal of P."""
+    if I.poset is not P:
+        raise ValueError("ideal belongs to a different poset")
+    return I.mask
 
 
 def rowmotion_order(P: Poset) -> tuple:
@@ -87,8 +96,8 @@ def _sweep(P: Poset, order, I: OrderIdeal, permutation=None) -> OrderIdeal:
     """The image of I under the toggles at `order`: read off the cached
     permutation (`permutation(P)` if given, else the `sweep_permutation` of
     `order`) once the ideals are enumerated, else toggled on the mask."""
-    if P._ideal_masks is None:
-        return OrderIdeal._make(P, _sweep_mask(P, order, I.mask))
+    if I.poset is not P or P._ideal_masks is None:  # _own_mask refuses a foreign I
+        return OrderIdeal._make(P, _sweep_mask(P, order, _own_mask(P, I)))
     perm = P.sweep_permutation(order) if permutation is None else permutation(P)
     return OrderIdeal._make(P, P._ideal_masks[perm[P._ideal_index[I.mask]]])
 
@@ -102,13 +111,13 @@ def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> Order
     """Toggle along a linear extension, top element first."""
     if ext.poset is not P:
         raise ValueError("extension belongs to a different poset")
-    return OrderIdeal._make(P, _sweep_mask(P, reversed(ext.order), I.mask))
+    return OrderIdeal._make(P, _sweep_mask(P, reversed(ext.order), _own_mask(P, I)))
 
 
 def rank_toggle(P: Poset, i: int):
     """The product of toggles at all elements of rank i (they commute)."""
     elems = tuple(_bits(P.rank_mask(i)))
-    return lambda I: OrderIdeal._make(P, _sweep_mask(P, elems, I.mask))
+    return lambda I: OrderIdeal._make(P, _sweep_mask(P, elems, _own_mask(P, I)))
 
 
 def _check_rank_permutation(P: Poset, sigma):
@@ -169,8 +178,9 @@ def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
 # -- orbits -----------------------------------------------------------------------
 
 
-def orbit(step, start, cap: int = 1_000_000) -> Orbit:
-    """Forward orbit of `start` under `step`, up to the first return."""
+def orbit(step, start) -> Orbit:
+    """Forward orbit of `start` under `step`, up to the first return; more
+    than ORBIT_CAP states raise CapExceededError."""
     states = [start]
     seen = {start}
     cur = start
@@ -180,8 +190,8 @@ def orbit(step, start, cap: int = 1_000_000) -> Orbit:
             return Orbit(states)
         if cur in seen:
             raise ValueError("map is not injective on the reachable states")
-        if len(states) >= cap:
-            raise CapExceededError(f"orbit exceeded {cap} states")
+        if len(states) >= ORBIT_CAP:
+            raise CapExceededError(f"orbit exceeded {ORBIT_CAP} states")
         seen.add(cur)
         states.append(cur)
 

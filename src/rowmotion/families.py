@@ -7,13 +7,7 @@ first-class objects because many identities transfer through them.
 
 from __future__ import annotations
 
-from .poset import (
-    CapExceededError,
-    MalformedPosetError,
-    OrderIdeal,
-    Poset,
-    poset_isomorphic,
-)
+from .poset import CapExceededError, OrderIdeal, Poset
 
 # -- grid shapes ---------------------------------------------------------------
 
@@ -98,11 +92,8 @@ def double_tailed_diamond(n: int) -> Poset:
         raise ValueError("double-tailed diamond needs n >= 2")
     # elements 0..n-2: lower tail; n-1, n: middles; n+1..2n-1: upper tail
     covers = [(k, k + 1) for k in range(n - 2)]
-    covers += [(n - 2, n - 1), (n - 2, n)] if n >= 2 else []
-    covers += [(n - 1, n + 1), (n, n + 1)]
+    covers += [(n - 2, n - 1), (n - 2, n), (n - 1, n + 1), (n, n + 1)]
     covers += [(k, k + 1) for k in range(n + 1, 2 * n - 1)]
-    if n == 2:
-        covers = [(0, 1), (0, 2), (1, 3), (2, 3)]
     return Poset(2 * n, covers, name=f"dtd:{n}")
 
 

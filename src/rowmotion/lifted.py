@@ -27,6 +27,7 @@ from math import lcm, prod
 
 from .dynamics import rowmotion_order, sigma_order
 from .poset import CapExceededError, OrderIdeal, Poset
+from .qpoly import cleared
 from .statistics import Statistic
 
 
@@ -64,11 +65,8 @@ class PLPoint(_Point):
         """(D, atoms): over the common denominator D, the integer numerators
         of T+_p for every p, then of T-_p, then of omega - x_p, then of
         omega - alpha."""
-        P, alpha, omega = self.poset, self.alpha, self.omega
-        D = lcm(alpha.denominator, omega.denominator, *(v.denominator for v in self.values))
-        x = [v.numerator * (D // v.denominator) for v in self.values]
-        a = alpha.numerator * (D // alpha.denominator)
-        w = omega.numerator * (D // omega.denominator)
+        P = self.poset
+        (a, w, *x), D = cleared((self.alpha, self.omega, *self.values))
         t_in = [xp - max((x[r] for r in low), default=a)
                 for xp, low in zip(x, P.lower_covers)]
         t_out = [min((x[u] for u in up), default=w) - xp
@@ -227,9 +225,8 @@ class LiftedStatistic:
         """The law terms of the coefficients, cleared once to integers over
         one denominator E (`_law_terms`)."""
         n = self.poset.n
-        coeffs = [Fraction(a) for a in (*self.coeff_in, *self.coeff_out, *self.coeff_ind)]
-        E = lcm(*(a.denominator for a in coeffs))
-        ints = [a.numerator * (E // a.denominator) for a in coeffs]
+        ints, E = cleared([Fraction(a) for a in (*self.coeff_in, *self.coeff_out,
+                                                 *self.coeff_ind)])
         return _law_terms(self.poset, E, [(p, ints[p], ints[n + p], ints[2 * n + p])
                                           for p in range(n)])
 

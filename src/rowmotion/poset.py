@@ -11,15 +11,15 @@ from __future__ import annotations
 import heapq
 from array import array
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
-DEFAULT_IDEAL_CAP = 2_000_000
+DEFAULT_IDEAL_CAP = 2_000_000  # the most order ideals held at once
 
 
-def mask_cap(n: int, cap: int = DEFAULT_IDEAL_CAP) -> int:
-    """How many masks of n bits may be held at once: `cap`, lowered so that
-    they take no more memory than DEFAULT_IDEAL_CAP masks of 64 bits."""
-    return min(cap, DEFAULT_IDEAL_CAP * 64 // max(n, 64))
+def mask_cap(n: int) -> int:
+    """How many masks of n bits may be held at once: DEFAULT_IDEAL_CAP masks
+    of 64 bits, or as many masks of n > 64 bits as take that memory."""
+    return DEFAULT_IDEAL_CAP * 64 // max(n, 64)
 
 
 class MalformedPosetError(ValueError):
@@ -114,6 +114,8 @@ class Poset:
         self._toggle_table: Optional[ToggleTable] = None
         self._certificate_system = None  # factored by rowmotion.decompose
         self._sweeps: dict = {}
+        self._q_moves: dict = {}  # q-rowmotion tables, kept by rowmotion.qrow
+        self._q_active: dict = {}
         self._rowmotion_perm: Optional[array] = None  # cached by rowmotion.dynamics
         self._antichain_masks: Optional[tuple] = None
 
@@ -284,17 +286,18 @@ class Poset:
             return mask | (1 << p)
         return mask
 
-    def ideal_masks(self, cap=DEFAULT_IDEAL_CAP):
+    def ideal_masks(self):
         """All order-ideal masks, sorted by (cardinality, mask value).
 
         The result is cached; the canonical position of each ideal in this
         tuple indexes every statistic vector built on this poset.  The search
         goes by cardinality and carries each ideal's addable mask forward:
         adding x drops x and gains the upper covers of x whose lower covers
-        are all in the new ideal.
+        are all in the new ideal.  More than `mask_cap(n)` ideals raise
+        CapExceededError.
         """
         if self._ideal_masks is None:
-            cap = mask_cap(self.n, cap)
+            cap = mask_cap(self.n)
             down = self.down_covers
             # gains[x]: (bit, lower covers) of each upper cover of x
             gains = [tuple((1 << y, down[y]) for y in self.upper_covers[x])
@@ -544,14 +547,13 @@ def ideal_generated_by(A: Antichain) -> OrderIdeal:
     return OrderIdeal._make(A.poset, A.poset.generated_ideal_mask(A.mask))
 
 
-def enumerate_ideals(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
+def enumerate_ideals(P: Poset):
     """All order ideals of P in the canonical (cardinality, bitmask) order."""
-    return tuple(OrderIdeal._make(P, m) for m in P.ideal_masks(cap=cap))
+    return tuple(OrderIdeal._make(P, m) for m in P.ideal_masks())
 
 
-def enumerate_antichains(P: Poset, cap: int = DEFAULT_IDEAL_CAP):
+def enumerate_antichains(P: Poset):
     """All antichains, as max(I) over the canonical ideal enumeration."""
-    P.ideal_masks(cap=cap)
     return tuple(Antichain._make(P, m) for m in P.antichain_masks())
 
 

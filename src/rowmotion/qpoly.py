@@ -212,15 +212,18 @@ def _int_content(ints):
     return g
 
 
+def cleared(fractions) -> tuple:
+    """(ints, den): the rationals (Fractions or ints) as integers over their
+    least common denominator, so that fractions[k] == ints[k] / den."""
+    den = _int_lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (den // x.denominator) for x in fractions], den
+
+
 def _to_primitive_int(p: Polynomial):
     """Integer coefficient list of p with content 1 (sign of leading kept)."""
     if p.is_zero():
         return []
-    lcm = 1
-    for c in p.coeffs:
-        d = c.denominator
-        lcm = lcm // _int_gcd(lcm, d) * d
-    ints = [int(c * lcm) for c in p.coeffs]
+    ints, _ = cleared(p.coeffs)
     g = _int_content(ints)
     return [v // g for v in ints]
 

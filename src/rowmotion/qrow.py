@@ -8,17 +8,19 @@ on r and s themselves, not only on q = r/s.
 
 The zero-labeled set M stays an ideal after every toggle, so only the
 elements of max(M) | min(P - M) can act.  One kernel, `_sweep`, visits only
-those, read from a table of active positions per mask, and serves
-`q_toggle`, `q_rowmotion` and the orbit walk `_walk`, which keeps visited
-labelings as integer codes and yields one whole orbit at a time.
+those, read from a table of active positions per mask kept on the poset,
+and serves `q_toggle`, `q_rowmotion` and the orbit walk `_walk`, which keeps
+visited labelings as integer codes and yields one whole orbit at a time.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import filterfalse, product
 
 from .dynamics import rowmotion_order
@@ -105,15 +107,15 @@ def labeling_count(P: Poset, alphabet: FlavorAlphabet) -> int:
     return sum(_count_terms(P, alphabet.r, alphabet.s))
 
 
-def check_labeling_count(P: Poset, r: int, s: int,
-                         cap: int = DEFAULT_LABELING_CAP) -> int:
-    """The labeling count for r flavors of 1 and s of 0, bounded by `cap`
-    before any alphabet is built.
+def check_labeling_count(P: Poset, r: int, s: int) -> int:
+    """The labeling count for r flavors of 1 and s of 0, bounded by
+    DEFAULT_LABELING_CAP before any alphabet is built.
 
     r + s is bounded as well: theta has r + s symbols, and a poset without
     elements has one labeling for every (r, s).  The count stops at the
     first ideal size that takes it past the cap.
     """
+    cap = DEFAULT_LABELING_CAP
     if r < 1 or s < 1:
         raise ValueError("r and s must be positive")
     if r + s > cap:
@@ -132,15 +134,11 @@ def _count_terms(P, r, s):
     return (c * r ** (P.n - k) * s ** k for k, c in sorted(sizes.items()))
 
 
-def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet,
-                        cap: int = DEFAULT_LABELING_CAP):
+def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet):
     """All labelings, grouped by underlying ideal in canonical ideal order,
     lexicographic in the per-element flavor choices within each group."""
-    check_labeling_count(P, alphabet.r, alphabet.s, cap)
-    out = []
-    for labels in _iter_label_tuples(P, alphabet):
-        out.append(QLabeling(P, alphabet, labels))
-    return tuple(out)
+    check_labeling_count(P, alphabet.r, alphabet.s)
+    return tuple(QLabeling(P, alphabet, labels) for labels in _iter_label_tuples(P, alphabet))
 
 
 def _iter_label_tuples(P, alphabet):
@@ -156,22 +154,30 @@ def _iter_label_tuples(P, alphabet):
 
 def _toggles(P, alphabet, local_theta, order):
     """The toggles at `order` as sweep positions, and the active positions
-    of each zero-labeled mask.
+    of each zero-labeled mask, both kept on the poset: the moves per order
+    and flavor cycles, the active positions per order alone, since they do
+    not depend on the alphabet.
 
     Position j holds (p, moves) for the element p toggled at step
     len(order) - 1 - j, so a sweep runs the positions from the highest down.
     moves[x] for the old label x is (theta_p(x), the change of the labeling
     code, the bit that flips in M or 0).
     """
-    m, s = alphabet.r + alphabet.s, alphabet.s
-    steps = []
-    for p in reversed(order):
-        th = alphabet.theta if local_theta is None else local_theta[p]
-        th = th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
-        weight, bit = m ** p, 1 << p
-        steps.append((p, tuple((y, (y - x) * weight, bit if (x < s) != (y < s) else 0)
-                               for x, y in enumerate(th))))
-    return tuple(steps), _ActivePositions(P, [p for p, _ in steps])
+    cycles = None if local_theta is None else tuple(
+        th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
+        for th in map(local_theta.__getitem__, order))
+    steps = P._q_moves.get((order, alphabet, cycles))
+    if steps is None:
+        m, s = alphabet.r + alphabet.s, alphabet.s
+        thetas = [alphabet.theta] * len(order) if cycles is None else cycles
+        steps = P._q_moves[order, alphabet, cycles] = tuple(
+            (p, tuple((y, (y - x) * m ** p, 1 << p if (x < s) != (y < s) else 0)
+                      for x, y in enumerate(th)))
+            for p, th in zip(reversed(order), reversed(thetas)))
+    active = P._q_active.get(order)
+    if active is None:
+        active = P._q_active[order] = _ActivePositions(P, order[::-1])
+    return steps, active
 
 
 class _ActivePositions(dict):
@@ -181,7 +187,8 @@ class _ActivePositions(dict):
 
     def __init__(self, P, elements):
         super().__init__()
-        self.toggle_mask = P.toggle_mask
+        # through a weak proxy: the table is kept on P and must not keep P alive
+        self.toggle_mask = partial(Poset.toggle_mask, weakref.proxy(P))
         self.elements = elements  # elements[j]: the element at position j
 
     def __missing__(self, mask):
@@ -222,9 +229,9 @@ def _sweep(toggles, labels, mask, code):
 def q_toggle(P: Poset, alphabet: FlavorAlphabet, p: int, L: QLabeling,
              local_theta=None) -> QLabeling:
     """Apply theta to the label of p when p is active, else do nothing."""
-    labels = list(L.labels)
-    _sweep(_toggles(P, alphabet, local_theta, (p,)), labels, L.ideal_mask, 0)
-    return QLabeling(P, alphabet, tuple(labels))
+    if not (0 <= p < P.n):
+        raise IndexError(f"element {p} out of range")
+    return _q_sweep(P, alphabet, local_theta, (p,), L)
 
 
 def q_rowmotion(P: Poset, alphabet: FlavorAlphabet, L: QLabeling,
@@ -234,14 +241,21 @@ def q_rowmotion(P: Poset, alphabet: FlavorAlphabet, L: QLabeling,
     The result does not depend on the extension; passing one exists so that
     independence can be exercised directly.
     """
-    labels = list(L.labels)
     order = (rowmotion_order(P) if extension is None
              else tuple(reversed(extension.order)))
+    return _q_sweep(P, alphabet, local_theta, order, L)
+
+
+def _q_sweep(P, alphabet, local_theta, order, L):
+    """The labeling L of P toggled at each element of `order` in turn."""
+    if L.poset is not P:
+        raise ValueError("labeling belongs to a different poset")
+    labels = list(L.labels)
     _sweep(_toggles(P, alphabet, local_theta, order), labels, L.ideal_mask, 0)
     return QLabeling(P, alphabet, tuple(labels))
 
 
-def _walk(P, alphabet, local_theta, cap, as_labels=False):
+def _walk(P, alphabet, local_theta, as_labels=False):
     """Every labeling once, orbit by orbit, under q-rowmotion.
 
     Orbits start at their first labeling in the order of
@@ -250,7 +264,7 @@ def _walk(P, alphabet, local_theta, cap, as_labels=False):
     tuples.  Visited labelings are kept as integer codes, sum of
     label_p * (r+s)^p, updated per toggle.
     """
-    count = check_labeling_count(P, alphabet.r, alphabet.s, cap)
+    count = check_labeling_count(P, alphabet.r, alphabet.s)
     toggles = _toggles(P, alphabet, local_theta, rowmotion_order(P))
     m, s = alphabet.r + alphabet.s, alphabet.s
     weights = [m ** p for p in range(P.n)]
@@ -275,10 +289,9 @@ def _walk(P, alphabet, local_theta, cap, as_labels=False):
         raise CertificateError("orbits do not partition the labeling space")
 
 
-def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None,
-             cap: int = DEFAULT_LABELING_CAP):
+def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None):
     """Orbits of q-rowmotion as lists of raw label tuples."""
-    return list(_walk(P, alphabet, local_theta, cap, as_labels=True))
+    return list(_walk(P, alphabet, local_theta, as_labels=True))
 
 
 def ideal_mask_of(labels, alphabet) -> int:
@@ -304,8 +317,7 @@ class QHomomesyReport:
 
 
 def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
-                     expected=None, local_theta=None,
-                     cap: int = DEFAULT_LABELING_CAP) -> QHomomesyReport:
+                     expected=None, local_theta=None) -> QHomomesyReport:
     """Exact orbit averages of an ideal statistic lifted to labelings.
 
     The statistic value of a labeling is its value on the zero-labeled
@@ -320,7 +332,7 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
     value, den = dict(zip(P.ideal_masks(), f.nums)).__getitem__, f.den
     totals = []
     sizes = []
-    for orbit in _walk(P, alphabet, local_theta, cap):
+    for orbit in _walk(P, alphabet, local_theta):
         totals.append(sum(map(value, orbit)))
         sizes.append(len(orbit))
     averages = [Fraction(t, den * k) for t, k in zip(totals, sizes)]

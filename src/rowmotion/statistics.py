@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .families import root_poset_A
 from .poset import Antichain, OrderIdeal, Poset
 from .qpoly import (
     MAX_NUMBER_DIGITS,
     Polynomial,
     RationalFunction,
+    cleared,
     format_fraction,
     horner,
     poly_gcd,
@@ -177,8 +179,7 @@ def _clear(values, kind):
     """(numerators, denominator) of the values over their least common
     denominator."""
     if kind == RATIONAL:
-        den = lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
+        return cleared(values)
     den, dens = _ONE, {v.den for v in values}
     for d in dens:
         den = den.exact_div(poly_gcd(den, d)) * d
@@ -253,9 +254,9 @@ def from_combo(P: Poset, tin, tout, ind, label="") -> Statistic:
 def _combo_nums(P, combo):
     """The cleared form of a combo, accumulated in integers over the common
     denominator of its coefficients."""
-    scale = lcm(*(c.denominator for part in combo for c in part))
-    tin, tout, ind = ([c.numerator * (scale // c.denominator) for c in part]
-                      for part in combo)
+    ints, scale = cleared([c for part in combo for c in part])
+    n = P.n
+    tin, tout, ind = ints[:n], ints[n:2 * n], ints[2 * n:]
     masks = P.ideal_masks()
     acc = [0] * len(masks)
     supports = {}  # coefficient -> mask of the elements carrying it in ind
@@ -392,36 +393,18 @@ def _root_rook(P, i, reduced, typ):
 def var_rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
     """Variant type-B rook: the type-A rook of the doubled shape, folded back
     onto the quotient by merging each box with its transpose."""
-    coords = _coord_arrays(P)
-    n = (max(b for _, b in coords) + 1) // 2
-    m = 2 * n - 1
-    j = m + 1 - i  # = 2n - i
-    if not P.has_coord((i, j)):
+    n = (max(b for _, b in _coord_arrays(P)) + 1) // 2
+    if not P.has_coord((i, 2 * n - i)):
         raise ValueError(f"no boundary box at index {i}")
-    tin = [Fraction(0)] * P.n
-    tout = [Fraction(0)] * P.n
-
-    def add(ci, cj, arr, c):
-        box = (min(ci, cj), max(ci, cj))
+    doubled = root_poset_A(2 * n - 1)
+    rook_in, rook_out, _ = rook_A(doubled, i, reduced).combo
+    tin, tout = [Fraction(0)] * P.n, [Fraction(0)] * P.n
+    for (a, b), cin, cout in zip(doubled.coords, rook_in, rook_out):
+        box = (min(a, b), max(a, b))
         if P.has_coord(box):
-            arr[P.element_at(box)] += c
-
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            if a + b < m + 1:
-                continue  # outside the doubled type-A shape
-            if reduced:
-                if a == i and b >= j:
-                    add(a, b, tout, 1)
-                if a >= i and b == j:
-                    add(a, b, tout, 1)
-            else:
-                if (a, b) == (i, j):
-                    add(a, b, tin, 1)
-                if a >= i and b >= j:
-                    add(a, b, tout, 1)
-                if a > i and b > j:
-                    add(a, b, tin, -1)
+            x = P.element_at(box)
+            tin[x] += cin
+            tout[x] += cout
     tag = "~R'" if reduced else "R'"
     return from_combo(P, tin, tout, _zeros(P), label=f"{tag}B[{i}]")
 

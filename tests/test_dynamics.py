@@ -279,3 +279,30 @@ def test_maps_on_a_poset_whose_ideals_were_never_enumerated():
     for I, J in zip(enumerate_ideals(fresh), enumerate_ideals(ref)):
         assert gyr(I).mask == gyration(ref)(J).mask
     assert fresh._sweeps
+
+
+def test_step_functions_refuse_an_ideal_of_another_poset():
+    P, big = rectangle(2, 2), rectangle(3, 3)
+    ext = linear_extension(P)
+    for I in (enumerate_ideals(big)[9], OrderIdeal(rectangle(2, 2))):
+        steps = [lambda I: rowmotion(P, I), lambda I: toggle(P, 0, I),
+                 lambda I: rowmotion_by_toggles(P, ext, I), gyration(P),
+                 rowmotion_sigma(P, (0, 1, 2)), rank_toggle(P, 1)]
+        for step in steps:
+            with pytest.raises(ValueError, match="ideal belongs to a different poset"):
+                step(I)
+    enumerate_ideals(P)  # the permutation path checks as well
+    with pytest.raises(ValueError, match="ideal belongs to a different poset"):
+        rowmotion(P, enumerate_ideals(big)[9])
+
+
+def test_orbit_cap(monkeypatch):
+    import rowmotion.dynamics as dynamics
+    from rowmotion import CapExceededError
+
+    P = rectangle(2, 3)
+    start = OrderIdeal(P)
+    assert orbit(lambda I: rowmotion(P, I), start).period == 5
+    monkeypatch.setattr(dynamics, "ORBIT_CAP", 4)
+    with pytest.raises(CapExceededError, match="^orbit exceeded 4 states$"):
+        orbit(lambda I: rowmotion(P, I), start)

@@ -21,6 +21,7 @@ from rowmotion import (
     rank_of,
 )
 from rowmotion.families import rectangle, root_poset_A, shifted_staircase, chain_of_vs
+import rowmotion.poset as poset_module
 from rowmotion.poset import LinearExtension
 
 from conftest import all_linear_extensions, brute_ideals, brute_leq, brute_maximal_chains
@@ -226,12 +227,12 @@ def test_json_round_trip(tmp_path):
     assert P.colors and Q.colors == P.colors
 
 
-def test_ideal_cap():
+def test_ideal_cap(monkeypatch):
     from rowmotion import CapExceededError
 
-    P = rectangle(3, 3)
-    with pytest.raises(CapExceededError):
-        P.ideal_masks(cap=5)
+    monkeypatch.setattr(poset_module, "DEFAULT_IDEAL_CAP", 5)
+    with pytest.raises(CapExceededError, match="more than 5 order ideals"):
+        rectangle(3, 3).ideal_masks()
 
 
 def test_grid_consistency_checks():
@@ -300,14 +301,16 @@ def test_sweep_permutation_matches_mask_toggles(data):
         assert masks[perm[i]] == m
 
 
-def test_ideal_masks_match_brute_force_and_cap_boundary():
+def test_ideal_masks_match_brute_force_and_cap_boundary(monkeypatch):
     for P in (rectangle(3, 4), shifted_staircase(4), root_poset_A(4), chain_of_vs(3),
               Poset(4, []), Poset(0, [])):
         masks = brute_ideals(P)
         assert list(P.ideal_masks()) == masks
         # the cap allows exactly the ideal count and refuses one fewer
-        fresh = Poset(P.n, P.covers)
-        assert fresh.ideal_masks(cap=len(masks)) == P.ideal_masks()
-        if len(masks) > 1:
-            with pytest.raises(CapExceededError):
-                Poset(P.n, P.covers).ideal_masks(cap=len(masks) - 1)
+        with monkeypatch.context() as m:
+            m.setattr(poset_module, "DEFAULT_IDEAL_CAP", len(masks))
+            assert Poset(P.n, P.covers).ideal_masks() == P.ideal_masks()
+            if len(masks) > 1:
+                m.setattr(poset_module, "DEFAULT_IDEAL_CAP", len(masks) - 1)
+                with pytest.raises(CapExceededError):
+                    Poset(P.n, P.covers).ideal_masks()

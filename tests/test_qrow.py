@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from rowmotion.families import rectangle, root_poset_A, shifted_staircase
 from rowmotion.poset import LinearExtension
 from rowmotion.qpoly import CertificateError, Polynomial, RationalFunction, q_number
 from rowmotion.poset import CapExceededError
+import rowmotion.qrow as qrow
 from rowmotion.qrow import QLabeling, check_labeling_count, ideal_mask_of
 
 from conftest import random_extension, random_poset
@@ -39,7 +41,7 @@ def test_alphabet_validation():
         FlavorAlphabet(0, 1, (0,))
 
 
-def test_labeling_counts():
+def test_labeling_counts(monkeypatch):
     A2 = root_poset_A(2)
     assert labeling_count(A2, FlavorAlphabet.default(1, 2)) == 17
     assert len(enumerate_labelings(A2, FlavorAlphabet.default(1, 2))) == 17
@@ -49,10 +51,13 @@ def test_labeling_counts():
     assert labeling_count(P, FlavorAlphabet.default(1, 1)) == len(P.ideal_masks())
     assert check_labeling_count(P, 1, 2) == 35
     assert check_labeling_count(Poset(0, []), 5, 7) == 1
-    with pytest.raises(CapExceededError, match="flavor symbols"):
-        check_labeling_count(Poset(0, []), 5, 7, cap=11)
-    with pytest.raises(CapExceededError, match="more than 34 labelings"):
-        check_labeling_count(P, 1, 2, cap=34)
+    with monkeypatch.context() as m:
+        m.setattr(qrow, "DEFAULT_LABELING_CAP", 11)
+        with pytest.raises(CapExceededError, match="12 flavor symbols exceed the cap 11"):
+            check_labeling_count(Poset(0, []), 5, 7)
+        m.setattr(qrow, "DEFAULT_LABELING_CAP", 34)
+        with pytest.raises(CapExceededError, match="more than 34 labelings"):
+            check_labeling_count(P, 1, 2)
     with pytest.raises(ValueError):
         check_labeling_count(P, 0, 2)
 
@@ -194,12 +199,12 @@ def test_unreduced_pair_changes_dynamics():
     assert sorted(len(o) for o in two_two) == [4]
 
 
-def test_labeling_cap():
+def test_labeling_cap(monkeypatch):
     from rowmotion import CapExceededError
 
-    P = rectangle(3, 3)
-    with pytest.raises(CapExceededError):
-        enumerate_labelings(P, FlavorAlphabet.default(5, 5), cap=100)
+    monkeypatch.setattr(qrow, "DEFAULT_LABELING_CAP", 100)
+    with pytest.raises(CapExceededError, match="more than 100 labelings"):
+        enumerate_labelings(rectangle(3, 3), FlavorAlphabet.default(5, 5))
 
 
 def test_enumeration_grouped_by_ideal():
@@ -349,3 +354,38 @@ def test_q_kernel_matches_the_reference_toggle(data):
     sums = [sum(value[ideal_mask_of(x, alphabet)] for x in o) for o in orbits]
     assert rep.orbit_sizes == tuple(map(len, orbits))
     assert rep.orbit_averages == tuple(Fraction(t, len(o)) for t, o in zip(sums, orbits))
+
+
+def test_q_steps_refuse_foreign_labelings_and_bad_elements():
+    P, big = rectangle(2, 2), rectangle(3, 3)
+    alphabet = FlavorAlphabet.default(1, 2)
+    foreign = enumerate_labelings(big, alphabet)[5]
+    for step in (lambda L: q_rowmotion(P, alphabet, L),
+                 lambda L: q_toggle(P, alphabet, 0, L)):
+        with pytest.raises(ValueError, match="labeling belongs to a different poset"):
+            step(foreign)
+    own = enumerate_labelings(P, alphabet)[0]
+    for p in (-1, P.n):
+        with pytest.raises(IndexError, match=f"^element {p} out of range$"):
+            q_toggle(P, alphabet, p, own)
+
+
+def test_q_tables_are_kept_per_poset():
+    from rowmotion.dynamics import rowmotion_order
+
+    P = rectangle(3, 3)
+    a, b = FlavorAlphabet.default(1, 2), FlavorAlphabet.default(2, 1)
+    order = rowmotion_order(P)
+    moves, active = qrow._toggles(P, a, None, order)
+    q_rowmotion(P, a, enumerate_labelings(P, a)[3])
+    q_orbits(P, a)  # the orbit walk reads the same tables
+    again = qrow._toggles(P, a, None, order)
+    assert again[0] is moves and again[1] is active
+    assert list(P._q_moves) == [(order, a, None)]
+    # the active positions do not depend on the alphabet, the moves do
+    other = qrow._toggles(P, b, None, order)
+    assert other[1] is active and other[0] != moves
+    # the tables hold no reference back to the poset, so it is freed at once
+    ref = weakref.ref(P)
+    del P, active, again, other
+    assert ref() is None
