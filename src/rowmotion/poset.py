@@ -115,7 +115,7 @@ class Poset:
         self._certificate_system = None  # factored by rowmotion.decompose
         self._sweeps: dict = {}
         self._q_moves: dict = {}  # q-rowmotion tables, kept by rowmotion.qrow
-        self._q_active: dict = {}
+        self._q_masks: dict = {}
         self._rowmotion_perm: Optional[array] = None  # cached by rowmotion.dynamics
         self._antichain_masks: Optional[tuple] = None
 

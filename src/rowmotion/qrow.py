@@ -9,8 +9,10 @@ on r and s themselves, not only on q = r/s.
 The zero-labeled set M stays an ideal after every toggle, so only the
 elements of max(M) | min(P - M) can act.  One kernel, `_sweep`, visits only
 those, read from a table of active positions per mask kept on the poset,
-and serves `q_toggle`, `q_rowmotion` and the orbit walk `_walk`, which keeps
-visited labelings as integer codes and yields one whole orbit at a time.
+and serves `q_toggle`, `q_rowmotion` and the orbit walk `_walk`.  The walk
+carries each labeling's dense rank, its position in `enumerate_labelings`,
+through the sweep, marks visited labelings in a bytearray of one byte per
+rank, and yields one whole orbit at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import filterfalse, product
+from functools import cached_property, partial
+from itertools import product
 
 from .dynamics import rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
@@ -94,7 +96,16 @@ class QLabeling:
         if not self.poset.is_ideal_mask(self.ideal_mask):
             raise ValueError("zero-labeled elements must form an order ideal")
 
-    @property
+    @classmethod
+    def _make(cls, poset, alphabet, labels, mask):
+        """A labeling built by this module: `labels` is a tuple of flavor
+        symbols whose zero-labeled set is the ideal `mask`, so nothing is
+        checked again."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(poset=poset, alphabet=alphabet, labels=labels, ideal_mask=mask)
+        return obj
+
+    @cached_property
     def ideal_mask(self) -> int:
         return ideal_mask_of(self.labels, self.alphabet)
 
@@ -104,7 +115,7 @@ class QLabeling:
 
 def labeling_count(P: Poset, alphabet: FlavorAlphabet) -> int:
     """#labelings = sum over ideals of r^(n - #I) * s^#I."""
-    return sum(_count_terms(P, alphabet.r, alphabet.s))
+    return sum(c * w for _, c, w in _blocks(P, alphabet.r, alphabet.s))
 
 
 def check_labeling_count(P: Poset, r: int, s: int) -> int:
@@ -121,109 +132,166 @@ def check_labeling_count(P: Poset, r: int, s: int) -> int:
     if r + s > cap:
         raise CapExceededError(f"{r + s} flavor symbols exceed the cap {cap}")
     total = 0
-    for term in _count_terms(P, r, s):
-        total += term
+    for _, c, w in _blocks(P, r, s):
+        total += c * w
         if total > cap:
             raise CapExceededError(f"more than {cap} labelings")
     return total
 
 
-def _count_terms(P, r, s):
-    """The labelings of each ideal size, smallest size first."""
+def _blocks(P, r, s):
+    """(k, the ideals of size k, the labelings of each), smallest k first;
+    the canonical ideal order sorts by size, so each k is one run of ideals."""
     sizes = Counter(map(int.bit_count, P.ideal_masks()))
-    return (c * r ** (P.n - k) * s ** k for k, c in sorted(sizes.items()))
+    return ((k, c, r ** (P.n - k) * s ** k) for k, c in sorted(sizes.items()))
 
 
 def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet):
     """All labelings, grouped by underlying ideal in canonical ideal order,
-    lexicographic in the per-element flavor choices within each group."""
+    lexicographic in the per-element flavor choices within each group.
+
+    A labeling's position in this order is its rank, which the orbit walk
+    carries."""
     check_labeling_count(P, alphabet.r, alphabet.s)
-    return tuple(QLabeling(P, alphabet, labels) for labels in _iter_label_tuples(P, alphabet))
+    zeros = range(alphabet.s)
+    ones = range(alphabet.s, alphabet.s + alphabet.r)
+    return tuple(
+        QLabeling._make(P, alphabet, labels, mask)
+        for mask in P.ideal_masks()
+        for labels in product(*[zeros if mask >> p & 1 else ones for p in range(P.n)]))
 
 
-def _iter_label_tuples(P, alphabet):
-    r, s = alphabet.r, alphabet.s
-    zero_choices = tuple(range(s))
-    one_choices = tuple(range(s, s + r))
-    for mask in P.ideal_masks():
-        ranges = [
-            zero_choices if mask >> p & 1 else one_choices for p in range(P.n)
-        ]
-        yield from product(*ranges)
-
-
-def _toggles(P, alphabet, local_theta, order):
-    """The toggles at `order` as sweep positions, and the active positions
-    of each zero-labeled mask, both kept on the poset: the moves per order
-    and flavor cycles, the active positions per order alone, since they do
-    not depend on the alphabet.
+def _toggles(P, alphabet, local_theta, order, ranked=False):
+    """The toggles at `order` as sweep positions, and a table of the
+    zero-labeled masks they meet, both kept on the poset: the moves per
+    order and flavor cycles, the mask table per order alone for single
+    steps, and per order and (r, s) when `ranked`, for the orbit walk.
 
     Position j holds (p, moves) for the element p toggled at step
     len(order) - 1 - j, so a sweep runs the positions from the highest down.
-    moves[x] for the old label x is (theta_p(x), the change of the labeling
-    code, the bit that flips in M or 0).
+    moves[x] for the old label x is (theta_p(x), the change of the flavor
+    index, the bit that flips in M or 0).  The flavor index of a label is
+    the label itself for a 0 and the label minus s for a 1.
     """
     cycles = None if local_theta is None else tuple(
         th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
         for th in map(local_theta.__getitem__, order))
     steps = P._q_moves.get((order, alphabet, cycles))
     if steps is None:
-        m, s = alphabet.r + alphabet.s, alphabet.s
+        s = alphabet.s
         thetas = [alphabet.theta] * len(order) if cycles is None else cycles
         steps = P._q_moves[order, alphabet, cycles] = tuple(
-            (p, tuple((y, (y - x) * m ** p, 1 << p if (x < s) != (y < s) else 0)
+            (p, tuple((y, (y - s * (y >= s)) - (x - s * (x >= s)),
+                       1 << p if (x < s) != (y < s) else 0)
                       for x, y in enumerate(th)))
             for p, th in zip(reversed(order), reversed(thetas)))
-    active = P._q_active.get(order)
-    if active is None:
-        active = P._q_active[order] = _ActivePositions(P, order[::-1])
-    return steps, active
+    key = (order, alphabet.r, alphabet.s) if ranked else order
+    table = P._q_masks.get(key)
+    if table is None:
+        table = P._q_masks[key] = _MaskTable(P, order[::-1], alphabet if ranked else None)
+    return steps, table
 
 
-class _ActivePositions(dict):
-    """M -> the positions of the sweep whose element is active in M, that is
-    max(M) | min(P - M), as a bitmask; each entry is built on first use, so
-    a single step on a large poset enumerates no ideals."""
+class _MaskTable(dict):
+    """M -> (active, offset, weights) for a zero-labeled ideal M, each entry
+    built on first use.
 
-    def __init__(self, P, elements):
+    `active` holds the positions of the sweep whose element is active in M,
+    that is max(M) | min(P - M), as a bitmask.  With an alphabet, `offset`
+    is the rank of the first labeling on M, and weights[j] is
+    (L, R*L, (R' - R)*L) for the element p at position j: L, the place
+    value of p's flavor index, is the product of the radices of the
+    elements after p (s in M, r outside), R is the radix of p in M and R'
+    its radix once p flips.  Entries share their triples, and for r = s
+    one weights tuple.  Without an alphabet the table enumerates no ideals,
+    so a single step on a large poset stays cheap, and the sweep carries no
+    rank: offset 0 and weights (0, 1, 0) keep it at 0.
+    """
+
+    def __init__(self, P, elements, alphabet=None):
         super().__init__()
+        self.elements = elements  # elements[j]: the element at position j
+        self.weights = ((0, 1, 0),) * len(elements)
+        self.blocks = None
+        if alphabet is not None:
+            self.radices = r, s = alphabet.r, alphabet.s
+            self.n = P.n
+            P.ideal_masks()
+            self.index = P._ideal_index
+            # the rank of the first labeling on M is base + (index of M) * w
+            self.blocks = {}
+            start = first = 0
+            for k, c, w in _blocks(P, r, s):
+                self.blocks[k] = (start - first * w, w)
+                start += c * w
+                first += c
+            self.interned = {}
+            # the place values depend on M only when r != s
+            self.weights = self._weights(0) if r == s else None
         # through a weak proxy: the table is kept on P and must not keep P alive
         self.toggle_mask = partial(Poset.toggle_mask, weakref.proxy(P))
-        self.elements = elements  # elements[j]: the element at position j
 
     def __missing__(self, mask):
         toggle = self.toggle_mask
-        out = 0
+        active = 0
         for j, p in enumerate(self.elements):
             if toggle(p, mask) != mask:
-                out |= 1 << j
-        self[mask] = out
-        return out
+                active |= 1 << j
+        offset, weights = 0, self.weights
+        if self.blocks is not None:
+            base, w = self.blocks[mask.bit_count()]
+            offset = base + self.index[mask] * w
+            if weights is None:
+                weights = self._weights(mask)
+        entry = self[mask] = (active, offset, weights)
+        return entry
+
+    def _weights(self, mask):
+        r, s = self.radices
+        weights = [None] * self.n  # weights[p]: the triple of element p
+        L = 1
+        for p in reversed(range(self.n)):
+            R, flipped = (s, r) if mask >> p & 1 else (r, s)
+            w = (L, R * L, (flipped - R) * L)
+            weights[p] = self.interned.setdefault(w, w)
+            L *= R
+        return tuple(map(weights.__getitem__, self.elements))
 
 
 def _sweep(toggles, labels, mask, code):
     """Apply the toggles in turn, in place on `labels`; returns the new
-    zero-labeled mask and labeling code.
+    zero-labeled mask and rank.
 
     The zero-labeled set M stays an ideal, and only the elements active in M
     can act.  So the sweep visits only the pending active positions below
     the current one, and reloads them from the table only when a toggle
     moves a label across the 0/1 boundary, which is when M changes.
+
+    The rank is the offset of M plus a mixed-radix number with one digit,
+    the flavor index, per element, element 0 the most significant.  A
+    toggle that keeps the class of p adds the change of its digit times its
+    place value L.  A toggle that flips p changes its radix from R to R',
+    which rescales the digits before p, the part of the rank above R*L, and
+    then moves the rank to the new ideal's offset.
     """
-    steps, active = toggles
-    pending = active[mask]
+    steps, table = toggles
+    pending, offset, weights = table[mask]
+    within = code - offset  # the rank within M
     while pending:
         j = pending.bit_length() - 1
         p, moves = steps[j]
-        new, delta, flip = moves[labels[p]]
+        new, dc, flip = moves[labels[p]]
         labels[p] = new
-        code += delta
+        L, RL, dRL = weights[j]
         if flip:
+            within += within // RL * dRL + dc * L
             mask ^= flip
-            pending = active[mask] & ((1 << j) - 1)
+            pending, offset, weights = table[mask]
+            pending &= (1 << j) - 1
         else:
+            within += dc * L
             pending ^= 1 << j
-    return mask, code
+    return mask, offset + within
 
 
 def q_toggle(P: Poset, alphabet: FlavorAlphabet, p: int, L: QLabeling,
@@ -250,9 +318,11 @@ def _q_sweep(P, alphabet, local_theta, order, L):
     """The labeling L of P toggled at each element of `order` in turn."""
     if L.poset is not P:
         raise ValueError("labeling belongs to a different poset")
+    if (L.alphabet.r, L.alphabet.s) != (alphabet.r, alphabet.s):
+        raise ValueError("labeling has other flavor counts than the alphabet")
     labels = list(L.labels)
-    _sweep(_toggles(P, alphabet, local_theta, order), labels, L.ideal_mask, 0)
-    return QLabeling(P, alphabet, tuple(labels))
+    mask, _ = _sweep(_toggles(P, alphabet, local_theta, order), labels, L.ideal_mask, 0)
+    return QLabeling._make(P, alphabet, tuple(labels), mask)
 
 
 def _walk(P, alphabet, local_theta, as_labels=False):
@@ -261,32 +331,35 @@ def _walk(P, alphabet, local_theta, as_labels=False):
     Orbits start at their first labeling in the order of
     `enumerate_labelings`.  Yields one list per orbit: the zero-labeled
     masks of its labelings in orbit order, or with `as_labels` their label
-    tuples.  Visited labelings are kept as integer codes, sum of
-    label_p * (r+s)^p, updated per toggle.
+    tuples.  The sweep carries each labeling's rank, its position in that
+    order; visited ranks are marked in a bytearray of one byte per
+    labeling, the next orbit starts at the first unmarked rank, and its
+    labels are read back from the digits of that rank.  A rank outside the
+    labeling space, or an orbit that does not close at its start, means the
+    map is not a bijection.
     """
     count = check_labeling_count(P, alphabet.r, alphabet.s)
-    toggles = _toggles(P, alphabet, local_theta, rowmotion_order(P))
-    m, s = alphabet.r + alphabet.s, alphabet.s
-    weights = [m ** p for p in range(P.n)]
-    zeros = [tuple(x * w for x in range(s)) for w in weights]
-    ones = [tuple(x * w for x in range(s, m)) for w in weights]
-    visited = set()
+    toggles = steps, table = _toggles(P, alphabet, local_theta, rowmotion_order(P),
+                                      ranked=True)
+    s = alphabet.s
+    visited = bytearray(count)
     for mask in P.ideal_masks():
-        # the same order as _iter_label_tuples, on weighted labels
-        ranges = [zeros[p] if mask >> p & 1 else ones[p] for p in range(P.n)]
-        # unvisited codes only, tested as each one is reached
-        for start in filterfalse(visited.__contains__, map(sum, product(*ranges))):
-            labels = [start // w % m for w in weights]
+        _, offset, weights = table[mask]
+        end = offset + table.blocks[mask.bit_count()][1]  # the labelings on M
+        start = visited.find(0, offset, end)
+        while start != -1:
+            labels = [0] * P.n
+            for (p, _), (L, RL, _) in zip(steps, weights):
+                labels[p] = (start - offset) % RL // L + (0 if mask >> p & 1 else s)
             cur, code, orbit = mask, start, []
-            while code not in visited:
-                visited.add(code)
+            while 0 <= code < count and not visited[code]:
+                visited[code] = 1
                 orbit.append(tuple(labels) if as_labels else cur)
                 cur, code = _sweep(toggles, labels, cur, code)
             if code != start:
                 raise CertificateError("q-rowmotion failed to be a bijection")
             yield orbit
-    if len(visited) != count:
-        raise CertificateError("orbits do not partition the labeling space")
+            start = visited.find(0, start + 1, end)
 
 
 def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None):

@@ -365,6 +365,11 @@ def test_q_steps_refuse_foreign_labelings_and_bad_elements():
         with pytest.raises(ValueError, match="labeling belongs to a different poset"):
             step(foreign)
     own = enumerate_labelings(P, alphabet)[0]
+    for other in (FlavorAlphabet.default(2, 1), FlavorAlphabet.default(1, 3)):
+        for step in (lambda L: q_rowmotion(P, other, L),
+                     lambda L: q_toggle(P, other, 0, L)):
+            with pytest.raises(ValueError, match="other flavor counts"):
+                step(own)
     for p in (-1, P.n):
         with pytest.raises(IndexError, match=f"^element {p} out of range$"):
             q_toggle(P, alphabet, p, own)
@@ -376,16 +381,95 @@ def test_q_tables_are_kept_per_poset():
     P = rectangle(3, 3)
     a, b = FlavorAlphabet.default(1, 2), FlavorAlphabet.default(2, 1)
     order = rowmotion_order(P)
-    moves, active = qrow._toggles(P, a, None, order)
+    moves, masks = qrow._toggles(P, a, None, order)
     q_rowmotion(P, a, enumerate_labelings(P, a)[3])
-    q_orbits(P, a)  # the orbit walk reads the same tables
+    q_orbits(P, a)  # the orbit walk reads the same moves and a ranked mask table
     again = qrow._toggles(P, a, None, order)
-    assert again[0] is moves and again[1] is active
+    assert again[0] is moves and again[1] is masks
     assert list(P._q_moves) == [(order, a, None)]
-    # the active positions do not depend on the alphabet, the moves do
+    assert list(P._q_masks) == [order, (order, 1, 2)]
+    ranked = qrow._toggles(P, a, None, order, ranked=True)
+    assert ranked[0] is moves and ranked[1] is P._q_masks[order, 1, 2]
+    # the single-step masks do not depend on the alphabet, the moves and ranks do
     other = qrow._toggles(P, b, None, order)
-    assert other[1] is active and other[0] != moves
+    assert other[1] is masks and other[0] != moves
+    assert qrow._toggles(P, b, None, order, ranked=True)[1] is not ranked[1]
+    # the entries share their weights: one tuple for r = s, triples otherwise
+    q_orbits(P, FlavorAlphabet.default(2, 2))
+    assert len({id(w) for _, _, w in P._q_masks[order, 2, 2].values()}) == 1
+    triples = {id(t) for _, _, w in ranked[1].values() for t in w}
+    assert len(triples) == len({t for _, _, w in ranked[1].values() for t in w})
     # the tables hold no reference back to the poset, so it is freed at once
     ref = weakref.ref(P)
-    del P, active, again, other
+    del P, masks, again, other, ranked
     assert ref() is None
+
+
+def _rank(toggles, labels, mask, s):
+    """The rank of a labeling read off the walk's table: the offset of its
+    zero-labeled ideal plus each flavor index times its place value."""
+    steps, table = toggles
+    _, offset, weights = table[mask]
+    return offset + sum((labels[p] - s * (labels[p] >= s)) * L
+                        for (p, _), (L, _, _) in zip(steps, weights))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(hst.data())
+def test_rank_is_the_position_in_enumerate_labelings(data):
+    rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
+    P = random_poset(rng, data.draw(hst.integers(0, 7)))
+    pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)
+             if labeling_count(P, FlavorAlphabet.default(r, s)) <= 3000]
+    r, s = data.draw(hst.sampled_from(pairs))
+    alphabet = data.draw(hst.sampled_from(
+        [FlavorAlphabet.default(r, s), FlavorAlphabet.random(r, s, rng)]))
+    local = None
+    if data.draw(hst.booleans()):
+        local = [FlavorAlphabet.random(r, s, rng).theta for _ in range(P.n)]
+
+    labelings = enumerate_labelings(P, alphabet)
+    position = {L.labels: k for k, L in enumerate(labelings)}
+    sweep = tuple(reversed(random_extension(P, rng)))
+    toggles = qrow._toggles(P, alphabet, local, sweep, ranked=True)
+    for k, L in enumerate(labelings):
+        assert _rank(toggles, L.labels, L.ideal_mask, s) == k
+    for order in [sweep] + [(p,) for p in range(P.n)]:
+        toggles = qrow._toggles(P, alphabet, local, order, ranked=True)
+        for L in rng.sample(labelings, min(len(labelings), 12)):
+            labels = list(L.labels)
+            mask, code = qrow._sweep(toggles, labels, L.ideal_mask, position[L.labels])
+            assert mask == ideal_mask_of(labels, alphabet)
+            assert code == position[tuple(labels)]
+    # a single step builds its labeling unchecked, equal to a checked one
+    for L in rng.sample(labelings, min(len(labelings), 5)):
+        out = q_rowmotion(P, alphabet, L, local_theta=local)
+        assert out == QLabeling(P, alphabet, out.labels)
+        assert out.ideal_mask == ideal_mask_of(out.labels, alphabet)
+
+
+def test_q_walk_memory_is_a_byte_per_labeling():
+    import tracemalloc
+
+    P = rectangle(3, 4)
+    f = named_statistic(P, "antichain_card")
+    alphabet = FlavorAlphabet.default(2, 2)
+    assert labeling_count(P, alphabet) == 143_360
+    tracemalloc.start()
+    try:
+        q_homomesy_check(P, alphabet, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_single_q_steps_enumerate_no_ideals():
+    P = rectangle(12, 12)
+    alphabet = FlavorAlphabet.default(1, 2)
+    L = QLabeling(P, alphabet, (2,) * P.n)  # every element labeled 1
+    L = q_rowmotion(P, alphabet, L)
+    assert L.ideal_mask == 1  # the minimum joined the zero-labeled ideal
+    q_toggle(P, alphabet, 0, L)
+    assert P._ideal_masks is None
