@@ -67,10 +67,10 @@ def cmd_orbits(args) -> int:
             raise ValueError(
                 f"variant {variant!r} must be q:<r>,<s> with integers r and s") from None
         alphabet = _alphabet(args, P, r, s)
-        orbits = qrow.q_orbits(P, alphabet)
+        orbits = [(len(o), o[0]) for o in qrow._walk(P, alphabet, None, as_labels=True)]
         total = qrow.labeling_count(P, alphabet)
-        sizes = [len(o) for o in orbits]
-        reps = ["".join(map(str, o[0])) for o in orbits]
+        sizes = [size for size, _ in orbits]
+        reps = ["".join(map(str, first)) for _, first in orbits]
     else:
         if variant in ("rowmotion", "antichain"):
             order = dynamics.rowmotion_order(P)

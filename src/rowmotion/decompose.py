@@ -11,26 +11,20 @@ zeta matrix of J(P)), so f equals a combination on every ideal exactly when
 their monomial coefficients agree, and no ideal is enumerated.  With C-(p)
 and C+(p) the lower and upper covers of p, 1_p = x^{p},
 T+_p = x^{C-(p)} - x^{p} and T-_p = sum over S within C+(p) of
-(-1)^|S| x^{max({p} u S)}.  The certificate system of a poset has one row
-per monomial these touch (at most 1 + 2n + sum_p 2^|C+(p)|) and the columns
-1, T^q_0, ..., each entry plus - q*minus with plus from T+ and minus from
-T-.  `decompose` factors it once at q = 1 with the Bareiss kernel of
+(-1)^|S| x^{max({p} u S)}.  The certificate system of a poset has one sparse
+row per monomial these touch (at most 1 + 2n + sum_p 2^|C+(p)|) over the
+columns 1, T^q_0, ..., each entry plus - q*minus with plus from T+ and minus
+from T-.  `decompose` factors it once at q = 1 with the sparse kernel of
 `linalg`, replays that on a statistic's coefficients (`_monomials`) at the
 n+1 pivot monomials, and takes the sparse integer residual over every
 monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
-candidate was the only possible solution.
-`q_decompose` refactors n+1 pivot rows at integer values of q, interpolates,
-and checks the result with the same residual (see its docstring).
-`toggleability_space_dims` (Table 2) takes the rank of the stacked residuals
-of its observables, and `verify_independence` the rank of the system's
-columns at a fixed q >= 0 over all of its monomial rows, so the package has
-one elimination kernel and the independence check enumerates no ideal.
-Each denominator of a Q(q) certificate is checked to be positive on
-[0, oo): nonzero at 0, then Descartes' rule of signs or an exact Sturm count
-of its positive roots, so the certificate specializes at every q = r/s >= 0.
-The system is cached on the poset.  The size of the T- expansions and the
-elimination work of every solve, `antichain_span_dim`'s dense rank over the
-ideals included, are bounded before the work starts (CapExceededError).
+candidate was the only possible solution.  `q_decompose` refactors the n+1
+pivot rows at integer values of q and interpolates; `toggleability_space_dims`
+(Table 2) takes the rank of stacked residuals, `verify_independence` the rank
+of the system at a fixed q >= 0 and `antichain_span_dim` a sparse rank over
+the ideals, all on that one kernel.  The system, cached on the poset, is
+bounded in size before it is built, each factorization as it runs, and the
+Q(q) and Table 2 point loops before they start (`check_work`).
 """
 
 from __future__ import annotations
@@ -38,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import lcm
 
 from .dynamics import rowmotion_order
-from .linalg import factor
-from .poset import DEFAULT_IDEAL_CAP, CapExceededError, Poset, enumerate_antichains, mask_cap
+from .linalg import check_work, factor
+from .poset import CapExceededError, Poset, mask_cap
 from .qpoly import (
     CertificateError,
     RationalFunction,
@@ -53,13 +47,7 @@ from .qpoly import (
     interpolate,
     positive_roots,
 )
-from .statistics import (
-    QRATIONAL,
-    RATIONAL,
-    Statistic,
-    accumulate_toggles,
-    antichain_toggleability,
-)
+from .statistics import QRATIONAL, RATIONAL, Statistic, accumulate_toggles
 
 __all__ = [
     "Decomposition",
@@ -128,29 +116,13 @@ def decompose(P: Poset, f: Statistic):
     return Decomposition(P, sol[0], tuple(sol[1:]), RATIONAL)
 
 
-# Eliminating one row of the system against k pivot rows costs about
-# k * (n+1) integer operations, so each dense solve is bounded before it
-# starts.  At this cap a solve takes seconds, and `decompose --q` stops where
-# the ideal cap stopped it on rectangles (rect:11,11 answers, rect:12,12 not).
-WORK_CAP = 128 * DEFAULT_IDEAL_CAP
-
-
-def _bound_work(work: int, what: str):
-    if work > WORK_CAP:
-        raise CapExceededError(
-            f"{what} takes about {work} integer operations, more than the cap {WORK_CAP}")
-
-
 class _System:
     """The certificate system of a poset: `columns[j]` maps each monomial of
-    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair, and
-    `order` lists every monomial of the columns in the order rows are read.
-    `pivots` maps each of n+1 monomials, whose rows are independent at
-    q = 1, to its row of pairs, and `at_one` is their factorization at
-    q = 1.  The rows are read from the largest antichains down and the
-    singletons last: the determinant of the rows chosen that way has a low
-    q-degree (9 against 25 with {} and the singletons first, on rect:5,5),
-    which keeps Q(q) certificates small, and entries of a few bits."""
+    column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair, `at_one`
+    factors the monomials' rows at q = 1 and `pivots` maps its n+1 pivot
+    monomials to their rows.  Rows are read from the largest antichains down,
+    the singletons last: the pivots' determinant then has a low q-degree (9
+    against 25 with {} and the singletons first, on rect:5,5)."""
 
     def __init__(self, P: Poset):
         size = sum(1 << len(up) for up in P.upper_covers)
@@ -167,17 +139,23 @@ class _System:
                 col[S] = [0, -1 if S.bit_count() & 1 else 1]
                 S = (S - 1) & up
             self.columns.append(col)
+        rows = {}  # each monomial's row {j: [plus, minus]}
+        for j, col in enumerate(self.columns):
+            for A, pair in col.items():
+                rows.setdefault(A, {})[j] = pair
         singletons = [1 << p for p in range(P.n)]
-        rest = sorted({A for col in self.columns for A in col}.difference([0], singletons),
-                      key=lambda A: (A.bit_count(), A))
-        self.order = [0, *reversed(rest), *singletons]
-        _bound_work(len(self.order) * (P.n + 1) ** 2, "factoring the certificate system")
-        self.at_one = factor([[a - b for a, b in row] for row in self._rows(self.order)])
-        pivots = [self.order[i] for i in self.at_one.rows]
-        self.pivots = dict(zip(pivots, self._rows(pivots)))
+        rest = sorted(set(rows).difference([0], singletons), key=lambda A: (A.bit_count(), A))
+        order = [0, *reversed(rest), *singletons]
+        try:
+            self.at_one = factor(_at([rows[A] for A in order], 1), P.n + 1)
+        except CapExceededError as exc:
+            raise CapExceededError(f"factoring the certificate system: {exc}") from None
+        self.pivots = {order[i]: rows[order[i]] for i in self.at_one.rows}
 
-    def _rows(self, monomials):
-        return [[col.get(A, (0, 0)) for col in self.columns] for A in monomials]
+
+def _at(rows, a, b=1):
+    """The rows {j: [plus, minus]} at q = a/b, cleared by b."""
+    return [{j: b * plus - a * minus for j, (plus, minus) in row.items()} for row in rows]
 
 
 def _system(P: Poset) -> _System:
@@ -239,7 +217,7 @@ def _nonsingular_points(P: Poset):
     `_sample_points` where they are nonsingular."""
     rows = _system(P).pivots.values()
     for z in _sample_points():
-        fact = factor([[a - z * b for a, b in row] for row in rows])
+        fact = factor(_at(rows, z), P.n + 1)
         if fact.det:
             yield z, fact
 
@@ -268,7 +246,9 @@ def q_decompose(P: Poset, f: Statistic):
     pivots = _system(P).pivots
     form = _monomials(P, f)
     npoints = P.n + 1 + _degrees(form)[1]
-    _bound_work(npoints * (P.n + 1) ** 3, "the Q(q) solve")
+    # a point: a factorization, at most the work at q = 1, and n+1 interpolation terms
+    check_work(npoints * (_system(P).at_one.work + (P.n + 1) * npoints),
+               f"the Q(q) solve at {npoints} points")
     good = []  # (z, det, det * x) at the points where det != 0
     for z, fact in islice(_nonsingular_points(P), npoints):
         g, _ = _cleared_at(form, z)
@@ -350,18 +330,17 @@ def _check_no_nonnegative_pole(c: RationalFunction):
 def verify_independence(P: Poset, q_value) -> bool:
     """Exact rank check: {1} and the T^q_p at a fixed q >= 0 are independent.
 
-    The rank is that of the columns of the certificate system at q = a/b,
-    with entries b*plus - a*minus, over all of its monomial rows: the x^A
-    are a basis of the functions on J(P), so no ideal is enumerated.  It is
-    the factorization `_System` does at q = 1, bounded when that was built.
+    It is the rank of the system's columns at q = a/b, cleared by b, each
+    factored as a row over the monomials, which enumerates no ideal.
     """
     q_value = Fraction(q_value)
     if q_value < 0:
         raise ValueError("independence is only guaranteed for q >= 0")
-    a, b = q_value.numerator, q_value.denominator
-    system = _system(P)
-    rows = [[b * plus - a * minus for plus, minus in row] for row in system._rows(system.order)]
-    return len(factor(rows).rows) == P.n + 1
+    columns = _system(P).columns
+    index = {A: i for i, A in enumerate(set().union(*columns))}  # the monomials
+    rows = _at(({index[A]: pair for A, pair in col.items()} for col in columns),
+               q_value.numerator, q_value.denominator)
+    return len(factor(rows, len(index)).rows) == P.n + 1
 
 
 def toggleability_space_dims(P: Poset) -> dict:
@@ -377,48 +356,43 @@ def toggleability_space_dims(P: Poset) -> dict:
     the stacked R.  Over Q that is z = 1.  Over Q(q), det(q) * R(q) has
     q-degree at most n+1 (pivot-row entries of degree <= 1, an adjugate of
     degree <= n, observables constant in q), so it vanishes iff it vanishes
-    at n+2 points, here the first n+2 nonsingular ones.
+    at n+2 points, here the first n+2 nonsingular ones, z = 1 among them.
     """
     system = _system(P)
-    out_rows = [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
-                for col in system.columns[1:]]
-    ind_rows = [{1 << p: 1} for p in range(P.n)]  # 1_p = x^{p}
-    # n+2 factorizations, then the rank of up to (n+2) * #monomials rows
-    _bound_work((P.n + 2) * len(system.order) * (P.n + 1) ** 2,
-                "the toggleability space dimensions")
-    at_one = [(1, system.at_one)]
+    # a point solves for 2n observables, each about half the work at q = 1
+    check_work((P.n + 2) * P.n * system.at_one.work,
+               f"the toggleability space dimensions at {P.n + 2} points")
     points = list(islice(_nonsingular_points(P), P.n + 2))
-    return {
-        "dim_A": P.n - _residual_rank(P, out_rows, at_one),
-        "dim_I": P.n - _residual_rank(P, ind_rows, at_one),
-        "dim_A_q": P.n - _residual_rank(P, out_rows, points),
-        "dim_I_q": P.n - _residual_rank(P, ind_rows, points),
-    }
+    dims = {}
+    for name, observables in (
+            ("A", [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
+                   for col in system.columns[1:]]),
+            ("I", [{1 << p: 1} for p in range(P.n)])):  # 1_p = x^{p}
+        rows = {z: _residual_rows(P, observables, z, fact) for z, fact in points}
+        dims["dim_" + name] = P.n - len(factor(rows[1], P.n).rows)
+        dims[f"dim_{name}_q"] = P.n - len(factor([*chain(*rows.values())], P.n).rows)
+    return {k: dims[k] for k in ("dim_A", "dim_I", "dim_A_q", "dim_I_q")}
 
 
-def _residual_rank(P, observables, points):
-    """Rank of the residual maps R(z), stacked over the (z, factorization)
-    points: column j of R(z) is the monomial residual of observables[j]
-    after its candidate from the Q(q) pivot rows at q = z."""
+def _residual_rows(P, observables, z, fact):
+    """The rows, one per monomial, of the residual map R(z): column j is the
+    residual of observables[j] after its candidate from `fact` at q = z."""
     pivots = _system(P).pivots
-    rows = []
-    for z, fact in points:
-        residuals = [
-            _residual(P, {A: fact.det * v for A, v in obs.items()},
-                      fact.replay([obs.get(A, 0) for A in pivots]), z)
-            for obs in observables
-        ]
-        for A in set().union(*residuals):
-            row = [r.get(A, 0) for r in residuals]
-            if any(row):
-                rows.append(row)
-    return len(factor(rows).rows) if rows else 0
+    residuals = [_residual(P, {A: fact.det * v for A, v in obs.items()},
+                           fact.replay([obs.get(A, 0) for A in pivots]), z)
+                 for obs in observables]
+    return [{j: r[A] for j, r in enumerate(residuals) if r.get(A)}
+            for A in set().union(*residuals)]
 
 
 def antichain_span_dim(P: Poset) -> int:
     """Dimension of the span of the antichain toggleability statistics T_A:
-    the rank of one dense row per antichain over the ideals, whose work is
-    bounded before it starts."""
-    _bound_work(len(P.ideal_masks()) ** 3, "the antichain span")
-    rows = [antichain_toggleability(P, A, "signed").nums for A in enumerate_antichains(P)]
-    return len(factor(rows).rows)
+    the rank of their sparse rows over the ideals, T_A being -1 at each J
+    with A within max(J) and +1 at J - A (`antichain_toggleability`)."""
+    masks, rows = P.ideal_masks(), {}
+    for j, top in enumerate(P.antichain_masks()):
+        A = top
+        while A:  # no two entries meet: A is within J and not within J - A
+            rows.setdefault(A, {}).update({j: -1, P.ideal_index(masks[j] ^ A): 1})
+            A = (A - 1) & top
+    return len(factor(sorted(rows.values(), key=len), len(masks)).rows)  # short rows first

@@ -1,92 +1,118 @@
-"""Exact linear algebra over Q, all of it on integers: callers pass integer
-rows (a statistic's cleared numerators, or rows scaled by a denominator).
-
-One fraction-free kernel serves both solving and rank.  `factor` runs a
-Bareiss elimination over an integer matrix that may have more rows than
-columns: it reads rows in order, pivots each on its first nonzero column,
-skips rows left at zero, and stops at n pivot rows, whose multipliers it
-keeps.  The number of pivot rows is the rank; `det` is 0 when the columns
-are dependent.  `Bareiss.replay` then turns any integer right-hand side into
-det * x, the Cramer numerators, in O(n^2) with the same exact divisions.
-Every certificate solve in `decompose`, over Q and over Q(q) specialized at
-integers, runs on it, and so does every rank.
+"""Exact linear algebra over Q, all of it on integers: one fraction-free
+elimination kernel over sparse integer rows {column: entry}, for every
+certificate solve and every rank in `decompose`.  It counts the entries it
+updates and raises CapExceededError once the count passes WORK_CAP.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heappop, heappush
 from operator import mul
 from typing import NamedTuple
 
+from .poset import CapExceededError
 
-class Bareiss(NamedTuple):
-    """Bareiss factorization of the first independent rows, at most n, of an
-    integer matrix with n columns: `rows` are their input indices, `lu` the
-    rows after elimination with columns in pivot order (minors above the
-    diagonal, multipliers below), `place[c]` the pivot position of input
-    column c, and `det` the determinant of those rows in input order when
-    there are n of them, else 0."""
+# Entries a factorization or a point loop of `decompose` may update: seconds of work.
+WORK_CAP = 1 << 25
+
+
+def check_work(work: int, what: str):
+    """Raise CapExceededError if `what`, of `work` entry updates, is past the cap."""
+    if work > WORK_CAP:
+        raise CapExceededError(
+            f"{what} takes {work} entry updates, more than WORK_CAP = {WORK_CAP}")
+
+
+class Factorization(NamedTuple):
+    """The first independent rows, at most n, of a matrix with n columns:
+    `rows` are their input indices, `lu[k]` pivot row k after elimination,
+    `cols[k]` its pivot column, `steps[k]` its steps (j, multiplier, pivot
+    j), `det` their determinant in input order when there are n, else 0,
+    and `work` the entries the elimination updated."""
 
     rows: tuple
     lu: tuple
-    place: tuple
+    cols: tuple
+    steps: tuple
     det: int
+    work: int
 
     def replay(self, rhs):
-        """det * x for the solution x of the pivot rows . x = rhs, with one
-        integer of rhs per pivot row.  It repeats the elimination's exact
-        divisions, so each entry is a Cramer numerator and an integer.
-        Only a factorization with det != 0 replays."""
-        lu, n = self.lu, len(self.lu)
-        b = list(rhs)
-        last = 1
-        for k in range(n):
-            piv, bk = lu[k][k], b[k]
-            for i in range(k + 1, n):
-                b[i] = (piv * b[i] - lu[i][k] * bk) // last
-            last = piv
-        y = [0] * n
-        for k in range(n - 1, -1, -1):
-            row = lu[k]
-            acc = last * b[k] - sum(map(mul, row[k + 1:], y[k + 1:]))
-            y[k] = acc // row[k]
-        unit = self.det // last  # +-1, the sign of the column order
-        return [unit * y[k] for k in self.place]
+        """det * x as Cramer numerators over the columns, where x solves
+        pivot rows . x = rhs (one integer per pivot row) and det != 0."""
+        lu, cols = self.lu, self.cols
+        d = [1, *(u[c] for u, c in zip(lu, cols))]  # d[j + 1] is pivot j
+        b = []
+        for k, (v, steps) in enumerate(zip(rhs, self.steps)):
+            last = 1
+            for j, a, dj in steps:
+                v = (dj * v - a * b[j]) // last
+                last = dj
+            b.append(v * d[k] // last)
+        y = [0] * len(cols)
+        for k in reversed(range(len(cols))):
+            u = lu[k]
+            acc = sum(map(mul, u.values(), map(y.__getitem__, u)))
+            y[cols[k]] = (d[-1] * b[k] - acc) // d[k + 1]
+        return [self.det // d[-1] * v for v in y]  # det = +-d[-1], the column order's sign
 
 
-def factor(rows):
-    """Fraction-free (Bareiss) elimination of integer rows of length n.
+def factor(rows, n):
+    """Fraction-free elimination of sparse integer rows over n columns.
 
-    Rows are read in order.  Each is eliminated against the pivot rows
-    before it and kept, pivoting on its first nonzero column, unless nothing
-    of it is left; reading stops at n pivot rows or at the last row.  Every
-    division is exact, each entry being a minor of the input.
+    Rows are read in order; each is eliminated against the pivot rows before
+    it and kept unless nothing of it is left, until n are kept.  A kept row
+    pivots on its column with the fewest input entries, the lowest on a tie
+    (Markowitz), which keeps fill-in and entries small.  A step touches only
+    a row with an entry in the pivot's column; the steps a row skips are one
+    exact scaling d_k / d_s (d_{j+1} is pivot j, s the row's last step), so
+    every division is exact and every entry a minor of the input.
     """
-    n = len(rows[0])
-    cols = list(range(n))  # the input column at each pivot position
-    pivots, lu = [], []
+    counts = Counter(c for row in rows for c, v in row.items() if v)
+    place = {}  # pivot column -> its pivot row
+    kept, lu, cols, steps, d, work = [], [], [], [], [1], 0  # d[j + 1] is pivot j
     for i, row in enumerate(rows):
-        k = len(lu)
-        if k == n:
+        if len(lu) == n:
             break
-        r = [row[c] for c in cols]
-        last = 1
-        for j, u in enumerate(lu):
-            piv, a = u[j], r[j]
-            r[j + 1:] = [(piv * x - a * y) // last for x, y in zip(r[j + 1:], u[j + 1:])]
-            last = piv
-        c = next((c for c in range(k, n) if r[c]), None)
-        if c is None:
+        r = {c: v for c, v in row.items() if v}
+        last, hist = 1, []  # r is at level s with last = d[s]
+        heap = sorted(place[c] for c in r if c in place)
+        while heap:
+            j = heappop(heap)
+            a = r.get(cols[j])
+            if not a:
+                continue  # eliminated already, or cancelled
+            dj, u = d[j + 1], lu[j]
+            new = {c: dj * v for c, v in r.items()}
+            for c, w in u.items():
+                if c not in new and c in place:
+                    heappush(heap, place[c])  # a pivot column filled in
+                new[c] = new.get(c, 0) - a * w
+            r = {c: v // last for c, v in new.items() if v}
+            hist.append((j, a, dj))
+            last = dj
+            work += len(new)
+            check_work(work, "the elimination")
+        if not r:
             continue  # in the span of the pivot rows before it
-        if c != k:
-            cols[k], cols[c] = cols[c], cols[k]
-            for u in lu + [r]:
-                u[k], u[c] = u[c], u[k]
-        pivots.append(i)
+        if last != d[-1]:
+            r = {c: v * d[-1] // last for c, v in r.items()}
+            work += len(r)
+        c = min(r, key=lambda c: (counts[c], c))
+        place[c] = len(lu)
+        kept.append(i)
         lu.append(r)
+        cols.append(c)
+        steps.append(tuple(hist))
+        d.append(r[c])
     det = 0
     if len(lu) == n:
-        det = lu[-1][-1] if lu else 1  # the empty determinant is 1
-        if sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:]) & 1:
-            det = -det  # an odd permutation of the columns
-    place = sorted(range(n), key=cols.__getitem__)
-    return Bareiss(tuple(pivots), tuple(lu), tuple(place), det)
+        odd, seen = n, bytearray(n)  # the column order is odd iff n - #cycles is
+        for k in range(n):
+            odd -= not seen[k]
+            while not seen[k]:
+                seen[k] = 1
+                k = cols[k]
+        det = (-1) ** odd * d[-1]  # the empty determinant is 1
+    return Factorization(tuple(kept), tuple(lu), tuple(cols), tuple(steps), det, work)

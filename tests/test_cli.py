@@ -715,8 +715,7 @@ def test_certificate_system_is_bounded_by_memory():
     import rowmotion
 
     # rect:100,100 is inside the element bound, but its 39 601 T- monomials
-    # of 10 000 bits each are over the memory-scaled cap, and a dense factor
-    # of its 10 001 columns would take hours
+    # of 10 000 bits each are over the memory-scaled cap
     code = (
         "import resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
@@ -739,17 +738,49 @@ def test_certificate_system_is_bounded_by_memory():
     (("decompose", "rect:23,23", "antichain_card"), "factoring the certificate system"),
     (("decompose", "--q", "rect:12,12", "antichain_card"), "the Q(q) solve"),
 ])
-def test_certificate_work_is_bounded_before_it_starts(argv, what):
+def test_certificate_work_is_bounded_before_it_starts(argv, what, monkeypatch):
     import time
 
-    from rowmotion.decompose import WORK_CAP
+    from rowmotion import linalg
 
+    # both answer at the default cap; at this one factoring rect:23,23 is
+    # refused as it runs, and rect:12,12 is factored but its Q(q) solve, 146
+    # points, is refused before it starts
+    monkeypatch.setattr(linalg, "WORK_CAP", 5000)
     start = time.perf_counter()
     code, out, err = run_cli_err(*argv)
     assert time.perf_counter() - start < 1
     assert code == 3 and err == ""
     detail = json.loads(out)["detail"]
-    assert detail.startswith(what) and str(WORK_CAP) in detail
+    assert detail.startswith(what) and "WORK_CAP = 5000" in detail
+
+
+def test_decompose_frontier():
+    code, out = run_cli("decompose", "rect:40,40", "antichain_card")
+    assert code == 0 and json.loads(out)["constant"] == "c = 20"
+
+
+def test_q_orbits_keep_only_what_they_print():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # 1 835 008 labelings: every labeling as a tuple would pass this limit
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))\n"
+        "from rowmotion.cli import main\n"
+        "raise SystemExit(main(['orbits', 'rect:3,5', '--variant', 'q:2,2']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    assert sum(data["orbit_sizes"]) == data["total_states"] == 1_835_008
 
 
 def test_size_bound_is_above_every_poset_in_use():

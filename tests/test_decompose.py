@@ -83,9 +83,14 @@ def test_decompose_implies_homomesy_under_all_rank_permutations():
         assert rep.is_homomesic and rep.constant == dec.constant
 
 
+def _sparse(rows):
+    """Dense integer rows as the kernel's sparse rows {column: entry}."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
 def _solve(rows, rhs):
     """The unique solution of the integer system rows . x = rhs, by the kernel."""
-    fact = factor(rows)
+    fact = factor(_sparse(rows), len(rows[0]))
     return [Fraction(v, fact.det) for v in fact.replay([rhs[i] for i in fact.rows])]
 
 
@@ -152,7 +157,7 @@ def test_fraction_free_solve_matches_rational_solve():
         rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
                 for _ in range(n)]
         rhs = [rng.randint(-9, 9) for _ in range(n)]
-        fact = factor(rows)
+        fact = factor(_sparse(rows), n)
         det = _leibniz_det(rows)
         if fact.det == 0:
             assert det == 0
@@ -162,7 +167,7 @@ def test_fraction_free_solve_matches_rational_solve():
         assert _solves(rows, rhs, det, fact.replay(rhs))
     assert 0 < singular < 60
     # a zero leading entry needs a row swap, which flips the sign of det
-    fact = factor([[0, 1], [1, 0]])
+    fact = factor([{1: 1}, {0: 1}], 2)
     assert (fact.det, fact.replay([2, 3])) == (-1, [-3, -2])
 
 
@@ -174,7 +179,7 @@ def test_tall_factor_pivots_on_independent_rows():
         rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-4, 4))) for _ in range(n)]
                 for _ in range(rng.randint(n, 2 * n + 2))]
         rhs = [rng.randint(-9, 9) for _ in rows]
-        fact = factor(rows)
+        fact = factor(_sparse(rows), n)
         # the pivot rows are the first independent rows, in input order
         assert list(fact.rows) == [i for i in range(len(rows))
                                    if _rank(rows[:i + 1]) > _rank(rows[:i])]
@@ -202,12 +207,64 @@ def test_factor_rank_on_wide_and_deficient_matrices():
                  for _ in range(rank)]
         rows = [[sum(a * right[k][c] for k, a in enumerate(row)) for c in range(n)]
                 for row in left]
-        fact = factor(rows)
+        fact = factor(_sparse(rows), n)
         want = _rank(rows)
         assert len(fact.rows) == want
         assert (fact.det == 0) == (want < n)
         deficient += want < n
     assert 0 < deficient < 80
+
+
+def _fraction_elimination(rows, n):
+    """(the indices of the first independent rows, at most n, and their
+    determinant, or 0 when there are fewer than n) by Gaussian elimination
+    on Fractions: a reference that shares no code with the kernel."""
+    basis, kept = [], []  # reduced rows with their pivot columns
+    for i, row in enumerate(rows):
+        if len(kept) == n:
+            break
+        r = [Fraction(v) for v in row]
+        for c, b in basis:
+            if r[c]:
+                m = r[c] / b[c]
+                r = [x - m * y for x, y in zip(r, b)]
+        c = next((c for c, v in enumerate(r) if v), None)
+        if c is not None:
+            basis.append((c, r))
+            kept.append(i)
+    if len(kept) < n:
+        return kept, 0
+    m = [[Fraction(v) for v in rows[i]] for i in kept]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return kept, det
+
+
+_MATRICES = hst.integers(0, 5).flatmap(lambda n: hst.tuples(
+    hst.just(n),
+    hst.lists(hst.lists(hst.sampled_from((0, 0, 0, 1, -1, 2, -3, 7)), min_size=n, max_size=n),
+              max_size=2 * n + 2),  # tall, square, wide, empty, with zero rows
+    hst.lists(hst.integers(-9, 9), min_size=2 * n + 2, max_size=2 * n + 2)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_MATRICES)
+def test_sparse_kernel_matches_fraction_elimination(case):
+    n, rows, rhs = case
+    fact = factor(_sparse(rows), n)
+    kept, det = _fraction_elimination(rows, n)
+    assert list(fact.rows) == kept and fact.det == det
+    if det:
+        b = [rhs[i] for i in kept]
+        assert _solves([rows[i] for i in kept], b, det, fact.replay(b))
 
 
 def test_random_in_span_statistics_recovered():
@@ -386,12 +443,20 @@ def test_toggleability_space_dims_off_the_families():
         assert {k: dims[k] for k in ("dim_A", "dim_I")} == _classical_dims(P), covers
 
 
-def test_toggleability_space_dims_are_bounded_before_they_start():
+def test_toggleability_space_dims_are_bounded_before_they_start(monkeypatch):
+    import time
+
+    from rowmotion import linalg
     from rowmotion.poset import CapExceededError
 
-    # n+2 factorizations of 145 columns, then a rank over 146 * 266 rows
-    with pytest.raises(CapExceededError, match="toggleability space dimensions"):
-        toggleability_space_dims(rectangle(12, 12))
+    # rect:6,6 answers at the default cap; at this one its system is
+    # factored, and the 38 points of 72 solves each are refused
+    monkeypatch.setattr(linalg, "WORK_CAP", 100_000)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError,
+                       match="toggleability space dimensions .* WORK_CAP = 100000"):
+        toggleability_space_dims(rectangle(6, 6))
+    assert time.perf_counter() - start < 1
 
 
 def test_antichain_span_dims():
@@ -409,16 +474,25 @@ def test_antichain_span_dims():
         assert _rank(rows) == len(ideals) - len(orbits)
 
 
-def test_antichain_span_cap():
+def test_antichain_span_cap(monkeypatch):
     import time
 
-    from rowmotion import CapExceededError
+    from rowmotion import CapExceededError, linalg
 
-    # 924 dense rows of 924 entries: 924^3 operations, past WORK_CAP
+    # the rank over the 924 ideals of rect:6,6 updates about 3 million
+    # entries, past this cap
+    monkeypatch.setattr(linalg, "WORK_CAP", 100_000)
     start = time.perf_counter()
-    with pytest.raises(CapExceededError, match="the antichain span"):
+    with pytest.raises(CapExceededError, match="WORK_CAP = 100000"):
         antichain_span_dim(rectangle(6, 6))
     assert time.perf_counter() - start < 1
+
+
+def test_antichain_span_frontier():
+    P = rectangle(6, 6)
+    ideals = enumerate_ideals(P)
+    orbits = orbit_partition(lambda I: rowmotion(P, I), ideals)
+    assert antichain_span_dim(P) == len(ideals) - len(orbits) == 844
 
 
 def test_certificate_json():
@@ -467,9 +541,9 @@ def _spy_on_factor(monkeypatch):
     mod = importlib.import_module("rowmotion.decompose")
     calls = []
 
-    def spy(rows):
+    def spy(rows, n):
         calls.append(len(rows))
-        return factor(rows)
+        return factor(rows, n)
 
     monkeypatch.setattr(mod, "factor", spy)
     return mod, calls
@@ -563,8 +637,9 @@ def test_affine_d4_star_certificates():
     f = f - Fraction(1, 3) * t_signed(P, 4)
     dec = decompose(P, f)
     system = mod._system(P)
-    small = system._rows([0, *(1 << p for p in range(P.n))])
-    assert len(factor([[a - b for a, b in row] for row in small]).rows) == P.n
+    small = [{j: col[A] for j, col in enumerate(system.columns) if A in col}
+             for A in [0, *(1 << p for p in range(P.n))]]
+    assert len(factor(mod._at(small, 1), P.n + 1).rows) == P.n
     assert max(A.bit_count() for A in system.pivots) >= 2
     assert dec.constant == Fraction(3, 2)
     assert dec.coeffs == (0, 2, 0, 0, Fraction(-1, 3), 0)
@@ -734,8 +809,8 @@ def test_q_decompose_skips_singular_points(monkeypatch):
     expected = [_answer(q_decompose(P, f)) for P, f in cases]
     dets = []
 
-    def spy(rows):
-        fact = factor(rows)
+    def spy(rows, n):
+        fact = factor(rows, n)
         dets.append(fact.det)
         return fact
 
