@@ -18,33 +18,32 @@ from T-.  `decompose` factors it once at q = 1 with the sparse kernel of
 `linalg`, replays that on a statistic's coefficients (`_monomials`) at the
 n+1 pivot monomials, and takes the sparse integer residual over every
 monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
-candidate was the only possible solution.  `q_decompose` refactors the n+1
-pivot rows at integer values of q and interpolates; `toggleability_space_dims`
-(Table 2) takes the rank of stacked residuals, `verify_independence` the rank
-of the system at a fixed q >= 0 and `antichain_span_dim` a sparse rank over
-the ideals, all on that one kernel.  The system, cached on the poset, is
-bounded in size before it is built, each factorization as it runs, and the
-Q(q) and Table 2 point loops before they start (`check_work`).
+candidate was the only possible solution.  `q_decompose` does the same over
+Z[q], on the n+1 pivot rows factored once with q left a variable;
+`toggleability_space_dims` (Table 2) takes the rank of the residuals over Q
+and over Z[q], `verify_independence` the rank of the system at a fixed
+q >= 0 and `antichain_span_dim` a sparse rank over the ideals, all on that
+one kernel.  The system, cached on the poset, is bounded in size before it
+is built, each factorization as it runs, and the Q(q) and Table 2 solves
+before they start (`check_work`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, count, islice
-from math import lcm
+from functools import cached_property, partial
 
 from .dynamics import rowmotion_order
 from .linalg import check_work, factor
 from .poset import CapExceededError, Poset, mask_cap
 from .qpoly import (
     CertificateError,
+    Polynomial,
     RationalFunction,
+    _ZPoly,
     cleared,
     format_fraction,
-    horner,
-    interpolate,
     positive_roots,
 )
 from .statistics import QRATIONAL, RATIONAL, Statistic, accumulate_toggles
@@ -119,10 +118,11 @@ def decompose(P: Poset, f: Statistic):
 class _System:
     """The certificate system of a poset: `columns[j]` maps each monomial of
     column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair, `at_one`
-    factors the monomials' rows at q = 1 and `pivots` maps its n+1 pivot
-    monomials to their rows.  Rows are read from the largest antichains down,
-    the singletons last: the pivots' determinant then has a low q-degree (9
-    against 25 with {} and the singletons first, on rect:5,5)."""
+    factors the monomials' rows at q = 1, `pivots` maps its n+1 pivot
+    monomials to their rows and `at_q` factors those over Z[q].  Rows are
+    read from the largest antichains down, the singletons last: the pivots'
+    determinant then has a low q-degree (9 against 25 with {} and the
+    singletons first, on rect:5,5)."""
 
     def __init__(self, P: Poset):
         size = sum(1 << len(up) for up in P.upper_covers)
@@ -152,9 +152,18 @@ class _System:
             raise CapExceededError(f"factoring the certificate system: {exc}") from None
         self.pivots = {order[i]: rows[order[i]] for i in self.at_one.rows}
 
+    @cached_property
+    def at_q(self):
+        """The pivot rows factored over Z[q], on first use: callers bound the
+        work before they read it."""
+        return factor(_at(self.pivots.values(), _Q), len(self.pivots))
+
+
+_Q = _ZPoly((0, 1))  # q itself, in Z[q]
+
 
 def _at(rows, a, b=1):
-    """The rows {j: [plus, minus]} at q = a/b, cleared by b."""
+    """The rows {j: [plus, minus]} at q = a/b, cleared by b; over Z[q] at a = _Q."""
     return [{j: b * plus - a * minus for j, (plus, minus) in row.items()} for row in rows]
 
 
@@ -193,8 +202,8 @@ def _monomials(P: Poset, f: Statistic):
 def _residual(P, values, sol, z=1):
     """values - sol[0] - sum_p sol[p+1] * T^z_p as a dict of monomial
     coefficients (zeros kept), for `values` a dict of the same kind.  The
-    solvers pass integers, so this is integer arithmetic over the sparse
-    columns of the system."""
+    solvers pass integers, or integer polynomials at z = _Q, so this is
+    arithmetic in Z or Z[q] over the sparse columns of the system."""
     out = dict(values)
     for c, col in zip(sol, _system(P).columns):
         if c:
@@ -209,111 +218,44 @@ def _is_certificate(P, values, sol, z=1):
     return not any(_residual(P, values, sol, z).values())
 
 
-_sample_points = count  # the integers at which q is specialized
-
-
-def _nonsingular_points(P: Poset):
-    """(z, factorization at q = z) of the Q(q) pivot rows, at each of the
-    `_sample_points` where they are nonsingular."""
-    rows = _system(P).pivots.values()
-    for z in _sample_points():
-        fact = factor(_at(rows, z), P.n + 1)
-        if fact.det:
-            yield z, fact
-
-
 def q_decompose(P: Poset, f: Statistic):
     """Certificate f = c(q) + sum c_p(q) T^q_p over Q(q), or None.
 
     f, with rational or Q(q) values, is read in its cleared form g / s, g
-    integer polynomials of degree <= d; the solve does no arithmetic in Q(q).
-    The n+1 pivot rows of `_System.pivots`, independent at q = 1, have
-    entries of q-degree <= 1, so by Cramer's rule x_j = N_j(q) / det(q) with
-    deg det <= n, deg N_j <= n+d.  That square system, in one fixed row
-    order, is factored and replayed on g at q = 0, 1, 2, ..., skipping roots
-    of det, until n+1+d points are in hand; det and the N_j are then
-    interpolated once.  det * g = sum_j N_j T^q_j holds as a polynomial
-    identity when f has a Q(q) certificate, so the candidate at every such
-    point must pass the monomial residual: at the first two points a
-    nonzero residual returns None before any interpolation.  The result is
-    checked once, as a polynomial identity in the monomial basis
-    (`_is_q_certificate`); its coefficients are then checked to have no pole
-    at any nonnegative rational, which makes every specialization q := r/s
-    legal.
+    integer polynomials of degree <= d.  The n+1 pivot rows of
+    `_System.pivots`, independent at q = 1 and so over Q(q), are factored
+    once over Z[q] (`_System.at_q`) and replayed on g, which gives det and
+    the Cramer numerators N_j = det * x_j, polynomials of degree <= n + d,
+    with no arithmetic in Q(q).  The residual det * g - sum_j N_j T^q_j,
+    taken over Z[q] monomial by monomial, is then the one check: zero proves
+    the certificate x_j = N_j / (det * s), nonzero proves NOT IN SPAN, since
+    x was the only possible solution.  The coefficients are then checked to
+    have no pole at any nonnegative rational, which makes every
+    specialization q := r/s legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
-    pivots = _system(P).pivots
-    form = _monomials(P, f)
-    npoints = P.n + 1 + _degrees(form)[1]
-    # a point: a factorization, at most the work at q = 1, and n+1 interpolation terms
-    check_work(npoints * (_system(P).at_one.work + (P.n + 1) * npoints),
-               f"the Q(q) solve at {npoints} points")
-    good = []  # (z, det, det * x) at the points where det != 0
-    for z, fact in islice(_nonsingular_points(P), npoints):
-        g, _ = _cleared_at(form, z)
-        y = fact.replay([g.get(A, 0) for A in pivots])
-        if len(good) < 2 and not _is_certificate(
-                P, {A: fact.det * v for A, v in g.items()}, y, z):
-            return None
-        good.append((z, fact.det, *y))
-    points, *columns = zip(*good)
-    det_poly, *num_polys = interpolate(points, columns)
-    sol = [RationalFunction(num, det_poly * form[1]) for num in num_polys]
-    if not _is_q_certificate(P, form, sol):
+    system = _system(P)
+    mono, den = _monomials(P, f)
+    g = {A: _in_zq(v) for A, v in mono.items()}
+    d = max((len(v) - 1 for v in g.values() if isinstance(v, _ZPoly)), default=0)
+    # every entry of the solve is a polynomial of degree <= n+1+d
+    check_work(system.at_one.work * (P.n + 2 + d),
+               f"the Q(q) solve over Z[q] of degree <= {P.n + 1 + d}")
+    fact = system.at_q
+    y = fact.replay([g.get(A, 0) for A in system.pivots])
+    if not _is_certificate(P, {A: fact.det * v for A, v in g.items()}, y, _Q):
         return None
+    det_s = Polynomial(fact.det * _in_zq(den))
+    sol = [RationalFunction(Polynomial(v), det_s) for v in y]
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
         _check_no_nonnegative_pole(c)
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
 
 
-def _degrees(form):
-    """(deg s, max deg g) of a monomial form (g, s) from `_monomials`."""
-    mono, den = form
-    if isinstance(den, int):
-        return 0, 0
-    return den.degree, max(0, *(g.degree for g in mono.values()))
-
-
-def _cleared_at(form, z: int):
-    """(g(z) per monomial, s(z)), in integers, for a monomial form (g, s)."""
-    mono, den = form
-    if isinstance(den, int):
-        return form
-    return {A: horner(g, z) for A, g in mono.items()}, horner(den, z)
-
-
-def _is_q_certificate(P, form, sol):
-    """Whether f = sol[0] + sum_p sol[p+1] * T^q_p on every ideal, over Q(q),
-    for the monomial form (g, s) of f.
-
-    With f = g / s cleared in the monomial basis and each sol[j] = N_j / D_j
-    cleared to integer polynomials, H * (s * C_A - g_A), where C_A is the
-    right-hand side's coefficient of x^A and H the lcm of the D_j, is a
-    polynomial in q of degree at most B = sum of deg D over the distinct
-    D + max(deg s + max_j (deg N_j - deg D_j) + 1, max_A deg g_A).  It is
-    checked to vanish at the first B+1 integers z >= 0 where no D_j
-    vanishes, so it is zero.  At each z every number is an integer: with L
-    the lcm of the D_j(z), the residual of `decompose` checks
-    L * g(z) = s(z) * (L * C(z)) monomial by monomial.
-    """
-    parts = []
-    for c in sol:
-        k = lcm(*(a.denominator for a in c.num.coeffs + c.den.coeffs))
-        parts.append((c.num * k, c.den * k))
-    dens = {D for _, D in parts}
-    deg_s, deg_g = _degrees(form)
-    bound = sum(D.degree for D in dens) + max(
-        deg_s + 1 + max(N.degree - D.degree for N, D in parts), deg_g)
-    poles_free = (z for z in count() if all(horner(D, z) for D in dens))
-    for z in islice(poles_free, bound + 1):
-        g, s = _cleared_at(form, z)
-        at = [(horner(N, z), horner(D, z)) for N, D in parts]
-        L = lcm(*(d for _, d in at))
-        x = [s * n * (L // d) for n, d in at]
-        if any(_residual(P, {A: L * v for A, v in g.items()}, x, z).values()):
-            return False
-    return True
+def _in_zq(v):
+    """An int as it is, an integer-coefficient Polynomial as a _ZPoly."""
+    return v if isinstance(v, int) else _ZPoly(c.numerator for c in v.coeffs)
 
 
 def _check_no_nonnegative_pole(c: RationalFunction):
@@ -349,40 +291,43 @@ def toggleability_space_dims(P: Poset) -> dict:
     their q-analogues.
 
     All four spaces consist of rational-coefficient combinations a of the n
-    observables.  At a point z where the pivot rows of the certificate system
-    are nonsingular, each observable's candidate from those rows leaves a
-    monomial residual R_j(z) (`_residual`), and sum_j a_j * obs_j is in the
-    span of {1, T^z_p} iff R(z) a = 0; each dimension is n minus the rank of
-    the stacked R.  Over Q that is z = 1.  Over Q(q), det(q) * R(q) has
+    observables.  Each observable's candidate from the pivot rows of the
+    certificate system at q = z leaves a monomial residual R_j(z)
+    (`_residual`), and sum_j a_j * obs_j is in the span of {1, T^z_p} iff
+    R(z) a = 0; each dimension is n minus the rank of R.  Over Q that is
+    z = 1.  Over Q(q) it is the residual over Z[q], det(q) * R(q), of
     q-degree at most n+1 (pivot-row entries of degree <= 1, an adjugate of
-    degree <= n, observables constant in q), so it vanishes iff it vanishes
-    at n+2 points, here the first n+2 nonsingular ones, z = 1 among them.
+    degree <= n, observables constant in q): a rational a is in its kernel
+    iff every q-coefficient row of it vanishes on a.
     """
     system = _system(P)
-    # a point solves for 2n observables, each about half the work at q = 1
+    # 2n replays of polynomials of degree <= n+1, each about half the work at q = 1
     check_work((P.n + 2) * P.n * system.at_one.work,
-               f"the toggleability space dimensions at {P.n + 2} points")
-    points = list(islice(_nonsingular_points(P), P.n + 2))
+               f"the toggleability space dimensions in {2 * P.n} replays over Z[q]")
     dims = {}
     for name, observables in (
             ("A", [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
                    for col in system.columns[1:]]),
             ("I", [{1 << p: 1} for p in range(P.n)])):  # 1_p = x^{p}
-        rows = {z: _residual_rows(P, observables, z, fact) for z, fact in points}
-        dims["dim_" + name] = P.n - len(factor(rows[1], P.n).rows)
-        dims[f"dim_{name}_q"] = P.n - len(factor([*chain(*rows.values())], P.n).rows)
+        for key, z, fact in (("", 1, system.at_one), ("_q", _Q, system.at_q)):
+            rows = _residual_rows(P, observables, z, fact)
+            dims[f"dim_{name}{key}"] = P.n - len(factor(rows, P.n).rows)
     return {k: dims[k] for k in ("dim_A", "dim_I", "dim_A_q", "dim_I_q")}
 
 
 def _residual_rows(P, observables, z, fact):
-    """The rows, one per monomial, of the residual map R(z): column j is the
-    residual of observables[j] after its candidate from `fact` at q = z."""
-    pivots = _system(P).pivots
-    residuals = [_residual(P, {A: fact.det * v for A, v in obs.items()},
-                           fact.replay([obs.get(A, 0) for A in pivots]), z)
-                 for obs in observables]
-    return [{j: r[A] for j, r in enumerate(residuals) if r.get(A)}
-            for A in set().union(*residuals)]
+    """The rows of the residual map R(z), one per monomial and power of q
+    (q^0 alone for an integer z): column j is the residual of
+    observables[j] after its candidate from `fact` at q = z."""
+    pivots, rows = _system(P).pivots, {}
+    for j, obs in enumerate(observables):
+        r = _residual(P, {A: fact.det * v for A, v in obs.items()},
+                      fact.replay([obs.get(A, 0) for A in pivots]), z)
+        for A, v in r.items():
+            for k, c in enumerate(v if isinstance(v, _ZPoly) else (v,)):
+                if c:
+                    rows.setdefault((A, k), {})[j] = c
+    return list(rows.values())
 
 
 def antichain_span_dim(P: Poset) -> int:

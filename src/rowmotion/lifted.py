@@ -368,8 +368,11 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     """Forward orbit of PL or birational rowmotion from `start`.
 
     Returns the orbit states; raises CapExceededError if the point does not
-    return within max_iter steps (reported as inconclusive by callers).
+    return within max_iter steps (reported as inconclusive by callers), and
+    ValueError if max_iter < 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     P = start.poset
     order = rowmotion_order(P) if sigma is None else sigma_order(P, sigma)
     states = [start]

@@ -1,7 +1,9 @@
-"""Exact linear algebra over Q, all of it on integers: one fraction-free
-elimination kernel over sparse integer rows {column: entry}, for every
-certificate solve and every rank in `decompose`.  It counts the entries it
-updates and raises CapExceededError once the count passes WORK_CAP.
+"""Exact linear algebra over Q and Q(q), all of it on integers, or on integer
+polynomials in q: one fraction-free elimination kernel over sparse rows
+{column: entry}, for every certificate solve and every rank in `decompose`.
+It uses only ring operations and exact division, so it is exact over any
+integral domain (Bareiss, 1968).  It counts the entries it updates and
+raises CapExceededError once the count passes WORK_CAP.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 from .poset import CapExceededError
 
-# Entries a factorization or a point loop of `decompose` may update: seconds of work.
+# Entries a factorization or a Q(q) or Table 2 solve of `decompose` may update: seconds of work.
 WORK_CAP = 1 << 25
 
 

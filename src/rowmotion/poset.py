@@ -570,33 +570,18 @@ def dual(P: Poset) -> Poset:
 
 
 def is_graded(P: Poset) -> bool:
-    """True iff all maximal chains have the same length."""
-    if P.n == 0:
-        return True
-    depth = _longest_down_chain(P)
-    for lo, hi in P.covers:
-        if depth[hi] != depth[lo] + 1:
-            return False
-    tops = {depth[x] for x in _bits(P.maximal_mask)}
-    return len(tops) == 1
+    """True iff all maximal chains have the same length: P is ranked, every
+    minimal element has rank 0 and every maximal element the same rank."""
+    rank = P.rank
+    return (rank is not None and not any(rank[x] for x in _bits(P.minimal_mask))
+            and len({rank[x] for x in _bits(P.maximal_mask)}) <= 1)
 
 
 def rank_of(P: Poset) -> int:
     """Common maximal-chain length of a graded poset."""
     if not is_graded(P):
         raise ValueError("poset is not graded")
-    if P.n == 0:
-        return 0
-    depth = _longest_down_chain(P)
-    return max(depth)
-
-
-def _longest_down_chain(P: Poset):
-    depth = [0] * P.n
-    for x in P._linext:
-        for y in P.lower_covers[x]:
-            depth[x] = max(depth[x], depth[y] + 1)
-    return depth
+    return P.max_rank()
 
 
 def poset_isomorphic(P: Poset, Q: Poset) -> bool:

@@ -2,7 +2,8 @@
 
 Polynomials are dense coefficient tuples of Fractions; rational functions
 are kept normalized (coprime numerator/denominator, monic denominator) so
-that equality is plain componentwise comparison.
+that equality is plain componentwise comparison.  A private type of integer
+polynomials carries the elimination kernel of `linalg` over Z[q].
 """
 
 from __future__ import annotations
@@ -286,29 +287,87 @@ def positive_roots(p: Polynomial) -> int:
     return _variations(s[0] for s in seq) - _variations(s[-1] for s in seq)
 
 
-def interpolate(xs, columns):
-    """Polynomials of degree < len(xs) through integer data at the distinct
-    integer nodes xs, one per sequence of values in `columns`.
+class _ZPoly(tuple):
+    """An integer polynomial in q, coefficients from q^0 up with no trailing
+    zero (the zero polynomial is empty and false): just the ring operations,
+    mixed with ints, that the elimination kernel of `linalg` and the residuals
+    of `decompose` take to run over Z[q].  `//` is exact division, which
+    raises ArithmeticError where the quotient is not in Z[q]."""
 
-    Lagrange interpolation over one integer denominator W, the lcm of the
-    w_i = prod_{j != i} (x_i - x_j): the integer basis polynomials
-    (W / w_i) * prod_{j != i} (q - x_j) are built once for every column.
-    """
-    basis = []
-    for i, x in enumerate(xs):
-        b, w = [1], 1
-        for j, y in enumerate(xs):
-            if j != i:
-                b = [u - y * v for u, v in zip([0] + b, b + [0])]
-                w *= x - y
-        basis.append((b, w))
-    W = _int_lcm(*(w for _, w in basis))
-    basis = [[W // w * c for c in b] for b, w in basis]
-    return [
-        Polynomial(Fraction(sum(y * b[t] for y, b in zip(ys, basis)), W)
-                   for t in range(len(xs)))
-        for ys in columns
-    ]
+    __slots__ = ()
+
+    def __new__(cls, coeffs=()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        return tuple.__new__(cls, cs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return len(self) <= 1 and (self[0] if self else 0) == other
+        return isinstance(other, _ZPoly) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __neg__(self):
+        return tuple.__new__(_ZPoly, [-c for c in self])
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = (other,)
+        elif not isinstance(other, _ZPoly):
+            return NotImplemented
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return _ZPoly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, (int, _ZPoly)) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, int) else NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return tuple.__new__(_ZPoly, [c * other for c in self] if other else ())
+        if not isinstance(other, _ZPoly):
+            return NotImplemented
+        if not self or not other:
+            return _ZPoly()
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            if a:
+                for j, b in enumerate(other, i):
+                    out[j] += a * b
+        return tuple.__new__(_ZPoly, out)  # Z is a domain: the top term is not 0
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        if isinstance(other, int):
+            other = (other,)
+        elif not isinstance(other, _ZPoly):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, top, lead = list(self), len(other) - 1, other[-1]
+        quot = [0] * max(0, len(rem) - top)
+        for k in reversed(range(len(quot))):
+            c, r = divmod(rem[k + top], lead)
+            if r:
+                raise ArithmeticError("inexact division in Z[q]")
+            if c:
+                quot[k] = c
+                for j, b in enumerate(other[:top], k):
+                    rem[j] -= c * b
+        if any(rem[:top]):
+            raise ArithmeticError("inexact division in Z[q]")
+        return tuple.__new__(_ZPoly, quot)
 
 
 class RationalFunction:

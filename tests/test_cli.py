@@ -452,6 +452,15 @@ def test_verify_jobs_below_one_is_a_usage_error():
     assert code == 2 and err.getvalue().startswith("error: ")
 
 
+def test_orbits_max_iter_below_one_is_a_usage_error():
+    for bound in ("0", "-3"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("orbits", "rect:2,2", "--level", "pl", "--max-iter", bound)
+        assert code == 2 and out == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
 def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
     import os
 

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
@@ -265,6 +265,35 @@ def test_sparse_kernel_matches_fraction_elimination(case):
     if det:
         b = [rhs[i] for i in kept]
         assert _solves([rows[i] for i in kept], b, det, fact.replay(b))
+
+
+def _value(p, z):
+    """An int, or a _ZPoly at q = z."""
+    return p if isinstance(p, int) else sum(c * z ** k for k, c in enumerate(p))
+
+
+_ENTRY = hst.sampled_from((0, 0, 0, 1, -1, 2, -3))
+_Q_SYSTEMS = hst.integers(0, 5).flatmap(lambda n: hst.tuples(
+    hst.lists(hst.lists(hst.tuples(_ENTRY, _ENTRY), min_size=n, max_size=n),
+              min_size=n, max_size=n),  # [plus, minus] pairs of a square system
+    hst.lists(hst.tuples(hst.integers(-9, 9), hst.integers(-9, 9)), min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_Q_SYSTEMS)
+def test_kernel_over_zq_matches_the_integer_kernel_at_each_point(case):
+    mod = _q_module()
+    pairs, rhs = case
+    n = len(pairs)
+    rows = [{j: list(pair) for j, pair in enumerate(row) if any(pair)} for row in pairs]
+    over_zq = factor(mod._at(rows, mod._Q), n)
+    y = over_zq.replay([a + b * mod._Q for a, b in rhs]) if over_zq.det else None
+    for z in range(4):
+        at_z = factor(mod._at(rows, z), n)
+        assert _value(over_zq.det, z) == at_z.det
+        if at_z.det:
+            want = at_z.replay([a + b * z for a, b in rhs])
+            assert [_value(v, z) for v in y] == want
 
 
 def test_random_in_span_statistics_recovered():
@@ -782,7 +811,7 @@ def test_q_decompose_with_a_huge_pole_free_constant():
     assert dec.constant == c and not any(dec.coeffs)
 
 
-# -- Q(q) certificates by specialization and interpolation ----------------------
+# -- Q(q) certificates over Z[q] ------------------------------------------------
 
 
 def _q_module():
@@ -798,30 +827,6 @@ def test_q_decompose_large_rectangles():
         assert dec.constant == RationalFunction(
             q_number(a) * q_number(b), q_number(a + b)
         )
-
-
-def test_q_decompose_skips_singular_points(monkeypatch):
-    from itertools import chain, count
-
-    mod = _q_module()
-    cases = [(P, named_statistic(P, "antichain_card"))
-             for P in (rectangle(3, 3), shifted_staircase(3))]
-    expected = [_answer(q_decompose(P, f)) for P, f in cases]
-    dets = []
-
-    def spy(rows, n):
-        fact = factor(rows, n)
-        dets.append(fact.det)
-        return fact
-
-    monkeypatch.setattr(mod, "factor", spy)
-    # q = -1 makes the chosen rows singular on both posets
-    monkeypatch.setattr(mod, "_sample_points", lambda: chain([-1], count()))
-    for (P, f), want in zip(cases, expected):
-        dets.clear()
-        assert _answer(q_decompose(P, f)) == want
-        assert dets[0] == 0 and all(dets[1:])
-        assert len(dets) == P.n + 2
 
 
 def test_q_answers_match_ideal_evaluation():
@@ -848,58 +853,16 @@ def test_q_decompose_not_in_span_controls():
         assert q_decompose(P, named_statistic(P, "antichain_card")) is None, spec
 
 
-def test_q_early_reject_before_interpolation(monkeypatch):
-    from rowmotion.families import from_specifier
-
-    mod = _q_module()
-    calls = []
-
-    def counting(xs, columns):
-        calls.append(len(xs))
-        return interpolate(xs, columns)
-
-    interpolate = mod.interpolate
-    monkeypatch.setattr(mod, "interpolate", counting)
-    for a in (2, 3, 4):
-        P = rectangle(a, a)
-        assert q_decompose(P, named_statistic(P, "ideal_card")) is None
-    for spec in ("trap:2,3", "rootD:4"):
-        P = from_specifier(spec)
-        assert q_decompose(P, named_statistic(P, "antichain_card")) is None
-    assert calls == []
-    P = rectangle(3, 3)
-    assert q_decompose(P, named_statistic(P, "antichain_card")) is not None
-    assert calls == [P.n + 1]
-
-
-def test_q_second_point_rejects_before_interpolation(monkeypatch):
+def test_q_decompose_rejects_a_certificate_over_q_alone():
     """A seeded random poset on which antichain_card has a certificate over
-    Q, so it passes the residual at the first nonsingular point (q = 0 is
-    singular there, so that is q = 1), but is outside the Q(q) span."""
-    from itertools import islice
-
-    mod = _q_module()
+    Q, so that it passes the residual at q = 1, but is outside the Q(q)
+    span."""
     rng = random.Random(15)
     P = random_poset(rng, rng.randint(3, 7))
     f = named_statistic(P, "antichain_card")
     assert P.covers == ((0, 1), (1, 2), (1, 3))
-    assert [z for z, _ in islice(mod._nonsingular_points(P), 2)] == [1, 2]
     assert decompose(P, f) is not None and _ideal_answer(P, f, Fraction(2)) is None
-    checks, calls = [], []
-    is_certificate, interpolate = mod._is_certificate, mod.interpolate
-
-    def checking(*args):
-        checks.append(is_certificate(*args))
-        return checks[-1]
-
-    def counting(*args):
-        calls.append(args)
-        return interpolate(*args)
-
-    monkeypatch.setattr(mod, "_is_certificate", checking)
-    monkeypatch.setattr(mod, "interpolate", counting)
     assert q_decompose(P, f) is None
-    assert checks == [True, False] and calls == []
 
 
 def test_q_decompose_q_valued_statistics():
@@ -932,15 +895,12 @@ def test_q_certificate_check_survives_optimize():
 
     import rowmotion
 
-    # with asserts off and the early reject disabled, the cleared polynomial
-    # identity alone must still turn down a statistic outside the span
+    # with asserts off, the residual over Z[q] must still turn down a
+    # statistic outside the span
     code = (
-        "import importlib\n"
         "from rowmotion import named_statistic, q_decompose\n"
         "from rowmotion.families import rectangle\n"
         "assert False, 'asserts are on'\n"
-        "mod = importlib.import_module('rowmotion.decompose')\n"
-        "mod._is_certificate = lambda *args: True\n"
         "P = rectangle(3, 3)\n"
         "print(q_decompose(P, named_statistic(P, 'ideal_card')))\n"
     )
@@ -951,23 +911,12 @@ def test_q_certificate_check_survives_optimize():
     assert out.stdout.strip() == "None"
 
 
-def _q_check_bound(f, sol):
-    """The degree bound B of the Q(q) identity check, from its definition."""
-    parts = []
-    for c in sol:
-        k = lcm(*(a.denominator for a in c.num.coeffs + c.den.coeffs))
-        parts.append((c.num * k, c.den * k))
-    deg_s = 0 if f.kind == RATIONAL else f.den.degree
-    deg_g = 0 if f.kind == RATIONAL else max(g.degree for g in f.nums)
-    return sum(D.degree for D in {D for _, D in parts}) + max(
-        deg_s + 1 + max(N.degree - D.degree for N, D in parts), deg_g)
-
-
 def _falling(k):
-    """prod_{z < k} (q - z), which vanishes at q = 0, ..., k-1 only."""
-    out = Polynomial((1,))
+    """prod_{z < k} (q - z) in Z[q], which vanishes at q = 0, ..., k-1 only."""
+    mod = _q_module()
+    out = 1
     for z in range(k):
-        out = out * Polynomial((-z, 1))
+        out = out * (mod._Q - z)
     return out
 
 
@@ -984,24 +933,28 @@ def _q_valued_statistic():
 
 
 def test_q_check_rejects_every_low_degree_tampering():
-    """A coefficient moved by prod_{z<k} (q - z) agrees with the certificate
-    at z = 0, ..., k-1; the identity check must still reject it, for every k
-    up to the bound B of the true certificate."""
+    """A Cramer numerator moved by det * s * prod_{z<k} (q - z) agrees with
+    the true one at z = 0, ..., k-1; the residual over Z[q] must still
+    reject it, for every k up to n+1+d, the degree bound of the solve."""
     mod = _q_module()
     cases = [(P, named_statistic(P, "antichain_card")) for P in (rectangle(3, 3),
                                                                  shifted_staircase(3))]
     cases.append(_q_valued_statistic())
     for P, f in cases:
-        dec = q_decompose(P, f)
-        sol = [dec.constant, *dec.coeffs]
-        form = mod._monomials(P, f)
-        assert mod._is_q_certificate(P, form, sol)
-        bound = _q_check_bound(f, sol)
-        for k in range(bound + 1):
+        assert q_decompose(P, f) is not None
+        system = mod._system(P)
+        mono, s = mod._monomials(P, f)
+        g = {A: mod._in_zq(v) for A, v in mono.items()}
+        d = max(len(v) - 1 for v in g.values()) if f.kind == QRATIONAL else 0
+        fact = system.at_q
+        y = fact.replay([g.get(A, 0) for A in system.pivots])
+        det_g = {A: fact.det * v for A, v in g.items()}
+        assert mod._is_certificate(P, det_g, y, mod._Q)
+        for k in range(P.n + 2 + d):
             j = 1 + k % P.n  # spread the tampering over the coefficients
-            bad = list(sol)
-            bad[j] = bad[j] + RationalFunction(_falling(k))
-            assert not mod._is_q_certificate(P, form, bad), (P.name, k)
+            bad = list(y)
+            bad[j] = bad[j] + fact.det * mod._in_zq(s) * _falling(k)
+            assert not mod._is_certificate(P, det_g, bad, mod._Q), (P.name, k)
 
 
 def test_q_check_rejects_tampering_under_optimize():
@@ -1011,30 +964,28 @@ def test_q_check_rejects_tampering_under_optimize():
 
     import rowmotion
 
-    # asserts off, the early reject disabled, and every interpolated
-    # candidate moved by prod_{z<k} (q - z) in one coefficient: only the
-    # identity check stands between q_decompose and a wrong certificate
+    # asserts off, and every replayed candidate moved by det * s *
+    # prod_{z<k} (q - z) in one coefficient: only the residual over Z[q]
+    # stands between q_decompose and a wrong certificate
     code = (
-        "import importlib\n"
         "from rowmotion import named_statistic, q_decompose\n"
         "from rowmotion.families import rectangle\n"
-        "from rowmotion.qpoly import Polynomial\n"
+        "from rowmotion.linalg import Factorization\n"
+        "from rowmotion.qpoly import _ZPoly\n"
         "assert False, 'asserts are on'\n"
-        "mod = importlib.import_module('rowmotion.decompose')\n"
-        "mod._is_certificate = lambda *args: True\n"
-        "interpolate = mod.interpolate\n"
+        "replay = Factorization.replay\n"
         "P = rectangle(3, 3)\n"
         "f = named_statistic(P, 'antichain_card')\n"
         "print(q_decompose(P, f) is not None)\n"
         "for k in range(40):\n"
-        "    move = Polynomial((1,))\n"
+        "    move = _ZPoly((1,))\n"
         "    for z in range(k):\n"
-        "        move = move * Polynomial((-z, 1))\n"
-        "    def tampered(xs, columns):\n"
-        "        det, *nums = interpolate(xs, columns)\n"
-        "        nums[2] = nums[2] + det * f.den * move\n"
-        "        return [det, *nums]\n"
-        "    mod.interpolate = tampered\n"
+        "        move = move * _ZPoly((-z, 1))\n"
+        "    def tampered(self, rhs):\n"
+        "        y = replay(self, rhs)\n"
+        "        y[2] = y[2] + self.det * f.den * move\n"
+        "        return y\n"
+        "    Factorization.replay = tampered\n"
         "    print(q_decompose(P, f))\n"
     )
     src = os.path.dirname(os.path.dirname(rowmotion.__file__))

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and some module
+of the package reads each private name a module defines at its top level.
 
-`__init__.py` is left out: its imports are the public names it re-exports.
+`__init__.py` is left out of the first check: its imports are the public
+names it re-exports.
 """
 
 import ast
@@ -40,3 +42,59 @@ def test_no_unused_imports_in_package():
               if path.name != "__init__.py"
               and (found := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _private_definitions(source):
+    """(line, name) of each private function, class or constant that a module
+    defines at its top level (dunder names left out)."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def _names_read(source):
+    """Every name a module reads: as a variable, as an attribute, or by a
+    `from ... import`."""
+    tree = ast.parse(source)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private_names(sources):
+    """{module: [(line, name)]} of the private top-level names that no module
+    of `sources` ({module: source}) reads."""
+    read = set().union(*map(_names_read, sources.values()))
+    unread = {module: [(line, name) for line, name in _private_definitions(source)
+                       if name not in read]
+              for module, source in sources.items()}
+    return {module: found for module, found in unread.items() if found}
+
+
+def test_checker_finds_unread_private_names():
+    sources = {
+        "a.py": "_LIMIT = 3\n_kept = 1\ndef _orphan():\n    return _kept\n"
+                "class _Box:\n    pass\n__all__ = []\n",
+        "b.py": "from .a import _Box\n",
+    }
+    assert _unread_private_names(sources) == {"a.py": [(1, "_LIMIT"), (3, "_orphan")]}
+
+
+def test_no_unread_private_names_in_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(sources) == {}

@@ -24,7 +24,13 @@ from rowmotion.families import rectangle, root_poset_A, shifted_staircase, chain
 import rowmotion.poset as poset_module
 from rowmotion.poset import LinearExtension
 
-from conftest import all_linear_extensions, brute_ideals, brute_leq, brute_maximal_chains
+from conftest import (
+    all_linear_extensions,
+    brute_ideals,
+    brute_leq,
+    brute_maximal_chains,
+    random_poset,
+)
 
 
 def chain(n):
@@ -216,6 +222,22 @@ def test_is_graded_and_rank_of():
     assert rank_of(A3) == 2
     not_graded = Poset(4, [(0, 1), (1, 3), (2, 3)])
     assert not is_graded(not_graded)
+    assert is_graded(Poset(0, [])) and rank_of(Poset(0, [])) == 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8))
+def test_is_graded_and_rank_of_match_maximal_chains(seed, n):
+    import random
+
+    P = random_poset(random.Random(seed), n)
+    lengths = {len(c) - 1 for c in brute_maximal_chains(P)}
+    assert is_graded(P) == (len(lengths) == 1)
+    if len(lengths) == 1:
+        assert rank_of(P) == lengths.pop()
+    else:
+        with pytest.raises(ValueError, match="not graded"):
+            rank_of(P)
 
 
 def test_json_round_trip(tmp_path):

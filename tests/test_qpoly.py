@@ -6,7 +6,7 @@ from rowmotion.families import rectangle
 from rowmotion.qpoly import (
     Polynomial,
     RationalFunction,
-    interpolate,
+    _ZPoly,
     poly_gcd,
     q_binomial,
     q_factorial,
@@ -113,13 +113,36 @@ def test_rational_function_pole_detection():
         raise AssertionError("expected a pole at q=1")
 
 
-@settings(max_examples=60, deadline=None)
-@given(hyp.lists(polys, min_size=1, max_size=3),
-       hyp.sets(hyp.integers(-8, 8), min_size=6, max_size=9))
-def test_interpolate_recovers_polynomials(ps, nodes):
-    from math import lcm
+int_lists = hyp.lists(hyp.integers(-9, 9), max_size=6)
 
-    xs = sorted(nodes)
-    scale = lcm(*(c.denominator for p in ps for c in p.coeffs))
-    columns = [[int(p.evaluate(x) * scale) for x in xs] for p in ps]
-    assert interpolate(xs, columns) == [p * scale for p in ps]
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(int_lists, int_lists, hyp.integers(-5, 5))
+def test_zpoly_ring_operations_match_polynomial(a, b, k):
+    x, y = _ZPoly(a), _ZPoly(b)
+    P, Q = Polynomial(a), Polynomial(b)
+    for got, want in ((x + y, P + Q), (x - y, P - Q), (-x, -P), (x * y, P * Q),
+                      (x + k, P + k), (k - x, k - P), (k * x, P * k), (x * k, P * k)):
+        assert isinstance(got, _ZPoly) and Polynomial(got) == want
+    assert (x == k) == (P == k) and (x != k) == (P != k)
+    assert bool(x) == bool(P) and (x == _ZPoly(a + [0, 0]))
+    if y:
+        assert x * y // y == x and x * y // y * y == x * y
+    if k:
+        assert x * k // k == x
+
+
+def test_zpoly_exact_division_raises_on_inexact_quotient():
+    q = _ZPoly((0, 1))
+    for num, den in ((q + 1, q - 1),  # a nonzero remainder
+                     (q * q + 1, 2 * q),  # a quotient outside Z[q]
+                     (_ZPoly((3,)), 2), (2 * q + 1, 2),
+                     (q, q * q)):  # a divisor of higher degree
+        try:
+            num // den
+        except ArithmeticError:
+            pass
+        else:
+            raise AssertionError(f"{num} // {den} did not raise")
+    assert (q * q - 1) // (q - 1) == q + 1 and (4 * q + 2) // 2 == 2 * q + 1
+    assert _ZPoly() // (q + 3) == 0
