@@ -4,18 +4,19 @@ Rowmotion, rank-permuted rowmotion (gyration included) and antichain
 rowmotion are products of toggles along a fixed element order: rowmotion
 toggles a linear extension from the top (`rowmotion_order`), the rank
 permutations toggle `sigma_order`.  Once a poset's ideals are enumerated,
-these maps read each image from `Poset.sweep_permutation` of their order, a
-permutation of canonical ideal indices built once per poset and order from
-the toggle table.  On a poset whose ideals were never enumerated they toggle
-the mask along the same order (`_sweep_mask`), since no canonical index
-exists there.
+each step returns the canonical state at the image index under
+`Poset.sweep_permutation` of its order, resolved once per step; before, it
+toggles the mask along the same order (`_sweep_mask`).
 
-There is one orbit kernel: the cycles of an index permutation
-(`permutation_orbits`).  `orbit_partition` reads a map on a state space as
-such a permutation (`as_index_permutation`) and maps the cycles back.
+There is one orbit kernel and one bijection check: the cycles of an index
+permutation (`permutation_orbits`).  `orbit_partition` reads a map on a state
+space as such a permutation (`as_index_permutation`, by identity) and maps
+the cycles back.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .poset import (
     Antichain,
@@ -24,6 +25,8 @@ from .poset import (
     OrderIdeal,
     Poset,
     _bits,
+    enumerate_antichains,
+    enumerate_ideals,
 )
 
 ORBIT_CAP = 1_000_000  # the most states one forward orbit may hold
@@ -38,6 +41,13 @@ class Orbit:
         self.states = tuple(states)
         if len(set(self.states)) != len(self.states):
             raise ValueError("orbit states must be distinct")
+
+    @classmethod
+    def _of_cycle(cls, states):
+        """The orbit of states known to be distinct, taken unchecked."""
+        obj = cls.__new__(cls)
+        obj.states = tuple(states)
+        return obj
 
     @property
     def period(self):
@@ -60,7 +70,7 @@ def toggle(P: Poset, p: int, I: OrderIdeal) -> OrderIdeal:
     """Add p if addable, remove p if removable, otherwise leave I alone."""
     if not (0 <= p < P.n):
         raise IndexError(f"element {p} out of range")
-    return OrderIdeal._make(P, P.toggle_mask(p, _own_mask(P, I)))
+    return _ideal(P, P.toggle_mask(p, _own_mask(P, I)))
 
 
 def _own_mask(P: Poset, I: OrderIdeal) -> int:
@@ -70,6 +80,13 @@ def _own_mask(P: Poset, I: OrderIdeal) -> int:
     return I.mask
 
 
+def _ideal(P: Poset, mask) -> OrderIdeal:
+    """The ideal `mask`: canonical once the ideals are enumerated, else new."""
+    if P._ideal_masks is None:
+        return OrderIdeal._make(P, mask)
+    return enumerate_ideals(P)[P._ideal_index[mask]]
+
+
 def rowmotion_order(P: Poset) -> tuple:
     """The elements toggled by rowmotion, in order: a linear extension read
     from the top, kept once per poset."""
@@ -77,29 +94,28 @@ def rowmotion_order(P: Poset) -> tuple:
 
 
 def _rowmotion_permutation(P: Poset):
-    """The `sweep_permutation` of `rowmotion_order`, referenced from the
-    poset so that a rowmotion step does not hash that order again."""
+    """The `sweep_permutation` of `rowmotion_order`, kept on the poset."""
     if P._rowmotion_perm is None:
         P._rowmotion_perm = P.sweep_permutation(P._rowmotion_order)
     return P._rowmotion_perm
 
 
 def _sweep_mask(P: Poset, order, mask) -> int:
-    """The ideal `mask` toggled at each element of `order`, first element
-    first."""
+    """The ideal `mask` toggled at each element of `order`, first first."""
     for p in order:
         mask = P.toggle_mask(p, mask)
     return mask
 
 
-def _sweep(P: Poset, order, I: OrderIdeal, permutation=None) -> OrderIdeal:
-    """The image of I under the toggles at `order`: read off the cached
-    permutation (`permutation(P)` if given, else the `sweep_permutation` of
-    `order`) once the ideals are enumerated, else toggled on the mask."""
-    if I.poset is not P or P._ideal_masks is None:  # _own_mask refuses a foreign I
-        return OrderIdeal._make(P, _sweep_mask(P, order, _own_mask(P, I)))
-    perm = P.sweep_permutation(order) if permutation is None else permutation(P)
-    return OrderIdeal._make(P, P._ideal_masks[perm[P._ideal_index[I.mask]]])
+def _sweep(P: Poset, order, I: OrderIdeal, perm) -> OrderIdeal:
+    """The image of I under the toggles at `order`: with the ideals
+    enumerated, the canonical ideal at entry `perm(P)` of I's index, else the
+    mask toggled along `order`."""
+    mask = _own_mask(P, I)
+    if P._ideal_masks is None:
+        return OrderIdeal._make(P, _sweep_mask(P, order, mask))
+    k = I._index
+    return (P._ideals or enumerate_ideals(P))[perm(P)[P._ideal_index[mask] if k is None else k]]
 
 
 def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
@@ -107,33 +123,32 @@ def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
     return _sweep(P, P._rowmotion_order, I, _rowmotion_permutation)
 
 
+def _sweeper(P: Poset, order):
+    """The toggles at `order` as a step on ideals, which resolves their
+    `sweep_permutation` on its first call after the enumeration."""
+    perm = cache(lambda P: P.sweep_permutation(order))
+    return lambda I: _sweep(P, order, I, perm)
+
+
 def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> OrderIdeal:
     """Toggle along a linear extension, top element first."""
     if ext.poset is not P:
         raise ValueError("extension belongs to a different poset")
-    return OrderIdeal._make(P, _sweep_mask(P, reversed(ext.order), _own_mask(P, I)))
+    return _ideal(P, _sweep_mask(P, reversed(ext.order), _own_mask(P, I)))
 
 
 def rank_toggle(P: Poset, i: int):
     """The product of toggles at all elements of rank i (they commute)."""
-    elems = tuple(_bits(P.rank_mask(i)))
-    return lambda I: OrderIdeal._make(P, _sweep_mask(P, elems, _own_mask(P, I)))
-
-
-def _check_rank_permutation(P: Poset, sigma):
-    if P.rank is None:
-        raise ValueError("poset is not ranked")
-    top = P.max_rank()
-    sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(top + 1)):
-        raise ValueError(f"sigma must permute 0..{top}")
-    return sigma
+    return _sweeper(P, tuple(_bits(P.rank_mask(i))))
 
 
 def sigma_order(P: Poset, sigma) -> tuple:
     """The elements toggled by rank-permuted rowmotion, in order: the ranks
     in reversed sigma order, each rank's elements (which commute) in turn."""
-    sigma = _check_rank_permutation(P, sigma)
+    top = P.max_rank()  # refuses an unranked poset
+    sigma = tuple(int(s) for s in sigma)
+    if sorted(sigma) != list(range(top + 1)):
+        raise ValueError(f"sigma must permute 0..{top}")
     return tuple(p for i in reversed(sigma) for p in _bits(P.rank_mask(i)))
 
 
@@ -142,15 +157,12 @@ def rowmotion_sigma(P: Poset, sigma):
 
     The identity permutation recovers rowmotion (top rank toggled first).
     """
-    order = sigma_order(P, sigma)
-    return lambda I: _sweep(P, order, I)
+    return _sweeper(P, sigma_order(P, sigma))
 
 
 def gyration_sigma(P: Poset) -> tuple:
     """The rank permutation of gyration: odd ranks, then even ranks, so that
     all even ranks are toggled first and all odd ranks after them."""
-    if P.rank is None:
-        raise ValueError("poset is not ranked")
     top = P.max_rank()
     return tuple(range(1, top + 1, 2)) + tuple(range(0, top + 1, 2))
 
@@ -164,15 +176,17 @@ def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
     """min of the complement of the ideal generated by A.
 
     That is max of the rowmotion image of the ideal generated by A, so with
-    the ideals enumerated it is read off the rowmotion permutation.
+    the ideals enumerated it is the canonical antichain at the rowmotion
+    image of A's index (antichain k is max of ideal k).
     """
     if A.poset is not P:
         raise ValueError("antichain belongs to a different poset")
-    gen = P.generated_ideal_mask(A.mask)
     if P._ideal_masks is None:
-        return Antichain._make(P, P.min_complement_mask(gen))
-    perm = _rowmotion_permutation(P)
-    return Antichain._make(P, P.antichain_masks()[perm[P._ideal_index[gen]]])
+        return Antichain._make(P, P.min_complement_mask(P.generated_ideal_mask(A.mask)))
+    k = A._index
+    if k is None:
+        k = P._ideal_index[P.generated_ideal_mask(A.mask)]
+    return enumerate_antichains(P)[_rowmotion_permutation(P)[k]]
 
 
 # -- orbits -----------------------------------------------------------------------
@@ -187,7 +201,7 @@ def orbit(step, start) -> Orbit:
     while True:
         cur = step(cur)
         if cur == start:
-            return Orbit(states)
+            return Orbit._of_cycle(states)
         if cur in seen:
             raise ValueError("map is not injective on the reachable states")
         if len(states) >= ORBIT_CAP:
@@ -198,27 +212,39 @@ def orbit(step, start) -> Orbit:
 
 def orbit_partition(step, space) -> list[Orbit]:
     """Partition a finite state space into orbits of the bijection `step`."""
-    space = list(space)
-    return [Orbit(map(space.__getitem__, cyc))
+    if not isinstance(space, (tuple, list)):
+        space = list(space)
+    return [Orbit._of_cycle(map(space.__getitem__, cyc))
             for cyc in permutation_orbits(as_index_permutation(step, space))]
 
 
 def as_index_permutation(step, space) -> list[int]:
-    """The bijection `step` on `space`, as a permutation of positions."""
+    """The map `step` on the sequence `space` as a list of positions.  On a
+    poset's canonical enumeration each image is found by identity; otherwise,
+    or for an image identity does not find, states are found by equality.
+    `permutation_orbits` checks that the result is a permutation."""
+    images = list(map(step, space))
+    P = getattr(space[0], "poset", None) if len(space) else None
+    if isinstance(P, Poset) and (space is P._ideals or space is P._antichains):
+        where = {id(s): k for k, s in enumerate(space)}
+        perm = list(map(where.get, map(id, images)))
+        if None not in perm:
+            return perm
     index = {s: k for k, s in enumerate(space)}
     if len(index) != len(space):
         raise ValueError("state space contains duplicates")
-    perm = [index.get(step(s), -1) for s in space]
+    perm = [index.get(t, -1) for t in images]
     if -1 in perm:
         raise ValueError("map leaves the given state space")
-    if len(set(perm)) != len(perm):
-        raise ValueError("map is not a bijection of the state space")
     return perm
 
 
 def permutation_orbits(perm) -> list[list[int]]:
-    """Cycles of an index permutation, each starting at its least element."""
+    """Cycles of an index permutation, each starting at its least element;
+    an entry out of range or a cycle not closing at its start raises."""
     n = len(perm)
+    if n and not (0 <= min(perm) and max(perm) < n):
+        raise ValueError(f"an index is out of range for {n} states")
     seen = [False] * n
     cycles = []
     for start in range(n):
@@ -230,5 +256,7 @@ def permutation_orbits(perm) -> list[list[int]]:
             seen[x] = True
             cyc.append(x)
             x = perm[x]
+        if x != start:
+            raise ValueError("map is not a bijection of the state space")
         cycles.append(cyc)
     return cycles

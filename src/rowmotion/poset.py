@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from functools import cached_property
+from itertools import count, repeat
 from typing import Iterator, NamedTuple, Optional
 
 DEFAULT_IDEAL_CAP = 2_000_000  # the most order ideals held at once
@@ -94,13 +95,8 @@ class Poset:
         self._linext = self._lex_min_extension()  # also proves acyclicity
         self._rowmotion_order = self._linext[::-1]  # see dynamics.rowmotion_order
 
-        self.minimal_mask = 0
-        self.maximal_mask = 0
-        for x in range(self.n):
-            if down[x] == 0:
-                self.minimal_mask |= 1 << x
-            if up[x] == 0:
-                self.maximal_mask |= 1 << x
+        self.minimal_mask = sum(1 << x for x in range(self.n) if not down[x])
+        self.maximal_mask = sum(1 << x for x in range(self.n) if not up[x])
 
         self._coord_index = (
             None if self.coords is None else {c: i for i, c in enumerate(self.coords)}
@@ -118,6 +114,7 @@ class Poset:
         self._q_masks: dict = {}
         self._rowmotion_perm: Optional[array] = None  # cached by rowmotion.dynamics
         self._antichain_masks: Optional[tuple] = None
+        self._ideals = self._antichains = None  # canonical states, kept by enumerate_*
 
     @cached_property
     def down_set(self) -> tuple:
@@ -144,21 +141,17 @@ class Poset:
     # -- construction helpers -------------------------------------------------
 
     def _lex_min_extension(self):
-        indeg = [bin(m).count("1") for m in self.down_covers]
+        indeg = [m.bit_count() for m in self.down_covers]
         heap = [x for x in range(self.n) if indeg[x] == 0]
         heapq.heapify(heap)
         order = []
         while heap:
             x = heapq.heappop(heap)
             order.append(x)
-            um = self.up_covers[x]
-            while um:
-                low = um & -um
-                y = low.bit_length() - 1
+            for y in self.upper_covers[x]:
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     heapq.heappush(heap, y)
-                um ^= low
         if len(order) != self.n:
             raise MalformedPosetError("cover relation contains a cycle")
         return tuple(order)
@@ -189,10 +182,8 @@ class Poset:
             stack = [start]
             while stack:
                 x = stack.pop()
-                for m, delta in ((self.up_covers[x], 1), (self.down_covers[x], -1)):
-                    while m:
-                        low = m & -m
-                        y = low.bit_length() - 1
+                for ys, delta in ((self.upper_covers[x], 1), (self.lower_covers[x], -1)):
+                    for y in ys:
                         ry = rank[x] + delta
                         if rank[y] is None:
                             rank[y] = ry
@@ -200,7 +191,6 @@ class Poset:
                             stack.append(y)
                         elif rank[y] != ry:
                             return None
-                        m ^= low
             shift = min(rank[x] for x in comp)
             for x in comp:
                 rank[x] -= shift
@@ -232,49 +222,29 @@ class Poset:
         """Mask of all elements of rank i (poset must be ranked)."""
         if self.rank is None:
             raise ValueError("poset is not ranked")
-        m = 0
-        for x, r in enumerate(self.rank):
-            if r == i:
-                m |= 1 << x
-        return m
+        return sum(1 << x for x, r in enumerate(self.rank) if r == i)
 
     # -- mask-level order ideal machinery ---------------------------------------
 
     def is_ideal_mask(self, mask):
-        for x in _bits(mask):
-            if self.down_covers[x] & mask != self.down_covers[x]:
-                return False
-        return True
+        return all(self.down_covers[x] & mask == self.down_covers[x] for x in _bits(mask))
 
     def is_antichain_mask(self, mask):
-        for x in _bits(mask):
-            if (self.up_set[x] ^ (1 << x)) & mask:
-                return False
-        return True
+        return not any((self.up_set[x] ^ (1 << x)) & mask for x in _bits(mask))
 
     def max_of_ideal_mask(self, mask):
         """Mask of maximal elements of the ideal `mask`."""
-        m = 0
-        for x in _bits(mask):
-            if self.up_covers[x] & mask == 0:
-                m |= 1 << x
-        return m
+        return sum(1 << x for x in _bits(mask) if not self.up_covers[x] & mask)
 
     def min_complement_mask(self, mask):
         """Mask of minimal elements of the complement of the ideal `mask`."""
-        m = 0
-        comp = ~mask
-        for x in range(self.n):
-            if comp >> x & 1 and self.down_covers[x] & mask == self.down_covers[x]:
-                m |= 1 << x
-        return m
+        return sum(1 << x for x in _bits(~mask & ((1 << self.n) - 1))
+                   if self.down_covers[x] & mask == self.down_covers[x])
 
     def generated_ideal_mask(self, antichain_mask):
         m = 0
-        while antichain_mask:
-            low = antichain_mask & -antichain_mask
-            m |= self.down_set[low.bit_length() - 1]
-            antichain_mask ^= low
+        for x in _bits(antichain_mask):
+            m |= self.down_set[x]
         return m
 
     def toggle_mask(self, p, mask):
@@ -416,15 +386,11 @@ def _bits(mask) -> Iterator[int]:
         mask ^= low
 
 
-def _popcount(mask) -> int:
-    return bin(mask).count("1")
-
-
 # -- element-set wrappers ---------------------------------------------------
 
 
 class _ElementSet:
-    __slots__ = ("poset", "mask")
+    __slots__ = ("poset", "mask", "_index")  # _index: position if canonical, else None
 
     def __init__(self, poset, elements=(), *, mask=None):
         self.poset = poset
@@ -435,16 +401,18 @@ class _ElementSet:
                     raise IndexError(f"element {x} out of range")
                 mask |= 1 << int(x)
         self.mask = mask
+        self._index = None
         self._validate()
 
     def _validate(self):
         raise NotImplementedError
 
     @classmethod
-    def _make(cls, poset, mask):
+    def _make(cls, poset, mask, index=None):
         obj = cls.__new__(cls)
         obj.poset = poset
         obj.mask = mask
+        obj._index = index
         return obj
 
     @property
@@ -453,7 +421,7 @@ class _ElementSet:
 
     @property
     def cardinality(self):
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def __contains__(self, x):
         return bool(self.mask >> x & 1)
@@ -480,6 +448,7 @@ class _ElementSet:
 
 class OrderIdeal(_ElementSet):
     """Downward-closed element set of a fixed poset."""
+    __slots__ = ()
 
     def _validate(self):
         if not self.poset.is_ideal_mask(self.mask):
@@ -488,6 +457,7 @@ class OrderIdeal(_ElementSet):
 
 class Antichain(_ElementSet):
     """Pairwise-incomparable element set of a fixed poset."""
+    __slots__ = ()
 
     def _validate(self):
         if not self.poset.is_antichain_mask(self.mask):
@@ -548,13 +518,20 @@ def ideal_generated_by(A: Antichain) -> OrderIdeal:
 
 
 def enumerate_ideals(P: Poset):
-    """All order ideals of P in the canonical (cardinality, bitmask) order."""
-    return tuple(OrderIdeal._make(P, m) for m in P.ideal_masks())
+    """All order ideals of P in the canonical (cardinality, bitmask) order:
+    one canonical object per ideal, the same tuple on every call."""
+    if P._ideals is None:
+        P._ideals = tuple(map(OrderIdeal._make, repeat(P), P.ideal_masks(), count()))
+    return P._ideals
 
 
 def enumerate_antichains(P: Poset):
-    """All antichains, as max(I) over the canonical ideal enumeration."""
-    return tuple(Antichain._make(P, m) for m in P.antichain_masks())
+    """All antichains, as max(I) over the canonical ideal enumeration: antichain
+    k is max of ideal k and shares its index; the same tuple on every call."""
+    if P._antichains is None:
+        P._antichains = tuple(Antichain._make(P, m, I._index) for m, I
+                              in zip(P.antichain_masks(), enumerate_ideals(P)))
+    return P._antichains
 
 
 def dual(P: Poset) -> Poset:
@@ -590,12 +567,7 @@ def poset_isomorphic(P: Poset, Q: Poset) -> bool:
         return False
 
     def profile(R, x):
-        return (
-            _popcount(R.down_covers[x]),
-            _popcount(R.up_covers[x]),
-            _popcount(R.down_set[x]),
-            _popcount(R.up_set[x]),
-        )
+        return tuple(m[x].bit_count() for m in (R.down_covers, R.up_covers, R.down_set, R.up_set))
 
     pprof = [profile(P, x) for x in range(P.n)]
     qprof = [profile(Q, x) for x in range(Q.n)]

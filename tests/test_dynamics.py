@@ -2,17 +2,21 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rowmotion import (
     Antichain,
     OrderIdeal,
+    Poset,
     antichain_rowmotion,
     enumerate_antichains,
     enumerate_ideals,
     gyration,
+    homomesy_check,
     ideal_generated_by,
     maximal_elements,
     minimal_complement,
+    named_statistic,
     orbit,
     orbit_partition,
     rank_of,
@@ -29,7 +33,7 @@ from rowmotion.families import (
     root_poset_A,
     shifted_staircase,
 )
-from rowmotion.dynamics import as_index_permutation
+from rowmotion.dynamics import as_index_permutation, permutation_orbits
 from rowmotion.poset import LinearExtension, linear_extension
 
 from conftest import random_extension
@@ -217,7 +221,9 @@ def test_orbit_error_contract(kernel, case, message):
     else:
         step = lambda I: ideals[0]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        kernel(step, space)
+        # as_index_permutation leaves the bijection check to permutation_orbits
+        result = kernel(step, space)
+        permutation_orbits(result)
 
 
 def _mask_sweep(P, order, mask):
@@ -306,3 +312,104 @@ def test_orbit_cap(monkeypatch):
     monkeypatch.setattr(dynamics, "ORBIT_CAP", 4)
     with pytest.raises(CapExceededError, match="^orbit exceeded 4 states$"):
         orbit(lambda I: rowmotion(P, I), start)
+
+
+# -- canonical states and identity indexing ---------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["rect:3,3", "sstair:4", "rootB:3"])
+def test_every_step_returns_the_canonical_state(spec):
+    from rowmotion.families import from_specifier
+
+    P = from_specifier(spec)
+    ideals, anti = enumerate_ideals(P), enumerate_antichains(P)
+    assert ideals is enumerate_ideals(P) and anti is enumerate_antichains(P)
+    top = P.max_rank()
+    steps = [lambda I: rowmotion(P, I), gyration(P), rowmotion_sigma(P, range(top, -1, -1)),
+             rank_toggle(P, top), lambda I: rowmotion_by_toggles(P, linear_extension(P), I)]
+    steps += [lambda I, p=p: toggle(P, p, I) for p in range(P.n)]
+    for I in ideals:
+        for start in (I, OrderIdeal(P, mask=I.mask)):  # canonical, then a fresh equal ideal
+            for step in steps:
+                J = step(start)
+                assert J is ideals[P.ideal_index(J.mask)]
+    for k, A in enumerate(anti):
+        assert A._index == k and ideals[k]._index == k
+        for start in (A, Antichain(P, mask=A.mask)):
+            B = antichain_rowmotion(P, start)
+            assert B is anti[P.ideal_index(P.generated_ideal_mask(B.mask))]
+
+
+def test_single_steps_on_a_large_poset_enumerate_no_ideals():
+    P = rectangle(40, 40)
+    empty = OrderIdeal(P)
+    assert rowmotion(P, empty).mask == P.minimal_mask
+    assert toggle(P, P.element_at((1, 1)), empty).mask == P.minimal_mask
+    assert P._ideal_masks is None and P._ideals is None
+
+
+def test_non_permutations_are_refused():
+    P = rectangle(2, 2)  # 6 ideals
+    f = named_statistic(P, "ideal_card")
+    for perm in ([0] * 6, [-1] * 6, [1, 2, 3, 4, 5, 6], [1, 0, 3, 2, 5, 5]):
+        with pytest.raises(ValueError):
+            homomesy_check(f, perm)
+    with pytest.raises(ValueError, match="^map is not a bijection of the state space$"):
+        permutation_orbits([1, 1, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        permutation_orbits([1, 2, 3])
+    assert permutation_orbits([1, 2, 0, 3]) == [[0, 1, 2], [3]]
+    assert homomesy_check(f, [1, 0, 3, 2, 5, 4]).orbit_sizes == (2, 2, 2)
+
+
+def test_equal_duplicates_outside_a_canonical_space_are_refused():
+    P = rectangle(2, 2)
+    ideals = enumerate_ideals(P)
+    space = list(ideals) + [OrderIdeal(P, mask=ideals[0].mask)]
+    for kernel in (orbit_partition, as_index_permutation):
+        with pytest.raises(ValueError, match="^state space contains duplicates$"):
+            kernel(lambda I: I, space)
+
+
+def _ranked_poset(rng, sizes):
+    """A random ranked poset: sizes[r] elements of rank r, each covering a
+    nonempty random set of the elements of rank r - 1."""
+    covers, below, n = [], [], 0
+    for size in sizes:
+        layer = list(range(n, n + size))
+        for y in layer:
+            if below:
+                covers += [(x, y) for x in rng.sample(below, rng.randint(1, len(below)))]
+        below, n = layer, n + size
+    return Poset(n, covers)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def test_identity_indexing_agrees_with_the_equality_fallback(seed, sizes):
+    rng = random.Random(seed)
+    P = _ranked_poset(rng, sizes)
+    ranks = list(range(P.max_rank() + 1))
+    rng.shuffle(ranks)
+    ideals, anti = enumerate_ideals(P), enumerate_antichains(P)
+
+    def fresh(step):  # the same map, returning a new equal state
+        def new(S):
+            T = step(S)
+            return type(T)(P, mask=T.mask)
+        return new
+
+    def masks(orbits):
+        return [[S.mask for S in o] for o in orbits]
+
+    stats = [named_statistic(P, "ideal_card"), named_statistic(P, "antichain_card")]
+    for step, space in ((lambda I: rowmotion(P, I), ideals), (gyration(P), ideals),
+                        (rowmotion_sigma(P, ranks), ideals),
+                        (lambda A: antichain_rowmotion(P, A), anti)):
+        assert fresh(step)(space[0]) is not step(space[0])
+        want = masks(orbit_partition(step, space))
+        assert sum(map(len, want)) == len(space)
+        assert masks(orbit_partition(fresh(step), space)) == want
+        assert masks(orbit_partition(step, list(space))) == want
+        for f in stats:
+            assert homomesy_check(f, fresh(step), space) == homomesy_check(f, step, space)
