@@ -19,13 +19,13 @@ from T-.  `decompose` factors it once at q = 1 with the sparse kernel of
 n+1 pivot monomials, and takes the sparse integer residual over every
 monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
 candidate was the only possible solution.  `q_decompose` does the same over
-Z[q], on the n+1 pivot rows factored once with q left a variable;
-`toggleability_space_dims` (Table 2) takes the rank of the residuals over Q
-and over Z[q], `verify_independence` the rank of the system at a fixed
-q >= 0 and `antichain_span_dim` a sparse rank over the ideals, all on that
-one kernel.  The system, cached on the poset, is bounded in size before it
-is built, each factorization as it runs, and the Q(q) and Table 2 solves
-before they start (`check_work`).
+Z[q], in `Polynomial`s with int coefficients, on the n+1 pivot rows factored
+once with q left a variable; `toggleability_space_dims` (Table 2) takes the
+rank of the residuals over Q and over Z[q], `verify_independence` the rank
+of the system at a fixed q >= 0 and `antichain_span_dim` a sparse rank over
+the ideals, all on that one kernel.  The system, cached on the poset, is
+bounded in size before it is built, each factorization as it runs, and the
+Q(q) and Table 2 solves before they start (`check_work`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .qpoly import (
     CertificateError,
     Polynomial,
     RationalFunction,
-    _ZPoly,
     cleared,
     format_fraction,
     positive_roots,
@@ -159,7 +158,7 @@ class _System:
         return factor(_at(self.pivots.values(), _Q), len(self.pivots))
 
 
-_Q = _ZPoly((0, 1))  # q itself, in Z[q]
+_Q = Polynomial((0, 1))  # q itself, in Z[q]
 
 
 def _at(rows, a, b=1):
@@ -202,8 +201,8 @@ def _monomials(P: Poset, f: Statistic):
 def _residual(P, values, sol, z=1):
     """values - sol[0] - sum_p sol[p+1] * T^z_p as a dict of monomial
     coefficients (zeros kept), for `values` a dict of the same kind.  The
-    solvers pass integers, or integer polynomials at z = _Q, so this is
-    arithmetic in Z or Z[q] over the sparse columns of the system."""
+    solvers pass ints, or `Polynomial`s with int coefficients at z = _Q, so
+    this is arithmetic in Z or Z[q] over the sparse columns of the system."""
     out = dict(values)
     for c, col in zip(sol, _system(P).columns):
         if c:
@@ -225,37 +224,31 @@ def q_decompose(P: Poset, f: Statistic):
     integer polynomials of degree <= d.  The n+1 pivot rows of
     `_System.pivots`, independent at q = 1 and so over Q(q), are factored
     once over Z[q] (`_System.at_q`) and replayed on g, which gives det and
-    the Cramer numerators N_j = det * x_j, polynomials of degree <= n + d,
-    with no arithmetic in Q(q).  The residual det * g - sum_j N_j T^q_j,
-    taken over Z[q] monomial by monomial, is then the one check: zero proves
-    the certificate x_j = N_j / (det * s), nonzero proves NOT IN SPAN, since
-    x was the only possible solution.  The coefficients are then checked to
-    have no pole at any nonnegative rational, which makes every
-    specialization q := r/s legal.
+    the Cramer numerators N_j = det * x_j, polynomials with int coefficients
+    of degree <= n + d, with no Fraction and no arithmetic in Q(q).  The
+    residual det * g - sum_j N_j T^q_j, taken over Z[q] monomial by monomial,
+    is then the one check: zero proves the certificate x_j = N_j / (det * s),
+    nonzero proves NOT IN SPAN, since x was the only possible solution.  The
+    coefficients are then checked to have no pole at any nonnegative
+    rational, which makes every specialization q := r/s legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
     system = _system(P)
     mono, den = _monomials(P, f)
-    g = {A: _in_zq(v) for A, v in mono.items()}
-    d = max((len(v) - 1 for v in g.values() if isinstance(v, _ZPoly)), default=0)
+    d = max((v.degree for v in mono.values()), default=0) if f.kind == QRATIONAL else 0
     # every entry of the solve is a polynomial of degree <= n+1+d
     check_work(system.at_one.work * (P.n + 2 + d),
                f"the Q(q) solve over Z[q] of degree <= {P.n + 1 + d}")
     fact = system.at_q
-    y = fact.replay([g.get(A, 0) for A in system.pivots])
-    if not _is_certificate(P, {A: fact.det * v for A, v in g.items()}, y, _Q):
+    y = fact.replay([mono.get(A, 0) for A in system.pivots])
+    if not _is_certificate(P, {A: fact.det * v for A, v in mono.items()}, y, _Q):
         return None
-    det_s = Polynomial(fact.det * _in_zq(den))
-    sol = [RationalFunction(Polynomial(v), det_s) for v in y]
+    det_s = fact.det * den
+    sol = [RationalFunction(v, det_s) for v in y]
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
         _check_no_nonnegative_pole(c)
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
-
-
-def _in_zq(v):
-    """An int as it is, an integer-coefficient Polynomial as a _ZPoly."""
-    return v if isinstance(v, int) else _ZPoly(c.numerator for c in v.coeffs)
 
 
 def _check_no_nonnegative_pole(c: RationalFunction):
@@ -324,7 +317,7 @@ def _residual_rows(P, observables, z, fact):
         r = _residual(P, {A: fact.det * v for A, v in obs.items()},
                       fact.replay([obs.get(A, 0) for A in pivots]), z)
         for A, v in r.items():
-            for k, c in enumerate(v if isinstance(v, _ZPoly) else (v,)):
+            for k, c in enumerate(v.coeffs if z is _Q else (v,)):
                 if c:
                     rows.setdefault((A, k), {})[j] = c
     return list(rows.values())

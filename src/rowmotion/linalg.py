@@ -1,9 +1,9 @@
-"""Exact linear algebra over Q and Q(q), all of it on integers, or on integer
-polynomials in q: one fraction-free elimination kernel over sparse rows
-{column: entry}, for every certificate solve and every rank in `decompose`.
-It uses only ring operations and exact division, so it is exact over any
-integral domain (Bareiss, 1968).  It counts the entries it updates and
-raises CapExceededError once the count passes WORK_CAP.
+"""Exact linear algebra over Q and Q(q), on ints or, for Z[q], on
+`qpoly.Polynomial`s with int coefficients: one fraction-free elimination
+kernel over sparse rows {column: entry}, for every certificate solve and
+every rank in `decompose`.  It uses only ring operations and exact division
+(`//`), so it is exact over any integral domain (Bareiss, 1968).  It counts
+the entries it updates and raises CapExceededError once it passes WORK_CAP.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Exact arithmetic in Q[q] and its fraction field Q(q).
 
-Polynomials are dense coefficient tuples of Fractions; rational functions
-are kept normalized (coprime numerator/denominator, monic denominator) so
-that equality is plain componentwise comparison.  A private type of integer
-polynomials carries the elimination kernel of `linalg` over Z[q].
+Polynomials are dense tuples of exact coefficients, ints and Fractions, and
+carry the elimination kernel of `linalg` over Z[q] (on ints, with `//` exact
+division there); rational functions are kept normalized (coprime numerator/
+denominator, monic denominator) so that equality is componentwise.
 """
 
 from __future__ import annotations
@@ -39,13 +39,17 @@ def format_fraction(x, slash=False) -> str:
 
 
 class Polynomial:
-    """Dense univariate polynomial over Q; coeffs[k] multiplies q**k."""
+    """Dense univariate polynomial over Q; coeffs[k] multiplies q**k, an
+    int or a Fraction (equal ones compare and hash equal).  The constructor
+    and every division make a coefficient an int where it is integral, and
+    divide only through Fraction, never into a float; integer polynomials
+    stay on int arithmetic, on which `linalg` runs over Z[q] with `//`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if c.__class__ is int else _exact(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -65,7 +69,7 @@ class Polynomial:
         return not self.coeffs
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -74,57 +78,62 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
+        if other.__class__ is int:
+            b = (other,)
+        elif (other := _as_poly(other)) is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        else:
+            b = other.coeffs
+        a = self.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Polynomial(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return _as_poly(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if other is None:
+        if other.__class__ is int:
+            return _poly([c * other for c in self.coeffs])
+        if isinstance(other, Fraction):  # the constructor makes integral products ints
+            return Polynomial([c * other for c in self.coeffs])
+        if (other := _as_poly(other)) is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _poly([])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(out)  # Q is a field: the top term is not 0
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial((1,))
+        out = _poly([1])
         base = self
         while k:
             if k & 1:
@@ -133,21 +142,44 @@ class Polynomial:
             k >>= 1
         return out
 
+    def __floordiv__(self, other):
+        """Exact division in Z[q]: ArithmeticError where a quotient
+        coefficient is not an integer or a remainder is left."""
+        if other.__class__ is int:
+            other = _poly([other])
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, top, lead = list(self.coeffs), other.degree, other.coeffs[-1]
+        low = other.coeffs[:top]
+        quot = [0] * max(0, len(rem) - top)
+        for k in reversed(range(len(quot))):
+            c, r = divmod(rem[k + top], lead)
+            if r:
+                raise ArithmeticError("inexact division in Z[q]")
+            if c:
+                quot[k] = c
+                for j, b in enumerate(low, k):
+                    rem[j] -= c * b
+        if any(rem[:top]):
+            raise ArithmeticError("inexact division in Z[q]")
+        return _poly(quot)
+
     def divmod(self, other):
         """Exact long division: (quotient, remainder) over Q."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.leading()
-        quot = [Fraction(0)] * max(0, len(rem) - dq)
+        dq, lead = other.degree, other.leading()
+        quot = [0] * max(0, len(rem) - dq)
         for k in range(len(rem) - 1, dq - 1, -1):
             if rem[k]:
-                f = rem[k] / lead
+                f = rem[k] if lead == 1 else _exact(Fraction(rem[k], lead))
                 quot[k - dq] = f
-                for j, c in enumerate(other.coeffs):
-                    rem[j + k - dq] -= f * c
-        return Polynomial(quot), Polynomial(rem)
+                for j, c in enumerate(other.coeffs, k - dq):
+                    rem[j] -= f * c
+        return _poly(quot), _poly(rem)
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -156,10 +188,13 @@ class Polynomial:
         return q
 
     def monic(self):
-        if self.is_zero():
+        return self._over(self.leading()) if self.coeffs else self
+
+    def _over(self, d):
+        """Every coefficient divided by the number d != 0."""
+        if d == 1:
             return self
-        lead = self.leading()
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+        return _poly([_exact(Fraction(c, d)) for c in self.coeffs])
 
     def evaluate(self, z):
         z = z if isinstance(z, Fraction) else Fraction(z)
@@ -184,6 +219,22 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _poly(cs) -> Polynomial:
+    """The Polynomial of the list cs of exact coefficients, unchecked: only
+    its trailing zeros are stripped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Polynomial)
+    p.coeffs = tuple(cs)
+    return p
+
+
+def _exact(c):
+    """The number c as an int where it is integral, else as a Fraction."""
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def horner(p: Polynomial, a: int, b: int = 1, d: int = 0) -> int:
@@ -258,7 +309,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         a, b = b, a
     while b:
         a, b = b, _prem(a, b)
-    return Polynomial(a).monic()
+    return _poly(a).monic()
 
 
 def _variations(numbers) -> int:
@@ -287,89 +338,6 @@ def positive_roots(p: Polynomial) -> int:
     return _variations(s[0] for s in seq) - _variations(s[-1] for s in seq)
 
 
-class _ZPoly(tuple):
-    """An integer polynomial in q, coefficients from q^0 up with no trailing
-    zero (the zero polynomial is empty and false): just the ring operations,
-    mixed with ints, that the elimination kernel of `linalg` and the residuals
-    of `decompose` take to run over Z[q].  `//` is exact division, which
-    raises ArithmeticError where the quotient is not in Z[q]."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        return tuple.__new__(cls, cs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return len(self) <= 1 and (self[0] if self else 0) == other
-        return isinstance(other, _ZPoly) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __neg__(self):
-        return tuple.__new__(_ZPoly, [-c for c in self])
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = (other,)
-        elif not isinstance(other, _ZPoly):
-            return NotImplemented
-        a, b = (self, other) if len(self) >= len(other) else (other, self)
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return _ZPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, (int, _ZPoly)) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other if isinstance(other, int) else NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return tuple.__new__(_ZPoly, [c * other for c in self] if other else ())
-        if not isinstance(other, _ZPoly):
-            return NotImplemented
-        if not self or not other:
-            return _ZPoly()
-        out = [0] * (len(self) + len(other) - 1)
-        for i, a in enumerate(self):
-            if a:
-                for j, b in enumerate(other, i):
-                    out[j] += a * b
-        return tuple.__new__(_ZPoly, out)  # Z is a domain: the top term is not 0
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        if isinstance(other, int):
-            other = (other,)
-        elif not isinstance(other, _ZPoly):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem, top, lead = list(self), len(other) - 1, other[-1]
-        quot = [0] * max(0, len(rem) - top)
-        for k in reversed(range(len(quot))):
-            c, r = divmod(rem[k + top], lead)
-            if r:
-                raise ArithmeticError("inexact division in Z[q]")
-            if c:
-                quot[k] = c
-                for j, b in enumerate(other[:top], k):
-                    rem[j] -= c * b
-        if any(rem[:top]):
-            raise ArithmeticError("inexact division in Z[q]")
-        return tuple.__new__(_ZPoly, quot)
-
-
 class RationalFunction:
     """Element of Q(q): coprime numerator/denominator, monic denominator."""
 
@@ -388,10 +356,7 @@ class RationalFunction:
             num = num.exact_div(g)
             den = den.exact_div(g)
         lead = den.leading()
-        if lead != 1:
-            num = Polynomial(tuple(c / lead for c in num.coeffs))
-            den = Polynomial(tuple(c / lead for c in den.coeffs))
-        self.num, self.den = num, den
+        self.num, self.den = num._over(lead), den._over(lead)
 
     @classmethod
     def const(cls, c):

@@ -395,12 +395,18 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
 
     The statistic value of a labeling is its value on the zero-labeled
     ideal.  When `expected` (a rational function of q, or a Fraction) is
-    given, the averages are compared against its value at q = r/s.
+    given, the averages are compared against its value at q = r/s; a pole
+    there raises ValueError before any labeling is walked.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
     if f.kind != RATIONAL:
         raise ValueError("lift a rational-valued statistic (specialize q first)")
+    if isinstance(expected, RationalFunction):
+        try:
+            expected = expected.evaluate(alphabet.q)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"the expected value has a {exc}") from None
     # integer orbit sums over the one denominator of the values
     value, den = dict(zip(P.ideal_masks(), f.nums)).__getitem__, f.den
     totals = []
@@ -412,11 +418,7 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
     homomesic = all(a == averages[0] for a in averages)
     matches = None
     if expected is not None:
-        if isinstance(expected, RationalFunction):
-            target = expected.evaluate(alphabet.q)
-        else:
-            target = Fraction(expected)
-        matches = homomesic and averages[0] == target
-        expected = target
+        expected = Fraction(expected)
+        matches = homomesic and averages[0] == expected
     return QHomomesyReport(homomesic, tuple(averages), tuple(sizes),
                            expected, matches)

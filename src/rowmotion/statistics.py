@@ -190,8 +190,9 @@ def _clear(values, kind):
 def _lowest(nums, den, kind):
     """The cleared form nums / den in lowest terms.  Over Q the denominator
     is positive and shares no factor with every numerator.  Over Q(q) no
-    polynomial divides them all, and the denominator is monic times the least
-    positive integer that makes every coefficient integral."""
+    polynomial divides them all, the denominator is monic times the least
+    positive integer that makes every coefficient integral, and every
+    coefficient is an int (scaling by the Fraction `scale` makes it one)."""
     if kind == RATIONAL:
         g = gcd(den, *nums)
         if den < 0:
@@ -204,11 +205,9 @@ def _lowest(nums, den, kind):
         g = poly_gcd(g, v)
     if g.degree > 0:
         den, nums = den.exact_div(g), tuple(v.exact_div(g) for v in nums)
-    inv = 1 / den.leading()
+    inv = Fraction(1, den.leading())
     distinct = set(nums)
     scale = inv * lcm(*(c.denominator for p in distinct | {den} for c in (p * inv).coeffs))
-    if scale == 1:
-        return nums, den
     scaled = {p: p * scale for p in distinct}
     return tuple(scaled[v] for v in nums), den * scale
 

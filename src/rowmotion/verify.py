@@ -21,7 +21,7 @@ from .decompose import (
     toggleability_space_dims,
     verify_independence,
 )
-from .poset import enumerate_antichains
+from .poset import CapExceededError, enumerate_antichains
 
 SUITES = ("striker", "rooks", "halfrook", "lifting", "qstriker", "spans", "table2")
 
@@ -340,7 +340,15 @@ def _items_spans(max_cells, seed):
     return [(f"spans:{spec}", check_spans, (spec,)) for spec in roster(max_cells)]
 
 
+# The largest `verify table2 --max` whose every item answers within WORK_CAP
+# (rect:11,11 exceeds it): --max 10 takes about 11 s on one x86-64 core.
+MAX_TABLE2_SIZE = 10
+
+
 def _items_table2(max_size, seed):
+    if max_size > MAX_TABLE2_SIZE:
+        raise CapExceededError(
+            f"table2 --max {max_size} is more than MAX_TABLE2_SIZE = {MAX_TABLE2_SIZE}")
     items = []
     for a in range(1, max_size + 1):
         for b in range(a, max_size + 1):

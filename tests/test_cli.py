@@ -402,9 +402,11 @@ QROW = ("qrow", "--family", "rect:2,2", "--r", "1", "--s", "2", "--stat", "antic
     QROW + ("--expect", "qnum("),
     QROW + ("--expect", "q^"),
     QROW + ("--expect", "1/(q-q)"),
+    QROW + ("--expect", "1/(2*q-1)"),  # a pole at q = r/s = 1/2
     ("decompose", "rect:2,2", "1/0*diag"),
     ("orbits", "rect:2,2", "--level", "pl", "--alpha", "1/0"),
-], ids=["qnum-open", "caret-end", "zero-divisor", "zero-coefficient", "zero-alpha"])
+], ids=["qnum-open", "caret-end", "zero-divisor", "pole-at-r-over-s", "zero-coefficient",
+        "zero-alpha"])
 def test_malformed_input_is_a_usage_error(argv):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -762,6 +764,20 @@ def test_certificate_work_is_bounded_before_it_starts(argv, what, monkeypatch):
     assert code == 3 and err == ""
     detail = json.loads(out)["detail"]
     assert detail.startswith(what) and "WORK_CAP = 5000" in detail
+
+
+def test_table2_size_is_bounded_before_any_item_is_built():
+    import time
+
+    from rowmotion.verify import MAX_TABLE2_SIZE, _items_table2
+
+    # unbounded, this --max would build about 5 * 10^11 items before the first ran
+    start = time.perf_counter()
+    code, out, err = run_cli_err("verify", "table2", "--max", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and err == ""
+    assert f"MAX_TABLE2_SIZE = {MAX_TABLE2_SIZE}" in json.loads(out)["detail"]
+    assert _items_table2(MAX_TABLE2_SIZE, 1)  # the bound itself is accepted
 
 
 def test_decompose_frontier():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings, strategies as hyp
@@ -6,7 +7,7 @@ from rowmotion.families import rectangle
 from rowmotion.qpoly import (
     Polynomial,
     RationalFunction,
-    _ZPoly,
+    _poly,
     poly_gcd,
     q_binomial,
     q_factorial,
@@ -116,16 +117,25 @@ def test_rational_function_pole_detection():
 int_lists = hyp.lists(hyp.integers(-9, 9), max_size=6)
 
 
+def _fractions(cs):
+    """A Polynomial with every coefficient a Fraction, integral ones too, as
+    arithmetic on Fractions can leave them (the constructor makes those ints)."""
+    return _poly([Fraction(c) for c in cs])
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(int_lists, int_lists, hyp.integers(-5, 5))
 def test_zpoly_ring_operations_match_polynomial(a, b, k):
-    x, y = _ZPoly(a), _ZPoly(b)
-    P, Q = Polynomial(a), Polynomial(b)
+    """Polynomials over Z[q] on the int fast paths match the same
+    operations on Fraction coefficients, and stay int."""
+    x, y = Polynomial(a), Polynomial(b)
+    P, Q = _fractions(a), _fractions(b)
     for got, want in ((x + y, P + Q), (x - y, P - Q), (-x, -P), (x * y, P * Q),
                       (x + k, P + k), (k - x, k - P), (k * x, P * k), (x * k, P * k)):
-        assert isinstance(got, _ZPoly) and Polynomial(got) == want
+        assert isinstance(got, Polynomial) and got == want
+        assert all(c.__class__ is int for c in got.coeffs)
     assert (x == k) == (P == k) and (x != k) == (P != k)
-    assert bool(x) == bool(P) and (x == _ZPoly(a + [0, 0]))
+    assert bool(x) == bool(P) and (x == Polynomial(a + [0, 0]))
     if y:
         assert x * y // y == x and x * y // y * y == x * y
     if k:
@@ -133,10 +143,10 @@ def test_zpoly_ring_operations_match_polynomial(a, b, k):
 
 
 def test_zpoly_exact_division_raises_on_inexact_quotient():
-    q = _ZPoly((0, 1))
+    q = Polynomial((0, 1))
     for num, den in ((q + 1, q - 1),  # a nonzero remainder
                      (q * q + 1, 2 * q),  # a quotient outside Z[q]
-                     (_ZPoly((3,)), 2), (2 * q + 1, 2),
+                     (Polynomial((3,)), 2), (2 * q + 1, 2),
                      (q, q * q)):  # a divisor of higher degree
         try:
             num // den
@@ -145,4 +155,57 @@ def test_zpoly_exact_division_raises_on_inexact_quotient():
         else:
             raise AssertionError(f"{num} // {den} did not raise")
     assert (q * q - 1) // (q - 1) == q + 1 and (4 * q + 2) // 2 == 2 * q + 1
-    assert _ZPoly() // (q + 3) == 0
+    assert Polynomial() // (q + 3) == 0
+
+
+_EXACT = hyp.one_of(hyp.integers(-9, 9), hyp.fractions(-5, 5, max_denominator=4))
+exact_lists = hyp.lists(_EXACT, max_size=5)
+
+
+def _exact_parts(x):
+    """The Polynomials a result is made of, each checked to hold only ints
+    and Fractions."""
+    parts = (x.num, x.den) if isinstance(x, RationalFunction) else (x,)
+    for p in parts:
+        assert all(c.__class__ in (int, Fraction) for c in p.coeffs), p.coeffs
+    return parts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(exact_lists, exact_lists, int_lists, int_lists, _EXACT, hyp.integers(2, 6))
+def test_no_coefficient_is_ever_a_float(a, b, u, v, k, lead):
+    """Every operation on int and Fraction coefficients gives exact ones,
+    equal to the same operation on all-Fraction inputs."""
+    from rowmotion import Statistic, t_q
+    from rowmotion.statistics import QRATIONAL
+
+    x, y = Polynomial(a), Polynomial(b)
+    X, Y = _fractions(x.coeffs), _fractions(y.coeffs)
+    zu, zv = Polynomial(u), Polynomial(v)
+    ZU, ZV = _fractions(u), _fractions(v)
+    ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+           lambda x, y: x * k, lambda x, y: k - x, lambda x, y: x.monic(),
+           lambda x, y: poly_gcd(x, y)]
+    if y:
+        ops += [lambda x, y: x.divmod(y)[0], lambda x, y: x.divmod(y)[1],
+                lambda x, y: (x * y).exact_div(y), lambda x, y: RationalFunction(x, y)]
+    pairs = [(op(x, y), op(X, Y)) for op in ops]
+    if zv:
+        pairs.append((zu * zv // zv, ZU * ZV // ZV))
+    for got, want in pairs:
+        assert _exact_parts(got) == _exact_parts(want)
+    # a Q(q) statistic cleared to the denominator 1 + lead*q, a non-unit
+    # leading coefficient, from int and from all-Fraction coefficients, and
+    # one whose all-Fraction values need no scaling to clear
+    if k:
+        P = rectangle(2, 2)
+        stats = [RationalFunction(num, den) * t_q(P, 0) for num, den in (
+            (Polynomial((k,)), Polynomial((1, lead))), (_fractions((k,)), _fractions((1, lead))))]
+        assert stats[0].den.leading() % lead == 0  # an int, not 1
+        assert stats[0].den == stats[1].den and stats[0].nums == stats[1].nums
+        values = [RationalFunction(_fractions((1, lead)))] * len(P.ideal_masks())
+        stats.append(Statistic(P, values, kind=QRATIONAL))
+        for s in stats:
+            assert all(c.__class__ is int for p in (s.den, *s.nums) for c in p.coeffs)
+            for p in (s.den, *s.nums, *s.values):
+                _exact_parts(p)
