@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from . import dynamics, families, qrow, statistics as st, verify
+from . import dynamics, families, lifted, qrow, statistics as st, verify
 from .decompose import decompose, q_decompose
 from .poset import CapExceededError, _bits
 from .qpoly import (
@@ -66,23 +66,16 @@ def cmd_orbits(args) -> int:
         except ValueError:
             raise ValueError(
                 f"variant {variant!r} must be q:<r>,<s> with integers r and s") from None
-        alphabet = _alphabet(args, P, r, s)
+        alphabet, total = _alphabet(args, P, r, s)
         orbits = [(len(o), o[0]) for o in qrow._walk(P, alphabet, None, as_labels=True)]
-        total = qrow.labeling_count(P, alphabet)
         sizes = [size for size, _ in orbits]
         reps = ["".join(map(str, first)) for _, first in orbits]
     else:
-        if variant in ("rowmotion", "antichain"):
-            order = dynamics.rowmotion_order(P)
-        elif variant == "gyration":
-            order = dynamics.sigma_order(P, dynamics.gyration_sigma(P))
-        elif variant.startswith("sigma:"):
-            sigma = tuple(int(t) for t in variant[6:].split(","))
-            order = dynamics.sigma_order(P, sigma)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
         # antichain k is max of ideal k, so antichain rowmotion has the
         # cycles of rowmotion on the ideal indices
+        sigma = _rank_sigma(P, "rowmotion" if variant == "antichain" else variant,
+                            f"unknown variant {variant!r}")
+        order = dynamics.rowmotion_order(P) if sigma is None else dynamics.sigma_order(P, sigma)
         cycles = dynamics.permutation_orbits(P.sweep_permutation(order))
         masks = P.antichain_masks() if variant == "antichain" else P.ideal_masks()
         total = len(masks)
@@ -104,21 +97,26 @@ def cmd_orbits(args) -> int:
     return EXIT_OK if payload["sum_check"] else EXIT_FAIL
 
 
-def _lifted_orbit_payload(args, P) -> int:
-    from . import lifted
+def _rank_sigma(P, variant, error):
+    """The rank permutation that a rowmotion, gyration or sigma:<perm>
+    variant names, None for rowmotion's order; any other variant raises
+    ValueError(error)."""
+    if variant == "rowmotion":
+        return None
+    if variant == "gyration":
+        return dynamics.gyration_sigma(P)
+    if variant.startswith("sigma:"):
+        return tuple(int(t) for t in variant[6:].split(","))
+    raise ValueError(error)
 
+
+def _lifted_orbit_payload(args, P) -> int:
     bounds = {name: st.parse_fraction(text)
               for name, text in (("alpha", args.alpha), ("omega", args.omega)) if text}
     point = lifted.PLPoint if args.level == "pl" else lifted.BPoint
     pt = point(P, _start_values(args, P), **bounds)
-    sigma = None
-    if args.variant.startswith("sigma:"):
-        sigma = tuple(int(t) for t in args.variant[6:].split(","))
-    elif args.variant == "gyration":
-        sigma = dynamics.gyration_sigma(P)
-    elif args.variant != "rowmotion":
-        raise ValueError(
-            "lifted levels support variants rowmotion, gyration and sigma:<perm>")
+    sigma = _rank_sigma(P, args.variant,
+                        "lifted levels support variants rowmotion, gyration and sigma:<perm>")
     states = lifted.lifted_orbit(pt, sigma=sigma, max_iter=args.max_iter)
     laws = lifted.toggleability_orbit_law(states)
     payload = {
@@ -138,8 +136,6 @@ def _lifted_orbit_payload(args, P) -> int:
 
 
 def _start_values(args, P):
-    from . import lifted
-
     spec = args.start
     if spec.startswith("random:"):
         rng = random.Random(int(spec.split(":", 1)[1]))
@@ -154,13 +150,14 @@ def _start_values(args, P):
 
 
 def _alphabet(args, P, r, s):
-    qrow.check_labeling_count(P, r, s)
+    """The flavor alphabet that --theta names, and the labeling count."""
+    count = qrow.check_labeling_count(P, r, s)
     theta = getattr(args, "theta", "default") or "default"
     if theta == "default":
-        return qrow.FlavorAlphabet.default(r, s)
+        return qrow.FlavorAlphabet.default(r, s), count
     if theta.startswith("random:"):
         rng = random.Random(int(theta.split(":", 1)[1]))
-        return qrow.FlavorAlphabet.random(r, s, rng)
+        return qrow.FlavorAlphabet.random(r, s, rng), count
     raise ValueError("theta must be 'default' or 'random:<seed>'")
 
 
@@ -215,7 +212,7 @@ def cmd_verify(args) -> int:
 
 def cmd_qrow(args) -> int:
     P = families.from_specifier(args.family)
-    alphabet = _alphabet(args, P, args.r, args.s)
+    alphabet, _ = _alphabet(args, P, args.r, args.s)
     stat = st.parse_statistic(P, args.stat)
     expected = parse_q_expression(args.expect) if args.expect else None
     report = qrow.q_homomesy_check(P, alphabet, stat, expected=expected)

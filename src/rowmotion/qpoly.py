@@ -82,7 +82,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals, so hashes as, its number
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __neg__(self):
         return _poly([-c for c in self.coeffs])
@@ -382,7 +384,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial equals, so hashes as, its numerator
+        return hash(self.num) if self.den.coeffs == (1,) else hash((self.num, self.den))
 
     def __neg__(self):
         out = RationalFunction.__new__(RationalFunction)

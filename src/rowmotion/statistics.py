@@ -543,7 +543,7 @@ def parse_fraction(text) -> Fraction:
                                  f"+-{MAX_NUMBER_DIGITS}: {text!r}")
     try:
         return Fraction(text)
-    except (ZeroDivisionError, TypeError, OverflowError):
+    except (ZeroDivisionError, TypeError, OverflowError, ValueError):
         raise ValueError(f"not a rational number: {text!r}") from None
 
 
@@ -553,6 +553,8 @@ def _parse_atom(P, atom):
         return rook_A(P, int(arg))
     if head == "tout":
         i, j = (int(t) for t in arg.split(","))
+        if not P.has_coord((i, j)):
+            raise ValueError(f"({i},{j}) is outside the poset")
         return t_out(P, P.element_at((i, j)))
     return named_statistic(P, atom)
 

@@ -32,13 +32,14 @@ _ROSTER = (
 )
 
 
+def _within(specs, max_cells):
+    """The specifiers among `specs`, in order, whose posets have at most
+    max_cells elements."""
+    return [spec for spec in specs if families.from_specifier(spec).n <= max_cells]
+
+
 def roster(max_cells: int):
-    out = []
-    for spec in _ROSTER:
-        P = families.from_specifier(spec)
-        if P.n <= max_cells:
-            out.append(spec)
-    return out
+    return _within(_ROSTER, max_cells)
 
 
 @dataclass(frozen=True)
@@ -113,39 +114,30 @@ def check_antichain_striker(spec: str):
     return True, ""
 
 
+# family -> the (builder, args) of each rook of P, given P and the family's
+# parameters; the reduced rook is the same builder called with reduced=True
+_ROOKS = {
+    "rect": lambda P, a, b: [(st.rook_rect, c) for c in P.coords],
+    "sstair": lambda P, n: [(st.rook_sstair, c) for c in P.coords],
+    "rootA": lambda P, n: [(st.rook_A, (i,)) for i in range(1, n + 1)],
+    "rootB": lambda P, n: [(rook, (i,)) for i in range(1, n + 1)
+                           for rook in (st.rook_B, st.var_rook_B)],
+}
+
+
 def check_rooks(spec: str):
     """Every full rook evaluates to 1 on every ideal; each reduced rook
     differs from its full rook by a pure toggleability combination."""
     P = families.from_specifier(spec)
-    family = spec.split(":")[0]
-    if family == "rect":
-        pairs = [(c, None) for c in P.coords]
-        full = lambda c: st.rook_rect(P, *c[0])
-        red = lambda c: st.rook_rect(P, *c[0], reduced=True)
-    elif family == "sstair":
-        pairs = [(c, None) for c in P.coords]
-        full = lambda c: st.rook_sstair(P, *c[0])
-        red = lambda c: st.rook_sstair(P, *c[0], reduced=True)
-    elif family == "rootA":
-        n = max(b for _, b in P.coords)
-        pairs = [((i,), None) for i in range(1, n + 1)]
-        full = lambda c: st.rook_A(P, c[0][0])
-        red = lambda c: st.rook_A(P, c[0][0], reduced=True)
-    elif family == "rootB":
-        n = (max(b for _, b in P.coords) + 1) // 2
-        pairs = [((i, v), None) for i in range(1, n + 1) for v in (False, True)]
-        full = lambda c: (st.var_rook_B(P, c[0][0]) if c[0][1]
-                          else st.rook_B(P, c[0][0]))
-        red = lambda c: (st.var_rook_B(P, c[0][0], reduced=True) if c[0][1]
-                         else st.rook_B(P, c[0][0], reduced=True))
-    else:
+    family, _, params = spec.partition(":")
+    if family not in _ROOKS:
         return False, f"no rooks for family {family}"
-    for c in pairs:
-        r = full(c)
-        if r != st.constant_statistic(P, 1):
+    one = st.constant_statistic(P, 1)
+    for rook, args in _ROOKS[family](P, *map(int, params.split(","))):
+        r = rook(P, *args)
+        if r != one:
             return False, f"{spec}: {r.label} is not identically 1"
-        diff = r - red(c)
-        dec = decompose(P, diff)
+        dec = decompose(P, r - rook(P, *args, reduced=True))
         if dec is None or dec.constant != 0:
             return False, f"{spec}: full and reduced {r.label} differ by more than toggleability"
     return True, ""
@@ -262,13 +254,8 @@ def expected_table2(family: str, *params) -> dict:
 
 
 def check_table2(family: str, *params):
-    ctor = {
-        "rect": families.rectangle,
-        "sstair": families.shifted_staircase,
-        "rootA": families.root_poset_A,
-        "rootB": families.root_poset_B,
-    }[family]
-    got = toggleability_space_dims(ctor(*params))
+    P = families.from_specifier(f"{family}:{','.join(map(str, params))}")
+    got = toggleability_space_dims(P)
     exp = expected_table2(family, *params)
     if got != exp:
         return False, f"{family}{params}: got {got}, expected {exp}"
@@ -288,34 +275,19 @@ def _items_striker(max_cells, seed):
     return items
 
 
+def _rects(top):
+    return [f"rect:{a},{b}" for a in range(1, top + 1) for b in range(a, top + 1)]
+
+
 def _items_rooks(max_cells, seed):
-    specs = []
-    for a in range(1, 6):
-        for b in range(a, 6):
-            if a * b <= max_cells:
-                specs.append(f"rect:{a},{b}")
-    for n in range(1, 6):
-        if n * (n + 1) // 2 <= max_cells:
-            specs.append(f"sstair:{n}")
-    for n in range(1, 7):
-        if n * (n + 1) // 2 <= max_cells:
-            specs.append(f"rootA:{n}")
-    for n in range(1, 5):
-        if n * n <= max_cells:
-            specs.append(f"rootB:{n}")
-    return [(f"rooks:{spec}", check_rooks, (spec,)) for spec in specs]
+    specs = (_rects(5) + [f"sstair:{n}" for n in range(1, 6)]
+             + [f"rootA:{n}" for n in range(1, 7)] + [f"rootB:{n}" for n in range(1, 5)])
+    return [(f"rooks:{spec}", check_rooks, (spec,)) for spec in _within(specs, max_cells)]
 
 
 def _items_halfrook(max_cells, seed):
-    specs = []
-    for a in range(1, 5):
-        for b in range(a, 5):
-            if a * b <= max_cells:
-                specs.append(f"rect:{a},{b}")
-    for n in range(1, 6):
-        if n * (n + 1) // 2 <= max_cells:
-            specs.append(f"rootA:{n}")
-    return [(f"halfrook:{spec}", check_halfrook, (spec,)) for spec in specs]
+    specs = _rects(4) + [f"rootA:{n}" for n in range(1, 6)]
+    return [(f"halfrook:{spec}", check_halfrook, (spec,)) for spec in _within(specs, max_cells)]
 
 
 def _items_lifting(max_cells, seed):

@@ -209,7 +209,8 @@ def test_output_determinism():
 
 # sha256 of (exit code, stdout) for a fixed list of in-process calls: the
 # certificates of the q-certify ladder with and without --q, one combination,
-# one NOT IN SPAN control, four verify suites and one q-rowmotion orbit run.
+# one NOT IN SPAN control, seven verify suites, and orbit runs of the q,
+# gyration, sigma and antichain variants and of the PL and birational levels.
 # A change that keeps every output byte-identical keeps these digests.
 GOLDEN_DIGESTS = {
     ("decompose", "rect:2,2", "antichain_card"):
@@ -314,6 +315,23 @@ GOLDEN_DIGESTS = {
         "4df8443eef6f8e7d75215a765a074acf2b0b15262684edce85d54a42090f4c23",
     ("orbits", "rect:3,3", "--variant", "q:1,2"):
         "39b52da3014cd24a16c6638413e8238d5816f7d37fe60496495d3e1b3540acab",
+    ("verify", "rooks"):
+        "12d4175e74fc18dfc8fc9fc321946c5566b89d165ef440eef23986d2a58ac259",
+    ("verify", "halfrook"):
+        "484e6f421804161e09e2b14e2436803a2dfc2f5e7c2540a989f17a6cdaca5ca9",
+    ("verify", "lifting", "--seed", "1"):
+        "0833442f7fa11365cb17bcf06903d7d87a9211f91dfb26c69c0ede5aff5ed6ac",
+    ("orbits", "rect:3,3", "--variant", "gyration"):
+        "e611558519714bf3603d9079b1ccc27e12c94e2ab15815f292b300685e6059c4",
+    ("orbits", "rect:3,4", "--variant", "sigma:2,0,4,1,3,5"):
+        "2cb59e63b7b2dd9fe9b85fc828fa149a49251ab087312b1da87604ab302360f4",
+    ("orbits", "E7", "--variant", "antichain"):
+        "7c873f0d8df6ebcc375c5a89d3190375394cad08a21d5a0e619c922bfb58ff6b",
+    ("orbits", "rect:2,3", "--level", "pl", "--variant", "gyration"):
+        "9ea6effa53adc4080b26c536c4e2b67bb8509976bee3f32406b8758ae62e664d",
+    ("orbits", "rect:2,2", "--level", "birational", "--alpha", "2/3", "--omega", "7/5",
+     "--start", "random:9"):
+        "8b30e93a39a924dd0ad5d10f2f9c7890d6e106909fbd4a631f454ea12389af2e",
 }
 
 
@@ -405,8 +423,10 @@ QROW = ("qrow", "--family", "rect:2,2", "--r", "1", "--s", "2", "--stat", "antic
     QROW + ("--expect", "1/(2*q-1)"),  # a pole at q = r/s = 1/2
     ("decompose", "rect:2,2", "1/0*diag"),
     ("orbits", "rect:2,2", "--level", "pl", "--alpha", "1/0"),
+    ("decompose", "rect:2,2", "tout:9,9"),
+    ("decompose", "rect:2,2", "*diag"),
 ], ids=["qnum-open", "caret-end", "zero-divisor", "pole-at-r-over-s", "zero-coefficient",
-        "zero-alpha"])
+        "zero-alpha", "tout-outside", "empty-coefficient"])
 def test_malformed_input_is_a_usage_error(argv):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -414,6 +434,16 @@ def test_malformed_input_is_a_usage_error(argv):
     assert code == 2 and out == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("stat, message", [
+    ("tout:9,9", "(9,9) is outside the poset"),
+    ("*diag", "not a rational number: ''"),
+    ("x*diag", "not a rational number: 'x'"),
+])
+def test_usage_error_names_the_bad_input(stat, message):
+    code, out, err = run_cli_err("decompose", "rect:2,2", stat)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("content", ["[1e400, 1, 1, 1]", "[1, -1e400, 1, 1]"])
@@ -930,6 +960,17 @@ def test_fuzz_statistic_specifier(stat):
 @given(_fuzz_text(Q_TOKENS))
 def test_fuzz_q_expression(expr):
     _assert_documented(list(QROW) + ["--expect", expr])
+
+
+VARIANT_TOKENS = ["rowmotion", "gyration", "antichain", "sigma:", "q:", "0", "1", "2", "3",
+                  ",", "-", " "]
+
+
+@FUZZ
+@given(_fuzz_text(VARIANT_TOKENS))
+def test_fuzz_variant(variant):
+    _assert_documented(["orbits", "rect:2,2", "--variant", variant])
+    _assert_documented(["orbits", "rect:2,2", "--variant", variant, "--level", "pl"])
 
 
 _JSON = hst.recursive(

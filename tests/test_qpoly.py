@@ -209,3 +209,16 @@ def test_no_coefficient_is_ever_a_float(a, b, u, v, k, lead):
             assert all(c.__class__ is int for p in (s.den, *s.nums) for c in p.coeffs)
             for p in (s.den, *s.nums, *s.values):
                 _exact_parts(p)
+
+
+def test_hash_agrees_with_equality():
+    q = Polynomial((0, 1))
+    assert 3 in {Polynomial((3,))} and Polynomial((3,)) in {3}
+    assert 0 in {Polynomial()} and Polynomial() in {0}
+    assert Fraction(1, 2) in {Polynomial((Fraction(1, 2),))}
+    assert Polynomial((Fraction(4, 2),)) in {2}
+    assert q in {RationalFunction(q)} and RationalFunction(q) in {q}
+    assert 3 in {RationalFunction.const(3)} and 0 in {RationalFunction(Polynomial())}
+    for x, y in ((Polynomial((1, 2)), Polynomial((Fraction(1), Fraction(2)))),
+                 (RationalFunction(q, q + 1), RationalFunction(2 * q, 2 * q + 2))):
+        assert x == y and hash(x) == hash(y)
