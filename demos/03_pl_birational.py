@@ -13,19 +13,21 @@ import random
 from fractions import Fraction
 
 from rowmotion import (
+    BPoint,
     certificate_witness,
-    check_b_constant,
+    check_constant,
     decompose,
     enumerate_ideals,
     lifted_orbit,
+    lifted_rowmotion,
     named_statistic,
     orbit_homomesy_lifted,
-    pl_rowmotion,
+    random_point,
     rowmotion,
     vertex_point,
 )
 from rowmotion.families import rectangle
-from rowmotion.lifted import random_b_point, random_fraction
+from rowmotion.lifted import random_fraction
 
 rng = random.Random(5)
 P = rectangle(2, 2)
@@ -33,11 +35,11 @@ P = rectangle(2, 2)
 print("vertex points track combinatorial rowmotion exactly:")
 I = enumerate_ideals(P)[1]
 print(f"  start ideal {[P.coords[x] for x in I]}")
-print(f"  pl step  -> {pl_rowmotion(vertex_point(I)).values}")
+print(f"  pl step  -> {lifted_rowmotion(vertex_point(I)).values}")
 print(f"  expected -> {vertex_point(rowmotion(P, I)).values}")
 
 alpha, omega = Fraction(2, 3), Fraction(7, 5)
-pt = random_b_point(P, rng, alpha=alpha, omega=omega)
+pt = random_point(BPoint, P, rng, alpha=alpha, omega=omega)
 orbit = lifted_orbit(pt)
 print(f"\nbirational rowmotion from a random positive point: period {len(orbit)}")
 for k, state in enumerate(orbit):
@@ -56,8 +58,8 @@ report = orbit_homomesy_lifted(h, c, pt)
 print(f"\nlifted ideal-cardinality certificate: orbit product law holds: {report.holds}")
 
 checks = sum(
-    check_b_constant(h, c, random_b_point(P, rng, alpha=random_fraction(rng),
-                                          omega=random_fraction(rng)))
+    check_constant(h, c, random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                                      omega=random_fraction(rng)))
     for _ in range(25)
 )
 print(f"lifted statistic exactly constant at {checks}/25 random positive points")

@@ -94,19 +94,15 @@ from .lifted import (
     BPoint,
     LiftedStatistic,
     PLPoint,
-    b_rowmotion,
-    b_rowmotion_sigma,
-    b_toggle,
     certificate_witness,
-    check_b_constant,
-    check_pl_constant,
+    check_constant,
     lift_statistic,
     lifted_orbit,
+    lifted_rowmotion,
+    lifted_toggle,
     lifted_toggleability,
     orbit_homomesy_lifted,
-    pl_rowmotion,
-    pl_rowmotion_sigma,
-    pl_toggle,
+    random_point,
     vertex_point,
 )
 from .qrow import (

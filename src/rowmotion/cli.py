@@ -427,6 +427,12 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse (3.11) parses `--opt=--` to []; no option here takes a list
+    listed = [dest for dest, value in vars(args).items() if isinstance(value, list)]
+    if listed:
+        print(f"error: argument --{listed[0].replace('_', '-')}: expected one argument",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except CapExceededError as exc:

@@ -3,7 +3,12 @@
 Points carry boundary parameters alpha and omega (the values attached to the
 adjoined bottom and top elements).  Both levels share one point type and one
 sweep, which toggles in place on a value list and builds one point at the
-end; orbit return is detected by exact equality.
+end; orbit return is detected by exact equality.  Each operation is one
+function that works at the level of the point it is given: `lifted_toggle`,
+`lifted_rowmotion`, `lifted_toggleability`, `check_constant`, `lifted_orbit`
+and `orbit_homomesy_lifted`; `random_point` draws a point of either level.
+The paper's per-level names `pl_t_signed`, `b_t_ratio`, `check_pl_constant`
+and `check_b_constant` are aliases, in one table at the end of the module.
 
 Each point builds one integer table the first time a law or an atom is
 asked of it: at the PL level the numerators of T+_p, T-_p, omega - x_p and
@@ -22,13 +27,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm, prod
 
 from .dynamics import rowmotion_order, sigma_order
 from .poset import CapExceededError, OrderIdeal, Poset
 from .qpoly import cleared
-from .statistics import Statistic
+from .statistics import TOGGLEABILITY_KINDS, Statistic
 
 
 @dataclass(frozen=True)
@@ -143,68 +148,34 @@ def _sweep(pt, order):
     return type(pt)(pt.poset, vals, pt.alpha, pt.omega)
 
 
-# -- piecewise-linear level ---------------------------------------------------------
+# -- the lifted operations, at the level of the point given ---------------------------
 
 
-def pl_toggle(pt: PLPoint, p: int) -> PLPoint:
+def _order(P: Poset, sigma) -> tuple:
+    """The toggle order of rowmotion (sigma None) or of its rank permutation sigma."""
+    return rowmotion_order(P) if sigma is None else sigma_order(P, sigma)
+
+
+def lifted_toggle(pt, p: int):
+    """The toggle at p of a PL or birational point."""
+    if not (0 <= p < pt.poset.n):
+        raise IndexError(f"element {p} out of range")
     return _sweep(pt, (p,))
 
 
-def pl_rowmotion(pt: PLPoint) -> PLPoint:
-    return _sweep(pt, rowmotion_order(pt.poset))
-
-
-def pl_rowmotion_sigma(pt: PLPoint, sigma) -> PLPoint:
-    return _sweep(pt, sigma_order(pt.poset, sigma))
-
-
-def pl_t_in(pt: PLPoint, p: int) -> Fraction:
-    return _atom(pt, (p, 1, 0, 0))
-
-
-def pl_t_out(pt: PLPoint, p: int) -> Fraction:
-    return _atom(pt, (p, 0, 1, 0))
-
-
-def pl_t_signed(pt: PLPoint, p: int) -> Fraction:
-    return _atom(pt, (p, 1, -1, 0))
-
-
-# -- birational level ----------------------------------------------------------------
-
-
-def b_toggle(pt: BPoint, p: int) -> BPoint:
-    return _sweep(pt, (p,))
-
-
-def b_rowmotion(pt: BPoint) -> BPoint:
-    return _sweep(pt, rowmotion_order(pt.poset))
-
-
-def b_rowmotion_sigma(pt: BPoint, sigma) -> BPoint:
-    return _sweep(pt, sigma_order(pt.poset, sigma))
-
-
-def b_t_in(pt: BPoint, p: int) -> Fraction:
-    return _atom(pt, (p, 1, 0, 0))
-
-
-def b_t_out(pt: BPoint, p: int) -> Fraction:
-    return _atom(pt, (p, 0, 1, 0))
-
-
-def b_t_ratio(pt: BPoint, p: int) -> Fraction:
-    return _atom(pt, (p, 1, -1, 0))
-
-
-_KINDS = {"in": (1, 0, 0), "out": (0, 1, 0), "signed": (1, -1, 0)}
+def lifted_rowmotion(pt, sigma=None):
+    """One step of rowmotion, or of its rank permutation sigma, on a PL or
+    birational point."""
+    return _sweep(pt, _order(pt.poset, sigma))
 
 
 def lifted_toggleability(pt, p: int, kind: str) -> Fraction:
     """T+/T-/signed at the level of the given point (PL or birational)."""
-    if type(pt) not in (PLPoint, BPoint) or kind not in _KINDS:
+    if type(pt) not in (PLPoint, BPoint) or kind not in TOGGLEABILITY_KINDS:
         raise ValueError(f"no lifted statistic for {type(pt).__name__}/{kind}")
-    return _atom(pt, (p, *_KINDS[kind]))
+    if not (0 <= p < pt.poset.n):
+        raise IndexError(f"element {p} out of range")
+    return _atom(pt, (p, *TOGGLEABILITY_KINDS[kind], 0))
 
 
 # -- lifting linear statistics ---------------------------------------------------------
@@ -353,11 +324,9 @@ def _law_holds(terms, c, states) -> bool:
     return lhs == rhs
 
 
-def check_pl_constant(h: LiftedStatistic, c: Fraction, pt: PLPoint) -> bool:
-    return _law_holds(h._terms, c, (pt,))
-
-
-def check_b_constant(h: LiftedStatistic, c: Fraction, pt: BPoint) -> bool:
+def check_constant(h: LiftedStatistic, c: Fraction, pt) -> bool:
+    """Whether h equals its certificate constant c at the PL or birational
+    point pt: c * (omega - alpha) (PL) or (omega/alpha)^c (birational)."""
     return _law_holds(h._terms, c, (pt,))
 
 
@@ -373,8 +342,7 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    P = start.poset
-    order = rowmotion_order(P) if sigma is None else sigma_order(P, sigma)
+    order = _order(start.poset, sigma)
     states = [start]
     cur = _sweep(start, order)
     while cur != start:
@@ -415,7 +383,8 @@ def toggleability_orbit_law(states) -> bool:
     """Whether every signed toggleability T_p = T+_p - T-_p obeys the law with
     constant 0 over `states`: orbit sum 0 (PL), orbit product 1 (birational)."""
     P = states[0].poset
-    return all(_law_holds(_law_terms(P, 1, ((p, 1, -1, 0),)), 0, states)
+    signs = TOGGLEABILITY_KINDS["signed"]
+    return all(_law_holds(_law_terms(P, 1, ((p, *signs, 0),)), 0, states)
                for p in range(P.n))
 
 
@@ -426,13 +395,21 @@ def random_fraction(rng: random.Random, bound: int = 100) -> Fraction:
     return Fraction(rng.randint(1, bound), rng.randint(1, bound))
 
 
-def random_pl_point(P: Poset, rng: random.Random, alpha=Fraction(0),
-                    omega=Fraction(1), bound: int = 100) -> PLPoint:
+def random_point(level, P: Poset, rng: random.Random, alpha=None, omega=None,
+                 bound: int = 100):
+    """A point of `level` (PLPoint or BPoint) on P whose values are drawn with
+    `random_fraction`; alpha and omega default to the level's own."""
     vals = [random_fraction(rng, bound) for _ in range(P.n)]
-    return PLPoint(P, vals, alpha, omega)
+    return level(P, vals, level.alpha if alpha is None else alpha,
+                 level.omega if omega is None else omega)
 
 
-def random_b_point(P: Poset, rng: random.Random, alpha=Fraction(1),
-                   omega=Fraction(1), bound: int = 100) -> BPoint:
-    vals = [random_fraction(rng, bound) for _ in range(P.n)]
-    return BPoint(P, vals, alpha, omega)
+# -- paper names ---------------------------------------------------------------------
+# The per-level names of the paper, kept as aliases of the API above.  Each is
+# its own object, so that wrapping one name (as a tracer does, by identity)
+# leaves the others and the function behind them alone.
+
+pl_t_signed = partial(lifted_toggleability, kind="signed")
+b_t_ratio = partial(lifted_toggleability, kind="signed")
+check_pl_constant = partial(check_constant)
+check_b_constant = partial(check_constant)

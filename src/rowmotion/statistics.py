@@ -411,7 +411,9 @@ def var_rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
 # -- antichain toggleability -------------------------------------------------------
 
 
-_ANTICHAIN_SIGNS = {"in": (1, 0), "out": (0, 1), "signed": (1, -1)}
+# kind of a toggleability statistic -> (sign of T+, sign of T-); the lifted
+# levels read the same table
+TOGGLEABILITY_KINDS = {"in": (1, 0), "out": (0, 1), "signed": (1, -1)}
 
 
 def antichain_toggleability(P: Poset, A: Antichain, kind: str) -> Statistic:
@@ -422,9 +424,9 @@ def antichain_toggleability(P: Poset, A: Antichain, kind: str) -> Statistic:
     onto the ideals to which A can be toggled in."""
     if A.poset is not P:
         raise ValueError("antichain belongs to a different poset")
-    if kind not in _ANTICHAIN_SIGNS:
+    if kind not in TOGGLEABILITY_KINDS:
         raise ValueError("kind must be 'in', 'out', or 'signed'")
-    sign_in, sign_out = _ANTICHAIN_SIGNS[kind]
+    sign_in, sign_out = TOGGLEABILITY_KINDS[kind]
     am, masks = A.mask, P.ideal_masks()
     nums = [0] * len(masks)
     for j, top in enumerate(P.antichain_masks()):

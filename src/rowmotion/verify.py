@@ -174,12 +174,12 @@ def check_lifting(spec: str, stat_kind: str, seed: int, npoints: int):
     for _ in range(npoints):
         alpha = lifted.random_fraction(rng) - Fraction(1, 2)
         omega = lifted.random_fraction(rng) + 1
-        pl = lifted.random_pl_point(P, rng, alpha=alpha, omega=omega)
-        if not lifted.check_pl_constant(h, c, pl):
+        pl = lifted.random_point(lifted.PLPoint, P, rng, alpha=alpha, omega=omega)
+        if not lifted.check_constant(h, c, pl):
             return False, f"{spec}: PL lift of {stat_kind} not constant"
-        bp = lifted.random_b_point(
-            P, rng, alpha=lifted.random_fraction(rng), omega=lifted.random_fraction(rng))
-        if not lifted.check_b_constant(h, c, bp):
+        bp = lifted.random_point(lifted.BPoint, P, rng, alpha=lifted.random_fraction(rng),
+                                 omega=lifted.random_fraction(rng))
+        if not lifted.check_constant(h, c, bp):
             return False, f"{spec}: birational lift of {stat_kind} not constant"
     return True, ""
 

@@ -18,8 +18,7 @@ from rowmotion import (
     antichain_span_dim,
     antichain_toggleability,
     certificate_witness,
-    check_b_constant,
-    check_pl_constant,
+    check_constant,
     decompose,
     enumerate_antichains,
     enumerate_ideals,
@@ -27,6 +26,8 @@ from rowmotion import (
     indicator_ideal,
     labeling_count,
     lifted_orbit,
+    lifted_rowmotion,
+    lifted_toggleability,
     named_statistic,
     orbit_partition,
     q_decompose,
@@ -56,16 +57,7 @@ from rowmotion.families import (
     shifted_staircase,
     trapezoid,
 )
-from rowmotion.lifted import (
-    b_rowmotion,
-    b_t_in,
-    b_t_out,
-    b_t_ratio,
-    pl_t_signed,
-    random_b_point,
-    random_fraction,
-    random_pl_point,
-)
+from rowmotion.lifted import BPoint, PLPoint, random_fraction, random_point
 from rowmotion.qpoly import Polynomial, RationalFunction, q_number
 from rowmotion.qrow import ideal_mask_of, q_orbits
 from rowmotion.verify import expected_table2
@@ -351,25 +343,23 @@ def test_criterion_7_pl_and_birational():
     # vertex specialization reproduces combinatorial rowmotion exhaustively
     for spec in ("rect:2,3", "sstair:3", "rootA:2", "dtd:3", "rootB:2"):
         P = from_specifier(spec)
-        from rowmotion import pl_rowmotion
-
         for I in enumerate_ideals(P):
-            assert pl_rowmotion(vertex_point(I)) == vertex_point(rowmotion(P, I))
+            assert lifted_rowmotion(vertex_point(I)) == vertex_point(rowmotion(P, I))
 
     # birational periods
     P = rectangle(2, 2)
     for _ in range(10):
-        pt = random_b_point(P, rng, alpha=random_fraction(rng),
-                            omega=random_fraction(rng), bound=30)
+        pt = random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                          omega=random_fraction(rng), bound=30)
         cur = pt
         for _ in range(4):
-            cur = b_rowmotion(cur)
+            cur = lifted_rowmotion(cur)
         assert cur == pt
     for a, b in ((2, 3), (3, 3)):
         P = rectangle(a, b)
         for _ in range(10):
-            pt = random_b_point(P, rng, alpha=random_fraction(rng),
-                                omega=random_fraction(rng), bound=20)
+            pt = random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                              omega=random_fraction(rng), bound=20)
             states = lifted_orbit(pt, max_iter=100)
             assert (a + b) % len(states) == 0
 
@@ -379,25 +369,25 @@ def test_criterion_7_pl_and_birational():
         top = P.max_rank()
         sigmas = [None] + [tuple(rng.sample(range(top + 1), top + 1)) for _ in range(3)]
         for sigma in sigmas:
-            pl = random_pl_point(P, rng, alpha=random_fraction(rng) - 1,
-                                 omega=random_fraction(rng) + 1)
+            pl = random_point(PLPoint, P, rng, alpha=random_fraction(rng) - 1,
+                              omega=random_fraction(rng) + 1)
             states = lifted_orbit(pl, sigma=sigma, max_iter=5000)
             for p in range(P.n):
-                assert sum(pl_t_signed(s, p) for s in states) == 0
-            bp = random_b_point(P, rng, alpha=random_fraction(rng),
-                                omega=random_fraction(rng), bound=20)
+                assert sum(lifted_toggleability(s, p, "signed") for s in states) == 0
+            bp = random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                              omega=random_fraction(rng), bound=20)
             states = lifted_orbit(bp, sigma=sigma, max_iter=5000)
             for p in range(P.n):
                 prod = Fraction(1)
                 for s in states:
-                    prod *= b_t_ratio(s, p)
+                    prod *= lifted_toggleability(s, p, "signed")
                 assert prod == 1
 
     # the all-values orbit product on the square
     P = rectangle(2, 2)
     for _ in range(5):
-        pt = random_b_point(P, rng, alpha=random_fraction(rng),
-                            omega=random_fraction(rng))
+        pt = random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                          omega=random_fraction(rng))
         prod = Fraction(1)
         for s in lifted_orbit(pt):
             for v in s.values:
@@ -411,21 +401,21 @@ def test_criterion_7_pl_and_birational():
         by_poset.setdefault(id(P), (P, []))[1].append((stat, dec))
     for P, pairs in by_poset.values():
         pl_points = [
-            random_pl_point(P, rng, alpha=random_fraction(rng) - 1,
-                            omega=random_fraction(rng) + 1)
+            random_point(PLPoint, P, rng, alpha=random_fraction(rng) - 1,
+                         omega=random_fraction(rng) + 1)
             for _ in range(100)
         ]
         b_points = [
-            random_b_point(P, rng, alpha=random_fraction(rng),
-                           omega=random_fraction(rng))
+            random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                         omega=random_fraction(rng))
             for _ in range(100)
         ]
         for stat, dec in pairs:
             h, c = certificate_witness(stat, dec)
             for pt in pl_points:
-                assert check_pl_constant(h, c, pt), (P.name, stat.label)
+                assert check_constant(h, c, pt), (P.name, stat.label)
             for pt in b_points:
-                assert check_b_constant(h, c, pt), (P.name, stat.label)
+                assert check_constant(h, c, pt), (P.name, stat.label)
             lifted_checked += 1
     _report(7, f"specialization, periods, orbit laws, and {lifted_checked} "
                f"certificates constant at 100 random points each")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
-from rowmotion.cli import main, parse_q_expression
+from rowmotion.cli import build_parser, main, parse_q_expression
 from rowmotion.families import from_specifier
 from rowmotion.qpoly import Polynomial, RationalFunction, q_binomial, q_number
 
@@ -697,6 +698,41 @@ def test_malformed_q_variant_is_a_usage_error(variant):
     code, out, err = run_cli_err("orbits", "rect:2,2", "--variant", variant)
     assert code == 2 and out == ""
     assert err == f"error: variant {variant!r} must be q:<r>,<s> with integers r and s\n"
+
+
+# a valid call of each subcommand, to which an option is appended
+VALID_CALLS = {
+    "orbits": ("orbits", "rect:2,2"),
+    "decompose": ("decompose", "rect:2,2", "ideal_card"),
+    "verify": ("verify", "striker"),
+    "qrow": QROW,
+}
+
+
+def _empty_value_forms():
+    """(option, argv) of the `--opt=--` form of every option of every
+    subcommand, read from the parser, so that an option added later is
+    covered too."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings:
+                opt = max(action.option_strings, key=len)
+                yield opt, [*VALID_CALLS[command], f"{opt}=--"]
+
+
+EMPTY_VALUE_FORMS = list(_empty_value_forms())
+
+
+@pytest.mark.parametrize("opt, argv", EMPTY_VALUE_FORMS,
+                         ids=[f"{argv[0]} {argv[-1]}" for _, argv in EMPTY_VALUE_FORMS])
+def test_option_written_with_an_empty_value_is_a_usage_error(opt, argv):
+    # argparse turns `--opt=--` into [] rather than refusing it
+    code, out, err = run_cli_err(*argv)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code == 2 and out == "", (argv, code, err)
+    assert len(errors) == 1 and f"{opt}:" in errors[0], (argv, err)
 
 
 def test_python_m_rowmotion_runs_the_cli():

@@ -1039,9 +1039,11 @@ def test_combo_certificates_enumerate_no_ideal():
     h, c = lifted.certificate_witness(f, dec)
     rng = random.Random(12)
     for _ in range(2):
-        pl = lifted.random_pl_point(P, rng, alpha=Fraction(-1, 2), omega=Fraction(3))
-        bp = lifted.random_b_point(P, rng, alpha=Fraction(2), omega=Fraction(5, 3))
-        assert lifted.check_pl_constant(h, c, pl) and lifted.check_b_constant(h, c, bp)
+        pl = lifted.random_point(lifted.PLPoint, P, rng, alpha=Fraction(-1, 2),
+                                 omega=Fraction(3))
+        bp = lifted.random_point(lifted.BPoint, P, rng, alpha=Fraction(2),
+                                 omega=Fraction(5, 3))
+        assert lifted.check_constant(h, c, pl) and lifted.check_constant(h, c, bp)
     assert P._ideal_masks is None
     # over Q(q) too, on a combo whose coefficients have a common denominator 6
     P = rectangle(3, 3)

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and some module
-of the package reads each private name a module defines at its top level.
+"""Every module of the package uses each name it imports, some module of
+the package reads each private name a module defines at its top level, and
+every package name that the benchmark calls exists.
 
 `__init__.py` is left out of the first check: its imports are the public
 names it re-exports.
@@ -98,3 +99,78 @@ def test_checker_finds_unread_private_names():
 def test_no_unread_private_names_in_package():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _unread_private_names(sources) == {}
+
+
+# -- names the benchmark calls ---------------------------------------------------
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def _package_chain(node, aliases):
+    """(module, name) when `node` reads `<...>.rm.<module>.<name>` or
+    `<alias>.<name>` for a local alias of `<...>.rm.<module>`, else None."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    base = node.value
+    if isinstance(base, ast.Name) and base.id in aliases:
+        return aliases[base.id], node.attr
+    if isinstance(base, ast.Attribute) and _is_package(base.value):
+        return base.attr, node.attr
+    return None
+
+
+def _is_package(node):
+    """Whether `node` is the package: a name `rm` or an attribute `<...>.rm`."""
+    return ((isinstance(node, ast.Name) and node.id == "rm")
+            or (isinstance(node, ast.Attribute) and node.attr == "rm"))
+
+
+def _module_aliases(tree):
+    """{local name: module} of the one-level aliases, such as
+    `L = rd.rm.lifted` or `D, P = rd.rm.dynamics, rd.poset(spec)`."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                pairs = [(target, node.value)]
+            elif isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            else:
+                continue
+            for name, value in pairs:
+                if (isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                        and _is_package(value.value)):
+                    assert aliases.get(name.id, value.attr) == value.attr, name.id
+                    aliases[name.id] = value.attr
+    return aliases
+
+
+def _package_names_read(source):
+    """Sorted (module, name) pairs of the package that `source` reads."""
+    tree = ast.parse(source)
+    aliases = _module_aliases(tree)
+    return sorted({pair for node in ast.walk(tree)
+                   if (pair := _package_chain(node, aliases)) is not None})
+
+
+def test_checker_resolves_package_chains():
+    source = ("def run(rd, rm):\n"
+              "    L = rd.rm.lifted\n"
+              "    D, P = rd.rm.dynamics, rd.poset('x')\n"
+              "    return L.check_constant, D.orbit, rm.qrow.q_orbits, rd.view, P.n\n")
+    assert _package_names_read(source) == [
+        ("dynamics", "orbit"), ("lifted", "check_constant"), ("qrow", "q_orbits")]
+
+
+def test_every_name_the_benchmark_calls_exists():
+    import importlib
+
+    read = {path.name: _package_names_read(path.read_text())
+            for path in sorted(BENCH.glob("*.py"))}
+    assert read["workloads.py"]  # the resolver still finds the benchmark's calls
+    missing = {name: [f"{module}.{attr}" for module, attr in pairs
+                      if not hasattr(importlib.import_module(f"rowmotion.{module}"), attr)]
+               for name, pairs in read.items()}
+    assert {name: found for name, found in missing.items() if found} == {}

@@ -7,24 +7,21 @@ from hypothesis import given, settings, strategies as hyp
 from rowmotion import (
     OrderIdeal,
     Poset,
-    b_rowmotion,
-    b_rowmotion_sigma,
-    b_toggle,
     certificate_witness,
-    check_b_constant,
-    check_pl_constant,
+    check_constant,
     decompose,
     enumerate_ideals,
     lift_statistic,
     lifted_orbit,
+    lifted_rowmotion,
+    lifted_toggle,
     lifted_toggleability,
     named_statistic,
     orbit_homomesy_lifted,
-    pl_rowmotion,
-    pl_rowmotion_sigma,
-    pl_toggle,
+    random_point,
     rowmotion,
-    t_signed,
+    t_in,
+    t_out,
     vertex_point,
 )
 from rowmotion.families import (
@@ -33,25 +30,13 @@ from rowmotion.families import (
     root_poset_D4,
     shifted_staircase,
 )
-from rowmotion.lifted import (
-    BPoint,
-    PLPoint,
-    b_t_in,
-    b_t_out,
-    b_t_ratio,
-    pl_t_in,
-    pl_t_out,
-    pl_t_signed,
-    random_b_point,
-    random_fraction,
-    random_pl_point,
-)
+from rowmotion.lifted import BPoint, PLPoint, random_fraction
 
 
 def test_vertex_specialization_of_rowmotion():
     for P in (rectangle(2, 3), shifted_staircase(3)):
         for I in enumerate_ideals(P):
-            assert pl_rowmotion(vertex_point(I)) == vertex_point(rowmotion(P, I))
+            assert lifted_rowmotion(vertex_point(I)) == vertex_point(rowmotion(P, I))
 
 
 def test_vertex_specialization_of_toggleability():
@@ -63,24 +48,25 @@ def test_vertex_specialization_of_toggleability():
     for row, I in zip(table, enumerate_ideals(P)):
         pt = vertex_point(I)
         for p in range(P.n):
-            assert pl_t_signed(pt, p) == row[p]
-            assert pl_t_in(pt, p) == t_signed(P, p).values[P.ideal_index(I.mask)] if False else True
             assert lifted_toggleability(pt, p, "signed") == row[p]
+            assert lifted_toggleability(pt, p, "in") == t_in(P, p).value_on(I)
+            assert lifted_toggleability(pt, p, "out") == t_out(P, p).value_on(I)
 
 
 def test_pl_toggle_involution_random_points():
     P = rectangle(2, 2)
     rng = random.Random(2)
     for _ in range(25):
-        pt = random_pl_point(P, rng, alpha=random_fraction(rng), omega=random_fraction(rng))
+        pt = random_point(PLPoint, P, rng, alpha=random_fraction(rng),
+                          omega=random_fraction(rng))
         for p in range(P.n):
-            assert pl_toggle(pl_toggle(pt, p), p) == pt
+            assert lifted_toggle(lifted_toggle(pt, p), p) == pt
 
 
 def test_pl_rowmotion_square_returns_in_four():
     P = rectangle(2, 2)
     rng = random.Random(3)
-    pt = random_pl_point(P, rng)
+    pt = random_point(PLPoint, P, rng)
     states = lifted_orbit(pt, max_iter=10)
     assert len(states) in (1, 2, 4)
 
@@ -97,9 +83,9 @@ def test_single_element_birational_rowmotion():
     P = Poset(1, [])
     alpha, omega = Fraction(3, 2), Fraction(5, 7)
     pt = BPoint(P, [Fraction(11, 4)], alpha, omega)
-    out = b_rowmotion(pt)
+    out = lifted_rowmotion(pt)
     assert out.values[0] == alpha * omega / pt.values[0]
-    assert b_rowmotion(out) == pt
+    assert lifted_rowmotion(out) == pt
 
 
 def test_birational_periods_divide_dimension_sum():
@@ -107,8 +93,8 @@ def test_birational_periods_divide_dimension_sum():
     for a, b in ((2, 2), (2, 3), (3, 3)):
         P = rectangle(a, b)
         for _ in range(4):
-            pt = random_b_point(P, rng, alpha=random_fraction(rng),
-                                omega=random_fraction(rng), bound=20)
+            pt = random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                              omega=random_fraction(rng), bound=20)
             states = lifted_orbit(pt, max_iter=200)
             assert (a + b) % len(states) == 0
 
@@ -116,12 +102,12 @@ def test_birational_periods_divide_dimension_sum():
 def test_birational_striker_products():
     rng = random.Random(7)
     P = rectangle(2, 3)
-    pt = random_b_point(P, rng)
+    pt = random_point(BPoint, P, rng)
     states = lifted_orbit(pt, max_iter=100)
     for p in range(P.n):
         prod = Fraction(1)
         for q in states:
-            prod *= b_t_ratio(q, p)
+            prod *= lifted_toggleability(q, p, "signed")
         assert prod == 1
 
 
@@ -130,22 +116,22 @@ def test_pl_striker_sums_with_rank_permutations():
     P = shifted_staircase(3)
     sigmas = [None, (1, 3, 0, 2, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)]
     for sigma in sigmas:
-        pt = random_pl_point(P, rng)
+        pt = random_point(PLPoint, P, rng)
         states = lifted_orbit(pt, sigma=sigma, max_iter=5000)
         for p in range(P.n):
-            assert sum(pl_t_signed(q, p) for q in states) == 0
+            assert sum(lifted_toggleability(q, p, "signed") for q in states) == 0
 
 
 def test_birational_striker_with_rank_permutations():
     rng = random.Random(13)
     P = rectangle(2, 2)
     for sigma in [(1, 0, 2), (2, 1, 0), (0, 2, 1)]:
-        pt = random_b_point(P, rng, bound=12)
+        pt = random_point(BPoint, P, rng, bound=12)
         states = lifted_orbit(pt, sigma=sigma, max_iter=5000)
         for p in range(P.n):
             prod = Fraction(1)
             for q in states:
-                prod *= b_t_ratio(q, p)
+                prod *= lifted_toggleability(q, p, "signed")
             assert prod == 1
 
 
@@ -160,28 +146,28 @@ def test_orbit_laws_for_all_rank_permutations_on_small_posets():
         top = P.max_rank()
         for sigma in permutations(range(top + 1)):
             for _ in range(3):
-                pl = random_pl_point(P, rng, alpha=random_fraction(rng) - 1,
-                                     omega=random_fraction(rng) + 1, bound=30)
+                pl = random_point(PLPoint, P, rng, alpha=random_fraction(rng) - 1,
+                                  omega=random_fraction(rng) + 1, bound=30)
                 states = lifted_orbit(pl, sigma=sigma, max_iter=2000)
                 for p in range(P.n):
-                    assert sum(pl_t_signed(s, p) for s in states) == 0
-                bp = random_b_point(P, rng, alpha=random_fraction(rng),
-                                    omega=random_fraction(rng), bound=10)
+                    assert sum(lifted_toggleability(s, p, "signed") for s in states) == 0
+                bp = random_point(BPoint, P, rng, alpha=random_fraction(rng),
+                                  omega=random_fraction(rng), bound=10)
                 states = lifted_orbit(bp, sigma=sigma, max_iter=2000)
                 for p in range(P.n):
                     prod = Fraction(1)
                     for s in states:
-                        prod *= b_t_ratio(s, p)
+                        prod *= lifted_toggleability(s, p, "signed")
                     assert prod == 1
 
 
 def test_toggle_in_becomes_toggle_out():
     rng = random.Random(17)
     for P in (rectangle(2, 3), shifted_staircase(3)):
-        pt = random_b_point(P, rng)
-        out = b_rowmotion(pt)
+        pt = random_point(BPoint, P, rng)
+        out = lifted_rowmotion(pt)
         for p in range(P.n):
-            assert b_t_in(pt, p) == b_t_out(out, p)
+            assert lifted_toggleability(pt, p, "in") == lifted_toggleability(out, p, "out")
 
 
 def test_lift_statistic_requires_low_cover_degree():
@@ -211,9 +197,9 @@ def test_certificate_lifts_are_constant():
         for _ in range(15):
             alpha = random_fraction(rng) - 2
             omega = random_fraction(rng) + 1
-            assert check_pl_constant(h, c, random_pl_point(P, rng, alpha, omega))
-            assert check_b_constant(
-                h, c, random_b_point(P, rng, random_fraction(rng), random_fraction(rng))
+            assert check_constant(h, c, random_point(PLPoint, P, rng, alpha, omega))
+            assert check_constant(
+                h, c, random_point(BPoint, P, rng, random_fraction(rng), random_fraction(rng))
             )
 
 
@@ -222,15 +208,15 @@ def test_half_rook_identity_lifts_pointwise():
     P = rectangle(3, 3)
     rng = random.Random(29)
     for _ in range(10):
-        pt = random_pl_point(P, rng, alpha=random_fraction(rng) - 1,
-                             omega=random_fraction(rng) + 2)
+        pt = random_point(PLPoint, P, rng, alpha=random_fraction(rng) - 1,
+                          omega=random_fraction(rng) + 2)
         for x, (i, j) in enumerate(P.coords):
             acc = Fraction(0)
             for y, (a, b) in enumerate(P.coords):
                 if a >= i and b >= j:
-                    acc += pl_t_out(pt, y)
+                    acc += lifted_toggleability(pt, y, "out")
                 if a > i and b > j:
-                    acc -= pl_t_in(pt, y)
+                    acc -= lifted_toggleability(pt, y, "in")
             assert acc == pt.omega - pt.values[x]
 
 
@@ -239,7 +225,7 @@ def test_orbit_homomesy_lifted_square_product():
     P = rectangle(2, 2)
     f = named_statistic(P, "ideal_card")
     h, c = certificate_witness(f, decompose(P, f))
-    pt = random_b_point(P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5))
+    pt = random_point(BPoint, P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5))
     rep = orbit_homomesy_lifted(h, c, pt)
     assert rep.finite and rep.holds
     # all-values orbit product folds down to powers of the boundary values
@@ -256,7 +242,7 @@ def test_orbit_homomesy_lifted_pl_and_sigma():
     P = shifted_staircase(3)
     f = named_statistic(P, "antichain_card")
     h, c = certificate_witness(f, decompose(P, f))
-    pt = random_pl_point(P, rng, alpha=Fraction(-1, 3), omega=Fraction(8, 5))
+    pt = random_point(PLPoint, P, rng, alpha=Fraction(-1, 3), omega=Fraction(8, 5))
     rep = orbit_homomesy_lifted(h, c, pt, sigma=(1, 3, 0, 2, 4), max_iter=5000)
     assert rep.finite and rep.holds
 
@@ -268,7 +254,7 @@ def test_orbit_homomesy_constant_statistic():
     zeros = (Fraction(0),) * P.n
     h = LiftedStatistic(P, zeros, zeros, zeros)
     rng = random.Random(41)
-    rep = orbit_homomesy_lifted(h, Fraction(0), random_b_point(P, rng))
+    rep = orbit_homomesy_lifted(h, Fraction(0), random_point(BPoint, P, rng))
     assert rep.holds
 
 
@@ -296,7 +282,7 @@ def test_vertex_specialization_of_rank_permuted_rowmotion():
         for sigma in permutations(range(P.max_rank() + 1)):
             step = rowmotion_sigma(P, sigma)
             for I in enumerate_ideals(P):
-                assert pl_rowmotion_sigma(vertex_point(I), sigma) == vertex_point(step(I))
+                assert lifted_rowmotion(vertex_point(I), sigma) == vertex_point(step(I))
 
 
 def test_toggleability_orbit_law_rejects_broken_orbits():
@@ -304,8 +290,8 @@ def test_toggleability_orbit_law_rejects_broken_orbits():
 
     rng = random.Random(43)
     P = rectangle(2, 3)
-    for pt in (random_pl_point(P, rng, alpha=Fraction(-1, 2), omega=Fraction(5, 3)),
-               random_b_point(P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5))):
+    for pt in (random_point(PLPoint, P, rng, alpha=Fraction(-1, 2), omega=Fraction(5, 3)),
+               random_point(BPoint, P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5))):
         states = lifted_orbit(pt)
         assert len(states) > 1 and toggleability_orbit_law(states)
         assert not toggleability_orbit_law(states[:-1])
@@ -329,9 +315,9 @@ def _certificates():
 
 def _points(P, rng, k=4):
     # boundaries apart, so that a wrong constant changes the right-hand side
-    pls = [random_pl_point(P, rng, alpha=Fraction(-1, 3), omega=Fraction(8, 5))
+    pls = [random_point(PLPoint, P, rng, alpha=Fraction(-1, 3), omega=Fraction(8, 5))
            for _ in range(k)]
-    bps = [random_b_point(P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5), bound=30)
+    bps = [random_point(BPoint, P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5), bound=30)
            for _ in range(k)]
     return pls, bps
 
@@ -342,13 +328,13 @@ def test_wrong_constants_are_rejected_at_both_levels():
         assert c != -1  # so that 2c + 1 differs from c
         pls, bps = _points(P, rng)
         for pt in pls:
-            assert check_pl_constant(h, c, pt)
-            assert not check_pl_constant(h, c + Fraction(1, 3), pt)
-            assert not check_pl_constant(h, 2 * c + 1, pt)
+            assert check_constant(h, c, pt)
+            assert not check_constant(h, c + Fraction(1, 3), pt)
+            assert not check_constant(h, 2 * c + 1, pt)
         for pt in bps:
-            assert check_b_constant(h, c, pt)
-            assert not check_b_constant(h, c + Fraction(1, 3), pt)
-            assert not check_b_constant(h, 2 * c + 1, pt)
+            assert check_constant(h, c, pt)
+            assert not check_constant(h, c + Fraction(1, 3), pt)
+            assert not check_constant(h, 2 * c + 1, pt)
 
 
 def test_bumped_coefficient_is_rejected():
@@ -361,8 +347,8 @@ def test_bumped_coefficient_is_rejected():
             out = list(h.coeff_out)
             out[p] += Fraction(1, 2)
             bumped = LiftedStatistic(P, h.coeff_in, tuple(out), h.coeff_ind)
-            assert not any(check_pl_constant(bumped, c, pt) for pt in pls)
-            assert not any(check_b_constant(bumped, c, pt) for pt in bps)
+            assert not any(check_constant(bumped, c, pt) for pt in pls)
+            assert not any(check_constant(bumped, c, pt) for pt in bps)
 
 
 def test_half_integer_exponents_with_alpha_not_one():
@@ -375,9 +361,9 @@ def test_half_integer_exponents_with_alpha_not_one():
     assert any(Fraction(a).denominator == 2 for a in (*h.coeff_in, *h.coeff_out))
     rng = random.Random(107)
     for alpha, omega in ((Fraction(2, 3), Fraction(7, 5)), (Fraction(9, 4), Fraction(1, 3))):
-        pt = random_b_point(P, rng, alpha=alpha, omega=omega, bound=40)
-        assert check_b_constant(h, c, pt)
-        assert not check_b_constant(h, c + Fraction(1, 2), pt)
+        pt = random_point(BPoint, P, rng, alpha=alpha, omega=omega, bound=40)
+        assert check_constant(h, c, pt)
+        assert not check_constant(h, c + Fraction(1, 2), pt)
 
 
 def _reference_atoms(pt, p):
@@ -468,14 +454,48 @@ def test_atoms_match_the_definitions_with_three_covers():
     P = from_specifier("rootD:4")  # one element covers three, one is covered by three
     assert max(map(len, P.lower_covers)) == 3 and max(map(len, P.upper_covers)) == 3
     rng = random.Random(113)
-    for pt in (random_pl_point(P, rng, alpha=Fraction(-2, 7), omega=Fraction(9, 4)),
-               random_b_point(P, rng, alpha=Fraction(3, 8), omega=Fraction(5, 2))):
+    for pt in (random_point(PLPoint, P, rng, alpha=Fraction(-2, 7), omega=Fraction(9, 4)),
+               random_point(BPoint, P, rng, alpha=Fraction(3, 8), omega=Fraction(5, 2))):
         for p in range(P.n):
             t_in, t_out, _ = _reference_atoms(pt, p)
             assert lifted_toggleability(pt, p, "in") == t_in
             assert lifted_toggleability(pt, p, "out") == t_out
             signed = t_in - t_out if isinstance(pt, PLPoint) else t_in / t_out
             assert lifted_toggleability(pt, p, "signed") == signed
+
+
+@pytest.mark.parametrize("level", [PLPoint, BPoint])
+def test_lifted_element_out_of_range(level):
+    P = rectangle(2, 2)
+    pt = random_point(level, P, random.Random(47))
+    for p in (-1, -4, P.n):
+        with pytest.raises(IndexError):
+            lifted_toggle(pt, p)
+        for kind in ("in", "out", "signed"):
+            with pytest.raises(IndexError):
+                lifted_toggleability(pt, p, kind)
+
+
+def test_paper_names_are_aliases_of_their_own():
+    from rowmotion import lifted
+
+    aliases = [lifted.pl_t_signed, lifted.b_t_ratio, lifted.check_pl_constant,
+               lifted.check_b_constant]
+    # one object per name: a wrapper installed on one name by identity
+    # leaves the others, and the function behind them, alone
+    assert len({id(f) for f in aliases}) == 4
+    assert not {id(f) for f in aliases} & {id(lifted_toggleability), id(check_constant)}
+    rng = random.Random(53)
+    for P, h, c in _certificates():
+        pls, bps = _points(P, rng, k=1)
+        for pt in pls + bps:
+            for p in range(P.n):
+                signed = lifted_toggleability(pt, p, "signed")
+                assert lifted.pl_t_signed(pt, p) == lifted.b_t_ratio(pt, p) == signed
+            for d in (0, 1):
+                assert (lifted.check_pl_constant(h, c + d, pt)
+                        == lifted.check_b_constant(h, c + d, pt)
+                        == check_constant(h, c + d, pt) == (d == 0))
 
 
 def _run_optimized(code):
@@ -502,17 +522,17 @@ def test_tampered_constant_rejected_under_python_optimize():
         "import random\n"
         "from rowmotion import certificate_witness, decompose, named_statistic\n"
         "from rowmotion.families import rectangle\n"
-        "from rowmotion.lifted import (check_b_constant, check_pl_constant,\n"
-        "    orbit_homomesy_lifted, random_b_point, random_pl_point)\n"
+        "from rowmotion.lifted import (BPoint, PLPoint, check_constant,\n"
+        "    orbit_homomesy_lifted, random_point)\n"
         "assert False, 'asserts are on'\n"
         "P = rectangle(2, 3)\n"
         "f = named_statistic(P, 'antichain_card')\n"
         "h, c = certificate_witness(f, decompose(P, f))\n"
         "rng = random.Random(5)\n"
-        "pl = random_pl_point(P, rng, alpha=-1, omega=2)\n"
-        "bp = random_b_point(P, rng, alpha=2, omega=3)\n"
-        "print(check_pl_constant(h, c, pl), check_b_constant(h, c, bp),\n"
-        "      check_pl_constant(h, c + 1, pl), check_b_constant(h, c + 1, bp),\n"
+        "pl = random_point(PLPoint, P, rng, alpha=-1, omega=2)\n"
+        "bp = random_point(BPoint, P, rng, alpha=2, omega=3)\n"
+        "print(check_constant(h, c, pl), check_constant(h, c, bp),\n"
+        "      check_constant(h, c + 1, pl), check_constant(h, c + 1, bp),\n"
         "      orbit_homomesy_lifted(h, c + 1, bp).holds)\n"
     )
     out = _run_optimized(["-c", code])
