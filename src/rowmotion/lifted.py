@@ -32,7 +32,7 @@ from math import lcm, prod
 
 from .dynamics import rowmotion_order, sigma_order
 from .poset import CapExceededError, OrderIdeal, Poset
-from .qpoly import cleared
+from .qpoly import check_digits, cleared
 from .statistics import TOGGLEABILITY_KINDS, Statistic
 
 
@@ -337,7 +337,9 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     """Forward orbit of PL or birational rowmotion from `start`.
 
     Returns the orbit states; raises CapExceededError if the point does not
-    return within max_iter steps (reported as inconclusive by callers), and
+    return within max_iter steps, or once a value has a numerator or
+    denominator too long for `check_digits` (birational values can double
+    in length every step), reported as inconclusive by callers; and
     ValueError if max_iter < 1.
     """
     if max_iter < 1:
@@ -348,6 +350,8 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     while cur != start:
         if len(states) >= max_iter:
             raise CapExceededError(f"no return within {max_iter} iterations")
+        for v in cur.values:
+            check_digits(v)
         states.append(cur)
         cur = _sweep(cur, order)
     return states

@@ -110,8 +110,6 @@ class Poset:
         self._toggle_table: Optional[ToggleTable] = None
         self._certificate_system = None  # factored by rowmotion.decompose
         self._sweeps: dict = {}
-        self._q_moves: dict = {}  # q-rowmotion tables, kept by rowmotion.qrow
-        self._q_masks: dict = {}
         self._rowmotion_perm: Optional[array] = None  # cached by rowmotion.dynamics
         self._antichain_masks: Optional[tuple] = None
         self._ideals = self._antichains = None  # canonical states, kept by enumerate_*

@@ -26,15 +26,20 @@ class CertificateError(ArithmeticError):
     """
 
 
+def check_digits(x):
+    """Raise CapExceededError when the rational x has a numerator or
+    denominator of more than MAX_NUMBER_DIGITS digits."""
+    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
+        raise CapExceededError(
+            f"a number exceeds the limit of {MAX_NUMBER_DIGITS} digits")
+
+
 def format_fraction(x, slash=False) -> str:
     """x as 'n/d', or as 'n' when d = 1 unless `slash`: the one formatter of
-    every printed rational.  A numerator or denominator of more than
-    MAX_NUMBER_DIGITS digits raises CapExceededError before any text is
-    built."""
+    every printed rational.  A number too long for `check_digits` raises
+    CapExceededError before any text is built."""
+    check_digits(x)
     n, d = x.numerator, x.denominator
-    if abs(n) >= _TOO_LONG or d >= _TOO_LONG:
-        raise CapExceededError(
-            f"an output number exceeds the limit of {MAX_NUMBER_DIGITS} digits")
     return f"{n}/{d}" if slash or d != 1 else str(n)
 
 

@@ -7,22 +7,23 @@ the top.  The pair (r, s) is deliberately not reduced: the dynamics depend
 on r and s themselves, not only on q = r/s.
 
 The zero-labeled set M stays an ideal after every toggle, so only the
-elements of max(M) | min(P - M) can act.  One kernel, `_sweep`, visits only
-those, read from a table of active positions per mask kept on the poset,
-and serves `q_toggle`, `q_rowmotion` and the orbit walk `_walk`.  The walk
-carries each labeling's dense rank, its position in `enumerate_labelings`,
-through the sweep, marks visited labelings in a bytearray of one byte per
-rank, and yields one whole orbit at a time.
+elements of max(M) | min(P - M) can act.  Single steps (`q_toggle`,
+`q_rowmotion`) test each element against M with the cover masks and
+enumerate no ideals.  The orbit walk `_walk` enumerates every ideal
+anyway: it reads the active positions of each M off the toggle table
+once per call (`_walk_table`), and its kernel `_sweep` visits only those.
+The walk carries each labeling's dense rank, its position in
+`enumerate_labelings`, through the sweep, marks visited labelings in a
+bytearray of one byte per rank, and yields one whole orbit at a time.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 from .dynamics import rowmotion_order
@@ -140,8 +141,7 @@ def check_labeling_count(P: Poset, r: int, s: int) -> int:
 
 
 def _blocks(P, r, s):
-    """(k, the ideals of size k, the labelings of each), smallest k first;
-    the canonical ideal order sorts by size, so each k is one run of ideals."""
+    """(k, the ideals of size k, the labelings of each), smallest k first."""
     sizes = Counter(map(int.bit_count, P.ideal_masks()))
     return ((k, c, r ** (P.n - k) * s ** k) for k, c in sorted(sizes.items()))
 
@@ -161,101 +161,73 @@ def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet):
         for labels in product(*[zeros if mask >> p & 1 else ones for p in range(P.n)]))
 
 
-def _toggles(P, alphabet, local_theta, order, ranked=False):
-    """The toggles at `order` as sweep positions, and a table of the
-    zero-labeled masks they meet, both kept on the poset: the moves per
-    order and flavor cycles, the mask table per order alone for single
-    steps, and per order and (r, s) when `ranked`, for the orbit walk.
+def _thetas(P, alphabet, local_theta):
+    """The flavor cycle toggled at each element, alphabet.theta or local_theta[p]
+    (a FlavorAlphabet or a tuple): the one reader of local cycles, which
+    raises ValueError unless each element has one, a single cycle on the
+    r + s symbols."""
+    if local_theta is None:
+        return (alphabet.theta,) * P.n
+    cycles = tuple(local_theta)
+    if len(cycles) != P.n:
+        raise ValueError(f"local_theta has {len(cycles)} cycles for {P.n} elements")
+    return tuple(FlavorAlphabet(alphabet.r, alphabet.s, getattr(th, "theta", th)).theta
+                 for th in cycles)
+
+
+def _walk_table(P, alphabet, local_theta, order):
+    """The toggles at `order` as sweep positions, and the table of every
+    zero-labeled ideal M, for the orbit walk.
 
     Position j holds (p, moves) for the element p toggled at step
     len(order) - 1 - j, so a sweep runs the positions from the highest down.
     moves[x] for the old label x is (theta_p(x), the change of the flavor
     index, the bit that flips in M or 0).  The flavor index of a label is
     the label itself for a 0 and the label minus s for a 1.
+
+    table[M] is (active, offset, weights).  `active` holds the positions
+    whose element is active in M, that is max(M) | min(P - M), as a
+    bitmask, read off the toggle table.  `offset` is the rank of the first
+    labeling on M, and weights[j] is (L, R*L, (R' - R)*L) for the element p
+    at position j: L, the place value of p's flavor index, is the product
+    of the radices of the elements after p (s in M, r outside), R is the
+    radix of p in M and R' its radix once p flips.  Entries share their
+    triples, and for r = s one weights tuple.
     """
-    cycles = None if local_theta is None else tuple(
-        th.theta if isinstance(th, FlavorAlphabet) else tuple(th)
-        for th in map(local_theta.__getitem__, order))
-    steps = P._q_moves.get((order, alphabet, cycles))
-    if steps is None:
-        s = alphabet.s
-        thetas = [alphabet.theta] * len(order) if cycles is None else cycles
-        steps = P._q_moves[order, alphabet, cycles] = tuple(
-            (p, tuple((y, (y - s * (y >= s)) - (x - s * (x >= s)),
-                       1 << p if (x < s) != (y < s) else 0)
-                      for x, y in enumerate(th)))
-            for p, th in zip(reversed(order), reversed(thetas)))
-    key = (order, alphabet.r, alphabet.s) if ranked else order
-    table = P._q_masks.get(key)
-    if table is None:
-        table = P._q_masks[key] = _MaskTable(P, order[::-1], alphabet if ranked else None)
-    return steps, table
+    r, s, n = alphabet.r, alphabet.s, P.n
+    thetas = _thetas(P, alphabet, local_theta)
+    elements = order[::-1]  # elements[j]: the element at position j
+    steps = tuple(
+        (p, tuple((y, (y - s * (y >= s)) - (x - s * (x >= s)),
+                   1 << p if (x < s) != (y < s) else 0)
+                  for x, y in enumerate(thetas[p])))
+        for p in elements)
+    masks = P.ideal_masks()
+    toggles = P.toggle_table()
+    active = [0] * len(masks)
+    for j, p in enumerate(elements):
+        for k in (*toggles.addable[p], *toggles.removable[p]):
+            active[k] |= 1 << j
+    interned = {}
 
-
-class _MaskTable(dict):
-    """M -> (active, offset, weights) for a zero-labeled ideal M, each entry
-    built on first use.
-
-    `active` holds the positions of the sweep whose element is active in M,
-    that is max(M) | min(P - M), as a bitmask.  With an alphabet, `offset`
-    is the rank of the first labeling on M, and weights[j] is
-    (L, R*L, (R' - R)*L) for the element p at position j: L, the place
-    value of p's flavor index, is the product of the radices of the
-    elements after p (s in M, r outside), R is the radix of p in M and R'
-    its radix once p flips.  Entries share their triples, and for r = s
-    one weights tuple.  Without an alphabet the table enumerates no ideals,
-    so a single step on a large poset stays cheap, and the sweep carries no
-    rank: offset 0 and weights (0, 1, 0) keep it at 0.
-    """
-
-    def __init__(self, P, elements, alphabet=None):
-        super().__init__()
-        self.elements = elements  # elements[j]: the element at position j
-        self.weights = ((0, 1, 0),) * len(elements)
-        self.blocks = None
-        if alphabet is not None:
-            self.radices = r, s = alphabet.r, alphabet.s
-            self.n = P.n
-            P.ideal_masks()
-            self.index = P._ideal_index
-            # the rank of the first labeling on M is base + (index of M) * w
-            self.blocks = {}
-            start = first = 0
-            for k, c, w in _blocks(P, r, s):
-                self.blocks[k] = (start - first * w, w)
-                start += c * w
-                first += c
-            self.interned = {}
-            # the place values depend on M only when r != s
-            self.weights = self._weights(0) if r == s else None
-        # through a weak proxy: the table is kept on P and must not keep P alive
-        self.toggle_mask = partial(Poset.toggle_mask, weakref.proxy(P))
-
-    def __missing__(self, mask):
-        toggle = self.toggle_mask
-        active = 0
-        for j, p in enumerate(self.elements):
-            if toggle(p, mask) != mask:
-                active |= 1 << j
-        offset, weights = 0, self.weights
-        if self.blocks is not None:
-            base, w = self.blocks[mask.bit_count()]
-            offset = base + self.index[mask] * w
-            if weights is None:
-                weights = self._weights(mask)
-        entry = self[mask] = (active, offset, weights)
-        return entry
-
-    def _weights(self, mask):
-        r, s = self.radices
-        weights = [None] * self.n  # weights[p]: the triple of element p
+    def weights_of(mask):
+        weights = [None] * n  # weights[p]: the triple of element p
         L = 1
-        for p in reversed(range(self.n)):
+        for p in reversed(range(n)):
             R, flipped = (s, r) if mask >> p & 1 else (r, s)
             w = (L, R * L, (flipped - R) * L)
-            weights[p] = self.interned.setdefault(w, w)
+            weights[p] = interned.setdefault(w, w)
             L *= R
-        return tuple(map(weights.__getitem__, self.elements))
+        return tuple(map(weights.__getitem__, elements))
+
+    shared = weights_of(0) if r == s else None  # place values vary with M only if r != s
+    table = {}
+    offset = 0
+    for mask, act in zip(masks, active):
+        table[mask] = (act, offset, weights_of(mask) if shared is None else shared)
+        k = mask.bit_count()
+        offset += r ** (n - k) * s ** k
+    return steps, table
 
 
 def _sweep(toggles, labels, mask, code):
@@ -315,13 +287,30 @@ def q_rowmotion(P: Poset, alphabet: FlavorAlphabet, L: QLabeling,
 
 
 def _q_sweep(P, alphabet, local_theta, order, L):
-    """The labeling L of P toggled at each element of `order` in turn."""
+    """The labeling L of P toggled at each element of `order` in turn.
+
+    p acts when toggling it changes the zero-labeled ideal M, tested with
+    the cover masks as in `Poset.toggle_mask`; its label moves by theta_p,
+    and p's bit in M flips when the label crosses the 0/1 boundary.  No
+    ideal is enumerated, so a single step on a large poset stays cheap.
+    """
     if L.poset is not P:
         raise ValueError("labeling belongs to a different poset")
     if (L.alphabet.r, L.alphabet.s) != (alphabet.r, alphabet.s):
         raise ValueError("labeling has other flavor counts than the alphabet")
+    thetas = _thetas(P, alphabet, local_theta)
+    s, up, down = alphabet.s, P.up_covers, P.down_covers
     labels = list(L.labels)
-    mask, _ = _sweep(_toggles(P, alphabet, local_theta, order), labels, L.ideal_mask, 0)
+    mask = L.ideal_mask
+    for p in order:
+        if mask >> p & 1:
+            if up[p] & mask:
+                continue
+        elif down[p] & mask != down[p]:
+            continue
+        labels[p] = x = thetas[p][labels[p]]
+        if (x < s) != (mask >> p & 1):
+            mask ^= 1 << p
     return QLabeling._make(P, alphabet, tuple(labels), mask)
 
 
@@ -338,14 +327,14 @@ def _walk(P, alphabet, local_theta, as_labels=False):
     labeling space, or an orbit that does not close at its start, means the
     map is not a bijection.
     """
-    count = check_labeling_count(P, alphabet.r, alphabet.s)
-    toggles = steps, table = _toggles(P, alphabet, local_theta, rowmotion_order(P),
-                                      ranked=True)
-    s = alphabet.s
+    r, s = alphabet.r, alphabet.s
+    count = check_labeling_count(P, r, s)
+    toggles = steps, table = _walk_table(P, alphabet, local_theta, rowmotion_order(P))
     visited = bytearray(count)
     for mask in P.ideal_masks():
         _, offset, weights = table[mask]
-        end = offset + table.blocks[mask.bit_count()][1]  # the labelings on M
+        k = mask.bit_count()
+        end = offset + r ** (P.n - k) * s ** k  # the labelings on M
         start = visited.find(0, offset, end)
         while start != -1:
             labels = [0] * P.n

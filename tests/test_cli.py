@@ -579,6 +579,19 @@ def test_output_number_beyond_4300_digits_is_a_resource_cap(argv, k):
     assert "0" * (k - 10) in out  # a number of about k digits, in full
 
 
+def test_birational_orbit_stops_at_the_digit_limit():
+    # from random:1 on rootD:4 the values pass 4300 digits within 6 steps
+    # and would keep doubling in length for thousands of steps
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli_err("orbits", "rootD:4", "--level", "birational")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and err == "" and out.count("\n") == 1
+    data = json.loads(out)
+    assert data["error"] == "resource cap" and "4300 digits" in data["detail"]
+
+
 def test_format_fraction_is_byte_identical_below_the_limit():
     from fractions import Fraction
 

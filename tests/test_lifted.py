@@ -273,6 +273,20 @@ def test_orbit_cap_is_inconclusive():
         assert rep.holds
 
 
+def test_orbit_past_the_digit_limit_is_inconclusive():
+    # birational values from this start pass 4300 digits within 6 steps
+    from rowmotion.lifted import LiftedStatistic
+    from rowmotion.poset import CapExceededError
+
+    P = root_poset_D4()
+    zeros = (Fraction(0),) * P.n
+    pt = random_point(BPoint, P, random.Random(1))
+    with pytest.raises(CapExceededError, match="4300 digits"):
+        lifted_orbit(pt)
+    rep = orbit_homomesy_lifted(LiftedStatistic(P, zeros, zeros, zeros), Fraction(0), pt)
+    assert not rep.finite and rep.holds is None
+
+
 def test_vertex_specialization_of_rank_permuted_rowmotion():
     from itertools import permutations
 

@@ -375,34 +375,49 @@ def test_q_steps_refuse_foreign_labelings_and_bad_elements():
             q_toggle(P, alphabet, p, own)
 
 
-def test_q_tables_are_kept_per_poset():
-    from rowmotion.dynamics import rowmotion_order
-
-    P = rectangle(3, 3)
-    a, b = FlavorAlphabet.default(1, 2), FlavorAlphabet.default(2, 1)
-    order = rowmotion_order(P)
-    moves, masks = qrow._toggles(P, a, None, order)
-    q_rowmotion(P, a, enumerate_labelings(P, a)[3])
-    q_orbits(P, a)  # the orbit walk reads the same moves and a ranked mask table
-    again = qrow._toggles(P, a, None, order)
-    assert again[0] is moves and again[1] is masks
-    assert list(P._q_moves) == [(order, a, None)]
-    assert list(P._q_masks) == [order, (order, 1, 2)]
-    ranked = qrow._toggles(P, a, None, order, ranked=True)
-    assert ranked[0] is moves and ranked[1] is P._q_masks[order, 1, 2]
-    # the single-step masks do not depend on the alphabet, the moves and ranks do
-    other = qrow._toggles(P, b, None, order)
-    assert other[1] is masks and other[0] != moves
-    assert qrow._toggles(P, b, None, order, ranked=True)[1] is not ranked[1]
-    # the entries share their weights: one tuple for r = s, triples otherwise
-    q_orbits(P, FlavorAlphabet.default(2, 2))
-    assert len({id(w) for _, _, w in P._q_masks[order, 2, 2].values()}) == 1
-    triples = {id(t) for _, _, w in ranked[1].values() for t in w}
-    assert len(triples) == len({t for _, _, w in ranked[1].values() for t in w})
-    # the tables hold no reference back to the poset, so it is freed at once
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(hst.data())
+def test_walk_table_reads_the_toggle_table(data):
+    rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
+    P = random_poset(rng, data.draw(hst.integers(0, 7)))
+    r, s = data.draw(hst.sampled_from([(1, 2), (2, 1), (2, 2), (3, 3)]))
+    alphabet = FlavorAlphabet.random(r, s, rng)
+    for order in [tuple(reversed(random_extension(P, rng)))] + [(p,) for p in range(P.n)]:
+        steps, table = qrow._walk_table(P, alphabet, None, order)
+        assert list(table) == list(P.ideal_masks())
+        for mask, (active, _, _) in table.items():
+            # each active position is exactly where a toggle moves M
+            assert active == sum(1 << j for j, (p, _) in enumerate(steps)
+                                 if P.toggle_mask(p, mask) != mask)
+        # the entries share their triples, and for r = s one weights tuple
+        triples = [t for _, _, w in table.values() for t in w]
+        assert len({id(t) for t in triples}) == len(set(triples))
+        if r == s:
+            assert len({id(w) for _, _, w in table.values()}) == 1
+    # nothing is kept on the poset, so it is freed at once after a walk
+    q_orbits(P, alphabet)
     ref = weakref.ref(P)
-    del P, masks, again, other, ranked
+    del P
     assert ref() is None
+
+
+def test_local_theta_is_checked_at_the_boundary():
+    P = rectangle(2, 2)
+    alphabet = FlavorAlphabet.default(1, 2)
+    L = enumerate_labelings(P, alphabet)[0]
+    f = named_statistic(P, "antichain_card")
+    cycle = alphabet.theta
+    for local in ([(1, 0)] + [cycle] * 3,      # a cycle on too few symbols
+                  [cycle] * 3,                  # one cycle too few
+                  [(1, 1, 0)] + [cycle] * 3,    # not a permutation
+                  [(1, 0, 2)] + [cycle] * 3):   # a 2-cycle and a fixed point
+        for call in (lambda: q_toggle(P, alphabet, 3, L, local_theta=local),
+                     lambda: q_rowmotion(P, alphabet, L, local_theta=local),
+                     lambda: q_orbits(P, alphabet, local_theta=local),
+                     lambda: q_homomesy_check(P, alphabet, f, local_theta=local)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def _rank(toggles, labels, mask, s):
@@ -432,16 +447,18 @@ def test_rank_is_the_position_in_enumerate_labelings(data):
     labelings = enumerate_labelings(P, alphabet)
     position = {L.labels: k for k, L in enumerate(labelings)}
     sweep = tuple(reversed(random_extension(P, rng)))
-    toggles = qrow._toggles(P, alphabet, local, sweep, ranked=True)
+    toggles = qrow._walk_table(P, alphabet, local, sweep)
     for k, L in enumerate(labelings):
         assert _rank(toggles, L.labels, L.ideal_mask, s) == k
     for order in [sweep] + [(p,) for p in range(P.n)]:
-        toggles = qrow._toggles(P, alphabet, local, order, ranked=True)
+        toggles = qrow._walk_table(P, alphabet, local, order)
         for L in rng.sample(labelings, min(len(labelings), 12)):
             labels = list(L.labels)
             mask, code = qrow._sweep(toggles, labels, L.ideal_mask, position[L.labels])
             assert mask == ideal_mask_of(labels, alphabet)
             assert code == position[tuple(labels)]
+            # the walk's kernel and the single-step loop are two implementations
+            assert tuple(labels) == qrow._q_sweep(P, alphabet, local, order, L).labels
     # a single step builds its labeling unchecked, equal to a checked one
     for L in rng.sample(labelings, min(len(labelings), 5)):
         out = q_rowmotion(P, alphabet, L, local_theta=local)
