@@ -61,15 +61,13 @@ def cmd_orbits(args) -> int:
     if args.level != "combinatorial":
         return _lifted_orbit_payload(args, P)
     if variant.startswith("q:"):
-        try:
-            r, s = map(int, variant[2:].split(","))
-        except ValueError:
-            raise ValueError(
-                f"variant {variant!r} must be q:<r>,<s> with integers r and s") from None
+        r, s = families.parse_ints(
+            variant[2:], 2, f"variant {variant!r} must be q:<r>,<s> with integers r and s")
         alphabet, total = _alphabet(args, P, r, s)
         orbits = [(len(o), o[0]) for o in qrow._walk(P, alphabet, None, as_labels=True)]
         sizes = [size for size, _ in orbits]
-        reps = ["".join(map(str, first)) for _, first in orbits]
+        sep = "," if r + s > 10 else ""  # a label may have two digits
+        reps = [sep.join(map(str, first)) for _, first in orbits]
     else:
         # antichain k is max of ideal k, so antichain rowmotion has the
         # cycles of rowmotion on the ideal indices
@@ -106,7 +104,8 @@ def _rank_sigma(P, variant, error):
     if variant == "gyration":
         return dynamics.gyration_sigma(P)
     if variant.startswith("sigma:"):
-        return tuple(int(t) for t in variant[6:].split(","))
+        return tuple(families.parse_ints(
+            variant[6:], None, f"variant {variant!r} must be sigma:<ranks> with integer ranks"))
     raise ValueError(error)
 
 
@@ -138,7 +137,8 @@ def _lifted_orbit_payload(args, P) -> int:
 def _start_values(args, P):
     spec = args.start
     if spec.startswith("random:"):
-        rng = random.Random(int(spec.split(":", 1)[1]))
+        rng = random.Random(*families.parse_ints(
+            spec[7:], 1, f"start {spec!r} must be random:<seed> with an integer seed"))
         return [lifted.random_fraction(rng) for _ in range(P.n)]
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
@@ -156,7 +156,8 @@ def _alphabet(args, P, r, s):
     if theta == "default":
         return qrow.FlavorAlphabet.default(r, s), count
     if theta.startswith("random:"):
-        rng = random.Random(int(theta.split(":", 1)[1]))
+        rng = random.Random(*families.parse_ints(
+            theta[7:], 1, f"theta {theta!r} must be random:<seed> with an integer seed"))
         return qrow.FlavorAlphabet.random(r, s, rng), count
     raise ValueError("theta must be 'default' or 'random:<seed>'")
 
@@ -167,10 +168,7 @@ def _alphabet(args, P, r, s):
 def cmd_decompose(args) -> int:
     P = families.from_specifier(args.family)
     stat = st.parse_statistic(P, args.stat)
-    if args.q:
-        dec = q_decompose(P, stat)
-    else:
-        dec = decompose(P, stat)
+    dec = (q_decompose if args.q else decompose)(P, stat)
     if dec is None:
         _emit(args, {"family": args.family, "stat": args.stat,
                      "status": "NOT IN SPAN"})
@@ -226,13 +224,12 @@ def cmd_qrow(args) -> int:
         "orbit_averages": [format_fraction(a) for a in report.orbit_averages],
         "is_homomesic": report.is_homomesic,
     }
+    passed = report.is_homomesic
     if expected is not None:
         payload["expected_at_q"] = format_fraction(report.expected)
-        payload["matches_expected"] = report.matches_expected
+        payload["matches_expected"] = passed = report.matches_expected
     _emit(args, payload)
-    if expected is not None:
-        return EXIT_OK if report.matches_expected else EXIT_FAIL
-    return EXIT_OK if report.is_homomesic else EXIT_FAIL
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # -- q-expression grammar ----------------------------------------------------------------
@@ -276,15 +273,10 @@ def _tokenize_q(text):
         ch = text[k]
         if ch.isspace():
             k += 1
-        elif ch.isdigit():
-            j = k
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[k:j])
-            k = j
-        elif ch.isalpha():
-            j = k
-            while j < len(text) and text[j].isalpha():
+        elif ch.isdigit() or ch.isalpha():
+            same = str.isdigit if ch.isdigit() else str.isalpha  # a run of one kind
+            j = k + 1
+            while j < len(text) and same(text[j]):
                 j += 1
             out.append(text[k:j])
             k = j
@@ -321,7 +313,7 @@ def _parse_term(tokens, pos):
 def _parse_factor(tokens, pos):
     value, pos = _parse_base(tokens, pos)
     if pos < len(tokens) and tokens[pos] == "^":
-        k = int(_token(tokens, pos + 1))
+        k = _integer(_token(tokens, pos + 1))
         if k > MAX_Q_DEGREE:
             raise ValueError(f"q-expression exponent {k} exceeds the bound {MAX_Q_DEGREE}")
         _bound_degree(k * _degree(value))
@@ -336,6 +328,10 @@ def _token(tokens, pos):
     return tokens[pos]
 
 
+def _integer(tok):
+    return families.parse_ints(tok, 1, f"expected an integer in q-expression, not {tok!r}")[0]
+
+
 def _parse_base(tokens, pos):
     tok = _token(tokens, pos)
     if tok == "(":
@@ -346,7 +342,7 @@ def _parse_base(tokens, pos):
     if tok == "q":
         return RationalFunction.q(), pos + 1
     if tok.isdigit():
-        return RationalFunction.const(int(tok)), pos + 1
+        return RationalFunction.const(_integer(tok)), pos + 1
     if tok in ("qnum", "qfact", "qbinom"):
         if _token(tokens, pos + 1) != "(":
             raise ValueError(f"{tok} needs parenthesized arguments")
@@ -354,7 +350,7 @@ def _parse_base(tokens, pos):
         p = pos + 2
         while _token(tokens, p) != ")":
             if tokens[p] != ",":
-                argv.append(int(tokens[p]))
+                argv.append(_integer(tokens[p]))
             p += 1
         arity = 2 if tok == "qbinom" else 1
         if len(argv) != arity:

@@ -182,7 +182,8 @@ def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
     if A.poset is not P:
         raise ValueError("antichain belongs to a different poset")
     if P._ideal_masks is None:
-        return Antichain._make(P, P.min_complement_mask(P.generated_ideal_mask(A.mask)))
+        mask = P.generated_ideal_mask(A.mask)
+        return Antichain._make(P, P.toggleable_mask(mask) & ~mask)
     k = A._index
     if k is None:
         k = P._ideal_index[P.generated_ideal_mask(A.mask)]

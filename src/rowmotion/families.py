@@ -294,6 +294,18 @@ def _check_size(spec, n):
             f"{spec} has {n} elements, more than the cap of {MAX_ELEMENTS}")
 
 
+def parse_ints(text, count, error) -> list:
+    """The comma-separated integers in `text`, exactly `count` of them unless
+    count is None; anything else raises ValueError(error)."""
+    try:
+        values = [int(t) for t in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(error)
+
+
 def from_specifier(spec: str) -> Poset:
     """Parse a family specifier such as 'rect:2,3', 'E6', or 'file:p.json'."""
     import json
@@ -313,10 +325,7 @@ def from_specifier(spec: str) -> Poset:
             return Poset.from_dict(data)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed poset file {tail!r}: {exc}") from None
-    try:
-        args = [int(t) for t in tail.split(",")]
-    except ValueError:
-        raise ValueError(f"bad arguments in family specifier: {spec!r}")
+    args = parse_ints(tail, None, f"bad arguments in family specifier: {spec!r}")
     table = {  # constructor, arity, element count
         "rect": (rectangle, 2, lambda a, b: a * b),
         "sstair": (shifted_staircase, 1, lambda n: n * (n + 1) // 2),

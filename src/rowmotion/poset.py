@@ -106,6 +106,7 @@ class Poset:
 
         self.rank = self._compute_rank()
         self._ideal_masks: Optional[tuple] = None
+        self._addable_masks: Optional[list] = None  # min(P - I), until toggle_table
         self._ideal_index: Optional[dict] = None
         self._toggle_table: Optional[ToggleTable] = None
         self._certificate_system = None  # factored by rowmotion.decompose
@@ -230,15 +231,6 @@ class Poset:
     def is_antichain_mask(self, mask):
         return not any((self.up_set[x] ^ (1 << x)) & mask for x in _bits(mask))
 
-    def max_of_ideal_mask(self, mask):
-        """Mask of maximal elements of the ideal `mask`."""
-        return sum(1 << x for x in _bits(mask) if not self.up_covers[x] & mask)
-
-    def min_complement_mask(self, mask):
-        """Mask of minimal elements of the complement of the ideal `mask`."""
-        return sum(1 << x for x in _bits(~mask & ((1 << self.n) - 1))
-                   if self.down_covers[x] & mask == self.down_covers[x])
-
     def generated_ideal_mask(self, antichain_mask):
         m = 0
         for x in _bits(antichain_mask):
@@ -246,13 +238,15 @@ class Poset:
         return m
 
     def toggle_mask(self, p, mask):
+        """The ideal `mask` toggled at p: the toggle test for a single mask."""
         if mask >> p & 1:
-            if self.up_covers[p] & mask == 0:
-                return mask ^ (1 << p)
-            return mask
-        if self.down_covers[p] & mask == self.down_covers[p]:
-            return mask | (1 << p)
-        return mask
+            return mask if self.up_covers[p] & mask else mask ^ 1 << p
+        down = self.down_covers[p]
+        return mask | 1 << p if down & mask == down else mask
+
+    def toggleable_mask(self, mask):
+        """max(I) | min(P - I) of the ideal I = `mask`: where a toggle acts."""
+        return sum(self.toggle_mask(p, mask) ^ mask for p in range(self.n))
 
     def ideal_masks(self):
         """All order-ideal masks, sorted by (cardinality, mask value).
@@ -261,8 +255,9 @@ class Poset:
         tuple indexes every statistic vector built on this poset.  The search
         goes by cardinality and carries each ideal's addable mask forward:
         adding x drops x and gains the upper covers of x whose lower covers
-        are all in the new ideal.  More than `mask_cap(n)` ideals raise
-        CapExceededError.
+        are all in the new ideal.  The addable masks are kept, aligned with
+        the ideals, until `toggle_table` reads them.  More than `mask_cap(n)`
+        ideals raise CapExceededError.
         """
         if self._ideal_masks is None:
             cap = mask_cap(self.n)
@@ -271,6 +266,7 @@ class Poset:
             gains = [tuple((1 << y, down[y]) for y in self.upper_covers[x])
                      for x in range(self.n)]
             out = [0]
+            adds = [self.minimal_mask]
             layer = {0: self.minimal_mask}  # ideal -> its addable mask
             while layer:
                 nxt = {}
@@ -289,8 +285,10 @@ class Poset:
                             if dy & new == dy:
                                 grow |= ybit
                         nxt[new] = grow
-                out += sorted(nxt)
-                layer = nxt
+                layer = dict(sorted(nxt.items()))
+                out += layer
+                adds += layer.values()
+            self._addable_masks = adds
             self._ideal_masks = tuple(out)
             self._ideal_index = {m: i for i, m in enumerate(self._ideal_masks)}
         return self._ideal_masks
@@ -300,26 +298,22 @@ class Poset:
         return self._ideal_index[mask]
 
     def toggle_table(self) -> ToggleTable:
-        """Cached ToggleTable over the canonical ideal enumeration.
+        """Cached ToggleTable, read off the addable masks of `ideal_masks`.
 
-        This is the one place that decides whether p is addable to or
-        removable from an ideal; every toggleability vector is read off it.
+        p addable to ideal k = I puts k in addable[p] and I + p in
+        removable[p]; I -> I + p keeps the canonical order, so both lists are
+        increasing and aligned.  Every toggleability vector is read off it.
         """
         if self._toggle_table is None:
             masks = self.ideal_masks()
             index = self._ideal_index
-            addable = []
-            removable = []
-            for p in range(self.n):
-                bit = 1 << p
-                test = self.up_covers[p] | bit  # p present, no upper cover
-                rem = [i for i, m in enumerate(masks) if m & test == bit]
-                removable.append(array("l", rem))
-                # p is addable to J exactly when J = I - p with p removable
-                # from I; I -> I - p keeps the canonical order, so
-                # addable[p][k] and removable[p][k] are the two ends of one
-                # toggle.
-                addable.append(array("l", [index[masks[i] ^ bit] for i in rem]))
+            addable = [array("l") for _ in range(self.n)]
+            removable = [array("l") for _ in range(self.n)]
+            for k, (mask, add) in enumerate(zip(masks, self._addable_masks)):
+                for p in _bits(add):
+                    addable[p].append(k)
+                    removable[p].append(index[mask | 1 << p])
+            self._addable_masks = None
             self._toggle_table = ToggleTable(tuple(addable), tuple(removable))
         return self._toggle_table
 
@@ -502,12 +496,12 @@ def linear_extension(P: Poset) -> LinearExtension:
 
 def minimal_complement(I: OrderIdeal) -> Antichain:
     """min(P \\ I): minimal elements of the complement of I."""
-    return Antichain._make(I.poset, I.poset.min_complement_mask(I.mask))
+    return Antichain._make(I.poset, I.poset.toggleable_mask(I.mask) & ~I.mask)
 
 
 def maximal_elements(I: OrderIdeal) -> Antichain:
     """max(I): maximal elements of I; the canonical bijection to antichains."""
-    return Antichain._make(I.poset, I.poset.max_of_ideal_mask(I.mask))
+    return Antichain._make(I.poset, I.poset.toggleable_mask(I.mask) & I.mask)
 
 
 def ideal_generated_by(A: Antichain) -> OrderIdeal:

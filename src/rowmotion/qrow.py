@@ -289,24 +289,21 @@ def q_rowmotion(P: Poset, alphabet: FlavorAlphabet, L: QLabeling,
 def _q_sweep(P, alphabet, local_theta, order, L):
     """The labeling L of P toggled at each element of `order` in turn.
 
-    p acts when toggling it changes the zero-labeled ideal M, tested with
-    the cover masks as in `Poset.toggle_mask`; its label moves by theta_p,
-    and p's bit in M flips when the label crosses the 0/1 boundary.  No
-    ideal is enumerated, so a single step on a large poset stays cheap.
+    p acts when `Poset.toggle_mask` changes the zero-labeled ideal M at p;
+    its label moves by theta_p, and p's bit in M flips when the label
+    crosses the 0/1 boundary.  No ideal is enumerated, so a single step on
+    a large poset stays cheap.
     """
     if L.poset is not P:
         raise ValueError("labeling belongs to a different poset")
     if (L.alphabet.r, L.alphabet.s) != (alphabet.r, alphabet.s):
         raise ValueError("labeling has other flavor counts than the alphabet")
     thetas = _thetas(P, alphabet, local_theta)
-    s, up, down = alphabet.s, P.up_covers, P.down_covers
+    s = alphabet.s
     labels = list(L.labels)
     mask = L.ideal_mask
     for p in order:
-        if mask >> p & 1:
-            if up[p] & mask:
-                continue
-        elif down[p] & mask != down[p]:
+        if P.toggle_mask(p, mask) == mask:
             continue
         labels[p] = x = thetas[p][labels[p]]
         if (x < s) != (mask >> p & 1):

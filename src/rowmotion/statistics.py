@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .families import root_poset_A
+from .families import parse_ints, root_poset_A
 from .poset import Antichain, OrderIdeal, Poset
 from .qpoly import (
     MAX_NUMBER_DIGITS,
@@ -474,7 +474,8 @@ def named_statistic(P: Poset, kind: str) -> Statistic:
         head = f"color:{arg}"
     elif head in _GRID_ATOMS:
         slot, pick, empty = _GRID_ATOMS[head]
-        k = None if empty is None else int(arg)
+        k = None if empty is None else parse_ints(
+            arg, 1, f"statistic {kind!r} must be {head}:<k>")[0]
         combo[slot] = tuple(Fraction(pick(a, b, k)) for a, b in _coord_arrays(P))
         if empty is not None:
             if not any(combo[slot]):
@@ -552,9 +553,9 @@ def parse_fraction(text) -> Fraction:
 def _parse_atom(P, atom):
     head, _, arg = atom.partition(":")
     if head == "rookA":
-        return rook_A(P, int(arg))
+        return rook_A(P, *parse_ints(arg, 1, f"statistic {atom!r} must be rookA:<k>"))
     if head == "tout":
-        i, j = (int(t) for t in arg.split(","))
+        i, j = parse_ints(arg, 2, f"statistic {atom!r} must be tout:<i>,<j>")
         if not P.has_coord((i, j)):
             raise ValueError(f"({i},{j}) is outside the poset")
         return t_out(P, P.element_at((i, j)))

@@ -81,7 +81,7 @@ def _reference_orbits(P, variant):
 
     def step(mask):
         if order is None:
-            return P.generated_ideal_mask(P.min_complement_mask(mask))
+            return P.generated_ideal_mask(P.toggleable_mask(mask) & ~mask)
         for p in order:
             mask = P.toggle_mask(p, mask)
         return mask
@@ -90,7 +90,7 @@ def _reference_orbits(P, variant):
     for start in P.ideal_masks():
         if start in seen:
             continue
-        rep = P.max_of_ideal_mask(start) if variant == "antichain" else start
+        rep = P.toggleable_mask(start) & start if variant == "antichain" else start
         reps.append(str([p for p in range(P.n) if rep >> p & 1]))
         size, mask = 0, start
         while mask not in seen:
@@ -711,6 +711,43 @@ def test_malformed_q_variant_is_a_usage_error(variant):
     code, out, err = run_cli_err("orbits", "rect:2,2", "--variant", variant)
     assert code == 2 and out == ""
     assert err == f"error: variant {variant!r} must be q:<r>,<s> with integers r and s\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("orbits", "rect:2,2", "--variant", "sigma:a"), "sigma:a"),
+    (("orbits", "rect:2,2", "--variant", "sigma:0,,1"), "sigma:0,,1"),
+    (("orbits", "rect:2,2", "--level", "pl", "--start", "random:"), "random:"),
+    (("orbits", "rect:2,2", "--variant", "q:1,1", "--theta", "random:z"), "random:z"),
+    (("decompose", "rect:2,2", "pfiber:x"), "pfiber:x"),
+    (("decompose", "rect:2,2", "nfiber:"), "nfiber:"),
+    (("decompose", "rect:2,2", "rookA:"), "rookA:"),
+    (("decompose", "rect:2,2", "tout:a,b"), "tout:a,b"),
+    (("decompose", "rect:2,2", "tout:1"), "tout:1"),
+    (("qrow", "--family", "rect:2,2", "--r", "1", "--s", "1", "--stat", "antichain_card",
+      "--expect", "qnum(x)"), "x"),
+])
+def test_integer_usage_errors_quote_the_input(argv, text):
+    code, out, err = run_cli_err(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(text) in err
+
+
+@pytest.mark.parametrize("family, variant, theta", [
+    ("rootA:2", "q:1,2", "default"),
+    ("rootA:2", "q:4,6", "default"),
+    ("rect:2,2", "q:2,9", "random:3"),
+])
+def test_q_representatives_split_into_labels(family, variant, theta):
+    """Representatives are digit strings while every label has one digit,
+    and comma-separated once r + s > 10."""
+    r, s = map(int, variant[2:].split(","))
+    code, out = run_cli("orbits", family, "--variant", variant, "--theta", theta)
+    assert code == 0
+    n = from_specifier(family).n
+    for rep in json.loads(out)["representatives"]:
+        labels = rep.split(",") if r + s > 10 else list(rep)
+        assert len(labels) == n and all(0 <= int(x) < r + s for x in labels)
 
 
 # a valid call of each subcommand, to which an option is appended

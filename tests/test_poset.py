@@ -2,7 +2,7 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rowmotion import (
     CapExceededError,
@@ -277,34 +277,45 @@ def small_posets(draw):
     return Poset(n, [pr for pr, k in zip(pairs, keep) if k])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(small_posets())
-def test_toggle_table_matches_mask_definitions(P):
+@example(Poset(0, []))
+@example(Poset(5, []))  # an antichain
+@example(Poset(6, [(0, 1), (1, 2), (3, 5), (4, 5)]))  # disconnected
+@example(Poset(68, [(k, k + 1) for k in range(65)]))  # masks past 64 bits
+def test_toggle_decisions_match_the_definition(P):
+    """The two places that decide toggleability, the search behind
+    `toggle_table` and `toggle_mask` behind `toggleable_mask`, against the
+    definition: p is addable to I iff p is not in I and I + p is an ideal,
+    and removable iff p is in I and I - p is an ideal."""
     masks = P.ideal_masks()
     table = P.toggle_table()
     assert table is P.toggle_table()  # cached
     assert len(table.addable) == len(table.removable) == P.n
+    addable = [[k for k, m in enumerate(masks)
+                if not m >> p & 1 and P.is_ideal_mask(m | 1 << p)] for p in range(P.n)]
+    removable = [[k for k, m in enumerate(masks)
+                  if m >> p & 1 and P.is_ideal_mask(m ^ 1 << p)] for p in range(P.n)]
     for p in range(P.n):
-        down, up, bit = P.down_covers[p], P.up_covers[p], 1 << p
-        addable = [i for i, m in enumerate(masks)
-                   if not m & bit and down & m == down]
-        removable = [i for i, m in enumerate(masks)
-                     if m & bit and up & m == 0]
-        assert list(table.addable[p]) == addable
-        assert list(table.removable[p]) == removable
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_posets())
-def test_toggle_table_pairs_are_single_toggles(P):
-    """addable[p][k] is removable[p][k] with p taken out: the aligned pairs
-    that Poset.sweep_permutation swaps."""
-    masks = P.ideal_masks()
-    table = P.toggle_table()
-    for p in range(P.n):
+        # the brute-force lists are increasing, so this checks the order too
+        assert list(table.addable[p]) == addable[p]
+        assert list(table.removable[p]) == removable[p]
         assert len(table.addable[p]) == len(table.removable[p])
-        for a, b in zip(table.addable[p], table.removable[p]):
-            assert masks[a] == masks[b] ^ (1 << p)
+        for a, r in zip(table.addable[p], table.removable[p]):
+            assert masks[r] == masks[a] | 1 << p
+    min_rest = [0] * len(masks)  # min(P - I)
+    max_ideal = [0] * len(masks)  # max(I)
+    for p in range(P.n):
+        for k in addable[p]:
+            min_rest[k] |= 1 << p
+        for k in removable[p]:
+            max_ideal[k] |= 1 << p
+    assert list(P.antichain_masks()) == max_ideal
+    for k, m in enumerate(masks):
+        assert P.toggleable_mask(m) == min_rest[k] | max_ideal[k]
+        I = OrderIdeal._make(P, m)
+        assert minimal_complement(I).mask == min_rest[k]
+        assert maximal_elements(I).mask == max_ideal[k]
 
 
 @settings(max_examples=60, deadline=None)
