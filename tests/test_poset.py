@@ -277,6 +277,36 @@ def small_posets(draw):
     return Poset(n, [pr for pr, k in zip(pairs, keep) if k])
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_posets())
+def test_toggle_table_matches_mask_definitions(P):
+    masks = P.ideal_masks()
+    table = P.toggle_table()
+    assert table is P.toggle_table()  # cached
+    assert len(table.addable) == len(table.removable) == P.n
+    for p in range(P.n):
+        down, up, bit = P.down_covers[p], P.up_covers[p], 1 << p
+        addable = [i for i, m in enumerate(masks)
+                   if not m & bit and down & m == down]
+        removable = [i for i, m in enumerate(masks)
+                     if m & bit and up & m == 0]
+        assert list(table.addable[p]) == addable
+        assert list(table.removable[p]) == removable
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets())
+def test_toggle_table_pairs_are_single_toggles(P):
+    """addable[p][k] is removable[p][k] with p taken out: the aligned pairs
+    that Poset.sweep_permutation swaps."""
+    masks = P.ideal_masks()
+    table = P.toggle_table()
+    for p in range(P.n):
+        assert len(table.addable[p]) == len(table.removable[p])
+        for a, b in zip(table.addable[p], table.removable[p]):
+            assert masks[a] == masks[b] ^ (1 << p)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_posets())
 @example(Poset(0, []))
