@@ -3,8 +3,9 @@ q-rowmotion experiments, with deterministic JSON/CSV output.
 
 Exit codes: 0 answer produced / checks pass, 1 verification failure (the
 mathematics failed), 2 usage error, 3 resource cap exceeded, 4 internal
-error.  Every failure prints one `error:` line to stderr, except a resource
-cap, which prints a JSON object to stdout.
+error, 141 stdout closed by its reader (128 + SIGPIPE).  Every failure
+prints one `error:` line to stderr, except a resource cap, which prints a
+JSON object to stdout, and a closed stdout, which prints nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 
@@ -32,6 +34,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool stopped by a closed pipe
 
 
 def _emit(args, payload):
@@ -430,10 +433,16 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
     except CapExceededError as exc:
         print(json.dumps({"error": "resource cap", "detail": str(exc)}))
         return EXIT_CAP
+    except BrokenPipeError:
+        # the reader closed stdout; keep the final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,6 +36,8 @@ class ToggleTable(NamedTuple):
 
     addable[p] lists, in increasing order, the ideals I with p not in I and
     I + p an ideal; removable[p] the ideals with p in I and I - p an ideal.
+    I -> I + p keeps the canonical order, so removable[p][i] is addable[p][i]
+    plus p.  The search in `Poset.ideal_masks` writes the table.
     """
 
     addable: tuple
@@ -106,7 +108,6 @@ class Poset:
 
         self.rank = self._compute_rank()
         self._ideal_masks: Optional[tuple] = None
-        self._addable_masks: Optional[list] = None  # min(P - I), until toggle_table
         self._ideal_index: Optional[dict] = None
         self._toggle_table: Optional[ToggleTable] = None
         self._certificate_system = None  # factored by rowmotion.decompose
@@ -253,11 +254,12 @@ class Poset:
 
         The result is cached; the canonical position of each ideal in this
         tuple indexes every statistic vector built on this poset.  The search
-        goes by cardinality and carries each ideal's addable mask forward:
-        adding x drops x and gains the upper covers of x whose lower covers
-        are all in the new ideal.  The addable masks are kept, aligned with
-        the ideals, until `toggle_table` reads them.  More than `mask_cap(n)`
-        ideals raise CapExceededError.
+        goes by cardinality and carries each ideal's addable mask min(P - I)
+        forward: adding x drops x and gains the upper covers of x whose lower
+        covers are all in the new ideal.  Once the next layer is sorted, the
+        `toggle_table` rows of the current layer are written, so the masks,
+        their index and the table are stored together after one pass.  More
+        than `mask_cap(n)` ideals raise CapExceededError and store nothing.
         """
         if self._ideal_masks is None:
             cap = mask_cap(self.n)
@@ -265,8 +267,10 @@ class Poset:
             # gains[x]: (bit, lower covers) of each upper cover of x
             gains = [tuple((1 << y, down[y]) for y in self.upper_covers[x])
                      for x in range(self.n)]
+            addable = [array("l") for _ in range(self.n)]
+            removable = [array("l") for _ in range(self.n)]
             out = [0]
-            adds = [self.minimal_mask]
+            index = {0: 0}
             layer = {0: self.minimal_mask}  # ideal -> its addable mask
             while layer:
                 nxt = {}
@@ -285,12 +289,21 @@ class Poset:
                             if dy & new == dy:
                                 grow |= ybit
                         nxt[new] = grow
-                layer = dict(sorted(nxt.items()))
-                out += layer
-                adds += layer.values()
-            self._addable_masks = adds
+                nxt = dict(sorted(nxt.items()))
+                index.update(zip(nxt, count(len(out))))
+                # p addable to ideal k = I: k joins addable[p], I + p removable[p]
+                for k, (mask, add) in enumerate(layer.items(), len(out) - len(layer)):
+                    while add:
+                        low = add & -add
+                        add ^= low
+                        p = low.bit_length() - 1
+                        addable[p].append(k)
+                        removable[p].append(index[mask | low])
+                out += nxt
+                layer = nxt
             self._ideal_masks = tuple(out)
-            self._ideal_index = {m: i for i, m in enumerate(self._ideal_masks)}
+            self._ideal_index = index
+            self._toggle_table = ToggleTable(tuple(addable), tuple(removable))
         return self._ideal_masks
 
     def ideal_index(self, mask):
@@ -298,23 +311,9 @@ class Poset:
         return self._ideal_index[mask]
 
     def toggle_table(self) -> ToggleTable:
-        """Cached ToggleTable, read off the addable masks of `ideal_masks`.
-
-        p addable to ideal k = I puts k in addable[p] and I + p in
-        removable[p]; I -> I + p keeps the canonical order, so both lists are
-        increasing and aligned.  Every toggleability vector is read off it.
-        """
-        if self._toggle_table is None:
-            masks = self.ideal_masks()
-            index = self._ideal_index
-            addable = [array("l") for _ in range(self.n)]
-            removable = [array("l") for _ in range(self.n)]
-            for k, (mask, add) in enumerate(zip(masks, self._addable_masks)):
-                for p in _bits(add):
-                    addable[p].append(k)
-                    removable[p].append(index[mask | 1 << p])
-            self._addable_masks = None
-            self._toggle_table = ToggleTable(tuple(addable), tuple(removable))
+        """The cached ToggleTable, written by the search in `ideal_masks`, which
+        runs on first use.  Every toggleability vector is read off it."""
+        self.ideal_masks()
         return self._toggle_table
 
     def sweep_permutation(self, order) -> array:

@@ -29,7 +29,7 @@ from itertools import product
 from .dynamics import rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
 from .qpoly import CertificateError, RationalFunction
-from .statistics import RATIONAL, Statistic
+from .statistics import RATIONAL, HomomesyReport, Statistic, _homomesy_report
 
 DEFAULT_LABELING_CAP = 2_000_000
 
@@ -124,14 +124,18 @@ def check_labeling_count(P: Poset, r: int, s: int) -> int:
     DEFAULT_LABELING_CAP before any alphabet is built.
 
     r + s is bounded as well: theta has r + s symbols, and a poset without
-    elements has one labeling for every (r, s).  The count stops at the
-    first ideal size that takes it past the cap.
+    elements has one labeling for every (r, s).  For n >= 1 the empty and
+    the full ideal alone carry r^n + s^n labelings, so that sum is bounded
+    before any ideal is enumerated.  The count stops at the first ideal
+    size that takes it past the cap.
     """
     cap = DEFAULT_LABELING_CAP
     if r < 1 or s < 1:
         raise ValueError("r and s must be positive")
     if r + s > cap:
         raise CapExceededError(f"{r + s} flavor symbols exceed the cap {cap}")
+    if P.n and r ** P.n + s ** P.n > cap:
+        raise CapExceededError(f"more than {cap} labelings")
     total = 0
     for _, c, w in _blocks(P, r, s):
         total += c * w
@@ -362,21 +366,8 @@ def ideal_mask_of(labels, alphabet) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class QHomomesyReport:
-    is_homomesic: bool
-    orbit_averages: tuple
-    orbit_sizes: tuple
-    expected: object
-    matches_expected: object  # None when no expectation given
-
-    @property
-    def constant(self):
-        return self.orbit_averages[0] if self.is_homomesic else None
-
-
 def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
-                     expected=None, local_theta=None) -> QHomomesyReport:
+                     expected=None, local_theta=None) -> HomomesyReport:
     """Exact orbit averages of an ideal statistic lifted to labelings.
 
     The statistic value of a labeling is its value on the zero-labeled
@@ -394,17 +385,7 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
         except ZeroDivisionError as exc:
             raise ValueError(f"the expected value has a {exc}") from None
     # integer orbit sums over the one denominator of the values
-    value, den = dict(zip(P.ideal_masks(), f.nums)).__getitem__, f.den
-    totals = []
-    sizes = []
-    for orbit in _walk(P, alphabet, local_theta):
-        totals.append(sum(map(value, orbit)))
-        sizes.append(len(orbit))
-    averages = [Fraction(t, den * k) for t, k in zip(totals, sizes)]
-    homomesic = all(a == averages[0] for a in averages)
-    matches = None
-    if expected is not None:
-        expected = Fraction(expected)
-        matches = homomesic and averages[0] == expected
-    return QHomomesyReport(homomesic, tuple(averages), tuple(sizes),
-                           expected, matches)
+    value = dict(zip(P.ideal_masks(), f.nums)).__getitem__
+    return _homomesy_report(f, ((sum(map(value, orbit)), len(orbit))
+                                for orbit in _walk(P, alphabet, local_theta)),
+                            None if expected is None else Fraction(expected))

@@ -571,10 +571,24 @@ class HomomesyReport:
     global_average: object
     orbit_averages: tuple
     orbit_sizes: tuple
+    expected: object = None  # both None unless an expected value is given
+    matches_expected: object = None
 
     @property
     def constant(self):
         return self.orbit_averages[0] if self.is_homomesic else None
+
+
+def _homomesy_report(stat, orbits, expected=None) -> HomomesyReport:
+    """The report of `orbits`, (numerator sum, size) pairs over the one
+    denominator of `stat`."""
+    field, den = _FIELD[stat.kind], stat.den
+    totals, sizes = zip(*orbits)
+    averages = tuple(field(t, den * k) for t, k in zip(totals, sizes))
+    homomesic = all(a == averages[0] for a in averages)
+    grand = field(sum(totals), den * sum(sizes))
+    matches = None if expected is None else homomesic and averages[0] == expected
+    return HomomesyReport(homomesic, grand, averages, sizes, expected, matches)
 
 
 def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
@@ -592,13 +606,8 @@ def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
         if space is None:
             space = enumerate_ideals(stat.poset)
         perm = dynamics.as_index_permutation(action, space)
-    nums, den, field = stat.nums, stat.den, _FIELD[stat.kind]
+    nums = stat.nums
     if len(perm) != len(nums):
         raise ValueError("action and statistic have different state counts")
-    cycles = dynamics.permutation_orbits(perm)
-    sizes = tuple(len(cyc) for cyc in cycles)
-    # orbit sums of the numerators, over the one denominator
-    averages = [field(sum(map(nums.__getitem__, cyc)), den * len(cyc)) for cyc in cycles]
-    grand = field(sum(nums), den * len(nums))
-    homomesic = all(a == averages[0] for a in averages)
-    return HomomesyReport(homomesic, grand, tuple(averages), sizes)
+    return _homomesy_report(stat, [(sum(map(nums.__getitem__, cyc)), len(cyc))
+                                   for cyc in dynamics.permutation_orbits(perm)])

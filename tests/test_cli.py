@@ -693,6 +693,8 @@ def test_flavor_counts_are_bounded_before_theta_is_built():
 
 
 def test_labeling_count_is_bounded_for_a_poset_without_elements(tmp_path):
+    import time
+
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"n": 0, "covers": []}))
     # one labeling for every (r, s), but theta would have r + s symbols
@@ -704,6 +706,16 @@ def test_labeling_count_is_bounded_for_a_poset_without_elements(tmp_path):
     code, out, _ = run_cli_err("qrow", "--family", "rect:3,3", "--r", "30", "--s", "30",
                                "--stat", "antichain_card")
     assert code == 3 and json.loads(out)["detail"] == "more than 2000000 labelings"
+    # r^n + s^n labelings on the empty and the full ideal: refused before any
+    # ideal is enumerated (rect:12,12 has more ideals than the enumeration cap)
+    for argv in (("orbits", "rect:12,12", "--variant", "q:2,2"),
+                 ("qrow", "--family", "rect:11,11", "--r", "2", "--s", "1",
+                  "--stat", "antichain_card")):
+        start = time.perf_counter()
+        code, out, err = run_cli_err(*argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 3 and err == "", argv
+        assert json.loads(out)["detail"] == "more than 2000000 labelings", argv
 
 
 @pytest.mark.parametrize("variant", ["q:1", "q:1,2,3", "q:x,2", "q:", "q:1.5,2"])
@@ -783,6 +795,26 @@ def test_option_written_with_an_empty_value_is_a_usage_error(opt, argv):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert code == 2 and out == "", (argv, code, err)
     assert len(errors) == 1 and f"{opt}:" in errors[0], (argv, err)
+
+
+def test_closed_stdout_is_not_a_usage_error():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # about 170 kB of JSON, more than a pipe holds, so the close is seen
+    proc = subprocess.Popen([sys.executable, "-m", "rowmotion", "orbits", "rect:3,4",
+                             "--variant", "q:2,2"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "famil'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141 and err == b""
 
 
 def test_python_m_rowmotion_runs_the_cli():

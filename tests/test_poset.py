@@ -372,8 +372,16 @@ def test_ideal_masks_match_brute_force_and_cap_boundary(monkeypatch):
         # the cap allows exactly the ideal count and refuses one fewer
         with monkeypatch.context() as m:
             m.setattr(poset_module, "DEFAULT_IDEAL_CAP", len(masks))
-            assert Poset(P.n, P.covers).ideal_masks() == P.ideal_masks()
+            Q = Poset(P.n, P.covers)
+            assert Q.ideal_masks() == P.ideal_masks()
+            # the search wrote the table, so reading it enumerates nothing
+            m.setattr(poset_module, "DEFAULT_IDEAL_CAP", 0)
+            assert Q.toggle_table() == P.toggle_table()
             if len(masks) > 1:
                 m.setattr(poset_module, "DEFAULT_IDEAL_CAP", len(masks) - 1)
-                with pytest.raises(CapExceededError):
-                    Poset(P.n, P.covers).ideal_masks()
+                Q = Poset(P.n, P.covers)
+                # a refused search stores nothing, and the next call refuses too
+                for call in (Q.ideal_masks, Q.toggle_table):
+                    with pytest.raises(CapExceededError):
+                        call()
+                    assert (Q._ideal_masks, Q._ideal_index, Q._toggle_table) == (None,) * 3

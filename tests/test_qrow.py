@@ -202,9 +202,17 @@ def test_unreduced_pair_changes_dynamics():
 def test_labeling_cap(monkeypatch):
     from rowmotion import CapExceededError
 
+    # the empty and the full ideal alone carry r^n + s^n labelings, so these
+    # are refused before any ideal is enumerated
+    P = rectangle(11, 11)
+    with pytest.raises(CapExceededError, match="more than 2000000 labelings"):
+        check_labeling_count(P, 2, 1)
+    assert P._ideal_masks is None
     monkeypatch.setattr(qrow, "DEFAULT_LABELING_CAP", 100)
+    P = rectangle(3, 3)
     with pytest.raises(CapExceededError, match="more than 100 labelings"):
-        enumerate_labelings(rectangle(3, 3), FlavorAlphabet.default(5, 5))
+        enumerate_labelings(P, FlavorAlphabet.default(5, 5))
+    assert P._ideal_masks is None
 
 
 def test_enumeration_grouped_by_ideal():
