@@ -67,7 +67,7 @@ def cmd_orbits(args) -> int:
         r, s = families.parse_ints(
             variant[2:], 2, f"variant {variant!r} must be q:<r>,<s> with integers r and s")
         alphabet, total = _alphabet(args, P, r, s)
-        orbits = [(len(o), o[0]) for o in qrow._walk(P, alphabet, None, as_labels=True)]
+        orbits = qrow._representatives(P, alphabet)
         sizes = [size for size, _ in orbits]
         sep = "," if r + s > 10 else ""  # a label may have two digits
         reps = [sep.join(map(str, first)) for _, first in orbits]

@@ -9,7 +9,8 @@ each step returns the canonical state at the image index under
 toggles the mask along the same order (`_sweep_mask`).
 
 There is one orbit kernel and one bijection check: the cycles of an index
-permutation (`permutation_orbits`).  `orbit_partition` reads a map on a state
+permutation (`_cycles`, listed by `permutation_orbits`), which the
+q-rowmotion orbits walk as well.  `orbit_partition` reads a map on a state
 space as such a permutation (`as_index_permutation`, by identity) and maps
 the cycles back.
 """
@@ -243,21 +244,26 @@ def as_index_permutation(step, space) -> list[int]:
 def permutation_orbits(perm) -> list[list[int]]:
     """Cycles of an index permutation, each starting at its least element;
     an entry out of range or a cycle not closing at its start raises."""
+    return list(_cycles(perm))
+
+
+def _cycles(perm):
+    """The cycles of `permutation_orbits`, one at a time.  Visited entries
+    are marked in a bytearray, one byte each, and the next cycle starts at
+    its first unmarked entry."""
     n = len(perm)
     if n and not (0 <= min(perm) and max(perm) < n):
         raise ValueError(f"an index is out of range for {n} states")
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
+    seen = bytearray(n)
+    start = seen.find(0)
+    while start != -1:
         cyc = []
         x = start
         while not seen[x]:
-            seen[x] = True
+            seen[x] = 1
             cyc.append(x)
             x = perm[x]
         if x != start:
             raise ValueError("map is not a bijection of the state space")
-        cycles.append(cyc)
-    return cycles
+        yield cyc
+        start = seen.find(0, start + 1)

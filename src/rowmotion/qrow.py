@@ -9,24 +9,27 @@ on r and s themselves, not only on q = r/s.
 The zero-labeled set M stays an ideal after every toggle, so only the
 elements of max(M) | min(P - M) can act.  Single steps (`q_toggle`,
 `q_rowmotion`) test each element against M with the cover masks and
-enumerate no ideals.  The orbit walk `_walk` enumerates every ideal
-anyway: it reads the active positions of each M off the toggle table
-once per call (`_walk_table`), and its kernel `_sweep` visits only those.
-The walk carries each labeling's dense rank, its position in
-`enumerate_labelings`, through the sweep, marks visited labelings in a
-bytearray of one byte per rank, and yields one whole orbit at a time.
+enumerate no ideals.  The orbits come from one permutation of labeling
+ranks, a rank being a labeling's position in `enumerate_labelings`:
+`_q_sweep_permutation` composes the toggles as strided slice moves over the
+aligned pairs of the toggle table, in one 4-byte owner array, and looks at
+no labeling.  Its cycles, walked by `dynamics._cycles` with one byte per
+labeling, are the orbits; only the labels that are returned or printed are
+built.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product, repeat
 
-from .dynamics import rowmotion_order
+from .dynamics import _cycles, rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
 from .qpoly import CertificateError, RationalFunction
 from .statistics import RATIONAL, HomomesyReport, Statistic, _homomesy_report
@@ -154,15 +157,37 @@ def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet):
     """All labelings, grouped by underlying ideal in canonical ideal order,
     lexicographic in the per-element flavor choices within each group.
 
-    A labeling's position in this order is its rank, which the orbit walk
-    carries."""
-    check_labeling_count(P, alphabet.r, alphabet.s)
-    zeros = range(alphabet.s)
-    ones = range(alphabet.s, alphabet.s + alphabet.r)
-    return tuple(
-        QLabeling._make(P, alphabet, labels, mask)
-        for mask in P.ideal_masks()
-        for labels in product(*[zeros if mask >> p & 1 else ones for p in range(P.n)]))
+    A labeling's position in this order is its rank, on which the orbit walk
+    runs."""
+    return tuple(QLabeling._make(P, alphabet, labels, mask)
+                 for mask, block in _label_blocks(P, alphabet) for labels in block)
+
+
+def _label_blocks(P, alphabet):
+    """(M, the label tuples of the labelings on M) for every ideal M, in rank
+    order: the one enumerator of labelings, after the cap check.
+
+    Which elements are labeled 1 is read off the bits of M as a bytes
+    template, element 0 first; for r = s = 1 it is the one labeling on M.
+    """
+    r, s, n = alphabet.r, alphabet.s, P.n
+    check_labeling_count(P, r, s)
+    outside = bytes.maketrans(b"01", b"\1\0")
+    pools = (range(s), range(s, s + r))
+    for mask in P.ideal_masks():
+        ones = bin(mask | 1 << n)[:2:-1].encode().translate(outside)
+        yield mask, ((tuple(ones),) if r == s == 1
+                     else product(*map(pools.__getitem__, ones)))
+
+
+def _offsets(P, r, s):
+    """The rank of the first labeling on each ideal, in canonical order, then
+    the labeling count, after the cap check."""
+    check_labeling_count(P, r, s)
+    n = P.n
+    sizes = [r ** (n - k) * s ** k for k in range(n + 1)]
+    return list(accumulate(map(sizes.__getitem__, map(int.bit_count, P.ideal_masks())),
+                           initial=0))
 
 
 def _thetas(P, alphabet, local_theta):
@@ -177,97 +202,6 @@ def _thetas(P, alphabet, local_theta):
         raise ValueError(f"local_theta has {len(cycles)} cycles for {P.n} elements")
     return tuple(FlavorAlphabet(alphabet.r, alphabet.s, getattr(th, "theta", th)).theta
                  for th in cycles)
-
-
-def _walk_table(P, alphabet, local_theta, order):
-    """The toggles at `order` as sweep positions, and the table of every
-    zero-labeled ideal M, for the orbit walk.
-
-    Position j holds (p, moves) for the element p toggled at step
-    len(order) - 1 - j, so a sweep runs the positions from the highest down.
-    moves[x] for the old label x is (theta_p(x), the change of the flavor
-    index, the bit that flips in M or 0).  The flavor index of a label is
-    the label itself for a 0 and the label minus s for a 1.
-
-    table[M] is (active, offset, weights).  `active` holds the positions
-    whose element is active in M, that is max(M) | min(P - M), as a
-    bitmask, read off the toggle table.  `offset` is the rank of the first
-    labeling on M, and weights[j] is (L, R*L, (R' - R)*L) for the element p
-    at position j: L, the place value of p's flavor index, is the product
-    of the radices of the elements after p (s in M, r outside), R is the
-    radix of p in M and R' its radix once p flips.  Entries share their
-    triples, and for r = s one weights tuple.
-    """
-    r, s, n = alphabet.r, alphabet.s, P.n
-    thetas = _thetas(P, alphabet, local_theta)
-    elements = order[::-1]  # elements[j]: the element at position j
-    steps = tuple(
-        (p, tuple((y, (y - s * (y >= s)) - (x - s * (x >= s)),
-                   1 << p if (x < s) != (y < s) else 0)
-                  for x, y in enumerate(thetas[p])))
-        for p in elements)
-    masks = P.ideal_masks()
-    toggles = P.toggle_table()
-    active = [0] * len(masks)
-    for j, p in enumerate(elements):
-        for k in (*toggles.addable[p], *toggles.removable[p]):
-            active[k] |= 1 << j
-    interned = {}
-
-    def weights_of(mask):
-        weights = [None] * n  # weights[p]: the triple of element p
-        L = 1
-        for p in reversed(range(n)):
-            R, flipped = (s, r) if mask >> p & 1 else (r, s)
-            w = (L, R * L, (flipped - R) * L)
-            weights[p] = interned.setdefault(w, w)
-            L *= R
-        return tuple(map(weights.__getitem__, elements))
-
-    shared = weights_of(0) if r == s else None  # place values vary with M only if r != s
-    table = {}
-    offset = 0
-    for mask, act in zip(masks, active):
-        table[mask] = (act, offset, weights_of(mask) if shared is None else shared)
-        k = mask.bit_count()
-        offset += r ** (n - k) * s ** k
-    return steps, table
-
-
-def _sweep(toggles, labels, mask, code):
-    """Apply the toggles in turn, in place on `labels`; returns the new
-    zero-labeled mask and rank.
-
-    The zero-labeled set M stays an ideal, and only the elements active in M
-    can act.  So the sweep visits only the pending active positions below
-    the current one, and reloads them from the table only when a toggle
-    moves a label across the 0/1 boundary, which is when M changes.
-
-    The rank is the offset of M plus a mixed-radix number with one digit,
-    the flavor index, per element, element 0 the most significant.  A
-    toggle that keeps the class of p adds the change of its digit times its
-    place value L.  A toggle that flips p changes its radix from R to R',
-    which rescales the digits before p, the part of the rank above R*L, and
-    then moves the rank to the new ideal's offset.
-    """
-    steps, table = toggles
-    pending, offset, weights = table[mask]
-    within = code - offset  # the rank within M
-    while pending:
-        j = pending.bit_length() - 1
-        p, moves = steps[j]
-        new, dc, flip = moves[labels[p]]
-        labels[p] = new
-        L, RL, dRL = weights[j]
-        if flip:
-            within += within // RL * dRL + dc * L
-            mask ^= flip
-            pending, offset, weights = table[mask]
-            pending &= (1 << j) - 1
-        else:
-            within += dc * L
-            pending ^= 1 << j
-    return mask, offset + within
 
 
 def q_toggle(P: Poset, alphabet: FlavorAlphabet, p: int, L: QLabeling,
@@ -315,46 +249,96 @@ def _q_sweep(P, alphabet, local_theta, order, L):
     return QLabeling._make(P, alphabet, tuple(labels), mask)
 
 
-def _walk(P, alphabet, local_theta, as_labels=False):
-    """Every labeling once, orbit by orbit, under q-rowmotion.
+def _q_sweep_permutation(P, alphabet, local_theta, order) -> array:
+    """The toggles at `order` (first element first) as an owner array on
+    labeling ranks: entry j is the rank of the labeling that they take to rank
+    j, so the array is the inverse of the map, with the same cycles reversed.
 
-    Orbits start at their first labeling in the order of
-    `enumerate_labelings`.  Yields one list per orbit: the zero-labeled
-    masks of its labelings in orbit order, or with `as_labels` their label
-    tuples.  The sweep carries each labeling's rank, its position in that
-    order; visited ranks are marked in a bytearray of one byte per
-    labeling, the next orbit starts at the first unmarked rank, and its
-    labels are read back from the digits of that rank.  A rank outside the
-    labeling space, or an orbit that does not close at its start, means the
-    map is not a bijection.
+    It starts from the identity.  A toggle at p moves only the labelings on
+    the aligned pairs (a, b) = (addable[p][i], removable[p][i]) of the toggle
+    table, where p is labeled 1 on the ideal a and 0 on b = a + p.  Every
+    other element has the same class on a and b, so a rank on either is
+    offset + (hi * R + d) * L + lo: d is p's flavor index (the label, less s
+    for a 1) and R its radix (s on b, r on a), and the H values of hi and the
+    L values of lo are the same on both.  The labelings with flavor x at p
+    move to the place of theta_p(x) as min(H, L) strided slices.  No labeling
+    is looked at.
     """
-    r, s = alphabet.r, alphabet.s
-    count = check_labeling_count(P, r, s)
-    toggles = steps, table = _walk_table(P, alphabet, local_theta, rowmotion_order(P))
-    visited = bytearray(count)
-    for mask in P.ideal_masks():
-        _, offset, weights = table[mask]
-        k = mask.bit_count()
-        end = offset + r ** (P.n - k) * s ** k  # the labelings on M
-        start = visited.find(0, offset, end)
-        while start != -1:
-            labels = [0] * P.n
-            for (p, _), (L, RL, _) in zip(steps, weights):
-                labels[p] = (start - offset) % RL // L + (0 if mask >> p & 1 else s)
-            cur, code, orbit = mask, start, []
-            while 0 <= code < count and not visited[code]:
-                visited[code] = 1
-                orbit.append(tuple(labels) if as_labels else cur)
-                cur, code = _sweep(toggles, labels, cur, code)
-            if code != start:
-                raise CertificateError("q-rowmotion failed to be a bijection")
-            yield orbit
-            start = visited.find(0, start + 1, end)
+    r, s, n = alphabet.r, alphabet.s, P.n
+    offsets = _offsets(P, r, s)
+    thetas = _thetas(P, alphabet, local_theta)
+    masks = P.ideal_masks()
+    table = P.toggle_table()
+    owner = array("i", range(offsets[-1]))
+
+    def slot(x):  # the flavor x at p: (0 on a or 1 on b, flavor index, radix)
+        return (1, x, s) if x < s else (0, x - s, r)
+
+    for p in order:
+        if r == s == 1:  # every block is one labeling, and theta_p swaps a and b
+            for a, b in zip(table.addable[p], table.removable[p]):
+                owner[a], owner[b] = owner[b], owner[a]
+            continue
+        before = (1 << p) - 1
+        heads = [r ** (p - k) * s ** k for k in range(p + 1)]  # H by #(M before p)
+        moves = [(slot(x), slot(y)) for x, y in enumerate(thetas[p])]
+        for a, b in zip(table.addable[p], table.removable[p]):
+            H = heads[(masks[a] & before).bit_count()]
+            L = (offsets[a + 1] - offsets[a]) // (r * H)
+            blocks = ((offsets[a], offsets[a + 1]), (offsets[b], offsets[b + 1]))
+            old = [owner[start:end] for start, end in blocks]
+            for (src, dx, Rx), (dst, dy, Ry) in moves:
+                block = old[src]
+                start, end = blocks[dst]
+                if H <= L:  # H runs of L ranks
+                    for i, j in zip(range(dx * L, len(block), Rx * L),
+                                    range(start + dy * L, end, Ry * L)):
+                        owner[j:j + L] = block[i:i + L]
+                else:  # L slices of stride R * L
+                    for lo in range(L):
+                        owner[start + dy * L + lo:end:Ry * L] = block[dx * L + lo::Rx * L]
+    return owner
+
+
+def _orbit_cycles(P, alphabet, local_theta):
+    """The orbits of q-rowmotion as cycles of labeling ranks, least rank
+    first, each from its least rank and then backwards along the orbit: the
+    cycles of the owner array of `rowmotion_order`.  A cycle that does not
+    close means the map is not a bijection."""
+    owner = _q_sweep_permutation(P, alphabet, local_theta, rowmotion_order(P))
+    try:
+        yield from _cycles(owner)
+    except ValueError:
+        raise CertificateError("q-rowmotion failed to be a bijection") from None
 
 
 def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None):
-    """Orbits of q-rowmotion as lists of raw label tuples."""
-    return list(_walk(P, alphabet, local_theta, as_labels=True))
+    """Orbits of q-rowmotion as lists of raw label tuples, each from its
+    first labeling in the order of `enumerate_labelings`."""
+    cycles = _orbit_cycles(P, alphabet, local_theta)
+    labels = [t for _, block in _label_blocks(P, alphabet) for t in block]
+    return [list(map(labels.__getitem__, cyc[:1] + cyc[:0:-1])) for cyc in cycles]
+
+
+def _representatives(P, alphabet, local_theta=None):
+    """(size, first label tuple) of each q-rowmotion orbit, in the order of
+    `q_orbits`.  Only each first labeling is decoded, from its rank: the
+    ideal whose block holds it, then one mixed-radix digit per element,
+    element 0 the most significant."""
+    r, s, n = alphabet.r, alphabet.s, P.n
+    masks = P.ideal_masks()
+    offsets = _offsets(P, r, s)
+    out = []
+    for cyc in _orbit_cycles(P, alphabet, local_theta):
+        i = bisect_right(offsets, cyc[0]) - 1
+        mask, within = masks[i], cyc[0] - offsets[i]
+        labels = [0] * n
+        for p in reversed(range(n)):
+            R, first = (s, 0) if mask >> p & 1 else (r, s)
+            within, d = divmod(within, R)
+            labels[p] = first + d
+        out.append((len(cyc), tuple(labels)))
+    return out
 
 
 def ideal_mask_of(labels, alphabet) -> int:
@@ -384,8 +368,11 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
             expected = expected.evaluate(alphabet.q)
         except ZeroDivisionError as exc:
             raise ValueError(f"the expected value has a {exc}") from None
-    # integer orbit sums over the one denominator of the values
-    value = dict(zip(P.ideal_masks(), f.nums)).__getitem__
-    return _homomesy_report(f, ((sum(map(value, orbit)), len(orbit))
-                                for orbit in _walk(P, alphabet, local_theta)),
-                            None if expected is None else Fraction(expected))
+    # integer orbit sums over the one denominator of the values; the labeling
+    # at rank k lies on ideal i with bisect_right(offsets, k) = i + 1
+    offsets = _offsets(P, alphabet.r, alphabet.s)
+    value = [0, *f.nums].__getitem__
+    return _homomesy_report(
+        f, ((sum(map(value, map(bisect_right, repeat(offsets), cyc))), len(cyc))
+            for cyc in _orbit_cycles(P, alphabet, local_theta)),
+        None if expected is None else Fraction(expected))

@@ -999,11 +999,13 @@ def test_failed_certificate_check_exits_1(monkeypatch):
 
 
 def test_failed_q_walk_exits_1(monkeypatch):
+    from array import array
+
     from rowmotion import qrow
 
-    first = (0, sum(2 * 3 ** p for p in range(4)))  # the labeling 2222 of rect:2,2
-    # every labeling goes to the first one: not a bijection
-    monkeypatch.setattr(qrow, "_sweep", lambda toggles, labels, mask, code: first)
+    # every rank is owned by the first labeling: not a bijection
+    monkeypatch.setattr(qrow, "_q_sweep_permutation", lambda P, alphabet, local_theta, order:
+                        array("i", [0]) * qrow.labeling_count(P, alphabet))
     code, out, err = run_cli_err("orbits", "rect:2,2", "--variant", "q:1,2")
     assert code == 1 and out == ""
     lines = err.splitlines()

@@ -41,6 +41,16 @@ def test_alphabet_validation():
         FlavorAlphabet(0, 1, (0,))
 
 
+def test_labelings_with_more_flavors_than_a_byte_holds():
+    P = Poset(1, [])
+    alphabet = FlavorAlphabet.default(1, 300)
+    labels = [L.labels for L in enumerate_labelings(P, alphabet)]
+    assert labels == [(300,)] + [(x,) for x in range(300)]
+    # the element always acts, and theta is one cycle on the 301 symbols
+    assert q_orbits(P, alphabet) == [[(300,)] + [(x,) for x in range(300)]]
+    assert qrow._representatives(P, alphabet) == [(301, (300,))]
+
+
 def test_labeling_counts(monkeypatch):
     A2 = root_poset_A(2)
     assert labeling_count(A2, FlavorAlphabet.default(1, 2)) == 17
@@ -310,14 +320,16 @@ def test_q_orbits_with_local_thetas_match_reference():
 
 
 def test_q_walk_raises_when_the_map_is_not_a_bijection(monkeypatch):
+    from array import array
+
     from rowmotion import qrow
 
     P = rectangle(2, 2)
     alphabet = FlavorAlphabet.default(1, 2)
-    first = (0, sum(2 * 3 ** p for p in range(P.n)))  # the labeling 2222
 
-    # every labeling goes to the first one: not injective
-    monkeypatch.setattr(qrow, "_sweep", lambda toggles, labels, mask, code: first)
+    # every rank is owned by the first labeling: not injective
+    monkeypatch.setattr(qrow, "_q_sweep_permutation", lambda P, alphabet, local_theta, order:
+                        array("i", [0]) * labeling_count(P, alphabet))
     f = named_statistic(P, "antichain_card")
     with pytest.raises(CertificateError, match="bijection"):
         q_homomesy_check(P, alphabet, f)
@@ -383,33 +395,6 @@ def test_q_steps_refuse_foreign_labelings_and_bad_elements():
             q_toggle(P, alphabet, p, own)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None,
-          suppress_health_check=list(HealthCheck))
-@given(hst.data())
-def test_walk_table_reads_the_toggle_table(data):
-    rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
-    P = random_poset(rng, data.draw(hst.integers(0, 7)))
-    r, s = data.draw(hst.sampled_from([(1, 2), (2, 1), (2, 2), (3, 3)]))
-    alphabet = FlavorAlphabet.random(r, s, rng)
-    for order in [tuple(reversed(random_extension(P, rng)))] + [(p,) for p in range(P.n)]:
-        steps, table = qrow._walk_table(P, alphabet, None, order)
-        assert list(table) == list(P.ideal_masks())
-        for mask, (active, _, _) in table.items():
-            # each active position is exactly where a toggle moves M
-            assert active == sum(1 << j for j, (p, _) in enumerate(steps)
-                                 if P.toggle_mask(p, mask) != mask)
-        # the entries share their triples, and for r = s one weights tuple
-        triples = [t for _, _, w in table.values() for t in w]
-        assert len({id(t) for t in triples}) == len(set(triples))
-        if r == s:
-            assert len({id(w) for _, _, w in table.values()}) == 1
-    # nothing is kept on the poset, so it is freed at once after a walk
-    q_orbits(P, alphabet)
-    ref = weakref.ref(P)
-    del P
-    assert ref() is None
-
-
 def test_local_theta_is_checked_at_the_boundary():
     P = rectangle(2, 2)
     alphabet = FlavorAlphabet.default(1, 2)
@@ -428,19 +413,10 @@ def test_local_theta_is_checked_at_the_boundary():
                 call()
 
 
-def _rank(toggles, labels, mask, s):
-    """The rank of a labeling read off the walk's table: the offset of its
-    zero-labeled ideal plus each flavor index times its place value."""
-    steps, table = toggles
-    _, offset, weights = table[mask]
-    return offset + sum((labels[p] - s * (labels[p] >= s)) * L
-                        for (p, _), (L, _, _) in zip(steps, weights))
-
-
 @settings(derandomize=True, max_examples=60, deadline=None, database=None,
           suppress_health_check=list(HealthCheck))
 @given(hst.data())
-def test_rank_is_the_position_in_enumerate_labelings(data):
+def test_q_sweep_permutation_matches_the_single_step(data):
     rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
     P = random_poset(rng, data.draw(hst.integers(0, 7)))
     pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)
@@ -454,24 +430,29 @@ def test_rank_is_the_position_in_enumerate_labelings(data):
 
     labelings = enumerate_labelings(P, alphabet)
     position = {L.labels: k for k, L in enumerate(labelings)}
-    sweep = tuple(reversed(random_extension(P, rng)))
-    toggles = qrow._walk_table(P, alphabet, local, sweep)
-    for k, L in enumerate(labelings):
-        assert _rank(toggles, L.labels, L.ideal_mask, s) == k
-    for order in [sweep] + [(p,) for p in range(P.n)]:
-        toggles = qrow._walk_table(P, alphabet, local, order)
-        for L in rng.sample(labelings, min(len(labelings), 12)):
-            labels = list(L.labels)
-            mask, code = qrow._sweep(toggles, labels, L.ideal_mask, position[L.labels])
-            assert mask == ideal_mask_of(labels, alphabet)
-            assert code == position[tuple(labels)]
-            # the walk's kernel and the single-step loop are two implementations
-            assert tuple(labels) == qrow._q_sweep(P, alphabet, local, order, L).labels
+    for order in [tuple(reversed(random_extension(P, rng)))] + [(p,) for p in range(P.n)]:
+        owner = qrow._q_sweep_permutation(P, alphabet, local, order)
+        assert sorted(owner) == list(range(len(labelings)))
+        perm = [0] * len(owner)
+        for j, k in enumerate(owner):
+            perm[k] = j
+        # the rank permutation and the single-step loop are two implementations
+        for k, L in enumerate(labelings):
+            assert perm[k] == position[qrow._q_sweep(P, alphabet, local, order, L).labels]
+        if r == s == 1:
+            assert perm == list(P.sweep_permutation(order))
+    # only each orbit's first labeling is decoded, from its rank
+    assert qrow._representatives(P, alphabet, local) == [
+        (len(o), o[0]) for o in q_orbits(P, alphabet, local_theta=local)]
     # a single step builds its labeling unchecked, equal to a checked one
     for L in rng.sample(labelings, min(len(labelings), 5)):
         out = q_rowmotion(P, alphabet, L, local_theta=local)
         assert out == QLabeling(P, alphabet, out.labels)
         assert out.ideal_mask == ideal_mask_of(out.labels, alphabet)
+    # nothing is kept on the poset, so it is freed at once after a walk
+    ref = weakref.ref(P)
+    del P, labelings, L, out
+    assert ref() is None
 
 
 def test_q_walk_memory_is_a_byte_per_labeling():
