@@ -449,10 +449,72 @@ def test_q_sweep_permutation_matches_the_single_step(data):
         out = q_rowmotion(P, alphabet, L, local_theta=local)
         assert out == QLabeling(P, alphabet, out.labels)
         assert out.ideal_mask == ideal_mask_of(out.labels, alphabet)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(hst.data())
+def test_walk_table_reads_the_toggle_table(data):
+    rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
+    P = random_poset(rng, data.draw(hst.integers(0, 7)))
+    r, s = data.draw(hst.sampled_from([(1, 2), (2, 1), (2, 2), (3, 3)]))
+    alphabet = FlavorAlphabet.random(r, s, rng)
+    masks = P.ideal_masks()
+    table = P.toggle_table()
+    offsets = qrow._offsets(P, r, s)
+    for p in range(P.n):
+        # the aligned pairs are exactly where a toggle at p moves an ideal
+        pairs = list(zip(table.addable[p], table.removable[p]))
+        assert sorted(pairs) == sorted(
+            (i, P.ideal_index(P.toggle_mask(p, m))) for i, m in enumerate(masks)
+            if not m >> p & 1 and P.toggle_mask(p, m) != m)
+        # a toggle at p moves only the labelings on those pairs, within them
+        owner = qrow._q_sweep_permutation(P, alphabet, None, (p,))
+        moved = {i for pair in pairs for i in pair}
+        for i in range(len(masks)):
+            block = range(offsets[i], offsets[i + 1])
+            if i not in moved:
+                assert list(owner[offsets[i]:offsets[i + 1]]) == list(block)
+        for a, b in pairs:
+            both = set(range(offsets[a], offsets[a + 1])) | set(range(offsets[b], offsets[b + 1]))
+            assert {owner[j] for j in both} == both
     # nothing is kept on the poset, so it is freed at once after a walk
+    q_orbits(P, alphabet)
     ref = weakref.ref(P)
-    del P, labelings, L, out
+    del P
     assert ref() is None
+
+
+def _rank(P, alphabet, labels, mask):
+    """The rank of a labeling: the offset of its zero-labeled ideal, then one
+    mixed-radix digit per element, element 0 the most significant."""
+    r, s = alphabet.r, alphabet.s
+    rank = 0
+    for p, x in enumerate(labels):
+        R, d = (s, x) if mask >> p & 1 else (r, x - s)
+        rank = rank * R + d
+    return qrow._offsets(P, r, s)[P.ideal_index(mask)] + rank
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(hst.data())
+def test_rank_is_the_position_in_enumerate_labelings(data):
+    rng = random.Random(data.draw(hst.integers(0, 10 ** 6)))
+    P = random_poset(rng, data.draw(hst.integers(0, 7)))
+    pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)
+             if labeling_count(P, FlavorAlphabet.default(r, s)) <= 3000]
+    r, s = data.draw(hst.sampled_from(pairs))
+    alphabet = FlavorAlphabet.random(r, s, rng)
+    labelings = enumerate_labelings(P, alphabet)
+    assert qrow._offsets(P, r, s)[-1] == len(labelings)
+    for k, L in enumerate(labelings):
+        assert _rank(P, alphabet, L.labels, L.ideal_mask) == k
+    # each orbit's first labeling, decoded from its rank, is at that rank
+    for (size, labels), orbit in zip(qrow._representatives(P, alphabet), q_orbits(P, alphabet)):
+        assert (size, labels) == (len(orbit), orbit[0])
+        k = _rank(P, alphabet, labels, ideal_mask_of(labels, alphabet))
+        assert labelings[k].labels == labels
 
 
 def test_q_walk_memory_is_a_byte_per_labeling():
