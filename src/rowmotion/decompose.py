@@ -21,11 +21,12 @@ monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
 candidate was the only possible solution.  `q_decompose` does the same over
 Z[q], in `Polynomial`s with int coefficients, on the n+1 pivot rows factored
 once with q left a variable; `toggleability_space_dims` (Table 2) takes the
-rank of the residuals over Q and over Z[q], `verify_independence` the rank
-of the system at a fixed q >= 0 and `antichain_span_dim` a sparse rank over
-the ideals, all on that one kernel.  The system, cached on the poset, is
-bounded in size before it is built, each factorization as it runs, and the
-Q(q) and Table 2 solves before they start (`check_work`).
+kernel of the residuals over Q and the rank of those of its basis over
+Z[q], `verify_independence` the rank of the system at a fixed q >= 0 and
+`antichain_span_dim` a sparse rank over the ideals, all on that one kernel.
+The system, cached on the poset, is bounded in size before it is built,
+each factorization as it runs, and the Q(q) and Table 2 solves before they
+start (`check_work`).
 """
 
 from __future__ import annotations
@@ -150,12 +151,22 @@ class _System:
         except CapExceededError as exc:
             raise CapExceededError(f"factoring the certificate system: {exc}") from None
         self.pivots = {order[i]: rows[order[i]] for i in self.at_one.rows}
+        self._columns_at = {}
+
+    def columns_at(self, z):
+        """The columns with each entry plus - z * minus, for z = 1 or _Q,
+        built once for each."""
+        if z not in self._columns_at:
+            self._columns_at[z] = _at(self.columns, z)
+        return self._columns_at[z]
 
     @cached_property
     def at_q(self):
-        """The pivot rows factored over Z[q], on first use: callers bound the
-        work before they read it."""
-        return factor(_at(self.pivots.values(), _Q), len(self.pivots))
+        """The pivot rows factored over Z[q], on first use, bounded as it runs."""
+        try:
+            return factor(_at(self.pivots.values(), _Q), len(self.pivots))
+        except CapExceededError as exc:
+            raise CapExceededError(f"factoring the pivot rows over Z[q]: {exc}") from None
 
 
 _Q = Polynomial((0, 1))  # q itself, in Z[q]
@@ -204,10 +215,10 @@ def _residual(P, values, sol, z=1):
     solvers pass ints, or `Polynomial`s with int coefficients at z = _Q, so
     this is arithmetic in Z or Z[q] over the sparse columns of the system."""
     out = dict(values)
-    for c, col in zip(sol, _system(P).columns):
+    for c, col in zip(sol, _system(P).columns_at(z)):
         if c:
-            for A, (plus, minus) in col.items():
-                out[A] = out.get(A, 0) - c * (plus - z * minus)
+            for A, v in col.items():
+                out[A] = out.get(A, 0) - c * v
     return out
 
 
@@ -237,10 +248,15 @@ def q_decompose(P: Poset, f: Statistic):
     system = _system(P)
     mono, den = _monomials(P, f)
     d = max((v.degree for v in mono.values()), default=0) if f.kind == QRATIONAL else 0
-    # every entry of the solve is a polynomial of degree <= n+1+d
-    check_work(system.at_one.work * (P.n + 2 + d),
-               f"the Q(q) solve over Z[q] of degree <= {P.n + 1 + d}")
     fact = system.at_q
+    # with e = D + d + 1, D the pivots' largest degree, the replay and the
+    # residual update about e coefficients per step and entry, and putting
+    # the n+1 coefficients in lowest terms takes a gcd of about e^2 each
+    D = max((u[c].degree for u, c in zip(fact.lu, fact.cols)), default=0)
+    e = D + d + 1
+    entries = sum(map(len, fact.steps)) + sum(map(len, fact.lu)) + sum(map(len, system.columns))
+    check_work(entries * e + (P.n + 1) * e * e,
+               f"the Q(q) solve over Z[q] with pivots of degree <= {D}")
     y = fact.replay([mono.get(A, 0) for A in system.pivots])
     if not _is_certificate(P, {A: fact.det * v for A, v in mono.items()}, y, _Q):
         return None
@@ -287,25 +303,39 @@ def toggleability_space_dims(P: Poset) -> dict:
     observables.  Each observable's candidate from the pivot rows of the
     certificate system at q = z leaves a monomial residual R_j(z)
     (`_residual`), and sum_j a_j * obs_j is in the span of {1, T^z_p} iff
-    R(z) a = 0; each dimension is n minus the rank of R.  Over Q that is
-    z = 1.  Over Q(q) it is the residual over Z[q], det(q) * R(q), of
-    q-degree at most n+1 (pivot-row entries of degree <= 1, an adjugate of
-    degree <= n, observables constant in q): a rational a is in its kernel
-    iff every q-coefficient row of it vanishes on a.
+    R(z) a = 0.  Over Q that is z = 1: the dimension is that of the kernel
+    K of R(1), whose basis B (k vectors) comes from back-substitution
+    (`Factorization.kernel`).  Over Q(q) it is the residual over Z[q],
+    det(q) * R(q), and a rational a is in its kernel iff every q-coefficient
+    row of it vanishes on a.  Such an a is in K: at q = 1 the pivot rows are
+    those of `at_one`, with det(1) != 0.  So only the k combinations
+    sum_j B_jl obs_j are replayed over Z[q], and the q-dimension is k minus
+    the rank of their q-coefficient residual rows.
     """
-    system = _system(P)
-    # 2n replays of polynomials of degree <= n+1, each about half the work at q = 1
-    check_work((P.n + 2) * P.n * system.at_one.work,
-               f"the toggleability space dimensions in {2 * P.n} replays over Z[q]")
-    dims = {}
-    for name, observables in (
-            ("A", [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
-                   for col in system.columns[1:]]),
-            ("I", [{1 << p: 1} for p in range(P.n)])):  # 1_p = x^{p}
-        for key, z, fact in (("", 1, system.at_one), ("_q", _Q, system.at_q)):
-            rows = _residual_rows(P, observables, z, fact)
-            dims[f"dim_{name}{key}"] = P.n - len(factor(rows, P.n).rows)
-    return {k: dims[k] for k in ("dim_A", "dim_I", "dim_A_q", "dim_I_q")}
+    system, n = _system(P), P.n
+    spaces = {"A": [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
+                    for col in system.columns[1:]],
+              "I": [{1 << p: 1} for p in range(n)]}  # 1_p = x^{p}
+    # a replay and its residual take about half the work of the factorization
+    # at q = 1, and n+2 times that over Z[q], on polynomials of degree <= n+1
+    check_work(n * system.at_one.work, f"the toggleability space dimensions in {2 * n} replays")
+    kernels = {name: factor(_residual_rows(P, obs, 1, system.at_one), n).kernel(n)
+               for name, obs in spaces.items()}
+    k = sum(map(len, kernels.values()))
+    check_work((n + 2) * k * system.at_one.work // 2,
+               f"the toggleability space dimensions in {k} replays over Z[q]")
+    dims = {f"dim_{name}": len(basis) for name, basis in kernels.items()}
+    for name, basis in kernels.items():
+        combos = []
+        for x in basis:
+            g = {}
+            for a, obs in zip(x, spaces[name]):
+                for A, v in obs.items():
+                    g[A] = g.get(A, 0) + a * v
+            combos.append(g)
+        rows = _residual_rows(P, combos, _Q, system.at_q)
+        dims[f"dim_{name}_q"] = len(basis) - len(factor(rows, len(basis)).rows)
+    return dims
 
 
 def _residual_rows(P, observables, z, fact):

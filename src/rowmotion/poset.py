@@ -96,6 +96,7 @@ class Poset:
 
         self._linext = self._lex_min_extension()  # also proves acyclicity
         self._rowmotion_order = self._linext[::-1]  # see dynamics.rowmotion_order
+        self._down_sets()  # proves that every cover is one, and keeps nothing
 
         self.minimal_mask = sum(1 << x for x in range(self.n) if not down[x])
         self.maximal_mask = sum(1 << x for x in range(self.n) if not up[x])
@@ -119,12 +120,31 @@ class Poset:
     @cached_property
     def down_set(self) -> tuple:
         """down_set[x]: mask of all y <= x, built on first use."""
+        return self._down_sets()
+
+    def _down_sets(self) -> tuple:
+        """The `down_set` masks, built up the linear extension, after a check
+        that costs O(covers) mask operations: a cover lo < x is redundant when
+        lo lies strictly below another lower cover of x, and then
+        MalformedPosetError names it and a path that implies it.  The toggles
+        and the certificate system read the upper covers of an element as an
+        antichain."""
         dset = [0] * self.n
         for x in self._linext:
-            m = 1 << x
+            below = 0  # what lies strictly below some lower cover of x
             for y in self.lower_covers[x]:
-                m |= dset[y]
-            dset[x] = m
+                below |= dset[y] ^ 1 << y
+            if redundant := below & self.down_covers[x]:
+                lo = (redundant & -redundant).bit_length() - 1
+                path, z = [x], x
+                while z != lo:  # down along covers that stay above lo
+                    z = next(w for w in self.lower_covers[z]
+                             if dset[w] >> lo & 1 and (w, z) != (lo, x))
+                    path.append(z)
+                raise MalformedPosetError(
+                    f"cover ({lo},{x}) is implied by the path "
+                    + " < ".join(map(str, reversed(path))))
+            dset[x] = below | self.down_covers[x] | 1 << x
         return tuple(dset)
 
     @cached_property

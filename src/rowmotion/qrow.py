@@ -159,19 +159,20 @@ def enumerate_labelings(P: Poset, alphabet: FlavorAlphabet):
 
     A labeling's position in this order is its rank, on which the orbit walk
     runs."""
+    check_labeling_count(P, alphabet.r, alphabet.s)
     return tuple(QLabeling._make(P, alphabet, labels, mask)
                  for mask, block in _label_blocks(P, alphabet) for labels in block)
 
 
 def _label_blocks(P, alphabet):
     """(M, the label tuples of the labelings on M) for every ideal M, in rank
-    order: the one enumerator of labelings, after the cap check.
+    order: the one enumerator of labelings, for a caller that has run the
+    cap check.
 
     Which elements are labeled 1 is read off the bits of M as a bytes
     template, element 0 first; for r = s = 1 it is the one labeling on M.
     """
     r, s, n = alphabet.r, alphabet.s, P.n
-    check_labeling_count(P, r, s)
     outside = bytes.maketrans(b"01", b"\1\0")
     pools = (range(s), range(s, s + r))
     for mask in P.ideal_masks():
@@ -249,10 +250,11 @@ def _q_sweep(P, alphabet, local_theta, order, L):
     return QLabeling._make(P, alphabet, tuple(labels), mask)
 
 
-def _q_sweep_permutation(P, alphabet, local_theta, order) -> array:
+def _q_sweep_permutation(P, alphabet, local_theta, order, offsets) -> array:
     """The toggles at `order` (first element first) as an owner array on
     labeling ranks: entry j is the rank of the labeling that they take to rank
     j, so the array is the inverse of the map, with the same cycles reversed.
+    `offsets` are those of `_offsets`, whose cap check the caller has run.
 
     It starts from the identity.  A toggle at p moves only the labelings on
     the aligned pairs (a, b) = (addable[p][i], removable[p][i]) of the toggle
@@ -265,7 +267,6 @@ def _q_sweep_permutation(P, alphabet, local_theta, order) -> array:
     is looked at.
     """
     r, s, n = alphabet.r, alphabet.s, P.n
-    offsets = _offsets(P, r, s)
     thetas = _thetas(P, alphabet, local_theta)
     masks = P.ideal_masks()
     table = P.toggle_table()
@@ -300,12 +301,12 @@ def _q_sweep_permutation(P, alphabet, local_theta, order) -> array:
     return owner
 
 
-def _orbit_cycles(P, alphabet, local_theta):
+def _orbit_cycles(P, alphabet, local_theta, offsets):
     """The orbits of q-rowmotion as cycles of labeling ranks, least rank
     first, each from its least rank and then backwards along the orbit: the
     cycles of the owner array of `rowmotion_order`.  A cycle that does not
     close means the map is not a bijection."""
-    owner = _q_sweep_permutation(P, alphabet, local_theta, rowmotion_order(P))
+    owner = _q_sweep_permutation(P, alphabet, local_theta, rowmotion_order(P), offsets)
     try:
         yield from _cycles(owner)
     except ValueError:
@@ -315,7 +316,7 @@ def _orbit_cycles(P, alphabet, local_theta):
 def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None):
     """Orbits of q-rowmotion as lists of raw label tuples, each from its
     first labeling in the order of `enumerate_labelings`."""
-    cycles = _orbit_cycles(P, alphabet, local_theta)
+    cycles = _orbit_cycles(P, alphabet, local_theta, _offsets(P, alphabet.r, alphabet.s))
     labels = [t for _, block in _label_blocks(P, alphabet) for t in block]
     return [list(map(labels.__getitem__, cyc[:1] + cyc[:0:-1])) for cyc in cycles]
 
@@ -329,7 +330,7 @@ def _representatives(P, alphabet, local_theta=None):
     masks = P.ideal_masks()
     offsets = _offsets(P, r, s)
     out = []
-    for cyc in _orbit_cycles(P, alphabet, local_theta):
+    for cyc in _orbit_cycles(P, alphabet, local_theta, offsets):
         i = bisect_right(offsets, cyc[0]) - 1
         mask, within = masks[i], cyc[0] - offsets[i]
         labels = [0] * n
@@ -374,5 +375,5 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
     value = [0, *f.nums].__getitem__
     return _homomesy_report(
         f, ((sum(map(value, map(bisect_right, repeat(offsets), cyc))), len(cyc))
-            for cyc in _orbit_cycles(P, alphabet, local_theta)),
+            for cyc in _orbit_cycles(P, alphabet, local_theta, offsets)),
         None if expected is None else Fraction(expected))

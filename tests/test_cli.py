@@ -896,15 +896,19 @@ def test_certificate_system_is_bounded_by_memory():
 @pytest.mark.parametrize("argv, what", [
     (("decompose", "rect:23,23", "antichain_card"), "factoring the certificate system"),
     (("decompose", "--q", "rect:12,12", "antichain_card"), "the Q(q) solve"),
+    (("decompose", "--q", "sstair:19", "antichain_card"), "factoring the pivot rows over Z[q]"),
 ])
 def test_certificate_work_is_bounded_before_it_starts(argv, what, monkeypatch):
     import time
 
     from rowmotion import linalg
 
-    # both answer at the default cap; at this one factoring rect:23,23 is
-    # refused as it runs, and rect:12,12 is factored but its Q(q) solve, 146
-    # points, is refused before it starts
+    # all answer at the default cap; at this one factoring rect:23,23 is
+    # refused as it runs, rect:12,12 is factored at q = 1 and over Z[q] but
+    # its Q(q) solve, from pivots of degree <= 23, is refused before it
+    # starts, and sstair:19 is factored at q = 1 (4 125 entry updates) but
+    # its pivot rows over Z[q] (9 611 coefficient updates) are refused as
+    # they are factored
     monkeypatch.setattr(linalg, "WORK_CAP", 5000)
     start = time.perf_counter()
     code, out, err = run_cli_err(*argv)
@@ -1004,8 +1008,9 @@ def test_failed_q_walk_exits_1(monkeypatch):
     from rowmotion import qrow
 
     # every rank is owned by the first labeling: not a bijection
-    monkeypatch.setattr(qrow, "_q_sweep_permutation", lambda P, alphabet, local_theta, order:
-                        array("i", [0]) * qrow.labeling_count(P, alphabet))
+    monkeypatch.setattr(qrow, "_q_sweep_permutation",
+                        lambda P, alphabet, local_theta, order, offsets:
+                        array("i", [0]) * offsets[-1])
     code, out, err = run_cli_err("orbits", "rect:2,2", "--variant", "q:1,2")
     assert code == 1 and out == ""
     lines = err.splitlines()
@@ -1172,3 +1177,52 @@ def test_fuzz_poset_file(content):
             _assert_documented([a.format(f"file:{path}") for a in argv])
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("n, covers, message", [
+    (3, [[0, 1], [1, 2], [0, 2]], "cover (0,2) is implied by the path 0 < 1 < 2"),
+    (4, [[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]], "cover (0,3) is implied by the path 0 < 1 < 3"),
+    (5, [[0, 1], [1, 2], [2, 3], [3, 4], [1, 4]],
+     "cover (1,4) is implied by the path 1 < 2 < 3 < 4"),
+    (4, [[3, 0], [0, 2], [3, 2], [1, 2]], "cover (3,2) is implied by the path 3 < 0 < 2"),
+])
+def test_a_redundant_cover_is_refused(tmp_path, n, covers, message):
+    # the 3-chain with (0,2) was answered NOT IN SPAN, though the chain's
+    # antichain_card has the certificate constant 3/4
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": n, "covers": covers}))
+    assert run_cli_err("decompose", f"file:{path}", "antichain_card") == (
+        2, "", f"error: {message}\n")
+
+
+def _transitive_reduction(n, covers):
+    below = [0] * n  # below[hi]: mask of the elements under hi, for lo < hi
+    for lo, hi in sorted(covers, key=lambda c: c[1]):
+        below[hi] |= 1 << lo | below[lo]
+    return sorted({(lo, hi) for lo, hi in covers
+                   if not any(below[c] >> lo & 1 for c in range(n) if below[hi] >> c & 1)})
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(hst.integers(1, 6).flatmap(lambda n: hst.tuples(hst.just(n), _acyclic_covers(n))))
+def test_a_dag_file_is_refused_or_decided_as_its_transitive_reduction(case):
+    import os
+    import tempfile
+
+    n, covers = case
+    reduced = _transitive_reduction(n, covers)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, cov in (("dag", covers), ("reduced", reduced)):
+            paths.append(os.path.join(tmp, f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"n": n, "covers": cov}, fh)
+        for stat in ("antichain_card", "ideal_card"):
+            got, want = (run_cli_err("decompose", f"file:{p}", stat) for p in paths)
+            if {tuple(c) for c in covers} == set(reduced):
+                assert got[0] == want[0] == 0 and got[2] == want[2] == ""
+                got, want = json.loads(got[1]), json.loads(want[1])
+                assert got.pop("family") != want.pop("family") and got == want
+            else:
+                assert got[:2] == (2, "") and "is implied by the path" in got[2], (covers, got)

@@ -267,6 +267,40 @@ def test_sparse_kernel_matches_fraction_elimination(case):
         assert _solves([rows[i] for i in kept], b, det, fact.replay(b))
 
 
+@hst.composite
+def _low_rank(draw):
+    """(n, the product of an m x r and an r x n integer matrix): rank <= r."""
+    n, r, m = draw(hst.integers(0, 6)), draw(hst.integers(0, 4)), draw(hst.integers(0, 8))
+    left = draw(hst.lists(hst.lists(hst.integers(-3, 3), min_size=r, max_size=r),
+                          min_size=m, max_size=m))
+    right = draw(hst.lists(hst.lists(hst.sampled_from((0, 0, 1, -1, 2, -5)),
+                                     min_size=n, max_size=n), min_size=r, max_size=r))
+    return n, [[sum(a * b[c] for a, b in zip(row, right)) for c in range(n)] for row in left]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(hst.one_of(_MATRICES.map(lambda case: case[:2]), _low_rank()))
+def test_kernel_basis_spans_the_null_space(case):
+    # tall, wide, empty and rank-deficient integer matrices
+    n, rows = case
+    basis = factor(_sparse(rows), n).kernel(n)
+    assert all(len(x) == n and all(isinstance(v, int) for v in x) for x in basis)
+    assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows for x in basis)
+    assert len(basis) == n - _rank(rows)
+    assert _rank(basis) == len(basis)  # independent
+
+
+def test_kernel_refuses_an_inexact_back_substitution():
+    from rowmotion.linalg import Factorization
+    from rowmotion.qpoly import CertificateError
+
+    # no factorization makes this pivot row, whose last pivot 2 is not a
+    # multiple of the pivot 3 it divides by
+    fact = Factorization((0, 1), ({0: 3, 2: 1}, {1: 2, 2: 1}), (0, 1), ((), ()), 0, 0)
+    with pytest.raises(CertificateError, match="inexact back-substitution at column 0"):
+        fact.kernel(3)
+
+
 def _value(p, z):
     """An int, or a Polynomial at q = z."""
     return p if isinstance(p, int) else sum(c * z ** k for k, c in enumerate(p.coeffs))
@@ -472,6 +506,53 @@ def test_toggleability_space_dims_off_the_families():
         assert {k: dims[k] for k in ("dim_A", "dim_I")} == _classical_dims(P), covers
 
 
+def _table2_from_every_observable(P):
+    """The four Table 2 dimensions from the residuals of all n observables
+    of each space, replayed over Z and over Z[q], each n minus the rank of
+    its residual rows: a reference that takes no kernel."""
+    mod = _q_module()
+    system = mod._system(P)
+    dims = {}
+    for name, observables in (
+            ("A", [{A: minus for A, (_, minus) in col.items() if minus}
+                   for col in system.columns[1:]]),
+            ("I", [{1 << p: 1} for p in range(P.n)])):
+        for key, z, fact in (("", 1, system.at_one), ("_q", mod._Q, system.at_q)):
+            rows = mod._residual_rows(P, observables, z, fact)
+            dims[f"dim_{name}{key}"] = P.n - len(factor(rows, P.n).rows)
+    return {k: dims[k] for k in ("dim_A", "dim_I", "dim_A_q", "dim_I_q")}
+
+
+TABLE2_DIFFERENTIAL = (
+    "rect:1,1", "rect:2,3", "rect:3,3", "rect:2,5", "rect:1,6", "rect:4,5", "rect:5,5",
+    "sstair:3", "sstair:5", "rootA:3", "rootA:6", "rootB:3", "rootB:5", "trap:2,4",
+    "trap:3,5", "E6", "E7", "dtd:4", "rootD:4", "vchain:3",
+)
+
+
+def test_table2_from_the_kernel_matches_every_observable():
+    import contextlib
+    import hashlib
+    import io
+
+    from rowmotion.cli import main
+    from rowmotion.families import from_specifier
+
+    # only the kernel at q = 1 is replayed over Z[q]; the dimensions are
+    # those of all n observables, on the families and on random posets
+    rng = random.Random(26)
+    posets = [from_specifier(spec) for spec in TABLE2_DIFFERENTIAL]
+    posets += [random_poset(rng, rng.randint(0, 7)) for _ in range(80)]
+    for P in posets:
+        assert toggleability_space_dims(P) == _table2_from_every_observable(P), P.covers
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "table2", "--max", "6"])
+    # the digest of the stdout before the kernel at q = 1 was used
+    assert hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest() == (
+        "c83f86dc95ccaf2051246f53b7ee9e49769d801716695077fd01c1ef6def9bef")
+
+
 def test_toggleability_space_dims_are_bounded_before_they_start(monkeypatch):
     import time
 
@@ -479,13 +560,19 @@ def test_toggleability_space_dims_are_bounded_before_they_start(monkeypatch):
     from rowmotion.poset import CapExceededError
 
     # rect:6,6 answers at the default cap; at this one its system is
-    # factored, and the 38 points of 72 solves each are refused
+    # factored and its kernels at q = 1 are found, and the 22 replays over
+    # Z[q] that they leave are refused before they start
     monkeypatch.setattr(linalg, "WORK_CAP", 100_000)
     start = time.perf_counter()
     with pytest.raises(CapExceededError,
                        match="toggleability space dimensions .* WORK_CAP = 100000"):
         toggleability_space_dims(rectangle(6, 6))
     assert time.perf_counter() - start < 1
+    # and at a lower cap, so are the 72 replays at q = 1 that find the kernels
+    monkeypatch.setattr(linalg, "WORK_CAP", 10_000)
+    with pytest.raises(CapExceededError,
+                       match="toggleability space dimensions in 72 replays takes"):
+        toggleability_space_dims(rectangle(6, 6))
 
 
 def test_antichain_span_dims():

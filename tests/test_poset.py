@@ -270,11 +270,17 @@ def test_grid_consistency_checks():
 
 @st.composite
 def small_posets(draw):
-    """Random posets on up to 7 elements, covers drawn from pairs lo < hi."""
+    """Random posets on up to 7 elements: relations drawn from pairs lo < hi,
+    given by the covers of their transitive closure."""
     n = draw(st.integers(0, 7))
     pairs = [(lo, hi) for hi in range(n) for lo in range(hi)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Poset(n, [pr for pr, k in zip(pairs, keep) if k])
+    below = [0] * n  # below[hi]: mask of the elements under hi
+    for (lo, hi), k in zip(pairs, keep):
+        if k:
+            below[hi] |= 1 << lo | below[lo]
+    return Poset(n, [(lo, hi) for lo, hi in pairs if below[hi] >> lo & 1
+                     and not any(below[c] >> lo & 1 for c in range(n) if below[hi] >> c & 1)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -225,6 +225,23 @@ def test_labeling_cap(monkeypatch):
     assert P._ideal_masks is None
 
 
+def test_each_q_walk_runs_the_cap_check_once(monkeypatch):
+    # the offsets, with their cap check, are built once per call and passed
+    # to the rank permutation
+    P = rectangle(2, 3)
+    alphabet = FlavorAlphabet.default(2, 1)
+    f = named_statistic(P, "antichain_card")
+    calls = []
+    check = qrow.check_labeling_count
+    monkeypatch.setattr(qrow, "check_labeling_count",
+                        lambda *args: calls.append(args) or check(*args))
+    for run in (lambda: q_orbits(P, alphabet), lambda: q_homomesy_check(P, alphabet, f),
+                lambda: qrow._representatives(P, alphabet), lambda: enumerate_labelings(P, alphabet)):
+        calls.clear()
+        run()
+        assert calls == [(P, 2, 1)]
+
+
 def test_enumeration_grouped_by_ideal():
     P = rectangle(2, 2)
     alphabet = FlavorAlphabet.default(2, 2)
@@ -328,8 +345,9 @@ def test_q_walk_raises_when_the_map_is_not_a_bijection(monkeypatch):
     alphabet = FlavorAlphabet.default(1, 2)
 
     # every rank is owned by the first labeling: not injective
-    monkeypatch.setattr(qrow, "_q_sweep_permutation", lambda P, alphabet, local_theta, order:
-                        array("i", [0]) * labeling_count(P, alphabet))
+    monkeypatch.setattr(qrow, "_q_sweep_permutation",
+                        lambda P, alphabet, local_theta, order, offsets:
+                        array("i", [0]) * offsets[-1])
     f = named_statistic(P, "antichain_card")
     with pytest.raises(CertificateError, match="bijection"):
         q_homomesy_check(P, alphabet, f)
@@ -431,7 +449,7 @@ def test_q_sweep_permutation_matches_the_single_step(data):
     labelings = enumerate_labelings(P, alphabet)
     position = {L.labels: k for k, L in enumerate(labelings)}
     for order in [tuple(reversed(random_extension(P, rng)))] + [(p,) for p in range(P.n)]:
-        owner = qrow._q_sweep_permutation(P, alphabet, local, order)
+        owner = qrow._q_sweep_permutation(P, alphabet, local, order, qrow._offsets(P, r, s))
         assert sorted(owner) == list(range(len(labelings)))
         perm = [0] * len(owner)
         for j, k in enumerate(owner):
@@ -469,7 +487,7 @@ def test_walk_table_reads_the_toggle_table(data):
             (i, P.ideal_index(P.toggle_mask(p, m))) for i, m in enumerate(masks)
             if not m >> p & 1 and P.toggle_mask(p, m) != m)
         # a toggle at p moves only the labelings on those pairs, within them
-        owner = qrow._q_sweep_permutation(P, alphabet, None, (p,))
+        owner = qrow._q_sweep_permutation(P, alphabet, None, (p,), offsets)
         moved = {i for pair in pairs for i in pair}
         for i in range(len(masks)):
             block = range(offsets[i], offsets[i + 1])
