@@ -66,8 +66,9 @@ def cmd_orbits(args) -> int:
     if variant.startswith("q:"):
         r, s = families.parse_ints(
             variant[2:], 2, f"variant {variant!r} must be q:<r>,<s> with integers r and s")
-        alphabet, total = _alphabet(args, P, r, s)
-        orbits = qrow._representatives(P, alphabet)
+        alphabet, offsets = _alphabet(args, P, r, s)
+        orbits = qrow._representatives(P, alphabet, offsets=offsets)
+        total = offsets[-1]
         sizes = [size for size, _ in orbits]
         sep = "," if r + s > 10 else ""  # a label may have two digits
         reps = [sep.join(map(str, first)) for _, first in orbits]
@@ -153,15 +154,16 @@ def _start_values(args, P):
 
 
 def _alphabet(args, P, r, s):
-    """The flavor alphabet that --theta names, and the labeling count."""
-    count = qrow.check_labeling_count(P, r, s)
+    """The flavor alphabet that --theta names, and the labeling offsets of
+    `qrow._offsets`, whose cap check runs first and once per command."""
+    offsets = qrow._offsets(P, r, s)
     theta = getattr(args, "theta", "default") or "default"
     if theta == "default":
-        return qrow.FlavorAlphabet.default(r, s), count
+        return qrow.FlavorAlphabet.default(r, s), offsets
     if theta.startswith("random:"):
         rng = random.Random(*families.parse_ints(
             theta[7:], 1, f"theta {theta!r} must be random:<seed> with an integer seed"))
-        return qrow.FlavorAlphabet.random(r, s, rng), count
+        return qrow.FlavorAlphabet.random(r, s, rng), offsets
     raise ValueError("theta must be 'default' or 'random:<seed>'")
 
 
@@ -213,10 +215,10 @@ def cmd_verify(args) -> int:
 
 def cmd_qrow(args) -> int:
     P = families.from_specifier(args.family)
-    alphabet, _ = _alphabet(args, P, args.r, args.s)
+    alphabet, offsets = _alphabet(args, P, args.r, args.s)
     stat = st.parse_statistic(P, args.stat)
     expected = parse_q_expression(args.expect) if args.expect else None
-    report = qrow.q_homomesy_check(P, alphabet, stat, expected=expected)
+    report = qrow.q_homomesy_check(P, alphabet, stat, expected=expected, offsets=offsets)
     payload = {
         "family": args.family,
         "r": args.r,

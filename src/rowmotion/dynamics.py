@@ -5,19 +5,23 @@ rowmotion are products of toggles along a fixed element order: rowmotion
 toggles a linear extension from the top (`rowmotion_order`), the rank
 permutations toggle `sigma_order`.  Once a poset's ideals are enumerated,
 each step returns the canonical state at the image index under
-`Poset.sweep_permutation` of its order, resolved once per step; before, it
-toggles the mask along the same order (`_sweep_mask`).
+`Poset.sweep_permutation` of its order, resolved once per step: a canonical
+state is stepped in the step's own frame, as `P._ideals[perm[I._index]]`.
+Before the enumeration, a step toggles the mask along the same order
+(`_sweep_mask`).
 
 There is one orbit kernel and one bijection check: the cycles of an index
 permutation (`_cycles`, listed by `permutation_orbits`), which the
 q-rowmotion orbits walk as well.  `orbit_partition` reads a map on a state
-space as such a permutation (`as_index_permutation`, by identity) and maps
-the cycles back.
+space as such a permutation (`as_index_permutation`) and maps the cycles
+back.  On a canonical enumeration each image's position is read off its
+`_index` and confirmed by identity, `space[k] is image`; any other image is
+found by equality.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from operator import attrgetter, is_
 
 from .poset import (
     Antichain,
@@ -121,14 +125,35 @@ def _sweep(P: Poset, order, I: OrderIdeal, perm) -> OrderIdeal:
 
 def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
     """The ideal generated by the minimal elements of the complement of I."""
-    return _sweep(P, P._rowmotion_order, I, _rowmotion_permutation)
+    if I.poset is not P:
+        raise ValueError("ideal belongs to a different poset")
+    k, perm = I._index, P._rowmotion_perm
+    if k is None or perm is None:
+        return _sweep(P, P._rowmotion_order, I, _rowmotion_permutation)
+    return P._ideals[perm[k]]
 
 
 def _sweeper(P: Poset, order):
     """The toggles at `order` as a step on ideals, which resolves their
-    `sweep_permutation` on its first call after the enumeration."""
-    perm = cache(lambda P: P.sweep_permutation(order))
-    return lambda I: _sweep(P, order, I, perm)
+    `sweep_permutation` on its first call after the enumeration and from
+    then on steps a canonical ideal in its own frame."""
+    perm = None
+
+    def resolve(P):
+        nonlocal perm
+        if perm is None:
+            perm = P.sweep_permutation(order)
+        return perm
+
+    def step(I):
+        if I.poset is not P:
+            raise ValueError("ideal belongs to a different poset")
+        k = I._index
+        if k is None or perm is None:
+            return _sweep(P, order, I, resolve)
+        return P._ideals[perm[k]]
+
+    return step
 
 
 def rowmotion_by_toggles(P: Poset, ext: LinearExtension, I: OrderIdeal) -> OrderIdeal:
@@ -182,10 +207,12 @@ def antichain_rowmotion(P: Poset, A: Antichain) -> Antichain:
     """
     if A.poset is not P:
         raise ValueError("antichain belongs to a different poset")
+    k, perm = A._index, P._rowmotion_perm
+    if k is not None and perm is not None:
+        return (P._antichains or enumerate_antichains(P))[perm[k]]
     if P._ideal_masks is None:
         mask = P.generated_ideal_mask(A.mask)
         return Antichain._make(P, P.toggleable_mask(mask) & ~mask)
-    k = A._index
     if k is None:
         k = P._ideal_index[P.generated_ideal_mask(A.mask)]
     return enumerate_antichains(P)[_rowmotion_permutation(P)[k]]
@@ -220,18 +247,24 @@ def orbit_partition(step, space) -> list[Orbit]:
             for cyc in permutation_orbits(as_index_permutation(step, space))]
 
 
+_position = attrgetter("_index")
+
+
 def as_index_permutation(step, space) -> list[int]:
     """The map `step` on the sequence `space` as a list of positions.  On a
-    poset's canonical enumeration each image is found by identity; otherwise,
-    or for an image identity does not find, states are found by equality.
+    poset's canonical enumeration each image's position is read off its
+    `_index` and confirmed by identity, `space[k] is image`; otherwise, or
+    when an image has no such position, states are found by equality.
     `permutation_orbits` checks that the result is a permutation."""
     images = list(map(step, space))
     P = getattr(space[0], "poset", None) if len(space) else None
     if isinstance(P, Poset) and (space is P._ideals or space is P._antichains):
-        where = {id(s): k for k, s in enumerate(space)}
-        perm = list(map(where.get, map(id, images)))
-        if None not in perm:
-            return perm
+        try:  # no `_index`, None or out of range raise; a wrong state fails `is`
+            perm = list(map(_position, images))
+            if all(map(is_, map(space.__getitem__, perm), images)):
+                return perm
+        except (AttributeError, TypeError, IndexError):
+            pass
     index = {s: k for k, s in enumerate(space)}
     if len(index) != len(space):
         raise ValueError("state space contains duplicates")

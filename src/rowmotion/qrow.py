@@ -15,7 +15,9 @@ ranks, a rank being a labeling's position in `enumerate_labelings`:
 aligned pairs of the toggle table, in one 4-byte owner array, and looks at
 no labeling.  Its cycles, walked by `dynamics._cycles` with one byte per
 labeling, are the orbits; only the labels that are returned or printed are
-built.
+built.  An orbit sum of `q_homomesy_check` reads one value per rank: the
+statistic's numerator on each ideal repeated over the ideal's block of
+ranks, in the smallest array type that holds the numerators.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
+from operator import itemgetter
 
 from .dynamics import _cycles, rowmotion_order
 from .poset import CapExceededError, OrderIdeal, Poset
@@ -185,10 +188,29 @@ def _offsets(P, r, s):
     """The rank of the first labeling on each ideal, in canonical order, then
     the labeling count, after the cap check."""
     check_labeling_count(P, r, s)
+    return list(accumulate(_widths(P, r, s), initial=0))
+
+
+def _widths(P, r, s):
+    """The number of labelings on each ideal, in canonical order."""
     n = P.n
     sizes = [r ** (n - k) * s ** k for k in range(n + 1)]
-    return list(accumulate(map(sizes.__getitem__, map(int.bit_count, P.ideal_masks())),
-                           initial=0))
+    return map(sizes.__getitem__, map(int.bit_count, P.ideal_masks()))
+
+
+def _rank_values(nums, widths):
+    """nums[i] at every rank of the widths[i] labelings on ideal i, in the
+    smallest signed array type that holds every numerator (a list past 64
+    bits), built by repeating each ideal's item bytes over its block."""
+    for code in "bhiq":
+        try:
+            cells = array(code, nums)
+        except OverflowError:
+            continue
+        raw, size = cells.tobytes(), cells.itemsize
+        return array(code, b"".join([raw[k:k + size] * w
+                                     for k, w in zip(range(0, len(raw), size), widths)]))
+    return list(chain.from_iterable(map(repeat, nums, widths)))
 
 
 def _thetas(P, alphabet, local_theta):
@@ -317,18 +339,20 @@ def q_orbits(P: Poset, alphabet: FlavorAlphabet, local_theta=None):
     """Orbits of q-rowmotion as lists of raw label tuples, each from its
     first labeling in the order of `enumerate_labelings`."""
     cycles = _orbit_cycles(P, alphabet, local_theta, _offsets(P, alphabet.r, alphabet.s))
-    labels = [t for _, block in _label_blocks(P, alphabet) for t in block]
+    labels = list(chain.from_iterable(map(itemgetter(1), _label_blocks(P, alphabet))))
     return [list(map(labels.__getitem__, cyc[:1] + cyc[:0:-1])) for cyc in cycles]
 
 
-def _representatives(P, alphabet, local_theta=None):
+def _representatives(P, alphabet, local_theta=None, offsets=None):
     """(size, first label tuple) of each q-rowmotion orbit, in the order of
     `q_orbits`.  Only each first labeling is decoded, from its rank: the
     ideal whose block holds it, then one mixed-radix digit per element,
-    element 0 the most significant."""
+    element 0 the most significant.  `offsets` are those of `_offsets`,
+    built here unless the caller has them."""
     r, s, n = alphabet.r, alphabet.s, P.n
     masks = P.ideal_masks()
-    offsets = _offsets(P, r, s)
+    if offsets is None:
+        offsets = _offsets(P, r, s)
     out = []
     for cyc in _orbit_cycles(P, alphabet, local_theta, offsets):
         i = bisect_right(offsets, cyc[0]) - 1
@@ -352,13 +376,14 @@ def ideal_mask_of(labels, alphabet) -> int:
 
 
 def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
-                     expected=None, local_theta=None) -> HomomesyReport:
+                     expected=None, local_theta=None, offsets=None) -> HomomesyReport:
     """Exact orbit averages of an ideal statistic lifted to labelings.
 
     The statistic value of a labeling is its value on the zero-labeled
     ideal.  When `expected` (a rational function of q, or a Fraction) is
     given, the averages are compared against its value at q = r/s; a pole
-    there raises ValueError before any labeling is walked.
+    there raises ValueError before any labeling is walked.  `offsets` are
+    those of `_offsets` for (P, r, s), built here unless the caller has them.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
@@ -369,11 +394,13 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
             expected = expected.evaluate(alphabet.q)
         except ZeroDivisionError as exc:
             raise ValueError(f"the expected value has a {exc}") from None
-    # integer orbit sums over the one denominator of the values; the labeling
-    # at rank k lies on ideal i with bisect_right(offsets, k) = i + 1
-    offsets = _offsets(P, alphabet.r, alphabet.s)
-    value = [0, *f.nums].__getitem__
+    # integer orbit sums over the one denominator of the values, read off the
+    # value of each rank: that of its ideal, repeated over the ideal's block
+    r, s = alphabet.r, alphabet.s
+    if offsets is None:
+        offsets = _offsets(P, r, s)
+    value = f.nums if r == s == 1 else _rank_values(f.nums, _widths(P, r, s))
     return _homomesy_report(
-        f, ((sum(map(value, map(bisect_right, repeat(offsets), cyc))), len(cyc))
+        f, ((sum(map(value.__getitem__, cyc)), len(cyc))
             for cyc in _orbit_cycles(P, alphabet, local_theta, offsets)),
         None if expected is None else Fraction(expected))

@@ -413,3 +413,68 @@ def test_identity_indexing_agrees_with_the_equality_fallback(seed, sizes):
         assert masks(orbit_partition(step, list(space))) == want
         for f in stats:
             assert homomesy_check(f, fresh(step), space) == homomesy_check(f, step, space)
+
+
+class _Bare:
+    """A state without `_index`, equal to nothing in a canonical space."""
+
+    def __init__(self, S):
+        self.poset, self.mask = S.poset, S.mask
+
+
+class _Unindexed(OrderIdeal):
+    """An ideal whose `_index` slot is never set, equal to the ideal of its
+    mask (its own `__eq__` is tried first, as a subclass's)."""
+
+    __slots__ = ()
+
+    def __init__(self, I):
+        self.poset, self.mask = I.poset, I.mask
+
+    def __eq__(self, other):
+        return isinstance(other, OrderIdeal) and (other.poset, other.mask) == (self.poset, self.mask)
+
+    __hash__ = OrderIdeal.__hash__
+
+
+@pytest.mark.parametrize("image", ["antichain", "bare", "unindexed"])
+def test_images_identity_cannot_place_take_the_equality_path(image):
+    # on the canonical ideals, rowmotion's images returned as the canonical
+    # antichain of the same index (whose `_index` names an ideal), as an
+    # object without `_index`, or as an ideal whose `_index` was never set
+    P = rectangle(3, 3)
+    ideals, anti = enumerate_ideals(P), enumerate_antichains(P)
+    wrap = {"antichain": lambda J: anti[J._index], "bare": _Bare, "unindexed": _Unindexed}[image]
+    step = lambda I: wrap(rowmotion(P, I))  # noqa: E731
+    if image == "unindexed":  # the equality path finds every image
+        want = as_index_permutation(lambda I: rowmotion(P, I), ideals)
+        assert as_index_permutation(step, ideals) == want
+        assert as_index_permutation(step, list(ideals)) == want
+        assert ([[S.mask for S in o] for o in orbit_partition(step, ideals)]
+                == [[S.mask for S in o] for o in orbit_partition(lambda I: rowmotion(P, I), ideals)])
+        return
+    for kernel in (orbit_partition, as_index_permutation):
+        for space in (ideals, list(ideals)):  # canonical, then the equality path alone
+            with pytest.raises(ValueError, match="^map leaves the given state space$"):
+                kernel(step, space)
+
+
+def test_a_step_made_before_the_enumeration_returns_canonical_states_after_it():
+    from rowmotion.dynamics import gyration_sigma, sigma_order
+    from rowmotion.poset import _bits
+
+    P = rectangle(3, 3)
+    top = P.max_rank()
+    steps = {sigma_order(P, gyration_sigma(P)): gyration(P),
+             sigma_order(P, range(top, -1, -1)): rowmotion_sigma(P, range(top, -1, -1)),
+             tuple(_bits(P.rank_mask(1))): rank_toggle(P, 1)}
+    for order, step in steps.items():  # before: the mask path, no enumeration
+        assert step(OrderIdeal(P)).mask == _mask_sweep(P, order, 0)
+    assert P._ideal_masks is None
+    ideals = enumerate_ideals(P)
+    for order, step in steps.items():
+        for I in ideals:
+            for start in (I, OrderIdeal(P, mask=I.mask)):  # canonical, then fresh
+                J = step(start)
+                assert J is ideals[P.ideal_index(J.mask)]
+                assert J.mask == _mask_sweep(P, order, I.mask)

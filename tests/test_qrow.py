@@ -27,6 +27,7 @@ from rowmotion.qpoly import CertificateError, Polynomial, RationalFunction, q_nu
 from rowmotion.poset import CapExceededError
 import rowmotion.qrow as qrow
 from rowmotion.qrow import QLabeling, check_labeling_count, ideal_mask_of
+from rowmotion.statistics import Statistic
 
 from conftest import random_extension, random_poset
 
@@ -240,6 +241,20 @@ def test_each_q_walk_runs_the_cap_check_once(monkeypatch):
         calls.clear()
         run()
         assert calls == [(P, 2, 1)]
+    # and once per CLI command, which hands its offsets to the walk
+    from rowmotion import cli
+
+    for argv in (["orbits", "rect:2,3", "--variant", "q:2,1"],
+                 ["qrow", "--family", "rect:2,3", "--r", "2", "--s", "1",
+                  "--stat", "antichain_card"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert [args[1:] for args in calls] == [(2, 1)]
+    # the cap check still runs before --theta is read, so its error wins
+    for argv in (["orbits", "rect:3,3", "--variant", "q:30,30", "--theta", "bogus"],
+                 ["qrow", "--family", "rect:3,3", "--r", "30", "--s", "30",
+                  "--theta", "bogus", "--stat", "antichain_card"]):
+        assert cli.main(argv) == 3
 
 
 def test_enumeration_grouped_by_ideal():
@@ -559,3 +574,29 @@ def test_single_q_steps_enumerate_no_ideals():
     assert L.ideal_mask == 1  # the minimum joined the zero-labeled ideal
     q_toggle(P, alphabet, 0, L)
     assert P._ideal_masks is None
+
+
+@pytest.mark.parametrize("top, code", [
+    (2 ** 7 - 1, "b"), (2 ** 7, "h"), (2 ** 15 - 1, "h"), (2 ** 15, "i"),
+    (2 ** 31 - 1, "i"), (2 ** 31, "q"), (2 ** 63 - 1, "q"), (2 ** 63, None)])
+@pytest.mark.parametrize("low", [False, True])
+def test_q_orbit_sums_match_a_plain_oracle(top, code, low):
+    # numerators up to each array type's bound, then one past it, as the
+    # largest value or (low) as the least one, -top - 1; the oracle reads
+    # each labeling's value off its zero-labeled ideal
+    P = rectangle(2, 3)  # 10 ideals
+    where = {m: k for k, m in enumerate(P.ideal_masks())}
+    rng = random.Random(top)
+    nums = [rng.randint(-9, 9) for _ in where]
+    nums[rng.randrange(len(nums))] = -top - 1 if low else top
+    f = Statistic(P, nums=nums)
+    for r, s in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        alphabet = FlavorAlphabet.random(r, s, rng)
+        want = [(sum(f.nums[where[ideal_mask_of(labels, alphabet)]] for labels in orbit),
+                 len(orbit)) for orbit in q_orbits(P, alphabet)]
+        report = q_homomesy_check(P, alphabet, f)
+        assert report.orbit_sizes == tuple(k for _, k in want)
+        assert report.orbit_averages == tuple(Fraction(t, k) for t, k in want)
+    values = qrow._rank_values(f.nums, [2, 0, 3] + [1] * 7)
+    assert getattr(values, "typecode", None) == code
+    assert list(values) == [nums[0]] * 2 + [nums[2]] * 3 + nums[3:]
