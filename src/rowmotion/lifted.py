@@ -1,25 +1,21 @@
 """Piecewise-linear and birational rowmotion over exact rationals.
 
 Points carry boundary parameters alpha and omega (the values attached to the
-adjoined bottom and top elements).  Both levels share one point type and one
-sweep, which toggles in place on a value list and builds one point at the
-end; orbit return is detected by exact equality.  Each operation is one
-function that works at the level of the point it is given: `lifted_toggle`,
-`lifted_rowmotion`, `lifted_toggleability`, `check_constant`, `lifted_orbit`
-and `orbit_homomesy_lifted`; `random_point` draws a point of either level.
-The paper's per-level names `pl_t_signed`, `b_t_ratio`, `check_pl_constant`
-and `check_b_constant` are aliases, in one table at the end of the module.
+adjoined bottom and top elements).  Each operation works at the level of the
+point it is given (`lifted_toggle`, `lifted_rowmotion`, `lifted_toggleability`,
+`check_constant`, `lifted_orbit`, `orbit_homomesy_lifted`); the paper's
+per-level names are aliases, in one table at the end of the module.
 
-Each point builds one integer table the first time a law or an atom is
-asked of it: at the PL level the numerators of T+_p, T-_p, omega - x_p and
-omega - alpha over one common denominator D; at the birational level the
-integers that every birational atom is a monomial in.  A lifted statistic
-clears its coefficients once, to integers over one denominator E.
-Constancy checks and orbit laws are one law, `_law_sides`, over a list of
-states (one state for constancy): the PL sum is an integer dot product per
-state, and the birational product collects integer exponents per distinct
-base, the right-hand side moved across, so what cancels is never multiplied
-out.  Every comparison is of exact integers.
+Sweeps run on integers: a PL state is the numerators of the values over one
+common denominator D of the values, alpha and omega (min, max, + and - keep
+every value on (1/D)Z); a birational state is the values' numerators and
+denominators, and a toggle clears its two cover sums and takes one gcd.
+Orbits compare integer states and build each point once, at the end.  Each
+point caches one integer table (`_atoms`) that a single atom is read off as
+one Fraction.  Constancy checks and orbit laws are one law, `_law_sides`, over
+a list of states: the PL sum is an integer dot product per state, and the
+birational product collects integer exponents per distinct base, so what
+cancels is never multiplied out.  Every comparison is of exact integers.
 """
 
 from __future__ import annotations
@@ -28,11 +24,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .dynamics import rowmotion_order, sigma_order
 from .poset import CapExceededError, OrderIdeal, Poset
-from .qpoly import check_digits, cleared
+from .qpoly import _TOO_LONG, check_digits, cleared
 from .statistics import TOGGLEABILITY_KINDS, Statistic
 
 
@@ -44,9 +40,11 @@ class _Point:
     omega: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "omega", Fraction(self.omega))
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", vals)
+        for name in ("alpha", "omega"):
+            if type(v := getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(v))
         if len(self.values) != self.poset.n:
             raise ValueError("point length must equal the element count")
 
@@ -55,28 +53,53 @@ class _Point:
         vals[p] = v
         return type(self)(self.poset, vals, self.alpha, self.omega)
 
+    def _from_ints(self, ends, s):
+        """The point of the state s, built without the constructor's checks."""
+        pt = object.__new__(type(self))
+        pt.__dict__.update(poset=self.poset, values=self._values(ends, s),
+                           alpha=self.alpha, omega=self.omega)
+        return pt
+
 
 @dataclass(frozen=True)
 class PLPoint(_Point):
     alpha: Fraction = Fraction(0)
     omega: Fraction = Fraction(1)
 
-    def _toggled(self, vals, p):
-        return (min(_upper_values(self, vals, p)) + max(_lower_values(self, vals, p))
-                - vals[p])
+    def _ints(self):
+        """(ends, x): ends = (D, alpha, omega) and x the values, as integers
+        over their least common denominator D."""
+        (a, w, *x), D = cleared((self.alpha, self.omega, *self.values))
+        return (D, a, w), x
+
+    @staticmethod
+    def _toggle_ints(P, ends, x, order):
+        _, a, w = ends
+        low, up = P.lower_covers, P.upper_covers
+        for p in order:
+            x[p] = (min([x[u] for u in up[p]], default=w)
+                    + max([x[r] for r in low[p]], default=a) - x[p])
+
+    @staticmethod
+    def _values(ends, x):
+        return tuple(Fraction(v, ends[0]) for v in x)
 
     @cached_property
     def _atoms(self):
-        """(D, atoms): over the common denominator D, the integer numerators
-        of T+_p for every p, then of T-_p, then of omega - x_p, then of
-        omega - alpha."""
+        """(D, atoms): the integer numerators over D of T+_p for every p, then
+        of T-_p, then of omega - x_p, then of omega - alpha."""
         P = self.poset
-        (a, w, *x), D = cleared((self.alpha, self.omega, *self.values))
+        (D, a, w), x = self._ints()
         t_in = [xp - max((x[r] for r in low), default=a)
                 for xp, low in zip(x, P.lower_covers)]
         t_out = [min((x[u] for u in up), default=w) - xp
                  for xp, up in zip(x, P.upper_covers)]
         return D, (*t_in, *t_out, *(w - xp for xp in x), w - a)
+
+    def _toggleability(self, p, a, b):
+        """a T+_p + b T-_p, read off the table."""
+        D, atoms = self._atoms
+        return Fraction(a * atoms[p] + b * atoms[self.poset.n + p], D)
 
 
 @dataclass(frozen=True)
@@ -89,38 +112,65 @@ class BPoint(_Point):
         if self.alpha <= 0 or self.omega <= 0 or any(v <= 0 for v in self.values):
             raise ValueError("birational points must be strictly positive")
 
-    def _toggled(self, vals, p):
-        return sum(_lower_values(self, vals, p)) / (
-            vals[p] * sum(1 / v for v in _upper_values(self, vals, p)))
+    def _ints(self):
+        """(ends, s): ends = (omega_n, omega_d, alpha_n, alpha_d) and s the
+        numerators of the values, then their denominators."""
+        a, w, vals = self.alpha, self.omega, self.values
+        return ((w.numerator, w.denominator, a.numerator, a.denominator),
+                [v.numerator for v in vals] + [v.denominator for v in vals])
+
+    @staticmethod
+    def _toggle_ints(P, ends, s, order):
+        """x_p := L d_p prod n_u / (prod d_r n_p U) (`_cover_sums`), reduced."""
+        n = P.n
+        for p in order:
+            L, Dl, U, Nu = _cover_sums(P, ends, s, p)
+            top, bottom = L * s[n + p] * Nu, Dl * s[p] * U
+            g = gcd(top, bottom)
+            s[p], s[n + p] = top // g, bottom // g
+
+    @staticmethod
+    def _values(ends, s):
+        return tuple(map(Fraction, s[:len(s) // 2], s[len(s) // 2:]))
 
     @cached_property
     def _atoms(self):
-        """The integers n_p for every p, then d_p, then L_p, then U_p, then
-        omega_n, omega_d, alpha_n and alpha_d.
+        """The integers n_p for every p, then d_p, then L_p, then U_p (of
+        `_cover_sums`, with x_p = n_p/d_p), then omega_n, omega_d, alpha_n
+        and alpha_d."""
+        P = self.poset
+        ends, s = self._ints()
+        sums = [_cover_sums(P, ends, s, p) for p in range(P.n)]
+        return (*s, *(t[0] for t in sums), *(t[2] for t in sums), *ends)
 
-        Here x_p = n_p/d_p, omega = omega_n/omega_d, alpha = alpha_n/alpha_d,
-        the sum of the lower-cover values of p (alpha when there is none) is
-        L_p / prod d_r, and the sum of the reciprocal upper-cover values
-        (1/omega when there is none) is U_p / prod n_u."""
-        P, alpha, omega = self.poset, self.alpha, self.omega
-        num = [v.numerator for v in self.values]
-        den = [v.denominator for v in self.values]
-        low = [_cleared_sum([num[r] for r in c], [den[r] for r in c]) if c
-               else alpha.numerator for c in P.lower_covers]
-        up = [_cleared_sum([den[u] for u in c], [num[u] for u in c]) if c
-              else omega.denominator for c in P.upper_covers]
-        return (*num, *den, *low, *up, omega.numerator, omega.denominator,
-                alpha.numerator, alpha.denominator)
+    def _toggleability(self, p, a, b):
+        """T+_p^a T-_p^b, read off the table: T+_p = n_p prod d_r / (d_p L_p)
+        and T-_p = d_p prod n_u / (n_p U_p)."""
+        P, t = self.poset, self._atoms
+        n, low, up = P.n, P.lower_covers[p], P.upper_covers[p]
+        Dl = prod(t[n + r] for r in low) if low else t[-1]
+        Nu = prod(t[u] for u in up) if up else t[-4]
+        factors = ((t[p] * Dl, a), (t[n + p] * t[2 * n + p], -a),
+                   (t[n + p] * Nu, b), (t[p] * t[3 * n + p], -b))
+        return Fraction(_power_product(factors, 1), _power_product(factors, -1))
 
 
-def _cleared_sum(nums, dens):
-    """The numerator of sum(n/d) over the denominator prod(d), unreduced.  It
-    is symmetric in the terms, so the lower sum and the reciprocal upper sum
-    of the same two elements give the same integer, which then cancels."""
-    total, common = 0, 1
-    for n, d in zip(nums, dens):
-        total, common = total * d + n * common, common * d
-    return total
+def _cover_sums(P, ends, s, p):
+    """(L, prod d_r, U, prod n_u) at the birational state s: the lower covers
+    of p sum to L / prod d_r (alpha if none), the reciprocals of its upper
+    covers to U / prod n_u (1/omega if none).  L and U are unreduced and
+    symmetric, so the same two elements give one integer, which cancels."""
+    n, low, up = P.n, P.lower_covers[p], P.upper_covers[p]
+    L, Dl, U, Nu = ends[2], ends[3], ends[1], ends[0]
+    if low:
+        L, Dl = 0, 1
+        for r in low:
+            L, Dl = L * s[n + r] + s[r] * Dl, Dl * s[n + r]
+    if up:
+        U, Nu = 0, 1
+        for u in up:
+            U, Nu = U * s[u] + s[n + u] * Nu, Nu * s[u]
+    return L, Dl, U, Nu
 
 
 def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint:
@@ -130,22 +180,11 @@ def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint
     return PLPoint(P, vals, alpha, omega)
 
 
-def _lower_values(pt, vals, p):
-    low = pt.poset.lower_covers[p]
-    return tuple(vals[r] for r in low) if low else (pt.alpha,)
-
-
-def _upper_values(pt, vals, p):
-    up = pt.poset.upper_covers[p]
-    return tuple(vals[u] for u in up) if up else (pt.omega,)
-
-
 def _sweep(pt, order):
-    """Toggle at each element of `order` in turn, in place on one value list."""
-    vals = list(pt.values)
-    for p in order:
-        vals[p] = pt._toggled(vals, p)
-    return type(pt)(pt.poset, vals, pt.alpha, pt.omega)
+    """Toggle at each element of `order` in turn, on the integer state of pt."""
+    ends, s = pt._ints()
+    pt._toggle_ints(pt.poset, ends, s, order)
+    return pt._from_ints(ends, s)
 
 
 # -- the lifted operations, at the level of the point given ---------------------------
@@ -175,7 +214,7 @@ def lifted_toggleability(pt, p: int, kind: str) -> Fraction:
         raise ValueError(f"no lifted statistic for {type(pt).__name__}/{kind}")
     if not (0 <= p < pt.poset.n):
         raise IndexError(f"element {p} out of range")
-    return _atom(pt, (p, *TOGGLEABILITY_KINDS[kind], 0))
+    return pt._toggleability(p, *TOGGLEABILITY_KINDS[kind])
 
 
 # -- lifting linear statistics ---------------------------------------------------------
@@ -203,35 +242,26 @@ class LiftedStatistic:
 
 
 def lift_statistic(stat: Statistic) -> LiftedStatistic:
-    """Lift a linear statistic to the PL and birational levels.
-
-    The constancy transfer is only guaranteed on posets where every element
-    covers at most two elements and is covered by at most two, so other
-    posets are refused.
-    """
+    """Lift a linear statistic to the PL and birational levels.  The constancy
+    transfer is only guaranteed where every element covers at most two
+    elements and is covered by at most two, so other posets are refused."""
     if stat.combo is None:
-        raise ValueError(
-            "statistic has no toggle/indicator expansion; only linear "
-            "combinations of T+, T-, and ideal indicators lift"
-        )
+        raise ValueError("statistic has no toggle/indicator expansion; only linear "
+                         "combinations of T+, T-, and ideal indicators lift")
     P = stat.poset
     bad = [p for p in range(P.n)
            if len(P.upper_covers[p]) > 2 or len(P.lower_covers[p]) > 2]
     if bad:
-        raise ValueError(
-            f"lifting requires every element to cover and be covered by "
-            f"at most two elements; violated at {bad}"
-        )
+        raise ValueError(f"lifting requires every element to cover and be covered by "
+                         f"at most two elements; violated at {bad}")
     tin, tout, ind = stat.combo
     return LiftedStatistic(P, tin, tout, ind, label=stat.label)
 
 
 def certificate_witness(stat: Statistic, decomposition) -> tuple:
     """The lifted statistic h = f - sum c_p T_p together with its constant.
-
     At the combinatorial level h equals the certificate constant identically,
-    so its PL and birational lifts are constant as well.
-    """
+    so its PL and birational lifts are constant as well."""
     lifted = lift_statistic(stat)
     c = decomposition.coeffs
     tin = tuple(a - cp for a, cp in zip(lifted.coeff_in, c))
@@ -312,13 +342,6 @@ def _power_product(factors, sign):
     return prod(pow(base, sign * e) for base, e in factors if sign * e > 0)
 
 
-def _atom(pt, term) -> Fraction:
-    """The lifted atom combination `term` = (p, a, b, d) at pt: the left side
-    of its law with constant 0."""
-    lhs, _, den = _law_sides(_law_terms(pt.poset, 1, (term,)), 0, (pt,))
-    return Fraction(lhs, den)
-
-
 def _law_holds(terms, c, states) -> bool:
     lhs, rhs, _ = _law_sides(terms, c, states)
     return lhs == rhs
@@ -327,6 +350,8 @@ def _law_holds(terms, c, states) -> bool:
 def check_constant(h: LiftedStatistic, c: Fraction, pt) -> bool:
     """Whether h equals its certificate constant c at the PL or birational
     point pt: c * (omega - alpha) (PL) or (omega/alpha)^c (birational)."""
+    if pt.poset is not h.poset:
+        raise ValueError("point belongs to a different poset")
     return _law_holds(h._terms, c, (pt,))
 
 
@@ -336,25 +361,27 @@ def check_constant(h: LiftedStatistic, c: Fraction, pt) -> bool:
 def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     """Forward orbit of PL or birational rowmotion from `start`.
 
-    Returns the orbit states; raises CapExceededError if the point does not
-    return within max_iter steps, or once a value has a numerator or
-    denominator too long for `check_digits` (birational values can double
-    in length every step), reported as inconclusive by callers; and
-    ValueError if max_iter < 1.
-    """
+    Raises CapExceededError if the point does not return within max_iter
+    steps, or once a value is too long for `check_digits` (birational values
+    can double in length every step), reported as inconclusive by callers;
+    and ValueError if max_iter < 1."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     order = _order(start.poset, sigma)
-    states = [start]
-    cur = _sweep(start, order)
-    while cur != start:
+    ends, first = start._ints()
+    step = partial(start._toggle_ints, start.poset, ends)
+    states, cur = [first], list(first)
+    step(cur, order)
+    while cur != first:  # equal integer states are equal points
         if len(states) >= max_iter:
             raise CapExceededError(f"no return within {max_iter} iterations")
-        for v in cur.values:
-            check_digits(v)
+        if max(ends[0], max(cur), -min(cur)) >= _TOO_LONG:  # D (PL) and s bound the parts
+            for v in start._values(ends, cur):
+                check_digits(v)
         states.append(cur)
-        cur = _sweep(cur, order)
-    return states
+        cur = list(cur)
+        step(cur, order)
+    return [start, *(start._from_ints(ends, s) for s in states[1:])]
 
 
 @dataclass(frozen=True)
@@ -368,12 +395,12 @@ class LiftedOrbitReport:
 
 def orbit_homomesy_lifted(h: LiftedStatistic, c, start, sigma=None,
                           max_iter: int = 10_000) -> LiftedOrbitReport:
-    """Verify the orbit sum law (PL) or orbit product law (birational).
-
-    For a statistic with certificate constant c, the sum over a finite PL
-    orbit is #O * c * (omega - alpha), and the product over a finite
-    birational orbit is (omega/alpha)^(#O * c).
-    """
+    """Verify the orbit sum law (PL) or orbit product law (birational) of a
+    statistic with certificate constant c: the sum over a finite PL orbit is
+    #O * c * (omega - alpha), the product over a finite birational orbit is
+    (omega/alpha)^(#O * c)."""
+    if start.poset is not h.poset:
+        raise ValueError("point belongs to a different poset")
     try:
         states = lifted_orbit(start, sigma=sigma, max_iter=max_iter)
     except CapExceededError:
@@ -385,8 +412,11 @@ def orbit_homomesy_lifted(h: LiftedStatistic, c, start, sigma=None,
 
 def toggleability_orbit_law(states) -> bool:
     """Whether every signed toggleability T_p = T+_p - T-_p obeys the law with
-    constant 0 over `states`: orbit sum 0 (PL), orbit product 1 (birational)."""
-    P = states[0].poset
+    constant 0 over `states`: orbit sum 0 (PL), orbit product 1 (birational).
+    The states must share one poset, one level and one (alpha, omega)."""
+    P, key = states[0].poset, (type(states[0]), states[0].alpha, states[0].omega)
+    if any(s.poset is not P or (type(s), s.alpha, s.omega) != key for s in states):
+        raise ValueError("a state belongs to a different poset, level or (alpha, omega)")
     signs = TOGGLEABILITY_KINDS["signed"]
     return all(_law_holds(_law_terms(P, 1, ((p, *signs, 0),)), 0, states)
                for p in range(P.n))

@@ -552,3 +552,209 @@ def test_tampered_constant_rejected_under_python_optimize():
     out = _run_optimized(["-c", code])
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "True", "False", "False", "False"]
+
+
+# -- points of another poset, level or boundary ------------------------------------
+
+
+def test_a_point_of_another_poset_is_refused_at_both_levels():
+    from rowmotion import lifted
+
+    P = rectangle(2, 3)
+    f = named_statistic(P, "antichain_card")
+    h, c = certificate_witness(f, decompose(P, f))
+    rng = random.Random(59)
+    # a staircase point of the same size once refuted the law; a smaller
+    # birational point ran off the end of the table; an equal poset built
+    # again is still another poset, as for `rowmotion`
+    foreign = (random_point(PLPoint, shifted_staircase(3), rng),
+               random_point(BPoint, shifted_staircase(3), rng),
+               random_point(PLPoint, rectangle(2, 2), rng),
+               random_point(BPoint, rectangle(2, 2), rng),
+               random_point(PLPoint, rectangle(2, 3), rng),
+               random_point(BPoint, rectangle(2, 3), rng))
+    for pt in foreign:
+        for check in (check_constant, lifted.check_pl_constant, lifted.check_b_constant):
+            with pytest.raises(ValueError, match="belongs to a different poset"):
+                check(h, c, pt)
+        with pytest.raises(ValueError, match="belongs to a different poset"):
+            orbit_homomesy_lifted(h, c, pt)
+    for level in (PLPoint, BPoint):
+        pt = random_point(level, P, rng)
+        assert check_constant(h, c, pt) and orbit_homomesy_lifted(h, c, pt).holds
+
+
+def test_toggleability_orbit_law_refuses_states_that_do_not_share_a_point_space():
+    from rowmotion.lifted import toggleability_orbit_law
+
+    rng = random.Random(67)
+    P = rectangle(2, 3)
+    pl = random_point(PLPoint, P, rng, alpha=Fraction(-1, 2), omega=Fraction(5, 3))
+    bp = random_point(BPoint, P, rng, alpha=Fraction(2, 3), omega=Fraction(7, 5))
+    for pt in (pl, bp):
+        states = lifted_orbit(pt)
+        assert toggleability_orbit_law(states)
+        level = type(pt)
+        other = BPoint if level is PLPoint else PLPoint
+        intruders = (
+            level(rectangle(2, 3), pt.values, pt.alpha, pt.omega),  # another poset
+            level(shifted_staircase(3), pt.values, pt.alpha, pt.omega),
+            random_point(other, P, rng),  # another level
+            level(P, states[1].values, pt.alpha + 1, pt.omega),  # another alpha
+            level(P, states[1].values, pt.alpha, pt.omega + 1),  # another omega
+        )
+        for bad in intruders:
+            for mixed in ([*states, bad], [bad, *states]):
+                with pytest.raises(ValueError, match="belongs to a different poset"):
+                    toggleability_orbit_law(mixed)
+
+
+def test_fraction_inputs_are_kept_as_given():
+    P = rectangle(2, 2)
+    vals = [Fraction(1, 2), Fraction(3), Fraction(-2, 7), Fraction(5, 3)]
+    alpha, omega = Fraction(-1, 3), Fraction(4, 5)
+    pt = PLPoint(P, vals, alpha, omega)
+    assert all(a is b for a, b in zip(pt.values, vals))
+    assert pt.alpha is alpha and pt.omega is omega
+    # other inputs are still converted, exactly
+    mixed = PLPoint(P, [1, "3/4", Fraction(1, 2), -2], 0, "5/2")
+    assert all(type(v) is Fraction for v in (*mixed.values, mixed.alpha, mixed.omega))
+    assert mixed.values == (1, Fraction(3, 4), Fraction(1, 2), -2)
+    assert mixed.omega == Fraction(5, 2)
+    with pytest.raises(ValueError):
+        PLPoint(P, vals[:3])
+    # a sweep's result equals, and hashes as, the point its values construct
+    for start in (pt, random_point(BPoint, P, random.Random(71))):
+        for out in (lifted_rowmotion(start), lifted_toggle(start, 2), *lifted_orbit(start)):
+            built = type(start)(out.poset, out.values, out.alpha, out.omega)
+            assert out == built and hash(out) == hash(built)
+            assert out.poset is P and out.alpha is start.alpha and out.omega is start.omega
+            assert all(type(v) is Fraction for v in out.values)
+            if isinstance(out, BPoint):
+                assert all(v > 0 for v in out.values)
+
+
+# -- the integer kernels against the paper's toggles, in Fractions ----------------------
+
+
+def _reference_toggle(level, P, x, alpha, omega, p):
+    """The toggle at p from its definition on the cover pairs of P, with
+    alpha and omega standing in below a minimal and above a maximal element
+    (the adjoined bottom and top): min(up) + max(low) - x_p (PL) or
+    sum(low) / (x_p sum(1/up)) (birational)."""
+    low = [x[r] for r, q in P.covers if q == p] or [alpha]
+    up = [x[u] for q, u in P.covers if q == p] or [omega]
+    if level is PLPoint:
+        return min(up) + max(low) - x[p]
+    return sum(low) / (x[p] * sum(1 / u for u in up))
+
+
+def _reference_order(P, sigma):
+    """Rowmotion's toggles from the top (sigma None), or the ranks in reversed
+    sigma order, computed from the cover pairs alone."""
+    ext = []  # a linear extension, least available element first
+    while len(ext) < P.n:
+        ext.append(min(p for p in range(P.n) if p not in ext
+                       and all(r in ext for r, q in P.covers if q == p)))
+    if sigma is None:
+        return ext[::-1]
+    rank = {}
+    for p in ext:
+        rank[p] = max((rank[r] + 1 for r, q in P.covers if q == p), default=0)
+    return [p for i in reversed(sigma) for p in range(P.n) if rank[p] == i]
+
+
+def _reference_step(level, P, order, alpha, omega):
+    def step(x):
+        x = list(x)
+        for p in order:
+            x[p] = _reference_toggle(level, P, x, alpha, omega, p)
+        return tuple(x)
+    return step
+
+
+def _reference_orbit(step, start, max_iter):
+    """The orbit of `start`, or the words of the cap where `lifted_orbit`
+    stops: no return within max_iter steps, or a value past
+    MAX_NUMBER_DIGITS digits."""
+    from rowmotion.qpoly import MAX_NUMBER_DIGITS
+
+    limit = 10 ** MAX_NUMBER_DIGITS
+    states, cur = [start], step(start)
+    while cur != start:
+        if len(states) >= max_iter:
+            return "iterations"
+        if any(abs(v.numerator) >= limit or v.denominator >= limit for v in cur):
+            return f"{MAX_NUMBER_DIGITS} digits"
+        states.append(cur)
+        cur = step(cur)
+    return states
+
+
+_KERNEL_POSETS = {
+    "claw": lambda: Poset(4, [(0, 3), (1, 3), (2, 3)]),  # one element covers three
+    "coclaw": lambda: Poset(4, [(0, 1), (0, 2), (0, 3)]),  # one is covered by three
+    "rect:2,3": lambda: rectangle(2, 3),
+    "rect:3,3": lambda: rectangle(3, 3),
+    "sstair:3": lambda: shifted_staircase(3),
+    "rootD:4": root_poset_D4,
+}
+_GRADED = ("rect:2,3", "rect:3,3", "sstair:3")
+
+
+@hyp.composite
+def _kernel_cases(draw):
+    """A poset (random and transitively reduced with n <= 7, or a fixed one
+    with three covers or a family), a level, a start and a rank permutation."""
+    from conftest import random_poset
+
+    name = draw(hyp.sampled_from([None, *_KERNEL_POSETS]))
+    if name is None:
+        P = random_poset(random.Random(draw(hyp.integers(0, 2 ** 32))),
+                         draw(hyp.integers(0, 7)))
+    else:
+        P = _KERNEL_POSETS[name]()
+    sigma = None
+    if name in _GRADED and draw(hyp.booleans()):
+        sigma = tuple(draw(hyp.permutations(range(P.max_rank() + 1))))
+    level = draw(hyp.sampled_from([PLPoint, BPoint]))
+    if level is PLPoint:  # negative values, and alpha above omega, allowed
+        value = hyp.builds(Fraction, hyp.integers(-9, 9), hyp.integers(1, 6))
+    else:
+        value = hyp.builds(Fraction, hyp.integers(1, 9), hyp.integers(1, 6))
+    vals = [draw(value) for _ in range(P.n)]
+    return P, level(P, vals, draw(value), draw(value)), sigma
+
+
+@given(_kernel_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_kernels_match_the_paper_toggles(case):
+    from rowmotion.poset import CapExceededError
+
+    P, pt, sigma = case
+    level, alpha, omega = type(pt), pt.alpha, pt.omega
+    step = _reference_step(level, P, _reference_order(P, sigma), alpha, omega)
+    for p in range(P.n):
+        x = list(pt.values)
+        x[p] = _reference_toggle(level, P, x, alpha, omega, p)
+        assert lifted_toggle(pt, p).values == tuple(x)
+    assert lifted_rowmotion(pt, sigma).values == step(pt.values)
+    max_iter = 30 if level is PLPoint else 12
+    ref = _reference_orbit(step, pt.values, max_iter)
+    try:
+        states = lifted_orbit(pt, sigma=sigma, max_iter=max_iter)
+    except CapExceededError as e:
+        assert isinstance(ref, str) and ref in str(e)
+        states = [pt]
+    else:
+        assert not isinstance(ref, str) and len(states) == len(ref)
+        assert [s.values for s in states] == ref
+        assert all(type(s) is level and s.poset is P and (s.alpha, s.omega) == (alpha, omega)
+                   for s in states)
+    for s in states:
+        for p in range(P.n):
+            t_in, t_out, _ = _reference_atoms(s, p)
+            signed = t_in - t_out if level is PLPoint else t_in / t_out
+            assert lifted_toggleability(s, p, "in") == t_in
+            assert lifted_toggleability(s, p, "out") == t_out
+            assert lifted_toggleability(s, p, "signed") == signed
