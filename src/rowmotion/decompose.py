@@ -19,8 +19,10 @@ from T-.  `decompose` factors it once at q = 1 with the sparse kernel of
 n+1 pivot monomials, and takes the sparse integer residual over every
 monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
 candidate was the only possible solution.  `q_decompose` does the same over
-Z[q], in `Polynomial`s with int coefficients, on the n+1 pivot rows factored
-once with q left a variable; `toggleability_space_dims` (Table 2) takes the
+Z[q], on the n+1 pivot rows factored once in `Polynomial`s with q left a
+variable: the replay and the residual run on ints at q = 2^B, and the
+numerators are read back from their base-2^B digits under a checked bound
+(Kronecker substitution); `toggleability_space_dims` (Table 2) takes the
 kernel of the residuals over Q and the rank of those of its basis over
 Z[q], `verify_independence` the rank of the system at a fixed q >= 0 and
 `antichain_span_dim` a sparse rank over the ideals, all on that one kernel.
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd
 
 from .dynamics import rowmotion_order
 from .linalg import check_work, factor
@@ -44,7 +47,9 @@ from .qpoly import (
     RationalFunction,
     cleared,
     format_fraction,
+    horner,
     positive_roots,
+    unpack,
 )
 from .statistics import QRATIONAL, RATIONAL, Statistic, accumulate_toggles
 
@@ -151,11 +156,11 @@ class _System:
         except CapExceededError as exc:
             raise CapExceededError(f"factoring the certificate system: {exc}") from None
         self.pivots = {order[i]: rows[order[i]] for i in self.at_one.rows}
-        self._columns_at = {}
+        self._columns_at, self._packed = {}, {}
 
     def columns_at(self, z):
-        """The columns with each entry plus - z * minus, for z = 1 or _Q,
-        built once for each."""
+        """The columns with each entry plus - z * minus, for an int z or
+        z = _Q, built once for each."""
         if z not in self._columns_at:
             self._columns_at[z] = _at(self.columns, z)
         return self._columns_at[z]
@@ -167,6 +172,34 @@ class _System:
             return factor(_at(self.pivots.values(), _Q), len(self.pivots))
         except CapExceededError as exc:
             raise CapExceededError(f"factoring the pivot rows over Z[q]: {exc}") from None
+
+    def packed(self, B):
+        """`at_q` with every polynomial at q = 2^B, a factorization over the
+        ints that `replay` runs on unchanged, built once for each B."""
+        if B not in self._packed:
+            f, z = self.at_q, 1 << B
+            self._packed[B] = f._replace(
+                lu=tuple({c: horner(v, z) for c, v in u.items()} for u in f.lu),
+                steps=tuple(tuple((j, horner(a, z), horner(dj, z)) for j, a, dj in s)
+                            for s in f.steps),
+                det=horner(f.det, z))
+        return self._packed[B]
+
+    @cached_property
+    def pivot_bits(self):
+        """The bits of the largest coefficient of a pivot of `at_q`."""
+        f = self.at_q
+        return max(abs(c).bit_length() for u, j in zip(f.lu, f.cols) for c in u[j].coeffs)
+
+    @cached_property
+    def row_norm(self):
+        """max over the monomials A of sum_j |M_Aj|_1, M_Aj = plus - q * minus
+        the entry of column j: the largest 1-norm of a row over Z[q]."""
+        out = {}
+        for col in self.columns:
+            for A, (plus, minus) in col.items():
+                out[A] = out.get(A, 0) + abs(plus) + abs(minus)
+        return max(out.values())
 
 
 _Q = Polynomial((0, 1))  # q itself, in Z[q]
@@ -237,11 +270,13 @@ def q_decompose(P: Poset, f: Statistic):
     once over Z[q] (`_System.at_q`) and replayed on g, which gives det and
     the Cramer numerators N_j = det * x_j, polynomials with int coefficients
     of degree <= n + d, with no Fraction and no arithmetic in Q(q).  The
-    residual det * g - sum_j N_j T^q_j, taken over Z[q] monomial by monomial,
-    is then the one check: zero proves the certificate x_j = N_j / (det * s),
-    nonzero proves NOT IN SPAN, since x was the only possible solution.  The
-    coefficients are then checked to have no pole at any nonnegative
-    rational, which makes every specialization q := r/s legal.
+    residual det * g - sum_j N_j T^q_j, monomial by monomial, is then the
+    one check: zero proves the certificate x_j = N_j / (det * s), nonzero
+    proves NOT IN SPAN, since x was the only possible solution.  Both run
+    on ints at one q = 2^B, and N is unpacked from it under a checked bound
+    (`_replay_at_q`).  The coefficients are then checked to have no pole at
+    any nonnegative rational, which makes every specialization q := r/s
+    legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
@@ -257,9 +292,10 @@ def q_decompose(P: Poset, f: Statistic):
     entries = sum(map(len, fact.steps)) + sum(map(len, fact.lu)) + sum(map(len, system.columns))
     check_work(entries * e + (P.n + 1) * e * e,
                f"the Q(q) solve over Z[q] with pivots of degree <= {D}")
-    y = fact.replay([mono.get(A, 0) for A in system.pivots])
-    if not _is_certificate(P, {A: fact.det * v for A, v in mono.items()}, y, _Q):
+    replayed = _replay_at_q(P, [mono], in_span=True)
+    if replayed is None:
         return None
+    _, [(y, _)] = replayed
     det_s = fact.det * den
     sol = [RationalFunction(v, det_s) for v in y]
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
@@ -309,8 +345,9 @@ def toggleability_space_dims(P: Poset) -> dict:
     det(q) * R(q), and a rational a is in its kernel iff every q-coefficient
     row of it vanishes on a.  Such an a is in K: at q = 1 the pivot rows are
     those of `at_one`, with det(1) != 0.  So only the k combinations
-    sum_j B_jl obs_j are replayed over Z[q], and the q-dimension is k minus
-    the rank of their q-coefficient residual rows.
+    sum_j B_jl obs_j, each basis vector divided by the gcd of its entries,
+    are replayed over Z[q] (`_replay_at_q`), and the q-dimension is k minus
+    the rank of their q-coefficient residual rows, unpacked from q = 2^B.
     """
     system, n = _system(P), P.n
     spaces = {"A": [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
@@ -319,7 +356,7 @@ def toggleability_space_dims(P: Poset) -> dict:
     # a replay and its residual take about half the work of the factorization
     # at q = 1, and n+2 times that over Z[q], on polynomials of degree <= n+1
     check_work(n * system.at_one.work, f"the toggleability space dimensions in {2 * n} replays")
-    kernels = {name: factor(_residual_rows(P, obs, 1, system.at_one), n).kernel(n)
+    kernels = {name: factor(_residual_rows(P, obs), n).kernel(n)
                for name, obs in spaces.items()}
     k = sum(map(len, kernels.values()))
     check_work((n + 2) * k * system.at_one.work // 2,
@@ -328,29 +365,93 @@ def toggleability_space_dims(P: Poset) -> dict:
     for name, basis in kernels.items():
         combos = []
         for x in basis:
-            g = {}
+            g, common = {}, gcd(*x)  # else each carries the last pivot at q = 1
             for a, obs in zip(x, spaces[name]):
                 for A, v in obs.items():
-                    g[A] = g.get(A, 0) + a * v
+                    g[A] = g.get(A, 0) + a // common * v
             combos.append(g)
-        rows = _residual_rows(P, combos, _Q, system.at_q)
-        dims[f"dim_{name}_q"] = len(basis) - len(factor(rows, len(basis)).rows)
+        B, replays = _replay_at_q(P, combos)
+        rows = {}  # one per monomial and power of q
+        for j, (_, r) in enumerate(replays):
+            for A, v in r.items():
+                for power, c in enumerate(unpack(v, B).coeffs):
+                    if c:
+                        rows.setdefault((A, power), {})[j] = c
+        dims[f"dim_{name}_q"] = len(basis) - len(factor(list(rows.values()), len(basis)).rows)
     return dims
 
 
-def _residual_rows(P, observables, z, fact):
-    """The rows of the residual map R(z), one per monomial and power of q
-    (q^0 alone for an integer z): column j is the residual of
-    observables[j] after its candidate from `fact` at q = z."""
-    pivots, rows = _system(P).pivots, {}
+def _residual_rows(P, observables):
+    """The rows of the residual map R(1), one per monomial: column j is the
+    residual of observables[j] after its candidate from `at_one`."""
+    system, rows = _system(P), {}
+    fact = system.at_one
     for j, obs in enumerate(observables):
         r = _residual(P, {A: fact.det * v for A, v in obs.items()},
-                      fact.replay([obs.get(A, 0) for A in pivots]), z)
+                      fact.replay([obs.get(A, 0) for A in system.pivots]))
         for A, v in r.items():
-            for k, c in enumerate(v.coeffs if z is _Q else (v,)):
-                if c:
-                    rows.setdefault((A, k), {})[j] = c
+            if v:
+                rows.setdefault(A, {})[j] = v
     return list(rows.values())
+
+
+# The points 2^B, B doubling, a replay over Z[q] tries before it gives up.
+_PACKINGS = 4
+
+
+def _norm(v):
+    """|v|_1, the sum of the absolute values of the coefficients of an int
+    or of an integer polynomial."""
+    return abs(v) if v.__class__ is int else sum(map(abs, v.coeffs))
+
+
+def _replay_at_q(P, combos, in_span=False):
+    """(B, [(N, r)]): for each dict g of monomial coefficients in `combos`,
+    ints or Polynomials with int coefficients, N the Cramer numerators of
+    its candidate from `_System.at_q`, as Polynomials, and r its residual
+    det * g_A - sum_j N_j M_Aj at q = 2^B, as ints, where M_Aj is the entry
+    of column j at the monomial A.  With `in_span`, None as soon as a
+    residual is not zero.
+
+    The replay and the residual run on ints at z = 2^B (`_System.packed`,
+    Kronecker substitution), and N is unpacked from z (`unpack`).
+    Evaluation at z is a ring homomorphism, no pivot vanishes at z (B is
+    at least 2 past their coefficients' bits), and the divisions of the
+    replay are exact over Z[q], so it gives det(z) and N_j(z) exactly: a
+    residual nonzero at z proves one nonzero over Z[q].  With N' the
+    unpacked numerators, the polynomial det * g_A - sum_j N'_j M_Aj takes
+    the residual's value at z, and no coefficient of it is more than
+    beta = |det|_1 max_A |g_A|_1 + max_j |N'_j|_1 max_A sum_j |M_Aj|_1.
+    When beta < 2^(B-1) it is therefore the unpacked residual.  It vanishes
+    on the pivot monomials, where the residual is 0, so N' solves the pivot
+    rows and is N, and each residual unpacks to the true one; 0 everywhere
+    proves the certificate N / det.  Otherwise B doubles, and after
+    _PACKINGS points CertificateError is raised.
+    """
+    system = _system(P)
+    det_norm = _norm(system.at_q.det)
+    bits = max((abs(c).bit_length() for g in combos for v in g.values()
+                for c in ((v,) if v.__class__ is int else v.coeffs)), default=0)
+    B = -(-(system.pivot_bits + bits + 2) // 64) * 64  # one or two cached points
+    for _ in range(_PACKINGS):
+        packed, z, out = system.packed(B), 1 << B, []
+        for g in combos:
+            gz = {A: v if v.__class__ is int else horner(v, z) for A, v in g.items()}
+            y = packed.replay([gz.get(A, 0) for A in system.pivots])
+            r = _residual(P, {A: packed.det * v for A, v in gz.items()}, y, z)
+            if in_span and any(r.values()):
+                return None
+            N = [unpack(v, B) for v in y]
+            beta = (det_norm * max(map(_norm, g.values()), default=0)
+                    + max(map(_norm, N)) * system.row_norm)
+            if beta >> (B - 1):
+                break
+            out.append((N, r))
+        else:
+            return B, out
+        B *= 2
+    raise CertificateError(
+        f"the replay over Z[q] is not proved at any of {_PACKINGS} points 2^B, B < {B}")
 
 
 def antichain_span_dim(P: Poset) -> int:

@@ -254,6 +254,21 @@ def horner(p: Polynomial, a: int, b: int = 1, d: int = 0) -> int:
     return acc * b ** (d - p.degree) if d > p.degree else acc
 
 
+def unpack(v: int, B: int) -> Polynomial:
+    """The integer polynomial p with p(2**B) = v and every coefficient in
+    [-2**(B-1), 2**(B-1)): the balanced base-2**B digits of v, lowest
+    first.  It inverts `horner(p, 1 << B)` for every p with |coefficient|
+    < 2**(B-1), and for no other p (Kronecker substitution)."""
+    half, mask, out = 1 << (B - 1), (1 << B) - 1, []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> B
+    return _poly(out)
+
+
 def _as_poly(x):
     if isinstance(x, Polynomial):
         return x

@@ -509,7 +509,8 @@ def test_toggleability_space_dims_off_the_families():
 def _table2_from_every_observable(P):
     """The four Table 2 dimensions from the residuals of all n observables
     of each space, replayed over Z and over Z[q], each n minus the rank of
-    its residual rows: a reference that takes no kernel."""
+    its residual rows: a reference that takes no kernel, and whose Z[q]
+    replays and residuals run in `Polynomial`s, with no packing."""
     mod = _q_module()
     system = mod._system(P)
     dims = {}
@@ -517,9 +518,17 @@ def _table2_from_every_observable(P):
             ("A", [{A: minus for A, (_, minus) in col.items() if minus}
                    for col in system.columns[1:]]),
             ("I", [{1 << p: 1} for p in range(P.n)])):
-        for key, z, fact in (("", 1, system.at_one), ("_q", mod._Q, system.at_q)):
-            rows = mod._residual_rows(P, observables, z, fact)
-            dims[f"dim_{name}{key}"] = P.n - len(factor(rows, P.n).rows)
+        rows = mod._residual_rows(P, observables)
+        dims[f"dim_{name}"] = P.n - len(factor(rows, P.n).rows)
+        fact, q_rows = system.at_q, {}  # one row per monomial and power of q
+        for j, obs in enumerate(observables):
+            r = mod._residual(P, {A: fact.det * v for A, v in obs.items()},
+                              fact.replay([obs.get(A, 0) for A in system.pivots]), mod._Q)
+            for A, v in r.items():
+                for k, c in enumerate(v.coeffs):
+                    if c:
+                        q_rows.setdefault((A, k), {})[j] = c
+        dims[f"dim_{name}_q"] = P.n - len(factor(list(q_rows.values()), P.n).rows)
     return {k: dims[k] for k in ("dim_A", "dim_I", "dim_A_q", "dim_I_q")}
 
 
@@ -1051,25 +1060,29 @@ def test_q_check_rejects_tampering_under_optimize():
     import rowmotion
 
     # asserts off, and every replayed candidate moved by det * s *
-    # prod_{z<k} (q - z) in one coefficient: only the residual over Z[q]
-    # stands between q_decompose and a wrong certificate
+    # prod_{z<k} (q - z) in one coefficient, at the packing point 2^B where
+    # the replay runs: only the residual stands between q_decompose and a
+    # wrong certificate
     code = (
+        "import importlib\n"
         "from rowmotion import named_statistic, q_decompose\n"
         "from rowmotion.families import rectangle\n"
         "from rowmotion.linalg import Factorization\n"
-        "from rowmotion.qpoly import Polynomial\n"
+        "from rowmotion.qpoly import Polynomial, horner\n"
         "assert False, 'asserts are on'\n"
         "replay = Factorization.replay\n"
         "P = rectangle(3, 3)\n"
         "f = named_statistic(P, 'antichain_card')\n"
         "print(q_decompose(P, f) is not None)\n"
+        "system = importlib.import_module('rowmotion.decompose')._system(P)\n"
         "for k in range(40):\n"
         "    move = Polynomial((1,))\n"
         "    for z in range(k):\n"
         "        move = move * Polynomial((-z, 1))\n"
         "    def tampered(self, rhs):\n"
         "        y = replay(self, rhs)\n"
-        "        y[2] = y[2] + self.det * f.den * move\n"
+        "        B, = (B for B, packed in system._packed.items() if packed is self)\n"
+        "        y[2] = y[2] + self.det * f.den * horner(move, 1 << B)\n"
         "        return y\n"
         "    Factorization.replay = tampered\n"
         "    print(q_decompose(P, f))\n"
@@ -1079,6 +1092,108 @@ def test_q_check_rejects_tampering_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True"] + ["None"] * 40
+
+
+def test_q_decompose_refuses_a_tampered_unpacking_under_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # asserts off, and one unpacked numerator moved by (q - 2^B) * h, which
+    # agrees with the true one at the packing point: only the bound on the
+    # unpacked residual refuses it, at each of the _PACKINGS points tried
+    code = (
+        "import importlib\n"
+        "from rowmotion import named_statistic, q_decompose\n"
+        "from rowmotion.families import rectangle, shifted_staircase\n"
+        "from rowmotion.qpoly import CertificateError, Polynomial\n"
+        "assert False, 'asserts are on'\n"
+        "mod = importlib.import_module('rowmotion.decompose')\n"
+        "unpack = mod.unpack\n"
+        "for P in (rectangle(3, 3), shifted_staircase(3)):\n"
+        "    f = named_statistic(P, 'antichain_card')\n"
+        "    print(q_decompose(P, f) is not None)\n"
+        "    for h in (Polynomial((1,)), Polynomial((0, -1)), Polynomial((3, 0, 0, 1))):\n"
+        "        seen = []\n"
+        "        def tampered(v, B):\n"
+        "            seen.append(B)\n"
+        "            p = unpack(v, B)\n"
+        "            if seen.count(B) == 2:  # the numerator of T_0\n"
+        "                p = p + Polynomial((-(1 << B), 1)) * h\n"
+        "            return p\n"
+        "        mod.unpack = tampered\n"
+        "        try:\n"
+        "            print(q_decompose(P, f))\n"
+        "        except CertificateError:\n"
+        "            print('refused', len(set(seen)), len(seen) // len(set(seen)))\n"
+        "        mod.unpack = unpack\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    mod = _q_module()
+    # each of the _PACKINGS points unpacks the n+1 numerators once, and stops
+    refused = [f"refused {mod._PACKINGS} {n + 1}" for n in (9, 6)]
+    assert out.stdout.splitlines() == (["True"] + [refused[0]] * 3 + ["True"] + [refused[1]] * 3)
+
+
+def _zq_answer(P, f):
+    """q_decompose's answer as (constant, coeffs), or None, from the replay
+    and residual of `_System.at_q` over Z[q] in `Polynomial`s."""
+    mod = _q_module()
+    system = mod._system(P)
+    g, s = mod._monomials(P, f)
+    fact = system.at_q
+    y = fact.replay([g.get(A, 0) for A in system.pivots])
+    if not mod._is_certificate(P, {A: fact.det * v for A, v in g.items()}, y, mod._Q):
+        return None
+    sol = [RationalFunction(v, fact.det * s) for v in y]
+    return sol[0], tuple(sol[1:])
+
+
+def _random_q_statistic(rng, P):
+    """A random combination of a constant, the T_p (T^q_p over Q(q)) and the
+    1_p, with rational coefficients, some of 100 bits, or with coefficients
+    in Q(q)."""
+    from rowmotion import t_q
+
+    pick = [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), Fraction(2 ** 100 + 7, 3)]
+    if rng.random() < 0.5:
+        parts = [indicator_ideal(P, p) for p in range(P.n)] + [
+            t_signed(P, p) for p in range(P.n)]
+        f = Statistic(P, [rng.choice(pick)] * len(P.ideal_masks()))
+    else:
+        q = RationalFunction.q()
+        pick += [q, 1 + q, q * q - 3 * q, RationalFunction(Polynomial((1,)), Polynomial((2, 1))),
+                 RationalFunction(Polynomial((0, 4)), Polynomial((3, 0, 1)))]
+        parts = [Statistic(P, [RationalFunction(v) for v in indicator_ideal(P, p).values],
+                           kind=QRATIONAL) for p in range(P.n)]
+        parts += [t_q(P, p) for p in range(P.n)]
+        f = Statistic(P, [RationalFunction.const(1) * rng.choice(pick)] * len(P.ideal_masks()),
+                      kind=QRATIONAL)
+    for part in parts:
+        if rng.random() < 0.4:
+            f = f + rng.choice(pick) * part
+    return f
+
+
+def test_packed_replay_matches_the_polynomial_replay():
+    """On random posets with n <= 7, q_decompose's replay at q = 2^B answers
+    as the replay over Z[q] in Polynomials, certificate for certificate and
+    NOT IN SPAN for NOT IN SPAN."""
+    rng = random.Random(29)
+    answered = 0
+    for _ in range(120):
+        P = random_poset(rng, rng.randint(0, 7))
+        for f in (_random_q_statistic(rng, P), named_statistic(P, "antichain_card"),
+                  named_statistic(P, "ideal_card")):
+            want, dec = _zq_answer(P, f), q_decompose(P, f)
+            assert (None if dec is None else (dec.constant, dec.coeffs)) == want, P.covers
+            answered += want is not None
+    assert answered > 120
 
 
 # -- the antichain-monomial basis ------------------------------------------------

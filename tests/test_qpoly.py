@@ -1,17 +1,19 @@
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings, strategies as hyp
+from hypothesis import example, given, settings, strategies as hyp
 
 from rowmotion.families import rectangle
 from rowmotion.qpoly import (
     Polynomial,
     RationalFunction,
     _poly,
+    horner,
     poly_gcd,
     q_binomial,
     q_factorial,
     q_number,
+    unpack,
 )
 
 fractions = hyp.fractions(
@@ -156,6 +158,35 @@ def test_zpoly_exact_division_raises_on_inexact_quotient():
             raise AssertionError(f"{num} // {den} did not raise")
     assert (q * q - 1) // (q - 1) == q + 1 and (4 * q + 2) // 2 == 2 * q + 1
     assert Polynomial() // (q + 3) == 0
+
+
+@hyp.composite
+def _packable(draw):
+    """(coefficients, B) with every |coefficient| < 2^(B-1), the extremes
+    -2^(B-1) + 1 and 2^(B-1) - 1 among them."""
+    B = draw(hyp.integers(1, 140))
+    bound = (1 << (B - 1)) - 1
+    edge = hyp.sampled_from([-bound, bound, 0])
+    return draw(hyp.lists(hyp.one_of(edge, hyp.integers(-bound, bound)), max_size=8)), B
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_packable())
+@example(([], 64))  # the zero polynomial
+@example(([-5, 0, -(1 << 62)], 64))  # negative bottom and top
+@example(([(1 << 63) - 1, -(1 << 63) + 1], 64))
+@example(([-1, 1, -1], 2))
+def test_unpack_inverts_the_packing(case):
+    """unpack(p(2^B), B) == p for every integer p whose coefficients are
+    less than 2^(B-1) in absolute value, and its digits are balanced."""
+    cs, B = case
+    p = Polynomial(cs)
+    v = horner(p, 1 << B)
+    assert unpack(v, B) == p and all(c.__class__ is int for c in unpack(v, B).coeffs)
+    assert unpack(-v, B) == -p
+    # a coefficient moved by 2^B still packs to v, yet is never read back
+    moved = p + Polynomial((-(1 << B), 1))
+    assert horner(moved, 1 << B) == v and unpack(horner(moved, 1 << B), B) != moved
 
 
 _EXACT = hyp.one_of(hyp.integers(-9, 9), hyp.fractions(-5, 5, max_denominator=4))
