@@ -47,7 +47,8 @@ from .qpoly import (
     RationalFunction,
     cleared,
     format_fraction,
-    horner,
+    lowest_terms,
+    pack,
     positive_roots,
     unpack,
 )
@@ -177,12 +178,12 @@ class _System:
         """`at_q` with every polynomial at q = 2^B, a factorization over the
         ints that `replay` runs on unchanged, built once for each B."""
         if B not in self._packed:
-            f, z = self.at_q, 1 << B
+            f = self.at_q
             self._packed[B] = f._replace(
-                lu=tuple({c: horner(v, z) for c, v in u.items()} for u in f.lu),
-                steps=tuple(tuple((j, horner(a, z), horner(dj, z)) for j, a, dj in s)
+                lu=tuple({c: pack(v, B) for c, v in u.items()} for u in f.lu),
+                steps=tuple(tuple((j, pack(a, B), pack(dj, B)) for j, a, dj in s)
                             for s in f.steps),
-                det=horner(f.det, z))
+                det=pack(f.det, B))
         return self._packed[B]
 
     @cached_property
@@ -274,7 +275,8 @@ def q_decompose(P: Poset, f: Statistic):
     one check: zero proves the certificate x_j = N_j / (det * s), nonzero
     proves NOT IN SPAN, since x was the only possible solution.  Both run
     on ints at one q = 2^B, and N is unpacked from it under a checked bound
-    (`_replay_at_q`).  The coefficients are then checked to have no pole at
+    (`_replay_at_q`).  The coefficients, put in lowest terms with one
+    integer gcd each (`lowest_terms`), are then checked to have no pole at
     any nonnegative rational, which makes every specialization q := r/s
     legal.
     """
@@ -286,18 +288,20 @@ def q_decompose(P: Poset, f: Statistic):
     fact = system.at_q
     # with e = D + d + 1, D the pivots' largest degree, the replay and the
     # residual update about e coefficients per step and entry, and putting
-    # the n+1 coefficients in lowest terms takes a gcd of about e^2 each
+    # each of the n+1 coefficients in lowest terms (`lowest_terms`) packs it
+    # into one integer gcd, about e, and divides it by a gcd of degree k in
+    # (e - k) k <= e^2 / 4 updates
     D = max((u[c].degree for u, c in zip(fact.lu, fact.cols)), default=0)
     e = D + d + 1
     entries = sum(map(len, fact.steps)) + sum(map(len, fact.lu)) + sum(map(len, system.columns))
-    check_work(entries * e + (P.n + 1) * e * e,
+    check_work(entries * e + (P.n + 1) * (e * e // 4 + e),
                f"the Q(q) solve over Z[q] with pivots of degree <= {D}")
     replayed = _replay_at_q(P, [mono], in_span=True)
     if replayed is None:
         return None
     _, [(y, _)] = replayed
     det_s = fact.det * den
-    sol = [RationalFunction(v, det_s) for v in y]
+    sol = lowest_terms(y, det_s)
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
         _check_no_nonnegative_pole(c)
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
@@ -354,12 +358,14 @@ def toggleability_space_dims(P: Poset) -> dict:
                     for col in system.columns[1:]],
               "I": [{1 << p: 1} for p in range(n)]}  # 1_p = x^{p}
     # a replay and its residual take about half the work of the factorization
-    # at q = 1, and n+2 times that over Z[q], on polynomials of degree <= n+1
+    # at q = 1
     check_work(n * system.at_one.work, f"the toggleability space dimensions in {2 * n} replays")
     kernels = {name: factor(_residual_rows(P, obs), n).kernel(n)
                for name, obs in spaces.items()}
     k = sum(map(len, kernels.values()))
-    check_work((n + 2) * k * system.at_one.work // 2,
+    # a replay at q = 2^B makes the int operations of one at q = 1, and
+    # unpacks its n+1 numerators, of degree <= n+1, one digit at a time
+    check_work(k * (system.at_one.work // 2 + (n + 1) * (n + 2)),
                f"the toggleability space dimensions in {k} replays over Z[q]")
     dims = {f"dim_{name}": len(basis) for name, basis in kernels.items()}
     for name, basis in kernels.items():
@@ -436,7 +442,7 @@ def _replay_at_q(P, combos, in_span=False):
     for _ in range(_PACKINGS):
         packed, z, out = system.packed(B), 1 << B, []
         for g in combos:
-            gz = {A: v if v.__class__ is int else horner(v, z) for A, v in g.items()}
+            gz = {A: v if v.__class__ is int else pack(v, B) for A, v in g.items()}
             y = packed.replay([gz.get(A, 0) for A in system.pivots])
             r = _residual(P, {A: packed.det * v for A, v in gz.items()}, y, z)
             if in_span and any(r.values()):

@@ -3,13 +3,15 @@
 Polynomials are dense tuples of exact coefficients, ints and Fractions, and
 carry the elimination kernel of `linalg` over Z[q] (on ints, with `//` exact
 division there); rational functions are kept normalized (coprime numerator/
-denominator, monic denominator) so that equality is componentwise.
+denominator, monic denominator) so that equality is componentwise;
+`lowest_terms` puts many integer numerators over one denominator in those
+terms with one integer gcd each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .poset import CapExceededError
 
@@ -198,10 +200,15 @@ class Polynomial:
         return self._over(self.leading()) if self.coeffs else self
 
     def _over(self, d):
-        """Every coefficient divided by the number d != 0."""
+        """Every coefficient divided by the number d != 0: with `//` when
+        every coefficient is an int that the int d divides, else through
+        Fraction."""
+        cs = self.coeffs
         if d == 1:
             return self
-        return _poly([_exact(Fraction(c, d)) for c in self.coeffs])
+        if d.__class__ is int and all(c.__class__ is int and not c % d for c in cs):
+            return _poly([c // d for c in cs])
+        return _poly([_exact(Fraction(c, d)) for c in cs])
 
     def evaluate(self, z):
         z = z if isinstance(z, Fraction) else Fraction(z)
@@ -252,6 +259,14 @@ def horner(p: Polynomial, a: int, b: int = 1, d: int = 0) -> int:
         acc = acc * a + c.numerator * w
         w *= b
     return acc * b ** (d - p.degree) if d > p.degree else acc
+
+
+def pack(p: Polynomial, B: int) -> int:
+    """p(2**B) for p with integer coefficients, by shifts: `horner(p, 1 << B)`."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc << B) + c
+    return acc
 
 
 def unpack(v: int, B: int) -> Polynomial:
@@ -334,6 +349,64 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return _poly(a).monic()
 
 
+def lowest_terms(nums, den: Polynomial) -> list:
+    """[RationalFunction(N, den) for N in nums], for integer polynomials N
+    and den != 0, with one integer gcd for each N in place of a gcd in Q[q].
+
+    With den = c D and N = c_N N', D and N' primitive, the gcd of N' and D
+    is read off the integer gcd g of their values at z = 2^B (heuristic gcd;
+    Char, Geddes and Gonnet, 1989), with z > 2M + 1 for M = 2^deg D |D|_2,
+    Mignotte's bound on the coefficients of every factor of D in Z[q]: h is
+    the primitive part of unpack(g, B).  It is accepted when it divides N'
+    and D in Z[q] and g = k h(z) with 0 < 2k <= z.  It is then their gcd
+    with a positive leading coefficient.  That gcd is h c for some c in
+    Z[q], and c divides both N' / h and D / h, so c(z) divides the gcd of
+    their values, k; c divides D, so were c not constant, z > 2M + 1 would
+    give |c(z)| >= (z + 1) / 2 > k.  So c = +-1, and h, a factor of D with
+    h(z) > 0, has a positive leading coefficient.  Each distinct D / h is
+    divided and made monic once.  Where h is not accepted (the values at z
+    share a large factor that the polynomials do not, for one), the
+    quotient is `RationalFunction(N, den)`.
+    """
+    c = _int_content(den.coeffs)
+    D = den._over(c)
+    bound = (isqrt(sum(v * v for v in D.coeffs)) + 1) << D.degree  # > M
+    B = (2 * bound + 1).bit_length()
+    z = 1 << B
+    Dz, out, cofactors = pack(D, B), [], {}  # h -> (D / h monic, its lead) or None
+    for N in nums:
+        cN, Nh = _int_content(N.coeffs), None
+        if cN:
+            N1 = N._over(cN)
+            g = _int_gcd(pack(N1, B), Dz)
+            h = unpack(g, B)
+            h = h._over(_int_content(h.coeffs) or 1)
+            hz = pack(h, B)
+            if hz > 0 and not g % hz and 2 * (g // hz) <= z:
+                if h not in cofactors:
+                    Dh = _cofactor(D, h)
+                    cofactors[h] = None if Dh is None else (Dh.monic(), Dh.leading())
+                if cofactors[h]:
+                    Nh = _cofactor(N1, h)
+        if Nh is None:
+            out.append(RationalFunction(N, den))
+            continue
+        monic, lead = cofactors[h]
+        r = Fraction(cN, c * lead)
+        out.append(_rf((Nh * r.numerator)._over(r.denominator), monic))
+    return out
+
+
+def _cofactor(p: Polynomial, h: Polynomial):
+    """p // h in Z[q], or None when h does not divide p there."""
+    if h == 1:
+        return p
+    try:
+        return p // h
+    except ArithmeticError:
+        return None
+
+
 def _variations(numbers) -> int:
     """The sign variations of a sequence of numbers, zeros skipped."""
     signs = [x > 0 for x in numbers if x]
@@ -408,9 +481,7 @@ class RationalFunction:
         return hash(self.num) if self.den.coeffs == (1,) else hash((self.num, self.den))
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _rf(-self.num, self.den)
 
     def __add__(self, other):
         other = _as_rf(other)
@@ -468,6 +539,14 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
+
+
+def _rf(num, den) -> RationalFunction:
+    """The RationalFunction num / den, for num and den already coprime with
+    den monic, unchecked."""
+    out = object.__new__(RationalFunction)
+    out.num, out.den = num, den
+    return out
 
 
 def _coerce_poly(x):

@@ -569,12 +569,14 @@ def test_toggleability_space_dims_are_bounded_before_they_start(monkeypatch):
     from rowmotion.poset import CapExceededError
 
     # rect:6,6 answers at the default cap; at this one its system is
-    # factored and its kernels at q = 1 are found, and the 22 replays over
-    # Z[q] that they leave are refused before they start
-    monkeypatch.setattr(linalg, "WORK_CAP", 100_000)
+    # factored and its kernels at q = 1 are found (17 856 estimated updates),
+    # and the 22 replays at q = 2^B that they leave (36 388) are refused
+    # before they start
+    monkeypatch.setattr(linalg, "WORK_CAP", 30_000)
     start = time.perf_counter()
     with pytest.raises(CapExceededError,
-                       match="toggleability space dimensions .* WORK_CAP = 100000"):
+                       match="toggleability space dimensions in 22 replays over Z.q. "
+                             ".* WORK_CAP = 30000"):
         toggleability_space_dims(rectangle(6, 6))
     assert time.perf_counter() - start < 1
     # and at a lower cap, so are the 72 replays at q = 1 that find the kernels
@@ -582,6 +584,29 @@ def test_toggleability_space_dims_are_bounded_before_they_start(monkeypatch):
     with pytest.raises(CapExceededError,
                        match="toggleability space dimensions in 72 replays takes"):
         toggleability_space_dims(rectangle(6, 6))
+
+
+@pytest.mark.parametrize("a, estimate", [(53, 10_280_622), (60, 16_426_440)])
+def test_q_solve_estimate_admits_the_frontier(a, estimate, monkeypatch):
+    from rowmotion import linalg
+
+    # the Q(q) solve of rect:a,a antichain_card, sized once its pivot rows
+    # are factored over Z[q]: e = 2a coefficients per entry and per step,
+    # and e^2/4 + e per coefficient put in lowest terms, under the default
+    # cap (rect:53,53 read 33 662 632 at e^2 per coefficient); the solve
+    # itself is not run
+    mod, seen = _q_module(), []
+    monkeypatch.setattr(mod, "check_work",
+                        lambda work, what: seen.append(work) or linalg.check_work(work, what))
+
+    def stop(*args, **kwargs):
+        raise LookupError("the replay was reached")
+
+    monkeypatch.setattr(mod, "_replay_at_q", stop)
+    P = rectangle(a, a)
+    with pytest.raises(LookupError, match="the replay was reached"):
+        q_decompose(P, named_statistic(P, "antichain_card"))
+    assert seen == [estimate] and estimate < linalg.WORK_CAP
 
 
 def test_antichain_span_dims():

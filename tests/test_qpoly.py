@@ -9,6 +9,8 @@ from rowmotion.qpoly import (
     RationalFunction,
     _poly,
     horner,
+    lowest_terms,
+    pack,
     poly_gcd,
     q_binomial,
     q_factorial,
@@ -187,6 +189,96 @@ def test_unpack_inverts_the_packing(case):
     # a coefficient moved by 2^B still packs to v, yet is never read back
     moved = p + Polynomial((-(1 << B), 1))
     assert horner(moved, 1 << B) == v and unpack(horner(moved, 1 << B), B) != moved
+
+
+_Q = Polynomial((0, 1))
+
+
+@hyp.composite
+def _one_denominator(draw):
+    """(nums, den): integer polynomials over one denominator den != 0, with
+    a factor u and an integer content planted in den and in some numerators,
+    negative leading coefficients, zero and constant numerators, a constant
+    den (as for the empty poset), and fixed-divisor pairs (q^2 + q) u over
+    (q^2 + q + 2) u, whose values at every even z share a factor 2."""
+    some = hyp.lists(hyp.integers(-6, 6), max_size=4).map(Polynomial)
+    ints = hyp.sampled_from([1, -1, 2, -3, 12])
+    kind = draw(hyp.sampled_from(["random", "constant", "fixed divisor"]))
+    u = Polynomial((1,)) if kind == "constant" else draw(some.filter(bool))
+    base = {"random": lambda: draw(some.filter(bool)), "constant": lambda: Polynomial((1,)),
+            "fixed divisor": lambda: _Q * _Q + _Q + 2}[kind]()
+    den = base * u * draw(ints)
+    makers = [lambda: draw(some) * u * draw(ints), lambda: draw(some),
+              lambda: Polynomial(), lambda: Polynomial((draw(ints),)),
+              lambda: (_Q * _Q + _Q) * u * draw(ints)]
+    return [draw(hyp.sampled_from(makers))() for _ in range(draw(hyp.integers(0, 5)))], den
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_one_denominator())
+def test_lowest_terms_matches_rational_function(case):
+    """Every quotient from the integer gcd is the one RationalFunction
+    builds by polynomial gcds, coefficient by coefficient and type by type."""
+    nums, den = case
+    got, want = lowest_terms(nums, den), [RationalFunction(v, den) for v in nums]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in ((g.num, w.num), (g.den, w.den)):
+            assert a.coeffs == b.coeffs and list(map(type, a.coeffs)) == list(map(type, b.coeffs))
+
+
+def test_lowest_terms_falls_back_where_the_values_share_more(monkeypatch):
+    # at z = 2^5 the values of q + 26 and q - 3 share 29, the value of
+    # q - 3, which does not divide q + 26: that quotient is RationalFunction's,
+    # while the others, the fixed-divisor pair among them (its values share
+    # a factor 2, which the primitive part of the unpacked gcd drops), are
+    # read off their integer gcds
+    u = _Q * _Q + 1
+    built, init = [], RationalFunction.__init__
+    monkeypatch.setattr(RationalFunction, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    cases = [([_Q + 26, (_Q - 3) * (_Q + 1), 3 * _Q - 9], _Q - 3),
+             ([(_Q * _Q + _Q) * u, -2 * u], (_Q * _Q + _Q + 2) * u)]
+    for nums, den in cases:
+        built.clear()
+        got = lowest_terms(nums, den)
+        fallbacks = list(built)
+        assert got == [RationalFunction(v, den) for v in nums]
+        assert fallbacks == ([(_Q + 26, den)] if den == _Q - 3 else [])
+    assert pack(u * 3 - 7, 5) == horner(u * 3 - 7, 1 << 5)
+    # a denominator with leading coefficient -1 is made monic on ints
+    assert all(c.__class__ is int for c in Polynomial((2, 4, -1)).monic().coeffs)
+
+
+def test_lowest_terms_rejects_a_wrong_gcd_under_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    # asserts off, and the unpacked gcd replaced by a wrong one: 1, a
+    # multiple, a negative, a non-divisor or 0; each is rejected, and every
+    # quotient is still RationalFunction's
+    code = (
+        "from rowmotion import qpoly\n"
+        "from rowmotion.qpoly import Polynomial, RationalFunction, lowest_terms\n"
+        "assert False, 'asserts are on'\n"
+        "q = Polynomial((0, 1))\n"
+        "u = q * q + 1\n"
+        "nums, den = [u * (q + 2), -u * (2 * q - 1), q + 5, u * u], 3 * u * (q - 1)\n"
+        "want = [RationalFunction(v, den) for v in nums]\n"
+        "unpack = qpoly.unpack\n"
+        "for wrong in (lambda h: Polynomial((1,)), lambda h: h * (q + 1), lambda h: -h,\n"
+        "              lambda h: h + 1, lambda h: Polynomial()):\n"
+        "    qpoly.unpack = lambda v, B: wrong(unpack(v, B))\n"
+        "    print(lowest_terms(nums, den) == want)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"] * 5
 
 
 _EXACT = hyp.one_of(hyp.integers(-9, 9), hyp.fractions(-5, 5, max_denominator=4))
