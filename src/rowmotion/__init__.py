@@ -102,6 +102,7 @@ from .lifted import (
     lifted_toggle,
     lifted_toggleability,
     orbit_homomesy_lifted,
+    prove_lift,
     random_point,
     vertex_point,
 )

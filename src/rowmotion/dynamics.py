@@ -136,7 +136,7 @@ def rowmotion(P: Poset, I: OrderIdeal) -> OrderIdeal:
 def _sweeper(P: Poset, order):
     """The toggles at `order` as a step on ideals, which resolves their
     `sweep_permutation` on its first call after the enumeration and from
-    then on steps a canonical ideal in its own frame."""
+    then on steps a canonical ideal in its own frame; it carries P and order."""
     perm = None
 
     def resolve(P):
@@ -153,6 +153,7 @@ def _sweeper(P: Poset, order):
             return _sweep(P, order, I, resolve)
         return P._ideals[perm[k]]
 
+    step.poset, step.order = P, order
     return step
 
 
@@ -255,9 +256,12 @@ def as_index_permutation(step, space) -> list[int]:
     poset's canonical enumeration each image's position is read off its
     `_index` and confirmed by identity, `space[k] is image`; otherwise, or
     when an image has no such position, states are found by equality.
-    `permutation_orbits` checks that the result is a permutation."""
-    images = list(map(step, space))
+    `permutation_orbits` checks that the result is a permutation.  A
+    `_sweeper` step on its poset's canonical ideals is read off the cache."""
     P = getattr(space[0], "poset", None) if len(space) else None
+    if isinstance(P, Poset) and space is P._ideals and getattr(step, "poset", None) is P:
+        return list(P.sweep_permutation(step.order))
+    images = list(map(step, space))
     if isinstance(P, Poset) and (space is P._ideals or space is P._antichains):
         try:  # no `_index`, None or out of range raise; a wrong state fails `is`
             perm = list(map(_position, images))

@@ -12,10 +12,10 @@ every value on (1/D)Z); a birational state is the values' numerators and
 denominators, and a toggle clears its two cover sums and takes one gcd.
 Orbits compare integer states and build each point once, at the end.  Each
 point caches one integer table (`_atoms`) that a single atom is read off as
-one Fraction.  Constancy checks and orbit laws are one law, `_law_sides`, over
-a list of states: the PL sum is an integer dot product per state, and the
-birational product collects integer exponents per distinct base, so what
-cancels is never multiplied out.  Every comparison is of exact integers.
+one Fraction.  Constancy is proved by factor exponents (`prove_lift`); where
+they do not cancel, and for orbit laws, one law, `_law_sides`, runs over states:
+the PL sum is an integer dot product per state, and the birational product
+collects integer exponents per base, so what cancels is never multiplied out.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ class _Point:
         return type(self)(self.poset, vals, self.alpha, self.omega)
 
     def _from_ints(self, ends, s):
-        """The point of the state s, built without the constructor's checks."""
+        """The point of the state s, kept as its `_state`, built unchecked."""
         pt = object.__new__(type(self))
         pt.__dict__.update(poset=self.poset, values=self._values(ends, s),
-                           alpha=self.alpha, omega=self.omega)
+                           alpha=self.alpha, omega=self.omega, _state=(ends, s))
         return pt
 
 
@@ -66,9 +66,10 @@ class PLPoint(_Point):
     alpha: Fraction = Fraction(0)
     omega: Fraction = Fraction(1)
 
-    def _ints(self):
+    @cached_property
+    def _state(self):
         """(ends, x): ends = (D, alpha, omega) and x the values, as integers
-        over their least common denominator D."""
+        over one common denominator D (the least, or that of the swept point)."""
         (a, w, *x), D = cleared((self.alpha, self.omega, *self.values))
         return (D, a, w), x
 
@@ -89,7 +90,7 @@ class PLPoint(_Point):
         """(D, atoms): the integer numerators over D of T+_p for every p, then
         of T-_p, then of omega - x_p, then of omega - alpha."""
         P = self.poset
-        (D, a, w), x = self._ints()
+        (D, a, w), x = self._state
         t_in = [xp - max((x[r] for r in low), default=a)
                 for xp, low in zip(x, P.lower_covers)]
         t_out = [min((x[u] for u in up), default=w) - xp
@@ -112,7 +113,8 @@ class BPoint(_Point):
         if self.alpha <= 0 or self.omega <= 0 or any(v <= 0 for v in self.values):
             raise ValueError("birational points must be strictly positive")
 
-    def _ints(self):
+    @cached_property
+    def _state(self):
         """(ends, s): ends = (omega_n, omega_d, alpha_n, alpha_d) and s the
         numerators of the values, then their denominators."""
         a, w, vals = self.alpha, self.omega, self.values
@@ -139,7 +141,7 @@ class BPoint(_Point):
         `_cover_sums`, with x_p = n_p/d_p), then omega_n, omega_d, alpha_n
         and alpha_d."""
         P = self.poset
-        ends, s = self._ints()
+        ends, s = self._state
         sums = [_cover_sums(P, ends, s, p) for p in range(P.n)]
         return (*s, *(t[0] for t in sums), *(t[2] for t in sums), *ends)
 
@@ -182,7 +184,8 @@ def vertex_point(I: OrderIdeal, alpha=Fraction(0), omega=Fraction(1)) -> PLPoint
 
 def _sweep(pt, order):
     """Toggle at each element of `order` in turn, on the integer state of pt."""
-    ends, s = pt._ints()
+    ends, s = pt._state
+    s = list(s)
     pt._toggle_ints(pt.poset, ends, s, order)
     return pt._from_ints(ends, s)
 
@@ -231,14 +234,34 @@ class LiftedStatistic:
     label: str = ""
 
     @cached_property
-    def _terms(self):
-        """The law terms of the coefficients, cleared once to integers over
-        one denominator E (`_law_terms`)."""
+    def _cleared(self):
+        """(E, ((p, a, b, d), ...)): the coefficients on T+_p, T-_p, 1_p over E."""
         n = self.poset.n
         ints, E = cleared([Fraction(a) for a in (*self.coeff_in, *self.coeff_out,
                                                  *self.coeff_ind)])
-        return _law_terms(self.poset, E, [(p, ints[p], ints[n + p], ints[2 * n + p])
-                                          for p in range(n)])
+        return E, [(p, ints[p], ints[n + p], ints[2 * n + p]) for p in range(n)]
+
+    @cached_property
+    def _terms(self):
+        return _law_terms(self.poset, *self._cleared)
+
+    @cached_property
+    def _factor_exponents(self):
+        """(E, {factor name: nonzero exponent over E}): the birational lift as a
+        monomial in x_p, alpha, omega and the e_j of covers.  T+_p = x_p / (alpha,
+        x_r or e_1 of the lower covers), T-_p = e_k / (x_p e_{k-1}) of the k
+        upper covers (omega / x_p if k = 0), 1_p = omega / x_p."""
+        P, (E, support), ex = self.poset, self._cleared, {}
+        for p, a, b, d in support:
+            low = [f"x{r}" for r in P.lower_covers[p]] or ["alpha"]
+            up = [f"x{u}" for u in P.upper_covers[p]]
+            factors = [(f"x{p}", a - b - d), ("omega", d if up else b + d), *((x, b) for x in up),
+                       (low[0] if len(low) == 1 else f"e1({','.join(low)})", -a)]
+            if (k := len(up)) > 1:  # e_{k-1} of the upper covers
+                factors.append((f"e{k - 1}({','.join(up)})", -b))
+            for f, e in factors:
+                ex[f] = ex.get(f, 0) + e
+        return E, {f: e for f, e in ex.items() if e}
 
 
 def lift_statistic(stat: Statistic) -> LiftedStatistic:
@@ -279,22 +302,16 @@ def _law_terms(P: Poset, E: int, support) -> tuple:
     the birational table, from T+_p = n_p prod d_r / (d_p L_p),
     T-_p = d_p prod n_u / (n_p U_p) and omega/x_p = omega_n d_p / (omega_d n_p)."""
     n = P.n
-    pl = []
-    ex = [0] * (4 * n + 4)
+    pl, ex = [], {}
     wn, wd, ad = 4 * n, 4 * n + 1, 4 * n + 3
     for p, a, b, d in support:
         pl += [(slot, k) for slot, k in ((p, a), (n + p, b), (2 * n + p, d)) if k]
-        ex[p] += a - b - d
-        ex[n + p] += b + d - a
-        ex[2 * n + p] -= a
-        ex[3 * n + p] -= b
-        ex[wn] += d
-        ex[wd] -= d
-        for slot in [n + r for r in P.lower_covers[p]] or [ad]:  # prod d_r
-            ex[slot] += a
-        for slot in P.upper_covers[p] or (wn,):  # prod n_u
-            ex[slot] += b
-    return E, tuple(pl), tuple((slot, e) for slot, e in enumerate(ex) if e)
+        for slot, e in ((p, a - b - d), (n + p, b + d - a), (2 * n + p, -a),
+                        (3 * n + p, -b), (wn, d), (wd, -d),
+                        *((slot, a) for slot in [n + r for r in P.lower_covers[p]] or [ad]),
+                        *((slot, b) for slot in P.upper_covers[p] or (wn,))):  # prod d_r, prod n_u
+            ex[slot] = ex.get(slot, 0) + e
+    return E, tuple(pl), tuple((slot, e) for slot, e in ex.items() if e)
 
 
 def _law_sides(terms, c, states) -> tuple:
@@ -314,7 +331,8 @@ def _law_sides(terms, c, states) -> tuple:
         total, den = 0, 1  # the sum over the states so far is total / (den * E)
         for pt in states:
             D, atoms = pt._atoms
-            total, den = total * D + sum(k * atoms[i] for i, k in pl_terms) * den, den * D
+            L = lcm(den, D)
+            total, den = total * (L // den) + sum(k * atoms[i] for i, k in pl_terms) * (L // D), L
         D, atoms = states[0]._atoms
         return total * cd, len(states) * cn * atoms[-1] * (den // D) * E, den * E * cd
     ex = {}  # exponent (times E) per distinct integer base
@@ -347,12 +365,26 @@ def _law_holds(terms, c, states) -> bool:
     return lhs == rhs
 
 
+def prove_lift(h: LiftedStatistic, c) -> dict:
+    """The factors of h's birational lift whose exponents do not cancel against
+    (omega/alpha)^c, with the exponent left over.  The factors are distinct
+    irreducibles, so empty proves h = (omega/alpha)^c at every positive point
+    and, tropicalized, h = c (omega - alpha) at every PL point."""
+    E, ex = h._factor_exponents
+    cn, cd = Fraction(c).as_integer_ratio()
+    want = {"alpha": -cn, "omega": cn}  # over cd
+    return {f: Fraction(ex.get(f, 0) * cd - want.get(f, 0) * E, E * cd)
+            for f in {**want, **ex} if ex.get(f, 0) * cd != want.get(f, 0) * E}
+
+
 def check_constant(h: LiftedStatistic, c: Fraction, pt) -> bool:
-    """Whether h equals its certificate constant c at the PL or birational
-    point pt: c * (omega - alpha) (PL) or (omega/alpha)^c (birational)."""
+    """Whether h equals c * (omega - alpha) (PL) or (omega/alpha)^c at pt: True
+    if `prove_lift` is empty, else the law evaluated at pt."""
+    if not isinstance(pt, (PLPoint, BPoint)):
+        raise ValueError(f"no lifted level for {type(pt).__name__}")
     if pt.poset is not h.poset:
         raise ValueError("point belongs to a different poset")
-    return _law_holds(h._terms, c, (pt,))
+    return not prove_lift(h, c) or _law_holds(h._terms, c, (pt,))
 
 
 # -- orbits and orbit laws --------------------------------------------------------------
@@ -368,7 +400,7 @@ def lifted_orbit(start, sigma=None, max_iter: int = 10_000):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     order = _order(start.poset, sigma)
-    ends, first = start._ints()
+    ends, first = start._state
     step = partial(start._toggle_ints, start.poset, ends)
     states, cur = [first], list(first)
     step(cur, order)
@@ -418,8 +450,8 @@ def toggleability_orbit_law(states) -> bool:
     if any(s.poset is not P or (type(s), s.alpha, s.omega) != key for s in states):
         raise ValueError("a state belongs to a different poset, level or (alpha, omega)")
     signs = TOGGLEABILITY_KINDS["signed"]
-    return all(_law_holds(_law_terms(P, 1, ((p, *signs, 0),)), 0, states)
-               for p in range(P.n))
+    table = [_law_terms(P, 1, ((p, *signs, 0),)) for p in range(P.n)]  # sparse rows
+    return all(_law_holds(terms, 0, states) for terms in table)
 
 
 # -- sampling ------------------------------------------------------------------------

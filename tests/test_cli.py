@@ -1002,6 +1002,27 @@ def test_failed_certificate_check_exits_1(monkeypatch):
     assert err.splitlines() == ["error: a certificate check failed: denominator has a root >= 0"]
 
 
+def test_tampered_lifting_constant_exits_1_naming_the_factors(monkeypatch):
+    import dataclasses
+    from fractions import Fraction
+
+    from rowmotion import verify
+    from rowmotion.decompose import decompose
+
+    def tampered(P, f):
+        dec = decompose(P, f)
+        return dataclasses.replace(dec, constant=dec.constant + Fraction(1, 3))
+
+    monkeypatch.setattr(verify, "decompose", tampered)
+    code, out, err = run_cli_err("verify", "lifting", "--seed", "1")
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert checks and not any(c["passed"] for c in checks)
+    for c in checks:
+        spec, kind = c["label"].split(":", 1)[1].rsplit(":", 1)
+        assert c["detail"] == f"{spec}: lift of {kind} leaves alpha^1/3, omega^-1/3 uncancelled"
+
+
 def test_failed_q_walk_exits_1(monkeypatch):
     from array import array
 

@@ -478,3 +478,30 @@ def test_a_step_made_before_the_enumeration_returns_canonical_states_after_it():
                 J = step(start)
                 assert J is ideals[P.ideal_index(J.mask)]
                 assert J.mask == _mask_sweep(P, order, I.mask)
+
+
+def test_a_sweep_step_on_the_canonical_ideals_is_read_off_the_cache():
+    from rowmotion.dynamics import gyration_sigma, sigma_order
+    from rowmotion.poset import _bits
+
+    P = rectangle(3, 3)
+    ideals = enumerate_ideals(P)
+    steps = {sigma_order(P, gyration_sigma(P)): gyration(P),
+             sigma_order(P, (1, 0, 3, 2, 4)): rowmotion_sigma(P, (1, 0, 3, 2, 4)),
+             tuple(_bits(P.rank_mask(2))): rank_toggle(P, 2)}
+    for order, step in steps.items():
+        assert (step.poset, step.order) == (P, order)
+        want = as_index_permutation(lambda I: step(I), ideals)  # a lambda: state by state
+        assert as_index_permutation(step, list(ideals)) == want  # not canonical: the same
+        got = as_index_permutation(step, ideals)
+        assert type(got) is list and got == want == list(P.sweep_permutation(order))
+    # a step of another poset is not read off P's cache: the per-state path refuses it
+    with pytest.raises(ValueError, match="belongs to a different poset"):
+        as_index_permutation(gyration(rectangle(3, 3)), ideals)
+    # on the canonical ideals no state is stepped at all
+    step = gyration(P)
+    calls = []
+    traced = lambda I: calls.append(I) or step(I)  # noqa: E731
+    traced.poset, traced.order = step.poset, step.order
+    assert as_index_permutation(traced, ideals) == list(P.sweep_permutation(step.order))
+    assert calls == []

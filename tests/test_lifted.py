@@ -380,6 +380,83 @@ def test_half_integer_exponents_with_alpha_not_one():
         assert not check_constant(h, c + Fraction(1, 2), pt)
 
 
+def _liftable_certificates():
+    """(P, h, c) for every in-span antichain_card and ideal_card on the family
+    roster and on seeded random posets of at most 7 elements that
+    `lift_statistic` accepts."""
+    from conftest import ROSTER_SPECS, random_poset
+
+    from rowmotion.families import from_specifier
+
+    rng = random.Random(131)
+    posets = [from_specifier(spec) for spec in ROSTER_SPECS]
+    posets += [random_poset(rng, rng.randint(1, 7)) for _ in range(60)]
+    for P in posets:
+        for kind in ("antichain_card", "ideal_card"):
+            f = named_statistic(P, kind)
+            try:
+                lift_statistic(f)
+            except ValueError:  # an element covers, or is covered by, three
+                continue
+            dec = decompose(P, f)
+            if dec is not None:
+                yield (P, *certificate_witness(f, dec))
+
+
+def _atom_at_unit(pt, p):
+    """pt with x_p moved so that T-_p is 0 (PL) or 1 (birational)."""
+    up = [pt.values[u] for u in pt.poset.upper_covers[p]]
+    if isinstance(pt, PLPoint):
+        return pt.replace_value(p, min(up, default=pt.omega))
+    return pt.replace_value(p, 1 / sum(1 / u for u in up) if up else pt.omega)
+
+
+def test_every_certificate_is_proved_and_the_evaluator_agrees():
+    from rowmotion.lifted import LiftedStatistic, _law_holds, prove_lift
+
+    rng = random.Random(137)
+    proved = 0
+    for P, h, c in _liftable_certificates():
+        assert prove_lift(h, c) == {}, (P.covers, h.label)
+        proved += 1
+        pls, bps = _points(P, rng, k=1)
+        for pt in pls + bps:  # the evaluator, which check_constant skips when proved
+            assert _law_holds(h._terms, c, (pt,))
+        third = Fraction(1, 3)
+        assert prove_lift(h, c + third) == {"alpha": third, "omega": -third}
+        for p in range(P.n):
+            out = list(h.coeff_out)
+            out[p] += Fraction(1, 2)
+            bumped = LiftedStatistic(P, h.coeff_in, tuple(out), h.coeff_ind)
+            assert prove_lift(bumped, c)
+            # where the bumped atom is 0 (PL) or 1 (birational), the law
+            # still holds: check_constant evaluates when the proof fails
+            for pt in pls + bps:
+                assert check_constant(bumped, c, _atom_at_unit(pt, p))
+    assert proved >= 40
+
+
+def test_prove_lift_names_the_factors_left_over():
+    from rowmotion.lifted import LiftedStatistic, prove_lift
+
+    P = rectangle(2, 2)  # 0 < 1, 2 < 3
+    zero = (0,) * 4
+    t_minus_0 = LiftedStatistic(P, zero, (1, 0, 0, 0), zero)  # x1 x2 / (x0 (x1 + x2))
+    assert prove_lift(t_minus_0, 0) == {"x0": -1, "x1": 1, "x2": 1, "e1(x1,x2)": -1}
+    t_plus_3 = LiftedStatistic(P, (0, 0, 0, Fraction(1, 2)), zero, zero)  # the same pair below 3
+    assert prove_lift(t_plus_3, 0) == {"x3": Fraction(1, 2), "e1(x1,x2)": Fraction(-1, 2)}
+    ind_0 = LiftedStatistic(P, zero, zero, (1, 0, 0, 0))  # omega / x0
+    assert prove_lift(ind_0, 1) == {"alpha": 1, "x0": -1}
+    coclaw = Poset(4, [(0, 1), (0, 2), (0, 3)])  # T-_0 = x1 x2 x3 / (x0 e2(x1, x2, x3))
+    assert prove_lift(LiftedStatistic(coclaw, zero, (1, 0, 0, 0), zero), 0) == {
+        "x0": -1, "x1": 1, "x2": 1, "x3": 1, "e2(x1,x2,x3)": -1}
+    claw = Poset(4, [(0, 3), (1, 3), (2, 3)])  # T+_3 = x3 / e1(x0, x1, x2)
+    assert prove_lift(LiftedStatistic(claw, (0, 0, 0, 1), zero, zero), 0) == {
+        "x3": 1, "e1(x0,x1,x2)": -1}
+    with pytest.raises(ValueError, match="no lifted level"):
+        check_constant(ind_0, 1, (Fraction(1),) * 4)
+
+
 def _reference_atoms(pt, p):
     """T+_p, T-_p and the indicator atom from the raw values, in Fractions."""
     covers, x = pt.poset.covers, pt.values
@@ -531,13 +608,13 @@ def test_verify_lifting_under_python_optimize():
 
 
 def test_tampered_constant_rejected_under_python_optimize():
-    # with asserts off, the law itself must still turn down a wrong constant
+    # with asserts off, the law and the proof must still turn down a wrong constant
     code = (
         "import random\n"
         "from rowmotion import certificate_witness, decompose, named_statistic\n"
         "from rowmotion.families import rectangle\n"
         "from rowmotion.lifted import (BPoint, PLPoint, check_constant,\n"
-        "    orbit_homomesy_lifted, random_point)\n"
+        "    orbit_homomesy_lifted, prove_lift, random_point)\n"
         "assert False, 'asserts are on'\n"
         "P = rectangle(2, 3)\n"
         "f = named_statistic(P, 'antichain_card')\n"
@@ -547,11 +624,13 @@ def test_tampered_constant_rejected_under_python_optimize():
         "bp = random_point(BPoint, P, rng, alpha=2, omega=3)\n"
         "print(check_constant(h, c, pl), check_constant(h, c, bp),\n"
         "      check_constant(h, c + 1, pl), check_constant(h, c + 1, bp),\n"
-        "      orbit_homomesy_lifted(h, c + 1, bp).holds)\n"
+        "      orbit_homomesy_lifted(h, c + 1, bp).holds,\n"
+        "      not prove_lift(h, c), sorted(prove_lift(h, c + 1)))\n"
     )
     out = _run_optimized(["-c", code])
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "True", "False", "False", "False"]
+    assert out.stdout.split() == ["True", "True", "False", "False", "False", "True",
+                                  "['alpha',", "'omega']"]
 
 
 # -- points of another poset, level or boundary ------------------------------------
