@@ -19,10 +19,10 @@ from T-.  `decompose` factors it once at q = 1 with the sparse kernel of
 n+1 pivot monomials, and takes the sparse integer residual over every
 monomial: zero proves the certificate, nonzero proves NOT IN SPAN, since the
 candidate was the only possible solution.  `q_decompose` does the same over
-Z[q], on the n+1 pivot rows factored once in `Polynomial`s with q left a
-variable: the replay and the residual run on ints at q = 2^B, and the
-numerators are read back from their base-2^B digits under a checked bound
-(Kronecker substitution); `toggleability_space_dims` (Table 2) takes the
+Z[q] on ints at q = 2^B (Kronecker substitution): the n+1 pivot rows are
+factored once at that point, and the determinant and the numerators are
+read back from their base-2^B digits under a checked bound;
+`toggleability_space_dims` (Table 2) takes the
 kernel of the residuals over Q and the rank of those of its basis over
 Z[q], `verify_independence` the rank of the system at a fixed q >= 0 and
 `antichain_span_dim` a sparse rank over the ideals, all on that one kernel.
@@ -43,7 +43,6 @@ from .linalg import check_work, factor
 from .poset import CapExceededError, Poset, mask_cap
 from .qpoly import (
     CertificateError,
-    Polynomial,
     RationalFunction,
     cleared,
     format_fraction,
@@ -125,10 +124,10 @@ class _System:
     """The certificate system of a poset: `columns[j]` maps each monomial of
     column j (1, then T^q_0, T^q_1, ...) to its [plus, minus] pair, `at_one`
     factors the monomials' rows at q = 1, `pivots` maps its n+1 pivot
-    monomials to their rows and `at_q` factors those over Z[q].  Rows are
-    read from the largest antichains down, the singletons last: the pivots'
-    determinant then has a low q-degree (9 against 25 with {} and the
-    singletons first, on rect:5,5)."""
+    monomials to their rows and `packed(B)` factors those at q = 2^B.  Rows
+    are read from the largest antichains down, the singletons last: the
+    pivots' determinant then has a low q-degree (9 against 25 with {} and
+    the singletons first, on rect:5,5)."""
 
     def __init__(self, P: Poset):
         size = sum(1 << len(up) for up in P.upper_covers)
@@ -160,37 +159,21 @@ class _System:
         self._columns_at, self._packed = {}, {}
 
     def columns_at(self, z):
-        """The columns with each entry plus - z * minus, for an int z or
-        z = _Q, built once for each."""
+        """The columns with each entry plus - z * minus, for an int z (or,
+        in a Z[q] reference, z = q), built once for each."""
         if z not in self._columns_at:
             self._columns_at[z] = _at(self.columns, z)
         return self._columns_at[z]
 
-    @cached_property
-    def at_q(self):
-        """The pivot rows factored over Z[q], on first use, bounded as it runs."""
-        try:
-            return factor(_at(self.pivots.values(), _Q), len(self.pivots))
-        except CapExceededError as exc:
-            raise CapExceededError(f"factoring the pivot rows over Z[q]: {exc}") from None
-
     def packed(self, B):
-        """`at_q` with every polynomial at q = 2^B, a factorization over the
-        ints that `replay` runs on unchanged, built once for each B."""
+        """The pivot rows factored at q = 2^B, once for each B and bounded
+        as they run: the factorization `_replay_at_q` replays."""
         if B not in self._packed:
-            f = self.at_q
-            self._packed[B] = f._replace(
-                lu=tuple({c: pack(v, B) for c, v in u.items()} for u in f.lu),
-                steps=tuple(tuple((j, pack(a, B), pack(dj, B)) for j, a, dj in s)
-                            for s in f.steps),
-                det=pack(f.det, B))
+            try:
+                self._packed[B] = factor(_at(self.pivots.values(), 1 << B), len(self.pivots))
+            except CapExceededError as exc:
+                raise CapExceededError(f"factoring the pivot rows over Z[q]: {exc}") from None
         return self._packed[B]
-
-    @cached_property
-    def pivot_bits(self):
-        """The bits of the largest coefficient of a pivot of `at_q`."""
-        f = self.at_q
-        return max(abs(c).bit_length() for u, j in zip(f.lu, f.cols) for c in u[j].coeffs)
 
     @cached_property
     def row_norm(self):
@@ -203,11 +186,8 @@ class _System:
         return max(out.values())
 
 
-_Q = Polynomial((0, 1))  # q itself, in Z[q]
-
-
 def _at(rows, a, b=1):
-    """The rows {j: [plus, minus]} at q = a/b, cleared by b; over Z[q] at a = _Q."""
+    """The rows {j: [plus, minus]} at q = a/b, cleared by b; over Z[q] at a = q."""
     return [{j: b * plus - a * minus for j, (plus, minus) in row.items()} for row in rows]
 
 
@@ -246,8 +226,8 @@ def _monomials(P: Poset, f: Statistic):
 def _residual(P, values, sol, z=1):
     """values - sol[0] - sum_p sol[p+1] * T^z_p as a dict of monomial
     coefficients (zeros kept), for `values` a dict of the same kind.  The
-    solvers pass ints, or `Polynomial`s with int coefficients at z = _Q, so
-    this is arithmetic in Z or Z[q] over the sparse columns of the system."""
+    solvers pass ints, at z = 1 or 2^B, and a Z[q] reference `Polynomial`s
+    at z = q: arithmetic in Z or Z[q] over the sparse columns of the system."""
     out = dict(values)
     for c, col in zip(sol, _system(P).columns_at(z)):
         if c:
@@ -268,40 +248,39 @@ def q_decompose(P: Poset, f: Statistic):
     f, with rational or Q(q) values, is read in its cleared form g / s, g
     integer polynomials of degree <= d.  The n+1 pivot rows of
     `_System.pivots`, independent at q = 1 and so over Q(q), are factored
-    once over Z[q] (`_System.at_q`) and replayed on g, which gives det and
-    the Cramer numerators N_j = det * x_j, polynomials with int coefficients
-    of degree <= n + d, with no Fraction and no arithmetic in Q(q).  The
-    residual det * g - sum_j N_j T^q_j, monomial by monomial, is then the
-    one check: zero proves the certificate x_j = N_j / (det * s), nonzero
-    proves NOT IN SPAN, since x was the only possible solution.  Both run
-    on ints at one q = 2^B, and N is unpacked from it under a checked bound
-    (`_replay_at_q`).  The coefficients, put in lowest terms with one
-    integer gcd each (`lowest_terms`), are then checked to have no pole at
-    any nonnegative rational, which makes every specialization q := r/s
-    legal.
+    once as ints at q = 2^B, B chosen from g's coefficient bits, and that
+    factorization sizes the solve.  Replayed on g, it gives det and the
+    Cramer numerators N_j = det * x_j at 2^B, and the residual
+    det * g - sum_j N_j T^q_j, monomial by monomial, is the one check, with
+    det and N unpacked under a checked bound (`_replay_at_q`): zero proves
+    the certificate x_j = N_j / (det * s), nonzero proves NOT IN SPAN, since
+    x was the only possible solution.  The coefficients, put in lowest terms
+    with one integer gcd each (`lowest_terms`), are then checked to have no
+    pole at any nonnegative rational, which makes every specialization
+    q := r/s legal.
     """
     if f.poset is not P:
         raise ValueError("statistic lives on a different poset")
     system = _system(P)
     mono, den = _monomials(P, f)
     d = max((v.degree for v in mono.values()), default=0) if f.kind == QRATIONAL else 0
-    fact = system.at_q
-    # with e = D + d + 1, D the pivots' largest degree, the replay and the
-    # residual update about e coefficients per step and entry, and putting
-    # each of the n+1 coefficients in lowest terms (`lowest_terms`) packs it
-    # into one integer gcd, about e, and divides it by a gcd of degree k in
-    # (e - k) k <= e^2 / 4 updates
-    D = max((u[c].degree for u, c in zip(fact.lu, fact.cols)), default=0)
+    B = _first_point([mono])
+    fact = system.packed(B)
+    # with e = D + d + 1, D the pivots' largest q-degree (B D to B D + B - 1
+    # bits at 2^B), the replay and the residual update about e coefficients
+    # per step and entry, and putting each of the n+1 coefficients in lowest
+    # terms (`lowest_terms`) packs it into one integer gcd, about e, and
+    # divides it by a gcd of degree k in (e - k) k <= e^2 / 4 updates
+    D = max((u[c].bit_length() // B for u, c in zip(fact.lu, fact.cols)), default=0)
     e = D + d + 1
     entries = sum(map(len, fact.steps)) + sum(map(len, fact.lu)) + sum(map(len, system.columns))
     check_work(entries * e + (P.n + 1) * (e * e // 4 + e),
                f"the Q(q) solve over Z[q] with pivots of degree <= {D}")
-    replayed = _replay_at_q(P, [mono], in_span=True)
+    replayed = _replay_at_q(P, [mono], B, in_span=True)
     if replayed is None:
         return None
-    _, [(y, _)] = replayed
-    det_s = fact.det * den
-    sol = lowest_terms(y, det_s)
+    _, det, [(y, _)] = replayed
+    sol = lowest_terms(y, det * den)
     for c in {c.den: c for c in sol}.values():  # once per distinct denominator
         _check_no_nonnegative_pole(c)
     return Decomposition(P, sol[0], tuple(sol[1:]), QRATIONAL)
@@ -352,6 +331,8 @@ def toggleability_space_dims(P: Poset) -> dict:
     sum_j B_jl obs_j, each basis vector divided by the gcd of its entries,
     are replayed over Z[q] (`_replay_at_q`), and the q-dimension is k minus
     the rank of their q-coefficient residual rows, unpacked from q = 2^B.
+    Those are det'(q) R(q) for the nonzero det' unpacked there, which has
+    the kernel of det(q) R(q) whether or not det' is det.
     """
     system, n = _system(P), P.n
     spaces = {"A": [{A: minus for A, (_, minus) in col.items() if minus}  # T-_p
@@ -376,7 +357,7 @@ def toggleability_space_dims(P: Poset) -> dict:
                 for A, v in obs.items():
                     g[A] = g.get(A, 0) + a // common * v
             combos.append(g)
-        B, replays = _replay_at_q(P, combos)
+        B, _, replays = _replay_at_q(P, combos, _first_point(combos))
         rows = {}  # one per monomial and power of q
         for j, (_, r) in enumerate(replays):
             for A, v in r.items():
@@ -411,50 +392,56 @@ def _norm(v):
     return abs(v) if v.__class__ is int else sum(map(abs, v.coeffs))
 
 
-def _replay_at_q(P, combos, in_span=False):
-    """(B, [(N, r)]): for each dict g of monomial coefficients in `combos`,
-    ints or Polynomials with int coefficients, N the Cramer numerators of
-    its candidate from `_System.at_q`, as Polynomials, and r its residual
-    det * g_A - sum_j N_j M_Aj at q = 2^B, as ints, where M_Aj is the entry
-    of column j at the monomial A.  With `in_span`, None as soon as a
-    residual is not zero.
-
-    The replay and the residual run on ints at z = 2^B (`_System.packed`,
-    Kronecker substitution), and N is unpacked from z (`unpack`).
-    Evaluation at z is a ring homomorphism, no pivot vanishes at z (B is
-    at least 2 past their coefficients' bits), and the divisions of the
-    replay are exact over Z[q], so it gives det(z) and N_j(z) exactly: a
-    residual nonzero at z proves one nonzero over Z[q].  With N' the
-    unpacked numerators, the polynomial det * g_A - sum_j N'_j M_Aj takes
-    the residual's value at z, and no coefficient of it is more than
-    beta = |det|_1 max_A |g_A|_1 + max_j |N'_j|_1 max_A sum_j |M_Aj|_1.
-    When beta < 2^(B-1) it is therefore the unpacked residual.  It vanishes
-    on the pivot monomials, where the residual is 0, so N' solves the pivot
-    rows and is N, and each residual unpacks to the true one; 0 everywhere
-    proves the certificate N / det.  Otherwise B doubles, and after
-    _PACKINGS points CertificateError is raised.
-    """
-    system = _system(P)
-    det_norm = _norm(system.at_q.det)
+def _first_point(combos):
+    """The least multiple of 64 two past the bits of the coefficients in `combos`."""
     bits = max((abs(c).bit_length() for g in combos for v in g.values()
                 for c in ((v,) if v.__class__ is int else v.coeffs)), default=0)
-    B = -(-(system.pivot_bits + bits + 2) // 64) * 64  # one or two cached points
+    return -(-(bits + 2) // 64) * 64
+
+
+def _replay_at_q(P, combos, B, in_span=False):
+    """(B, det, [(N, r)]) at the first point 2^B, B doubling from the one
+    given, that proves them: det is the determinant of the pivot rows and,
+    for each dict g of monomial coefficients in `combos` (ints or integer
+    Polynomials), N the Cramer numerators of its candidate, both as
+    Polynomials, and r its residual det * g_A - sum_j N_j M_Aj at 2^B, as
+    ints, M_Aj the entry of column j at the monomial A.  With `in_span`,
+    None as soon as a residual is not zero.
+
+    The pivot rows are factored and replayed on ints at z = 2^B
+    (`_System.packed`, Kronecker substitution).  Where det(z) != 0 that
+    gives det(z) and N_j(z), so a residual nonzero at z proves one nonzero
+    over Z[q].  With det' and N' unpacked from z (`unpack`), the polynomial
+    det' g_A - sum_j N'_j M_Aj takes the residual's value at z and has no
+    coefficient above beta = |det'|_1 max_A |g_A|_1 + max_j |N'_j|_1
+    max_A sum_j |M_Aj|_1, so beta < 2^(B-1) makes it the unpacked residual.
+    It vanishes on the pivot monomials, and det' != 0 as det'(z) = det(z);
+    the pivot rows are nonsingular over Q(q), so N' / det' is their unique
+    solution, whether or not det' is det, and each unpacked residual is det'
+    times the true one: 0 everywhere proves the certificate N' / det'.
+    Where det(z) = 0 or the bound fails, B doubles, and after _PACKINGS
+    points CertificateError is raised.
+    """
+    system = _system(P)
     for _ in range(_PACKINGS):
         packed, z, out = system.packed(B), 1 << B, []
-        for g in combos:
-            gz = {A: v if v.__class__ is int else pack(v, B) for A, v in g.items()}
-            y = packed.replay([gz.get(A, 0) for A in system.pivots])
-            r = _residual(P, {A: packed.det * v for A, v in gz.items()}, y, z)
-            if in_span and any(r.values()):
-                return None
-            N = [unpack(v, B) for v in y]
-            beta = (det_norm * max(map(_norm, g.values()), default=0)
-                    + max(map(_norm, N)) * system.row_norm)
-            if beta >> (B - 1):
-                break
-            out.append((N, r))
-        else:
-            return B, out
+        if packed.det:  # else the pivot rows are singular at z
+            det = unpack(packed.det, B)
+            det_norm = _norm(det)
+            for g in combos:
+                gz = {A: v if v.__class__ is int else pack(v, B) for A, v in g.items()}
+                y = packed.replay([gz.get(A, 0) for A in system.pivots])
+                r = _residual(P, {A: packed.det * v for A, v in gz.items()}, y, z)
+                if in_span and any(r.values()):
+                    return None
+                N = [unpack(v, B) for v in y]
+                beta = (det_norm * max(map(_norm, g.values()), default=0)
+                        + max(map(_norm, N)) * system.row_norm)
+                if beta >> (B - 1):
+                    break
+                out.append((N, r))
+            else:
+                return B, det, out
         B *= 2
     raise CertificateError(
         f"the replay over Z[q] is not proved at any of {_PACKINGS} points 2^B, B < {B}")

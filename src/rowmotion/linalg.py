@@ -1,10 +1,10 @@
-"""Exact linear algebra over Q and Q(q), on ints or, for Z[q], on
-`qpoly.Polynomial`s with int coefficients: one fraction-free elimination
-kernel over sparse rows {column: entry}, for every certificate solve and
-every rank in `decompose`.  It uses only ring operations and exact division
-(`//`), so it is exact over any integral domain (Bareiss, 1968).  It counts
-the entries it updates, or over Z[q] their coefficients, and raises
-CapExceededError once it passes WORK_CAP.
+"""Exact linear algebra on ints, over Q and over Q(q) at q = 2^B: one
+fraction-free elimination kernel over sparse rows {column: entry}, for every
+certificate solve and every rank in `decompose`.  It uses only ring
+operations and exact division (`//`), so it is exact over any integral
+domain (Bareiss, 1968); `qpoly.Polynomial` entries, over Z[q], remain as the
+tests' reference.  It counts the entries it updates, times the words of the
+pivot (over Z[q] their coefficients), up to WORK_CAP (CapExceededError).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .poset import CapExceededError
 from .qpoly import CertificateError
 
-# Entries, or over Z[q] coefficients, a factorization or a Q(q) or Table 2
-# solve of `decompose` may update: seconds of work.
+# Entry updates, times the 64-bit words of the pivot (over Z[q], coefficients),
+# a factorization or a Q(q) or Table 2 solve of `decompose` may make: seconds.
 WORK_CAP = 1 << 25
 
 
@@ -34,8 +34,8 @@ class Factorization(NamedTuple):
     `rows` are their input indices, `lu[k]` pivot row k after elimination,
     `cols[k]` its pivot column, `steps[k]` its steps (j, multiplier, pivot
     j), `det` their determinant in input order when there are n, else 0,
-    and `work` the entries, or over Z[q] the coefficients, the elimination
-    updated."""
+    and `work` the entries the elimination updated, each times the words of
+    its pivot, or over Z[q] their coefficients."""
 
     rows: tuple
     lu: tuple
@@ -91,18 +91,20 @@ def factor(rows, n):
 
     Rows are read in order; each is eliminated against the pivot rows before
     it and kept unless nothing of it is left, until n are kept.  A kept row
-    pivots on its column of the lowest q-degree (an int has degree 0), then
-    with the fewest input entries (Markowitz), then the lowest: over Z[q]
-    that keeps the pivots' degrees low (49 against 274 on the certificate
-    system of rect:25,25, by entries alone), and fill-in and entries stay
+    pivots on its entry of the fewest 64-bit words (`bit_length() >> 6`, 0
+    below 64 bits; over Z[q] the lowest q-degree), then on the column with
+    the fewest input entries (Markowitz), then the lowest.  At q = 2^B, B a
+    multiple of 64, the words are about B / 64 times the q-degree, so the
+    pivots' degrees stay low (4 289 bits on the pivot rows of rect:34,34 at
+    2^64, against 33 665 by entries alone), and fill-in and entries stay
     small.  A step touches only a row with an entry in the pivot's column;
     the steps a row skips are one exact scaling d_k / d_s (d_{j+1} is pivot
     j, s the row's last step), so every division is exact and every entry a
     minor of the input.
     """
     counts = Counter(c for row in rows for c, v in row.items() if v)
-    # the entries are all ints or all Polynomials: a step costs its entries,
-    # or over Z[q] their coefficients
+    # the entries are all ints or all Polynomials: a step costs its entries
+    # times the words of its pivot, or over Z[q] their coefficients
     zq = next((v for row in rows for v in row.values()), 0).__class__ is not int
     place = {}  # pivot column -> its pivot row
     kept, lu, cols, steps, d, work = [], [], [], [], [1], 0  # d[j + 1] is pivot j
@@ -126,14 +128,16 @@ def factor(rows, n):
             r = {c: v // last for c, v in new.items() if v}
             hist.append((j, a, dj))
             last = dj
-            work += sum(len(v.coeffs) for v in new.values()) if zq else len(new)
+            work += (sum(len(v.coeffs) for v in new.values()) if zq
+                     else len(new) * (1 + (dj.bit_length() >> 6)))
             check_work(work, "the elimination")
         if not r:
             continue  # in the span of the pivot rows before it
         if last != d[-1]:
             r = {c: v * d[-1] // last for c, v in r.items()}
-            work += sum(len(v.coeffs) for v in r.values()) if zq else len(r)
-        c = min(r, key=lambda c: (r[c].degree if zq else 0, counts[c], c))
+            work += (sum(len(v.coeffs) for v in r.values()) if zq
+                     else len(r) * (1 + (d[-1].bit_length() >> 6)))
+        c = min(r, key=lambda c: (r[c].degree if zq else r[c].bit_length() >> 6, counts[c], c))
         place[c] = len(lu)
         kept.append(i)
         lu.append(r)

@@ -896,7 +896,7 @@ def test_certificate_system_is_bounded_by_memory():
 @pytest.mark.parametrize("argv, what", [
     (("decompose", "rect:23,23", "antichain_card"), "factoring the certificate system"),
     (("decompose", "--q", "rect:12,12", "antichain_card"), "the Q(q) solve"),
-    (("decompose", "--q", "sstair:19", "antichain_card"), "factoring the pivot rows over Z[q]"),
+    (("decompose", "--q", "dtd:50", "antichain_card"), "factoring the pivot rows over Z[q]"),
 ])
 def test_certificate_work_is_bounded_before_it_starts(argv, what, monkeypatch):
     import time
@@ -904,11 +904,11 @@ def test_certificate_work_is_bounded_before_it_starts(argv, what, monkeypatch):
     from rowmotion import linalg
 
     # all answer at the default cap; at this one factoring rect:23,23 is
-    # refused as it runs, rect:12,12 is factored at q = 1 and over Z[q] but
+    # refused as it runs, rect:12,12 is factored at q = 1 and at 2^64 but
     # its Q(q) solve, from pivots of degree <= 23, is refused before it
-    # starts, and sstair:19 is factored at q = 1 (4 125 entry updates) but
-    # its pivot rows over Z[q] (9 611 coefficient updates) are refused as
-    # they are factored
+    # starts, and dtd:50 is factored at q = 1 (400 entry updates) but its
+    # pivot rows at q = 2^64 (12 693 updates counted in words) are refused
+    # as they are factored
     monkeypatch.setattr(linalg, "WORK_CAP", 5000)
     start = time.perf_counter()
     code, out, err = run_cli_err(*argv)

@@ -37,6 +37,8 @@ from rowmotion.statistics import QRATIONAL, RATIONAL, indicator_ideal, t_out
 
 from conftest import random_poset
 
+q = Polynomial((0, 1))  # q itself, in Z[q]
+
 
 def chain(n):
     return Poset(n, [(k, k + 1) for k in range(n - 1)])
@@ -320,8 +322,8 @@ def test_kernel_over_zq_matches_the_integer_kernel_at_each_point(case):
     pairs, rhs = case
     n = len(pairs)
     rows = [{j: list(pair) for j, pair in enumerate(row) if any(pair)} for row in pairs]
-    over_zq = factor(mod._at(rows, mod._Q), n)
-    y = over_zq.replay([a + b * mod._Q for a, b in rhs]) if over_zq.det else None
+    over_zq = factor(mod._at(rows, q), n)
+    y = over_zq.replay([a + b * q for a, b in rhs]) if over_zq.det else None
     for z in range(4):
         at_z = factor(mod._at(rows, z), n)
         assert _value(over_zq.det, z) == at_z.det
@@ -520,10 +522,10 @@ def _table2_from_every_observable(P):
             ("I", [{1 << p: 1} for p in range(P.n)])):
         rows = mod._residual_rows(P, observables)
         dims[f"dim_{name}"] = P.n - len(factor(rows, P.n).rows)
-        fact, q_rows = system.at_q, {}  # one row per monomial and power of q
+        fact, q_rows = _pivots_over_zq(system), {}  # one row per monomial and power of q
         for j, obs in enumerate(observables):
             r = mod._residual(P, {A: fact.det * v for A, v in obs.items()},
-                              fact.replay([obs.get(A, 0) for A in system.pivots]), mod._Q)
+                              fact.replay([obs.get(A, 0) for A in system.pivots]), q)
             for A, v in r.items():
                 for k, c in enumerate(v.coeffs):
                     if c:
@@ -1032,12 +1034,17 @@ def test_q_certificate_check_survives_optimize():
     assert out.stdout.strip() == "None"
 
 
+def _pivots_over_zq(system):
+    """The pivot rows of a certificate system factored over Z[q], in
+    `Polynomial`s: the reference for their factorizations at q = 2^B."""
+    return factor(_q_module()._at(system.pivots.values(), q), len(system.pivots))
+
+
 def _falling(k):
     """prod_{z < k} (q - z) in Z[q], which vanishes at q = 0, ..., k-1 only."""
-    mod = _q_module()
     out = 1
     for z in range(k):
-        out = out * (mod._Q - z)
+        out = out * (q - z)
     return out
 
 
@@ -1066,15 +1073,15 @@ def test_q_check_rejects_every_low_degree_tampering():
         system = mod._system(P)
         g, s = mod._monomials(P, f)
         d = max(v.degree for v in g.values()) if f.kind == QRATIONAL else 0
-        fact = system.at_q
+        fact = _pivots_over_zq(system)
         y = fact.replay([g.get(A, 0) for A in system.pivots])
         det_g = {A: fact.det * v for A, v in g.items()}
-        assert mod._is_certificate(P, det_g, y, mod._Q)
+        assert mod._is_certificate(P, det_g, y, q)
         for k in range(P.n + 2 + d):
             j = 1 + k % P.n  # spread the tampering over the coefficients
             bad = list(y)
             bad[j] = bad[j] + fact.det * s * _falling(k)
-            assert not mod._is_certificate(P, det_g, bad, mod._Q), (P.name, k)
+            assert not mod._is_certificate(P, det_g, bad, q), (P.name, k)
 
 
 def test_q_check_rejects_tampering_under_optimize():
@@ -1126,9 +1133,10 @@ def test_q_decompose_refuses_a_tampered_unpacking_under_optimize():
 
     import rowmotion
 
-    # asserts off, and one unpacked numerator moved by (q - 2^B) * h, which
-    # agrees with the true one at the packing point: only the bound on the
-    # unpacked residual refuses it, at each of the _PACKINGS points tried
+    # asserts off, and the unpacked determinant or one unpacked numerator
+    # moved by (q - 2^B) * h, which agrees with the true one at the packing
+    # point: only the bound on the unpacked residual refuses it, at each of
+    # the _PACKINGS points tried
     code = (
         "import importlib\n"
         "from rowmotion import named_statistic, q_decompose\n"
@@ -1141,39 +1149,41 @@ def test_q_decompose_refuses_a_tampered_unpacking_under_optimize():
         "    f = named_statistic(P, 'antichain_card')\n"
         "    print(q_decompose(P, f) is not None)\n"
         "    for h in (Polynomial((1,)), Polynomial((0, -1)), Polynomial((3, 0, 0, 1))):\n"
-        "        seen = []\n"
-        "        def tampered(v, B):\n"
-        "            seen.append(B)\n"
-        "            p = unpack(v, B)\n"
-        "            if seen.count(B) == 2:  # the numerator of T_0\n"
-        "                p = p + Polynomial((-(1 << B), 1)) * h\n"
-        "            return p\n"
-        "        mod.unpack = tampered\n"
-        "        try:\n"
-        "            print(q_decompose(P, f))\n"
-        "        except CertificateError:\n"
-        "            print('refused', len(set(seen)), len(seen) // len(set(seen)))\n"
-        "        mod.unpack = unpack\n"
+        "        for k in (1, 3):  # the determinant, then the numerator of T_0\n"
+        "            seen = []\n"
+        "            def tampered(v, B):\n"
+        "                seen.append(B)\n"
+        "                p = unpack(v, B)\n"
+        "                if seen.count(B) == k:\n"
+        "                    p = p + Polynomial((-(1 << B), 1)) * h\n"
+        "                return p\n"
+        "            mod.unpack = tampered\n"
+        "            try:\n"
+        "                print(q_decompose(P, f))\n"
+        "            except CertificateError:\n"
+        "                print('refused', len(set(seen)), len(seen) // len(set(seen)))\n"
+        "            mod.unpack = unpack\n"
     )
     src = os.path.dirname(os.path.dirname(rowmotion.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     mod = _q_module()
-    # each of the _PACKINGS points unpacks the n+1 numerators once, and stops
-    refused = [f"refused {mod._PACKINGS} {n + 1}" for n in (9, 6)]
-    assert out.stdout.splitlines() == (["True"] + [refused[0]] * 3 + ["True"] + [refused[1]] * 3)
+    # each of the _PACKINGS points unpacks the determinant and the n+1
+    # numerators once, and stops
+    refused = [f"refused {mod._PACKINGS} {n + 2}" for n in (9, 6)]
+    assert out.stdout.splitlines() == (["True"] + [refused[0]] * 6 + ["True"] + [refused[1]] * 6)
 
 
 def _zq_answer(P, f):
     """q_decompose's answer as (constant, coeffs), or None, from the replay
-    and residual of `_System.at_q` over Z[q] in `Polynomial`s."""
+    and residual of the pivot rows factored over Z[q] in `Polynomial`s."""
     mod = _q_module()
     system = mod._system(P)
     g, s = mod._monomials(P, f)
-    fact = system.at_q
+    fact = _pivots_over_zq(system)
     y = fact.replay([g.get(A, 0) for A in system.pivots])
-    if not mod._is_certificate(P, {A: fact.det * v for A, v in g.items()}, y, mod._Q):
+    if not mod._is_certificate(P, {A: fact.det * v for A, v in g.items()}, y, q):
         return None
     sol = [RationalFunction(v, fact.det * s) for v in y]
     return sol[0], tuple(sol[1:])
@@ -1219,6 +1229,64 @@ def test_packed_replay_matches_the_polynomial_replay():
             assert (None if dec is None else (dec.constant, dec.coeffs)) == want, P.covers
             answered += want is not None
     assert answered > 120
+
+
+def test_a_point_where_the_pivot_rows_are_singular_is_skipped(monkeypatch):
+    from rowmotion.qpoly import CertificateError
+
+    # det(2^B) = 0 is forced at the first point: B doubles, and the answers
+    # are those of the unpatched solve
+    mod = _q_module()
+    P = rectangle(3, 3)
+    dec = q_decompose(P, named_statistic(P, "antichain_card"))
+    dims = toggleability_space_dims(P)
+    packed, seen = mod._System.packed, []
+
+    def singular_at_first(self, B):
+        seen.append(B)
+        fact = packed(self, B)
+        return fact._replace(det=0) if B == seen[0] else fact
+
+    monkeypatch.setattr(mod._System, "packed", singular_at_first)
+    P = rectangle(3, 3)
+    got = q_decompose(P, named_statistic(P, "antichain_card"))
+    assert (got.constant, got.coeffs) == (dec.constant, dec.coeffs)
+    assert seen[0] == 64 and seen[-1] == 128
+    seen.clear()
+    assert toggleability_space_dims(P) == dims and seen[-1] == 128
+    # singular at every point tried, the solve is refused
+    monkeypatch.setattr(mod._System, "packed", lambda self, B: packed(self, B)._replace(det=0))
+    with pytest.raises(CertificateError, match=f"any of {mod._PACKINGS} points"):
+        q_decompose(P, named_statistic(P, "antichain_card"))
+
+
+def test_packed_pivots_have_the_degree_of_the_determinant():
+    from rowmotion.qpoly import unpack
+
+    # at q = 2^64 a pivot of q-degree D has D words past its first, and on
+    # rect:a,a none exceeds the determinant's 2a - 1; the determinant
+    # unpacked from 2^64 is the one over Z[q]
+    for a in range(2, 9):
+        system = _q_module()._system(rectangle(a, a))
+        fact = system.packed(64)
+        words = [u[c].bit_length() >> 6 for u, c in zip(fact.lu, fact.cols)]
+        assert max(words) == words[-1] == 2 * a - 1, a
+        assert unpack(fact.det, 64) == _pivots_over_zq(system).det, a
+
+
+def test_the_factorization_at_one_keeps_its_pivots_and_work():
+    import hashlib
+
+    from rowmotion.families import from_specifier
+
+    # the word count of an entry is 0 at q = 1, so the pivot columns and the
+    # work are those recorded before entries were pivoted by their words
+    for spec, want in (("rect:8,8", ("64b56a737de975b8", 65, 1051)),
+                       ("sstair:6", ("1acef06c7d5ae0f4", 22, 244)),
+                       ("E7", ("65f0259b3585b39e", 28, 261))):
+        fact = _q_module()._system(from_specifier(spec)).at_one
+        digest = hashlib.sha256(repr(fact.cols).encode()).hexdigest()[:16]
+        assert (digest, len(fact.cols), fact.work) == want, spec
 
 
 # -- the antichain-monomial basis ------------------------------------------------
