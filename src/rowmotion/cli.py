@@ -78,7 +78,7 @@ def cmd_orbits(args) -> int:
         sigma = _rank_sigma(P, "rowmotion" if variant == "antichain" else variant,
                             f"unknown variant {variant!r}")
         order = dynamics.rowmotion_order(P) if sigma is None else dynamics.sigma_order(P, sigma)
-        cycles = dynamics.permutation_orbits(P.sweep_permutation(order))
+        cycles = dynamics.index_orbits(P, P.sweep_permutation(order))
         masks = P.antichain_masks() if variant == "antichain" else P.ideal_masks()
         total = len(masks)
         sizes = [len(cyc) for cyc in cycles]

@@ -12,7 +12,11 @@ Before the enumeration, a step toggles the mask along the same order
 
 There is one orbit kernel and one bijection check: the cycles of an index
 permutation (`_cycles`, listed by `permutation_orbits`), which the
-q-rowmotion orbits walk as well.  `orbit_partition` reads a map on a state
+q-rowmotion orbits walk as well.  The orbits of a poset's canonical states
+have one cached reader, `index_orbits`: it decomposes each permutation of
+the canonical indices once per poset, keyed by its contents, so every
+homomesy verdict, orbit partition, `verify` check and `orbits` command on
+one map reads the same cycles.  `orbit_partition` reads a map on a state
 space as such a permutation (`as_index_permutation`) and maps the cycles
 back.  On a canonical enumeration each image's position is read off its
 `_index` and confirmed by identity, `space[k] is image`; any other image is
@@ -21,6 +25,7 @@ found by equality.
 
 from __future__ import annotations
 
+from array import array
 from operator import attrgetter, is_
 
 from .poset import (
@@ -241,14 +246,26 @@ def orbit(step, start) -> Orbit:
 
 
 def orbit_partition(step, space) -> list[Orbit]:
-    """Partition a finite state space into orbits of the bijection `step`."""
+    """Partition a finite state space into orbits of the bijection `step`.
+    On a poset's canonical ideals or antichains the cycles are those of
+    `index_orbits`, decomposed once per map; on any other space they are
+    decomposed afresh."""
     if not isinstance(space, (tuple, list)):
         space = list(space)
-    return [Orbit._of_cycle(map(space.__getitem__, cyc))
-            for cyc in permutation_orbits(as_index_permutation(step, space))]
+    P, perm = _canonical_owner(space), _index_permutation(step, space)
+    cycles = permutation_orbits(perm) if P is None else index_orbits(P, perm)
+    return [Orbit._of_cycle(map(space.__getitem__, cyc)) for cyc in cycles]
 
 
 _position = attrgetter("_index")
+
+
+def _canonical_owner(space):
+    """The poset whose canonical ideals or antichains `space` is, else None."""
+    P = getattr(space[0], "poset", None) if len(space) else None
+    if isinstance(P, Poset) and (space is P._ideals or space is P._antichains):
+        return P
+    return None
 
 
 def as_index_permutation(step, space) -> list[int]:
@@ -258,11 +275,19 @@ def as_index_permutation(step, space) -> list[int]:
     when an image has no such position, states are found by equality.
     `permutation_orbits` checks that the result is a permutation.  A
     `_sweeper` step on its poset's canonical ideals is read off the cache."""
-    P = getattr(space[0], "poset", None) if len(space) else None
-    if isinstance(P, Poset) and space is P._ideals and getattr(step, "poset", None) is P:
-        return list(P.sweep_permutation(step.order))
+    perm = _index_permutation(step, space)
+    return perm if isinstance(perm, list) else list(perm)
+
+
+def _index_permutation(step, space):
+    """`as_index_permutation`, but for a `_sweeper` step on its poset's
+    canonical ideals it is the cached `sweep_permutation` itself, to be read
+    and not changed."""
+    P = _canonical_owner(space)
+    if P is not None and space is P._ideals and getattr(step, "poset", None) is P:
+        return P.sweep_permutation(step.order)
     images = list(map(step, space))
-    if isinstance(P, Poset) and (space is P._ideals or space is P._antichains):
+    if P is not None:
         try:  # no `_index`, None or out of range raise; a wrong state fails `is`
             perm = list(map(_position, images))
             if all(map(is_, map(space.__getitem__, perm), images)):
@@ -276,6 +301,28 @@ def as_index_permutation(step, space) -> list[int]:
     if -1 in perm:
         raise ValueError("map leaves the given state space")
     return perm
+
+
+def index_orbits(P: Poset, perm):
+    """The cycles of `perm`, a permutation of P's canonical state indices,
+    as `permutation_orbits` lists them but in tuples, which every caller
+    shares and none may change.  They are decomposed once per poset and
+    permutation: `P._orbits` keeps them keyed by the bytes of the entries
+    as an `array("l")`, so a step and the `_sweeper` of the same map, and
+    antichain rowmotion and rowmotion, share one entry, and a list changed
+    between calls is looked up by its new contents.  A permutation of any
+    other length, or with an entry that the key cannot hold, is decomposed
+    by `permutation_orbits` alone, which raises as it does for any caller."""
+    if P._ideal_masks is None or len(perm) != len(P._ideal_masks):
+        return permutation_orbits(perm)
+    try:
+        key = array("l", perm).tobytes()
+    except (OverflowError, TypeError):
+        return permutation_orbits(perm)
+    cycles = P._orbits.get(key)
+    if cycles is None:  # a first sight is checked as a permutation
+        cycles = P._orbits[key] = tuple(map(tuple, _cycles(perm)))
+    return cycles
 
 
 def permutation_orbits(perm) -> list[list[int]]:

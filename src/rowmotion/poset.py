@@ -113,6 +113,7 @@ class Poset:
         self._toggle_table: Optional[ToggleTable] = None
         self._certificate_system = None  # factored by rowmotion.decompose
         self._sweeps: dict = {}
+        self._orbits: dict = {}  # cycles by permutation bytes, kept by dynamics.index_orbits
         self._rowmotion_perm: Optional[array] = None  # cached by rowmotion.dynamics
         self._antichain_masks: Optional[tuple] = None
         self._ideals = self._antichains = None  # canonical states, kept by enumerate_*

@@ -213,6 +213,12 @@ def _rank_values(nums, widths):
     return list(chain.from_iterable(map(repeat, nums, widths)))
 
 
+def _rank_values_of(P, r, s, nums):
+    """The value of every labeling rank of (P, r, s): the numerator of its
+    ideal, nums itself when each ideal has one labeling."""
+    return nums if r == s == 1 else _rank_values(nums, _widths(P, r, s))
+
+
 def _thetas(P, alphabet, local_theta):
     """The flavor cycle toggled at each element, alphabet.theta or local_theta[p]
     (a FlavorAlphabet or a tuple): the one reader of local cycles, which
@@ -399,7 +405,7 @@ def q_homomesy_check(P: Poset, alphabet: FlavorAlphabet, f: Statistic,
     r, s = alphabet.r, alphabet.s
     if offsets is None:
         offsets = _offsets(P, r, s)
-    value = f.nums if r == s == 1 else _rank_values(f.nums, _widths(P, r, s))
+    value = _rank_values_of(P, r, s, f.nums)
     return _homomesy_report(
         f, ((sum(map(value.__getitem__, cyc)), len(cyc))
             for cyc in _orbit_cycles(P, alphabet, local_theta, offsets)),

@@ -581,13 +581,17 @@ class HomomesyReport:
 
 def _homomesy_report(stat, orbits, expected=None) -> HomomesyReport:
     """The report of `orbits`, (numerator sum, size) pairs over the one
-    denominator of `stat`."""
+    denominator of `stat`: one average is built for each distinct pair, and
+    the verdict compares those distinct averages alone."""
     field, den = _FIELD[stat.kind], stat.den
     totals, sizes = zip(*orbits)
-    averages = tuple(field(t, den * k) for t, k in zip(totals, sizes))
-    homomesic = all(a == averages[0] for a in averages)
+    pairs = tuple(zip(totals, sizes))
+    value = {(t, k): field(t, den * k) for t, k in set(pairs)}
+    averages = tuple(map(value.__getitem__, pairs))
+    first = averages[0]
+    homomesic = all(a == first for a in value.values())
     grand = field(sum(totals), den * sum(sizes))
-    matches = None if expected is None else homomesic and averages[0] == expected
+    matches = None if expected is None else homomesic and first == expected
     return HomomesyReport(homomesic, grand, averages, sizes, expected, matches)
 
 
@@ -597,17 +601,20 @@ def homomesy_check(stat: Statistic, action, space=None) -> HomomesyReport:
     `action` is either a callable on the states in `space` (default: the
     canonical order ideals) or any index sequence, such as a
     `Poset.sweep_permutation`, that permutes the canonical enumeration.
+    The orbits are `dynamics.index_orbits` of the statistic's poset, so
+    every statistic checked against one map reads the cycles of its first
+    check.
     """
     from . import dynamics
     from .poset import enumerate_ideals
 
-    perm = action
+    P, perm = stat.poset, action
     if callable(action):
         if space is None:
-            space = enumerate_ideals(stat.poset)
-        perm = dynamics.as_index_permutation(action, space)
+            space = enumerate_ideals(P)
+        perm = dynamics._index_permutation(action, space)
     nums = stat.nums
     if len(perm) != len(nums):
         raise ValueError("action and statistic have different state counts")
     return _homomesy_report(stat, [(sum(map(nums.__getitem__, cyc)), len(cyc))
-                                   for cyc in dynamics.permutation_orbits(perm)])
+                                   for cyc in dynamics.index_orbits(P, perm)])

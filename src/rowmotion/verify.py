@@ -71,12 +71,12 @@ class SuiteResult:
 
 def _orbit_cycles(P, order):
     """Cycles, on the canonical ideal indices, of the toggles at `order`."""
-    return dynamics.permutation_orbits(P.sweep_permutation(order))
+    return dynamics.index_orbits(P, P.sweep_permutation(order))
 
 
 def _zero_mesic(nums, cycles) -> bool:
-    """Whether a statistic, given by its numerators, sums to 0 over every
-    orbit (index cycle)."""
+    """Whether a statistic, given by its numerator at each index, sums to 0
+    over every orbit (index cycle)."""
     return all(sum(map(nums.__getitem__, cyc)) == 0 for cyc in cycles)
 
 
@@ -188,17 +188,21 @@ def check_lifting(spec: str, stat_kind: str, seed: int):
 
 def check_qstriker(spec: str, r: int, s: int, seed: int):
     """Specialized q-toggleability statistics are 0-mesic for q-rowmotion,
-    for the default and randomly sampled flavor cycles."""
+    for the default and randomly sampled flavor cycles.  Each alphabet's
+    orbits are walked once and every statistic's value on each labeling
+    rank is summed over them."""
     P = families.from_specifier(spec)
     rng = random.Random(seed)
     alphabets = [qrow.FlavorAlphabet.default(r, s)] + [
         qrow.FlavorAlphabet.random(r, s, rng) for _ in range(2)
     ]
+    offsets = qrow._offsets(P, r, s)
+    tqs = [st.t_q(P, p) for p in range(P.n)]
     for alphabet in alphabets:
-        for p in range(P.n):
-            f = st.t_q(P, p).specialize(alphabet.q)
-            rep = qrow.q_homomesy_check(P, alphabet, f, expected=Fraction(0))
-            if not rep.matches_expected:
+        cycles = list(qrow._orbit_cycles(P, alphabet, None, offsets))
+        for p, tq in enumerate(tqs):
+            f = tq.specialize(alphabet.q)
+            if not _zero_mesic(qrow._rank_values_of(P, r, s, f.nums), cycles):
                 return False, f"{spec}: Tq at {p} not 0-mesic for r={r}, s={s}"
     return True, ""
 

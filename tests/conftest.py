@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from rowmotion import Poset, families
+from rowmotion.dynamics import permutation_orbits
+from rowmotion.qpoly import RationalFunction
+from rowmotion.statistics import RATIONAL, HomomesyReport
 
 
 def brute_leq(n, covers):
@@ -103,6 +107,25 @@ def random_poset(rng, n):
                 below[b] |= 1 << a | below[a]
     return Poset(n, [(a, b) for b in range(n) for a in range(b) if below[b] >> a & 1
                      and not any(below[c] >> a & 1 for c in range(n) if below[b] >> c & 1)])
+
+
+def report_by_orbit(stat, orbits, expected=None):
+    """The HomomesyReport of (numerator sum, size) pairs, one average built
+    and compared per orbit."""
+    field = Fraction if stat.kind == RATIONAL else RationalFunction
+    averages = tuple(field(t, stat.den * k) for t, k in orbits)
+    homomesic = all(a == averages[0] for a in averages)
+    sizes = tuple(k for _, k in orbits)
+    grand = field(sum(t for t, _ in orbits), stat.den * sum(sizes))
+    matches = None if expected is None else homomesic and averages[0] == expected
+    return HomomesyReport(homomesic, grand, averages, sizes, expected, matches)
+
+
+def report_of_permutation(stat, perm):
+    """The HomomesyReport of stat under the index permutation perm, its
+    cycles decomposed afresh by the uncached kernel."""
+    return report_by_orbit(stat, [(sum(stat.nums[i] for i in cyc), len(cyc))
+                                  for cyc in permutation_orbits(list(perm))])
 
 
 ROSTER_SPECS = (

@@ -36,7 +36,7 @@ from rowmotion.families import (
 from rowmotion.dynamics import as_index_permutation, permutation_orbits
 from rowmotion.poset import LinearExtension, linear_extension
 
-from conftest import random_extension
+from conftest import random_extension, random_poset, report_of_permutation
 
 
 def test_toggle_examples():
@@ -505,3 +505,136 @@ def test_a_sweep_step_on_the_canonical_ideals_is_read_off_the_cache():
     traced.poset, traced.order = step.poset, step.order
     assert as_index_permutation(traced, ideals) == list(P.sweep_permutation(step.order))
     assert calls == []
+
+
+# -- the cached orbits of a poset's canonical states -------------------------------------
+
+
+def _partition_indices(step, space):
+    return [[S._index for S in o] for o in orbit_partition(step, space)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7))
+def test_cached_orbits_agree_with_the_uncached_kernel_on_every_call(seed, n):
+    from rowmotion.dynamics import _sweeper
+
+    rng = random.Random(seed)
+    P = random_poset(rng, n)
+    ideals, anti = enumerate_ideals(P), enumerate_antichains(P)
+    stats = [named_statistic(P, "ideal_card"), named_statistic(P, "antichain_card")]
+    orders = [tuple(rng.choices(range(n), k=rng.randint(0, 2 * n))) for _ in range(3)]
+    bijection = list(range(len(ideals)))
+    rng.shuffle(bijection)
+    for _ in range(2):  # the first call fills the cache, the repeat reads it
+        for order in orders:
+            step = _sweeper(P, order)
+            want = permutation_orbits(list(P.sweep_permutation(order)))
+            for f in stats:
+                for action in (step, lambda I: step(I), P.sweep_permutation(order)):
+                    assert homomesy_check(f, action) == report_of_permutation(
+                        f, P.sweep_permutation(order))
+            assert _partition_indices(step, ideals) == want
+            assert _partition_indices(lambda I: step(I), ideals) == want
+        want = permutation_orbits(bijection)
+        for f in stats:
+            assert homomesy_check(f, bijection) == report_of_permutation(f, bijection)
+        assert _partition_indices(lambda I: ideals[bijection[I._index]], ideals) == want
+        assert _partition_indices(lambda A: anti[bijection[A._index]], anti) == want
+    # a list changed between two calls is decomposed by its new contents
+    for _ in range(3):
+        i, j = rng.randrange(len(bijection)), rng.randrange(len(bijection))
+        bijection[i], bijection[j] = bijection[j], bijection[i]
+        want = permutation_orbits(bijection)
+        assert _partition_indices(lambda I: ideals[bijection[I._index]], ideals) == want
+        for f in stats:
+            assert homomesy_check(f, bijection) == report_of_permutation(f, bijection)
+
+
+def test_one_map_shares_one_cache_entry_however_it_is_given():
+    from rowmotion.dynamics import _sweeper, index_orbits, rowmotion_order
+
+    P = rectangle(3, 4)
+    ideals, anti = enumerate_ideals(P), enumerate_antichains(P)
+    f = named_statistic(P, "antichain_card")
+    homomesy_check(f, gyration(P))
+    assert len(P._orbits) == 1
+    homomesy_check(f, lambda I: gyration(P)(I))  # a lambda steps every state
+    orbit_partition(gyration(P), ideals)
+    assert len(P._orbits) == 1
+    homomesy_check(f, lambda I: rowmotion(P, I))
+    assert len(P._orbits) == 2
+    orbit_partition(_sweeper(P, rowmotion_order(P)), ideals)
+    orbit_partition(lambda A: antichain_rowmotion(P, A), anti)  # antichain k = max(ideal k)
+    assert len(P._orbits) == 2
+    perm = P.sweep_permutation(rowmotion_order(P))
+    cycles = index_orbits(P, perm)
+    assert index_orbits(P, list(perm)) is cycles
+    assert [list(c) for c in cycles] == permutation_orbits(perm)
+    # a space that is not canonical decomposes afresh and keeps nothing
+    fresh = rectangle(3, 4)
+    orbit_partition(lambda I: rowmotion(fresh, I), list(enumerate_ideals(fresh)))
+    assert fresh._orbits == {}
+
+
+_PERM_ERRORS = [
+    ([0, 1, 2, 3, 4, 6], "^an index is out of range for 6 states$"),
+    ([0, 1, 2, 3, 4, -1], "^an index is out of range for 6 states$"),
+    ([0, 1, 2, 3, 4, 2 ** 70], "^an index is out of range for 6 states$"),
+    ([1, 0, 3, 2, 5, 5], "^map is not a bijection of the state space$"),
+    ([1, 1, 1, 1, 1, 1], "^map is not a bijection of the state space$"),
+]
+
+
+def test_non_permutations_raise_the_same_messages_before_and_after_caching():
+    from rowmotion.dynamics import index_orbits
+
+    P = rectangle(2, 2)  # 6 ideals
+    ideals = enumerate_ideals(P)
+    f = named_statistic(P, "ideal_card")
+    for cached in (False, True):
+        if cached:
+            homomesy_check(f, lambda I: rowmotion(P, I))
+            homomesy_check(f, [1, 0, 3, 2, 5, 4])
+        for perm, message in _PERM_ERRORS:
+            for call in (index_orbits, lambda P, perm: homomesy_check(f, perm)):
+                with pytest.raises(ValueError, match=message):
+                    call(P, perm)
+            if 0 <= min(perm) and max(perm) < 6:  # as the images of a step
+                with pytest.raises(ValueError, match=message):
+                    orbit_partition(lambda I: ideals[perm[I._index]], ideals)
+        assert len(P._orbits) == 2 * cached  # a refused permutation keeps no entry
+
+
+def test_cached_orbits_under_python_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import rowmotion
+
+    code = (
+        "from rowmotion import homomesy_check, named_statistic, rowmotion\n"
+        "from rowmotion.dynamics import index_orbits, permutation_orbits\n"
+        "from rowmotion.families import rectangle\n"
+        "assert False, 'asserts are on'\n"
+        "P = rectangle(3, 3)\n"
+        "f = named_statistic(P, 'antichain_card')\n"
+        "step = lambda I: rowmotion(P, I)\n"
+        "first, again = homomesy_check(f, step), homomesy_check(f, step)\n"
+        "perm = list(P._rowmotion_perm)\n"
+        "sizes = tuple(map(len, permutation_orbits(perm)))\n"
+        "print(first == again and first.orbit_sizes == sizes and first.is_homomesic)\n"
+        "for bad in (perm[:-1] + [len(perm)], [0] * len(perm)):\n"
+        "    try:\n"
+        "        index_orbits(P, bad)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "print(len(P._orbits))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rowmotion.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["True", "an index is out of range for 20 states",
+                                       "map is not a bijection of the state space", "1"]

@@ -30,6 +30,7 @@ from rowmotion import (
     t_signed,
     var_rook_B,
 )
+from rowmotion.dynamics import permutation_orbits, rowmotion_order
 from rowmotion.families import (
     from_specifier,
     rectangle,
@@ -40,7 +41,9 @@ from rowmotion.families import (
     type_b_quotient,
 )
 from rowmotion.qpoly import Polynomial, RationalFunction
-from rowmotion.statistics import QRATIONAL, RATIONAL, from_combo
+from rowmotion.statistics import QRATIONAL, RATIONAL, _homomesy_report, from_combo
+
+from conftest import report_by_orbit
 
 
 def test_signed_toggleability_table_two_by_two():
@@ -344,6 +347,55 @@ def test_homomesy_negative_example():
     rep = homomesy_check(named_statistic(P, "ideal_card"), lambda I: rowmotion(P, I))
     assert not rep.is_homomesic
     assert rep.constant is None
+
+
+def _assert_same_report(got, want):
+    """Every field equal, and every average of the same type."""
+    assert got == want and got.constant == want.constant
+    types = [type(a) for a in (got.global_average, *got.orbit_averages)]
+    assert types == [type(a) for a in (want.global_average, *want.orbit_averages)]
+
+
+def _rowmotion_pairs(f):
+    nums = f.nums
+    perm = f.poset.sweep_permutation(rowmotion_order(f.poset))
+    return [(sum(nums[i] for i in cyc), len(cyc)) for cyc in permutation_orbits(perm)]
+
+
+@pytest.mark.parametrize("spec, name, expected", [
+    ("rect:3,3", "antichain_card", None),          # homomesic
+    ("rect:3,3", "antichain_card", Fraction(3, 2)),  # an expected value that matches
+    ("rect:3,3", "antichain_card", Fraction(1)),     # and one that does not
+    ("rootB:2", "ideal_card", None),               # not homomesic
+    ("rootB:2", "ideal_card", Fraction(2)),
+    ("rect:2,3", "tq:1", None),                    # a q-kind statistic
+    ("rect:2,3", "tq:1", RationalFunction(Polynomial((1, -1)), Polynomial((5,)))),
+    ("rect:2,3", "tq:1", RationalFunction(Polynomial())),
+    ("rect:2,2", "tq:0", RationalFunction.q()),
+])
+def test_homomesy_report_matches_a_per_orbit_reference(spec, name, expected):
+    P = from_specifier(spec)
+    f = t_q(P, int(name[3:])) if name.startswith("tq:") else named_statistic(P, name)
+    if name.startswith("tq:"):
+        assert f.kind == QRATIONAL
+    pairs = _rowmotion_pairs(f)
+    single = [(sum(f.nums), len(f.nums))]  # the whole space as one orbit
+    for orbits in (pairs, single, pairs[::-1] + pairs):
+        want = report_by_orbit(f, orbits, expected)
+        _assert_same_report(_homomesy_report(f, iter(orbits), expected), want)
+    if expected is None:
+        _assert_same_report(homomesy_check(f, lambda I: rowmotion(P, I)),
+                            report_by_orbit(f, pairs))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(hst.lists(hst.tuples(hst.integers(-4, 4), hst.integers(1, 4)), min_size=1, max_size=12),
+       hst.integers(1, 6), hst.sampled_from([None, Fraction(0), Fraction(1, 2), Fraction(1)]))
+def test_homomesy_report_of_repeated_pairs_matches_a_per_orbit_reference(orbits, den, expected):
+    f = Statistic(rectangle(2, 2), nums=[1] * 6, den=den)  # only the denominator is read
+    assert f.den == den
+    _assert_same_report(_homomesy_report(f, orbits, expected),
+                        report_by_orbit(f, orbits, expected))
 
 
 def test_parse_statistic_combinations():
