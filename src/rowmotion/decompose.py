@@ -44,7 +44,6 @@ from .poset import CapExceededError, Poset, mask_cap
 from .qpoly import (
     CertificateError,
     RationalFunction,
-    cleared,
     format_fraction,
     lowest_terms,
     pack,
@@ -200,19 +199,20 @@ def _system(P: Poset) -> _System:
 
 def _monomials(P: Poset, f: Statistic):
     """(g, s) with f = sum_A g[A] x^A / s over antichain masks A, nonzero
-    g[A] only.  A combo is expanded directly from the columns of the system.
+    g[A] only.  A linear statistic is expanded directly from the columns of
+    the system, from its integer coefficients over their one scale.
     Values are Moebius-inverted, g(max I) = sum over S within max(I) of
     (-1)^|S| f(I - S), one element at a time from the top: g(I) -= g(I - p)
     over the aligned pairs of the toggle table (the lower covers that
     removing p makes maximal come later)."""
-    if f.combo is None:
+    if f._combo is None:
         table = P.toggle_table()
         g = list(f.nums)
         for p in rowmotion_order(P):
             for a, r in zip(table.addable[p], table.removable[p]):
                 g[r] = g[r] - g[a]
         return {top: v for top, v in zip(P.antichain_masks(), g) if v}, f.den
-    ints, scale = cleared([c for part in f.combo for c in part])
+    ints, scale = f._combo
     n, out = P.n, {}
     for p, col in enumerate(_system(P).columns[1:]):
         a, b, d = ints[p], ints[n + p], ints[2 * n + p]

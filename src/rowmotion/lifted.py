@@ -235,7 +235,8 @@ class LiftedStatistic:
 
     @cached_property
     def _cleared(self):
-        """(E, ((p, a, b, d), ...)): the coefficients on T+_p, T-_p, 1_p over E."""
+        """(E, ((p, a, b, d), ...)): the coefficients on T+_p, T-_p, 1_p as
+        integers over their least common denominator E."""
         n = self.poset.n
         ints, E = cleared([Fraction(a) for a in (*self.coeff_in, *self.coeff_out,
                                                  *self.coeff_ind)])
@@ -268,7 +269,7 @@ def lift_statistic(stat: Statistic) -> LiftedStatistic:
     """Lift a linear statistic to the PL and birational levels.  The constancy
     transfer is only guaranteed where every element covers at most two
     elements and is covered by at most two, so other posets are refused."""
-    if stat.combo is None:
+    if stat._combo is None:
         raise ValueError("statistic has no toggle/indicator expansion; only linear "
                          "combinations of T+, T-, and ideal indicators lift")
     P = stat.poset
@@ -277,8 +278,10 @@ def lift_statistic(stat: Statistic) -> LiftedStatistic:
     if bad:
         raise ValueError(f"lifting requires every element to cover and be covered by "
                          f"at most two elements; violated at {bad}")
-    tin, tout, ind = stat.combo
-    return LiftedStatistic(P, tin, tout, ind, label=stat.label)
+    coeffs, E = stat._combo
+    n = P.n
+    return LiftedStatistic(P, *(tuple(Fraction(c, E) for c in coeffs[k * n:(k + 1) * n])
+                                for k in range(3)), label=stat.label)
 
 
 def certificate_witness(stat: Statistic, decomposition) -> tuple:
@@ -449,8 +452,14 @@ def toggleability_orbit_law(states) -> bool:
     P, key = states[0].poset, (type(states[0]), states[0].alpha, states[0].omega)
     if any(s.poset is not P or (type(s), s.alpha, s.omega) != key for s in states):
         raise ValueError("a state belongs to a different poset, level or (alpha, omega)")
+    n = P.n
+    if key[0] is PLPoint:  # one pass: every sum of T+_p - T-_p, over the lcm of the D
+        den, totals = lcm(*(pt._atoms[0] for pt in states)), [0] * n
+        for D, atoms in (pt._atoms for pt in states):
+            totals = [t + (den // D) * (a - b) for t, a, b in zip(totals, atoms, atoms[n:2 * n])]
+        return not any(totals)
     signs = TOGGLEABILITY_KINDS["signed"]
-    table = [_law_terms(P, 1, ((p, *signs, 0),)) for p in range(P.n)]  # sparse rows
+    table = [_law_terms(P, 1, ((p, *signs, 0),)) for p in range(n)]  # sparse rows
     return all(_law_holds(terms, 0, states) for terms in table)
 
 

@@ -398,13 +398,30 @@ def lowest_terms(nums, den: Polynomial) -> list:
 
 
 def _cofactor(p: Polynomial, h: Polynomial):
-    """p // h in Z[q], or None when h does not divide p there."""
+    """p // h in Z[q], or None when h does not divide p there.  The quotient
+    is first read off p(z) / h(z) at z = 2^B, B a few bits past the product
+    of the largest coefficients of p and h: if h divides p, h(z) divides
+    p(z), and Q, the balanced base-z digits of p(z) / h(z), is the quotient
+    when |Q|_1 |h|_inf + |p|_inf < z / 2 (`_fits`), since Q h - p then
+    vanishes at z with every coefficient below z / 2.  Otherwise `//` decides."""
     if h == 1:
         return p
+    top_p, top_h = max(map(abs, p.coeffs)), max(map(abs, h.coeffs))
+    B = (top_p * top_h).bit_length() + p.degree.bit_length() + 2
+    Qz, r = divmod(pack(p, B), pack(h, B))
+    if r:
+        return None
+    Q = unpack(Qz, B)
+    if _fits(sum(map(abs, Q.coeffs)) * top_h + top_p, B):
+        return Q
     try:
         return p // h
     except ArithmeticError:
         return None
+
+
+def _fits(norm: int, B: int) -> bool:
+    return norm < 1 << (B - 1)
 
 
 def _variations(numbers) -> int:

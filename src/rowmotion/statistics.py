@@ -8,10 +8,13 @@ once, by the constructor; the builders and the arithmetic below make the
 cleared form directly, and every consumer reads it.  `values` is a view that
 builds one Fraction or RationalFunction per entry on access.  Linear
 statistics are their expansion in the building blocks (toggle-in, toggle-out,
-ideal-indicator coefficients per element), which is what the certificate
-solver and the piecewise-linear and birational lifts consume; they build the
-cleared form only when something reads it, so building one enumerates no
-ideal.
+ideal-indicator coefficients per element), kept the same way: one tuple of 3n
+integers (every tin, then every tout, then every ind) over one positive
+integer scale, in lowest terms.  The builders and `+`, `-` and `c *` make
+these integers directly, and the certificate solver and the
+piecewise-linear and birational lifts read them; `combo` builds the Fraction
+tuples only when read.  A linear statistic builds its cleared form only when
+something reads it, so building one enumerates no ideal.
 """
 
 from __future__ import annotations
@@ -44,23 +47,25 @@ class Statistic:
     """A statistic on the order ideals of `poset`, in cleared form (see the
     module docstring).  Give either `values`, one Fraction (RationalFunction
     for kind QRATIONAL) per ideal, the cleared form as `nums` and `den`,
-    which need not be in lowest terms, or only `combo`: the (tin, tout, ind)
-    Fraction coefficient tuples of a rational statistic, whose cleared form
-    is then built on first read."""
+    which need not be in lowest terms, or only the expansion of a rational
+    linear statistic as `coeffs`, its 3n integer (tin, tout, ind)
+    coefficients, over the int `scale`; its cleared form is then built on
+    first read."""
 
-    __slots__ = ("poset", "_nums", "_den", "kind", "label", "combo")
+    __slots__ = ("poset", "_nums", "_den", "kind", "label", "_combo")
 
-    def __init__(self, poset, values=None, kind=RATIONAL, label="", combo=None, *,
-                 nums=None, den=1):
+    def __init__(self, poset, values=None, kind=RATIONAL, label="", *,
+                 nums=None, den=1, coeffs=None, scale=1):
         self.poset = poset
         self.kind = kind
         self.label = label
-        self.combo = combo  # (tin, tout, ind) coefficient tuples, or None
+        # (coeffs, scale) in lowest terms, or None
+        self._combo = None if coeffs is None else _lowest(tuple(coeffs), scale, RATIONAL)
         if values is not None:
             nums, den = _clear(tuple(values), kind)
         if nums is None:
-            if combo is None:
-                raise ValueError("a statistic needs values, nums or a combo")
+            if coeffs is None:
+                raise ValueError("a statistic needs values, nums or coeffs")
             self._nums = None
             return
         self._nums, self._den = _lowest(tuple(nums), den, kind)
@@ -77,8 +82,19 @@ class Statistic:
 
     def _cleared(self):
         if self._nums is None:
-            self._nums, self._den = _combo_nums(self.poset, self.combo)
+            self._nums, self._den = _combo_nums(self.poset, *self._combo)
         return self._nums, self._den
+
+    @property
+    def combo(self):
+        """The (tin, tout, ind) tuples of Fraction coefficients of a linear
+        statistic, built from its integers on each read; None if not linear."""
+        if self._combo is None:
+            return None
+        coeffs, scale = self._combo
+        n = self.poset.n
+        return tuple(tuple(Fraction(c, scale) for c in coeffs[k * n:(k + 1) * n])
+                     for k in range(3))
 
     @property
     def values(self) -> "Values":
@@ -100,12 +116,11 @@ class Statistic:
         if other.poset is not self.poset or other.kind != self.kind:
             raise ValueError("statistics live on different spaces")
         label = _join(self.label, "+", other.label)
-        if self.combo is not None and other.combo is not None:
-            combo = tuple(
-                tuple(a + b for a, b in zip(u, v))
-                for u, v in zip(self.combo, other.combo)
-            )
-            return Statistic(self.poset, label=label, combo=combo)
+        if self._combo is not None and other._combo is not None:
+            (u, d), (v, e) = self._combo, other._combo
+            m, a, b = _lcm_cofactors(d, e)
+            return Statistic(self.poset, label=label, scale=m,
+                             coeffs=[x * a + y * b for x, y in zip(u, v)])
         den, a, b = _lcm_cofactors(self.den, other.den)
         return Statistic(self.poset, kind=self.kind, label=label, den=den,
                          nums=[x * a + y * b for x, y in zip(self.nums, other.nums)])
@@ -119,9 +134,10 @@ class Statistic:
         if self.kind == RATIONAL and not isinstance(c, Fraction):
             raise TypeError("rational statistics scale by Fractions")
         label = f"{format_fraction(c) if isinstance(c, Fraction) else c}*{self.label}"
-        if self.combo is not None:
-            combo = tuple(tuple(c * x if x else x for x in part) for part in self.combo)
-            return Statistic(self.poset, label=label, combo=combo)
+        if self._combo is not None:
+            (coeffs, scale), cn = self._combo, c.numerator
+            return Statistic(self.poset, label=label, scale=scale * c.denominator,
+                             coeffs=[cn * x for x in coeffs])
         if self.kind == RATIONAL:
             cn, cd = c.numerator, c.denominator
         else:
@@ -244,18 +260,19 @@ def accumulate_toggles(P: Poset, acc, tin, tout):
 
 
 def from_combo(P: Poset, tin, tout, ind, label="") -> Statistic:
-    """Statistic sum_p (tin_p*T+_p + tout_p*T-_p + ind_p*1_p); nothing is
-    evaluated on the ideals until its cleared form is read."""
-    combo = tuple(tuple(Fraction(c) for c in part) for part in (tin, tout, ind))
-    return Statistic(P, label=label, combo=combo)
+    """Statistic sum_p (tin_p*T+_p + tout_p*T-_p + ind_p*1_p), for ints or
+    Fractions, cleared once; nothing is evaluated on the ideals until its
+    cleared form is read."""
+    coeffs, scale = cleared([c if c.__class__ in (int, Fraction) else Fraction(c)
+                             for part in (tin, tout, ind) for c in part])
+    return Statistic(P, label=label, coeffs=coeffs, scale=scale)
 
 
-def _combo_nums(P, combo):
-    """The cleared form of a combo, accumulated in integers over the common
-    denominator of its coefficients."""
-    ints, scale = cleared([c for part in combo for c in part])
+def _combo_nums(P, coeffs, scale):
+    """The cleared form of the linear statistic coeffs / scale, accumulated
+    in integers."""
     n = P.n
-    tin, tout, ind = ints[:n], ints[n:2 * n], ints[2 * n:]
+    tin, tout, ind = coeffs[:n], coeffs[n:2 * n], coeffs[2 * n:]
     masks = P.ideal_masks()
     acc = [0] * len(masks)
     supports = {}  # coefficient -> mask of the elements carrying it in ind
@@ -268,34 +285,34 @@ def _combo_nums(P, combo):
     return _lowest(tuple(acc), scale, RATIONAL)
 
 
-def _unit(P, p):
-    return tuple(Fraction(1) if x == p else Fraction(0) for x in range(P.n))
-
-
-def _zeros(P):
-    return (Fraction(0),) * P.n
+def _at(P, p, label, *coeffs):
+    """The linear statistic with the integer (tin, tout, ind) `coeffs` at the
+    element p and zero elsewhere."""
+    if not 0 <= p < P.n:
+        raise IndexError(f"element {p} out of range")
+    out = [0] * (3 * P.n)
+    out[p::P.n] = coeffs
+    return Statistic(P, label=_el(P, p, label), coeffs=out)
 
 
 def indicator_ideal(P: Poset, p: int) -> Statistic:
     """1_p: is p in the order ideal."""
-    return from_combo(P, _zeros(P), _zeros(P), _unit(P, p), label=_el(P, p, "1"))
+    return _at(P, p, "1", 0, 0, 1)
 
 
 def t_in(P: Poset, p: int) -> Statistic:
     """T+_p: can p be toggled into the ideal."""
-    return from_combo(P, _unit(P, p), _zeros(P), _zeros(P), label=_el(P, p, "T+"))
+    return _at(P, p, "T+", 1, 0, 0)
 
 
 def t_out(P: Poset, p: int) -> Statistic:
     """T-_p: can p be toggled out of the ideal."""
-    return from_combo(P, _zeros(P), _unit(P, p), _zeros(P), label=_el(P, p, "T-"))
+    return _at(P, p, "T-", 0, 1, 0)
 
 
 def t_signed(P: Poset, p: int) -> Statistic:
     """T_p = T+_p - T-_p."""
-    unit = _unit(P, p)
-    minus = tuple(-c for c in unit)
-    return from_combo(P, unit, minus, _zeros(P), label=_el(P, p, "T"))
+    return _at(P, p, "T", 1, -1, 0)
 
 
 def _el(P, p, prefix):
@@ -356,7 +373,7 @@ def _grid_rook(P, i, j, reduced, shifted):
             tin[x] = (a <= i and b <= j) - (a > i and b > j and off)
             tout[x] = (a >= i and b >= j) - (a < i and b < j and off)
     tag = "~R" if reduced else "R"
-    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}[{i},{j}]")
+    return Statistic(P, label=f"{tag}[{i},{j}]", coeffs=[*tin, *tout, *[0] * P.n])
 
 
 def rook_A(P: Poset, i: int, reduced: bool = False) -> Statistic:
@@ -384,9 +401,9 @@ def _root_rook(P, i, reduced, typ):
                        + (typ == "B" and a == b and b > j))
         else:
             tin[x] = ((a, b) == (i, j)) - (a > i and b > j and (typ == "A" or a < b))
-            tout[x] = a >= i and b >= j
+            tout[x] = int(a >= i and b >= j)
     tag = "~R" if reduced else "R"
-    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}{typ}[{i}]")
+    return Statistic(P, label=f"{tag}{typ}[{i}]", coeffs=[*tin, *tout, *[0] * P.n])
 
 
 def var_rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
@@ -396,16 +413,16 @@ def var_rook_B(P: Poset, i: int, reduced: bool = False) -> Statistic:
     if not P.has_coord((i, 2 * n - i)):
         raise ValueError(f"no boundary box at index {i}")
     doubled = root_poset_A(2 * n - 1)
-    rook_in, rook_out, _ = rook_A(doubled, i, reduced).combo
-    tin, tout = [Fraction(0)] * P.n, [Fraction(0)] * P.n
-    for (a, b), cin, cout in zip(doubled.coords, rook_in, rook_out):
+    coeffs, scale = rook_A(doubled, i, reduced)._combo
+    tin, tout = [0] * P.n, [0] * P.n
+    for (a, b), cin, cout in zip(doubled.coords, coeffs, coeffs[doubled.n:]):
         box = (min(a, b), max(a, b))
         if P.has_coord(box):
             x = P.element_at(box)
             tin[x] += cin
             tout[x] += cout
     tag = "~R'" if reduced else "R'"
-    return from_combo(P, tin, tout, _zeros(P), label=f"{tag}B[{i}]")
+    return Statistic(P, label=f"{tag}B[{i}]", coeffs=[*tin, *tout, *[0] * P.n], scale=scale)
 
 
 # -- antichain toggleability -------------------------------------------------------
@@ -439,8 +456,8 @@ def antichain_toggleability(P: Poset, A: Antichain, kind: str) -> Statistic:
 # -- named statistics ---------------------------------------------------------------
 
 
-# grid atoms: head -> (slot of the combo, which boxes (a, b) get coefficient 1
-# given the argument k, the error when none does)
+# grid atoms: head -> (slot, 1 for tout and 2 for ind; which boxes (a, b) get
+# coefficient 1 given the argument k; the error when none does)
 _GRID_ATOMS = {
     "diag": (1, lambda a, b, k: a == b, None),
     "file": (2, lambda a, b, k: b - a == k, "file {} is empty"),
@@ -458,32 +475,33 @@ def named_statistic(P: Poset, kind: str) -> Statistic:
     nfiber:j, sfiber:i (folded-shape fiber through row/column i), color:c.
     """
     head, _, arg = kind.partition(":")
-    combo = [_zeros(P), _zeros(P), _zeros(P)]  # tin, tout, ind
     if head in ("ideal_card", "antichain_card"):
-        combo[2 if head == "ideal_card" else 1] = (Fraction(1),) * P.n
+        slot, part = 2 if head == "ideal_card" else 1, [1] * P.n
     elif head == "rankalt":
         if P.rank is None:
             raise ValueError("rank-alternating statistic needs a ranked poset")
-        combo[2] = tuple(Fraction(-1) ** r for r in P.rank)
+        slot, part = 2, [-1 if r & 1 else 1 for r in P.rank]
     elif head == "color":
         if P.colors is None:
             raise ValueError("poset carries no color metadata")
-        combo[2] = tuple(Fraction(str(c) == arg) for c in P.colors)
-        if not any(combo[2]):
+        slot, part = 2, [int(str(c) == arg) for c in P.colors]
+        if not any(part):
             raise ValueError(f"no elements of color {arg!r}")
         head = f"color:{arg}"
     elif head in _GRID_ATOMS:
         slot, pick, empty = _GRID_ATOMS[head]
         k = None if empty is None else parse_ints(
             arg, 1, f"statistic {kind!r} must be {head}:<k>")[0]
-        combo[slot] = tuple(Fraction(pick(a, b, k)) for a, b in _coord_arrays(P))
+        part = [int(pick(a, b, k)) for a, b in _coord_arrays(P)]
         if empty is not None:
-            if not any(combo[slot]):
+            if not any(part):
                 raise ValueError(empty.format(k))
             head = f"{head}:{k}"
     else:
         raise ValueError(f"unknown statistic kind: {kind!r}")
-    return from_combo(P, *combo, label=head)
+    coeffs = [0] * (3 * P.n)
+    coeffs[slot * P.n:(slot + 1) * P.n] = part
+    return Statistic(P, label=head, coeffs=coeffs)
 
 
 # -- specifier mini-language ---------------------------------------------------------
@@ -499,13 +517,13 @@ def parse_statistic(P: Poset, text: str) -> Statistic:
     if not tokens:
         raise ValueError("empty statistic expression")
     total = None
-    sign = Fraction(1)
+    sign = 1
     expect_term = True
     for tok in tokens:
         if tok in ("+", "-"):
             if expect_term:
                 raise ValueError(f"misplaced operator in {text!r}")
-            sign = Fraction(1 if tok == "+" else -1)
+            sign = 1 if tok == "+" else -1
             expect_term = True
             continue
         if not expect_term:
@@ -514,13 +532,15 @@ def parse_statistic(P: Poset, text: str) -> Statistic:
             sign, tok = -sign, tok[1:]
         elif tok.startswith("+"):
             tok = tok[1:]
-        coeff, atom = Fraction(1), tok
+        coeff, atom = sign, tok
         if "*" in tok:
             cs, _, atom = tok.partition("*")
-            coeff = parse_fraction(cs)
-        term = (sign * coeff) * _parse_atom(P, atom)
+            coeff *= parse_fraction(cs)
+        term = _parse_atom(P, atom)
+        if coeff != 1:  # the label of a term is replaced below
+            term = coeff * term
         total = term if total is None else total + term
-        sign = Fraction(1)
+        sign = 1
         expect_term = False
     if expect_term:
         raise ValueError(f"dangling operator in {text!r}")

@@ -148,14 +148,13 @@ def check_halfrook(spec: str):
     strictly-lower-right T+ quadrant, pointwise."""
     P = families.from_specifier(spec)
     for x, (i, j) in enumerate(P.coords):
-        tin = [Fraction(0)] * P.n
-        tout = [Fraction(0)] * P.n
+        tin, tout = [0] * P.n, [0] * P.n
         for y, (a, b) in enumerate(P.coords):
             if a >= i and b >= j:
                 tout[y] += 1
             if a > i and b > j:
                 tin[y] -= 1
-        rhs = st.from_combo(P, tin, tout, [Fraction(0)] * P.n)
+        rhs = st.Statistic(P, coeffs=[*tin, *tout, *[0] * P.n])
         if rhs != st.indicator_ideal(P, x):
             return False, f"{spec}: half-rook identity fails at ({i},{j})"
     return True, ""

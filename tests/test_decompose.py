@@ -1349,3 +1349,38 @@ def test_combo_certificates_enumerate_no_ideal():
                  + RationalFunction(Polynomial.q_power(2)) * Fraction(1, 3))
     assert q_decompose(P, f).constant == want
     assert P._ideal_masks is None
+
+
+# the certificate ladder of the benchmark's certify workload
+_LADDER = ("rect:2,2", "rect:2,3", "rect:3,3", "rect:3,4", "rect:4,4", "rect:4,5",
+           "sstair:3", "sstair:4", "sstair:5", "rootA:3", "rootA:4", "rootA:5",
+           "rootB:2", "rootB:3", "rootB:4", "dtd:3", "dtd:4", "dtd:5", "E6", "E7")
+
+
+@pytest.mark.parametrize("spec", _LADDER)
+def test_integer_expansions_give_the_certificates_of_their_values(spec):
+    """decompose and q_decompose read a linear statistic's integer expansion
+    and find the certificate of the statistic given by its values alone,
+    which is read through the Moebius inversion of the values instead."""
+    from rowmotion.families import from_specifier
+    from rowmotion.statistics import parse_statistic
+
+    P = from_specifier(spec)
+    texts = ["antichain_card", "ideal_card", "2/3*antichain_card - 1/2*ideal_card"]
+    if P.rank is not None:
+        texts.append("rankalt + 5/4*antichain_card")
+    if P.coords is not None:  # the grid atoms of the ladder, alone and combined
+        texts += ["diag", "pfiber:1", "nfiber:2", "sfiber:2 - 1/3*diag",
+                  "2*file:0 - file:1 - file:-1", "3/2*file:1 + 4/5*pfiber:2"]
+    for text in texts:
+        try:
+            f = parse_statistic(P, text)
+        except ValueError:  # an atom that names no element of P
+            continue
+        by_values = Statistic(P, f.values)
+        assert by_values.combo is None
+        for solve in (decompose, q_decompose):
+            got, want = solve(P, f), solve(P, by_values)
+            assert (got is None) == (want is None), (spec, text)
+            if got is not None:
+                assert (got.constant, got.coeffs) == (want.constant, want.coeffs), (spec, text)

@@ -176,6 +176,25 @@ def test_lift_statistic_requires_low_cover_degree():
             lift_statistic(named_statistic(P, "antichain_card"))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(hyp.sampled_from(["rect:2,3", "rect:3,3", "sstair:3", "rootA:3", "dtd:3"]), hyp.data())
+def test_lift_statistic_reads_the_integer_expansion(spec, data):
+    """lift_statistic gives the Fraction coefficients of the integer
+    expansion, for ints and Fractions given to from_combo and for a named atom."""
+    from rowmotion.families import from_specifier
+    from rowmotion.statistics import from_combo
+
+    P = from_specifier(spec)
+    exact = hyp.one_of(hyp.integers(-5, 5), hyp.fractions(-3, 3, max_denominator=6))
+    parts = [data.draw(hyp.lists(exact, min_size=P.n, max_size=P.n)) for _ in range(3)]
+    ones, zeros = (Fraction(1),) * P.n, (Fraction(0),) * P.n
+    for f, want in ((from_combo(P, *parts), tuple(tuple(map(Fraction, p)) for p in parts)),
+                    (named_statistic(P, "antichain_card"), (zeros, ones, zeros))):
+        h = lift_statistic(f)
+        assert (h.coeff_in, h.coeff_out, h.coeff_ind) == want
+        assert all(c.__class__ is Fraction for c in (*h.coeff_in, *h.coeff_out, *h.coeff_ind))
+
+
 def test_lift_statistic_requires_combo():
     from rowmotion import antichain_toggleability, Antichain
 
@@ -312,6 +331,46 @@ def test_toggleability_orbit_law_rejects_broken_orbits():
         tampered = list(states)
         tampered[1] = tampered[1].replace_value(0, tampered[1].values[0] + Fraction(1, 5))
         assert not toggleability_orbit_law(tampered)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(hyp.integers(0, 10 ** 6), hyp.integers(1, 6),
+       hyp.sampled_from(["orbit", "prefix", "random"]), hyp.sampled_from([PLPoint, BPoint]))
+def test_toggleability_orbit_law_matches_the_law_of_each_element(seed, n, how, level):
+    """On random posets and points the law over all p at once (one integer
+    pass at the PL level) is True exactly when every T_p sums to 0 (PL) or
+    multiplies to 1 (birational) over the states: unions of whole orbits, orbit
+    prefixes and unrelated points that share (alpha, omega), with common
+    denominators that differ from state to state."""
+    from math import prod
+
+    from conftest import random_poset
+
+    from rowmotion.families import from_specifier
+    from rowmotion.lifted import toggleability_orbit_law
+
+    rng = random.Random(seed)
+    P = random_poset(rng, n)
+    start = random_point(level, P, rng, bound=8)
+    if how == "orbit" and level is PLPoint:  # two orbits, each over its own D
+        P = from_specifier(rng.choice(["rect:2,2", "rect:2,3", "sstair:3", "rootA:3"]))
+        states = [s for _ in range(2) for s in lifted_orbit(random_point(level, P, rng, bound=8))]
+        rng.shuffle(states)  # the law is a sum, in any order
+    elif how == "random":
+        states = [start, *(random_point(level, P, rng, start.alpha, start.omega, bound=8)
+                           for _ in range(rng.randint(0, 3)))]
+    else:
+        states = [start]
+        for _ in range(rng.randint(0, 3)):
+            states.append(lifted_rowmotion(states[-1]))
+    signed = [[lifted_toggleability(s, p, "signed") for s in states] for p in range(P.n)]
+    if level is PLPoint:
+        want = all(sum(row) == 0 for row in signed)
+    else:
+        want = all(prod(row) == 1 for row in signed)
+    assert toggleability_orbit_law(states) is want
+    if how == "orbit" and level is PLPoint:
+        assert want
 
 
 # -- soundness of the integer law kernel -------------------------------------------

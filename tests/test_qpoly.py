@@ -1,12 +1,15 @@
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as hyp
 
+from rowmotion import qpoly
 from rowmotion.families import rectangle
 from rowmotion.qpoly import (
     Polynomial,
     RationalFunction,
+    _cofactor,
     _poly,
     horner,
     lowest_terms,
@@ -225,6 +228,48 @@ def test_lowest_terms_matches_rational_function(case):
     for g, w in zip(got, want):
         for a, b in ((g.num, w.num), (g.den, w.den)):
             assert a.coeffs == b.coeffs and list(map(type, a.coeffs)) == list(map(type, b.coeffs))
+
+
+def _floordiv_or_none(p, h):
+    try:
+        return p // h
+    except ArithmeticError:
+        return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(int_lists.filter(any), int_lists.filter(any), int_lists, hyp.integers(-3, 3),
+       hyp.sampled_from([1, 2, 3, 40]))
+@example([1, 1], [1] * 6, [], 0, 1)  # (q + 1)(1 + q + ... + q^5)
+@example([1, -1], [1] * 6, [], 0, 10 ** 30)  # a quotient with 100-bit coefficients
+def test_cofactor_equals_floordiv_on_random_products(h, Q, r, k, big):
+    """_cofactor(p, h) read off the values at 2^B is p // h on p = Q h, on
+    p = Q h + r (where h may not divide) and on p = k Q h, and None exactly
+    where `//` raises; with `_fits` failing, the fallback gives the same."""
+    h, Q, r = Polynomial(h), Polynomial(Q) * big, Polynomial(r)
+    cases = [Q * h, Q * h + r, Q * h * k, Q * (h * h)]
+    with pytest.MonkeyPatch.context() as mp:
+        for p in filter(bool, cases):
+            got, want = _cofactor(p, h), _floordiv_or_none(p, h)
+            assert got == want
+            assert got is None or all(c.__class__ is int for c in got.coeffs)
+            mp.setattr(qpoly, "_fits", lambda norm, B: False)
+            assert _cofactor(p, h) == want
+            mp.undo()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_one_denominator())
+def test_lowest_terms_is_unchanged_when_every_quotient_falls_back(case):
+    """lowest_terms gives the same quotients, coefficient by coefficient,
+    when no quotient read off the values at 2^B is accepted."""
+    nums, den = case
+    fast = lowest_terms(nums, den)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qpoly, "_fits", lambda norm, B: False)
+        slow = lowest_terms(nums, den)
+    assert [(x.num.coeffs, x.den.coeffs) for x in fast] == [
+        (x.num.coeffs, x.den.coeffs) for x in slow]
 
 
 def test_lowest_terms_falls_back_where_the_values_share_more(monkeypatch):

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
@@ -43,7 +44,7 @@ from rowmotion.families import (
 from rowmotion.qpoly import Polynomial, RationalFunction
 from rowmotion.statistics import QRATIONAL, RATIONAL, _homomesy_report, from_combo
 
-from conftest import report_by_orbit
+from conftest import random_poset, report_by_orbit
 
 
 def test_signed_toggleability_table_two_by_two():
@@ -540,3 +541,152 @@ def test_q_statistics_stay_cleared(data):
     w = [one_over * (k + 1) for k in range(len(u))]
     _assert_cleared(Statistic(P, w, kind=QRATIONAL), w)
     assert Statistic(P, w, kind=QRATIONAL).den == Polynomial((1, 1))
+
+
+# -- the integer expansion of a linear statistic ------------------------------------------
+
+
+def _reference_combo(P, atom):
+    """The (tin, tout, ind) Fraction tuples of a named atom, from its
+    definition; None where the atom names no element of P."""
+    zero = (Fraction(0),) * P.n
+    combo = [zero, zero, zero]
+    head, _, arg = atom.partition(":")
+    k = int(arg) if arg and head != "color" else None
+    picks = {  # head -> (slot, which element (or box (a, b)) gets 1)
+        "ideal_card": (2, lambda x: True), "antichain_card": (1, lambda x: True),
+        "color": (2, lambda x: str(P.colors[x]) == arg),
+        "diag": (1, lambda ab: ab[0] == ab[1]), "file": (2, lambda ab: ab[1] - ab[0] == k),
+        "pfiber": (1, lambda ab: ab[0] == k), "nfiber": (1, lambda ab: ab[1] == k),
+        "sfiber": (1, lambda ab: (ab[1] == k and ab[0] <= k) or (ab[0] == k and ab[1] > k)),
+    }
+    if head == "rankalt":
+        combo[2] = tuple(Fraction(-1) ** r for r in P.rank)
+    else:
+        slot, pick = picks[head]
+        where = P.coords if head in ("diag", "file", "pfiber", "nfiber", "sfiber") else range(P.n)
+        combo[slot] = tuple(Fraction(bool(pick(x))) for x in where)
+        if not any(combo[slot]) and head in ("color", "file", "pfiber", "nfiber", "sfiber"):
+            return None
+    return tuple(combo)
+
+
+def _atoms(P):
+    """Every atom of `named_statistic` that P carries, with the ones that
+    name no element of it."""
+    atoms = ["ideal_card", "antichain_card"] + ["rankalt"] * (P.rank is not None)
+    if P.colors is not None:
+        atoms += [f"color:{c}" for c in sorted(set(P.colors), key=str)] + ["color:99"]
+    if P.coords is not None:
+        top = max(max(ab) for ab in P.coords)
+        atoms += ["diag"] + [f"{head}:{k}" for head in ("file", "pfiber", "nfiber", "sfiber")
+                             for k in range(-1, top + 2)]
+    return atoms
+
+
+def _combo_sum(u, v, c=1):
+    return tuple(tuple(a + c * b for a, b in zip(x, y)) for x, y in zip(u, v))
+
+
+def _assert_lowest(s, combo):
+    """s.combo is the Fraction tuples `combo`, kept as ints over the least
+    common denominator of their entries."""
+    assert s.combo == combo and all(c.__class__ is Fraction for part in s.combo for c in part)
+    coeffs, scale = s._combo
+    assert all(c.__class__ is int for c in coeffs) and len(coeffs) == 3 * s.poset.n
+    assert scale > 0 and gcd(scale, *coeffs) == 1
+    assert scale == lcm(*(c.denominator for part in combo for c in part))
+
+
+_POSETS = hst.one_of(
+    hst.sampled_from(_SPECS + ("rect:3,3", "sstair:4", "rootB:2", "rootD:4")).map(from_specifier),
+    hst.builds(lambda seed, n: random_poset(random.Random(seed), n),
+               hst.integers(0, 10 ** 6), hst.integers(0, 6)))
+
+
+@CLEARED
+@given(_POSETS, hst.data())
+def test_integer_combos_equal_the_fraction_reference(P, data):
+    """Every builder, `from_combo`, `parse_statistic`, `+`, `-` and `c *`
+    give the Fraction tuples of the expansion by definition, kept in lowest
+    terms; the cleared form read off them is their values."""
+    zeros = ((Fraction(0),) * P.n,) * 3
+    combos = {}
+    for atom in _atoms(P):
+        want = _reference_combo(P, atom)
+        if want is None:
+            with pytest.raises(ValueError):
+                named_statistic(P, atom)
+            continue
+        combos[atom] = want
+        _assert_lowest(named_statistic(P, atom), want)
+    for p in range(P.n):
+        unit = tuple(Fraction(x == p) for x in range(P.n))
+        zero = zeros[0]
+        for s, want in ((indicator_ideal(P, p), (zero, zero, unit)),
+                        (t_in(P, p), (unit, zero, zero)), (t_out(P, p), (zero, unit, zero)),
+                        (t_signed(P, p), (unit, tuple(-u for u in unit), zero))):
+            _assert_lowest(s, want)
+    for p in (-1, P.n):
+        with pytest.raises(IndexError):
+            t_in(P, p)
+    exact = hst.one_of(_FRACTIONS, hst.integers(-9, 9))
+    parts = [data.draw(hst.lists(exact, min_size=P.n, max_size=P.n)) for _ in range(3)]
+    s = from_combo(P, *parts)
+    want = tuple(tuple(map(Fraction, part)) for part in parts)
+    _assert_lowest(s, want)
+    _assert_cleared(s, _by_definition(P, *want))
+    atom = data.draw(hst.sampled_from(sorted(combos)))
+    t, c = named_statistic(P, atom), data.draw(_FRACTIONS)
+    _assert_lowest(s + t, _combo_sum(want, combos[atom]))
+    _assert_lowest(s - t, _combo_sum(want, combos[atom], -1))
+    _assert_lowest(c * s, _combo_sum(zeros, want, c))
+    _assert_lowest(3 * t, _combo_sum(zeros, combos[atom], 3))
+    terms = data.draw(hst.lists(hst.tuples(_FRACTIONS, hst.sampled_from(sorted(combos))),
+                                min_size=1, max_size=4))
+    text = " + ".join(f"{c.numerator}/{c.denominator}*{a}" for c, a in terms)
+    total = zeros
+    for c, a in terms:
+        total = _combo_sum(total, combos[a], c)
+    parsed = parse_statistic(P, text)
+    _assert_lowest(parsed, total)
+    assert parsed.label == text
+
+
+def test_grid_rooks_expand_to_their_own_values():
+    """A rook's integer expansion is the one its cleared form is read off."""
+    for spec, rooks in (("rect:3,4", lambda P: [rook_rect(P, i, j, r) for i, j in P.coords
+                                                for r in (False, True)]),
+                        ("sstair:4", lambda P: [rook_sstair(P, i, j, r) for i, j in P.coords
+                                                for r in (False, True)]),
+                        ("rootA:4", lambda P: [rook_A(P, i, r) for i in range(1, 5)
+                                               for r in (False, True)]),
+                        ("rootB:3", lambda P: [f(P, i, r) for f in (rook_B, var_rook_B)
+                                               for i in range(1, 4) for r in (False, True)])):
+        P = from_specifier(spec)
+        for rook in rooks(P):
+            _assert_lowest(rook, rook.combo)
+            _assert_cleared(rook, _by_definition(P, *rook.combo))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(hst.integers(0, 10 ** 6))
+def test_fifty_operations_keep_the_scale_least(seed):
+    """A chain of 50 sums, differences and rational multiples stays in lowest
+    terms: its scale is the least common denominator of its coefficients,
+    whatever the operations passed through."""
+    rng = random.Random(seed)
+    P = from_specifier(rng.choice(_SPECS))
+    atoms = [a for a in _atoms(P) if _reference_combo(P, a) is not None]
+    s = named_statistic(P, atoms[0])
+    want = _reference_combo(P, atoms[0])
+    for _ in range(50):
+        op, atom = rng.choice("+-*"), rng.choice(atoms)
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+        if op == "*":
+            s, want = c * s, tuple(tuple(c * x for x in part) for part in want)
+        else:
+            t = c * named_statistic(P, atom)
+            s = s + t if op == "+" else s - t
+            want = _combo_sum(want, _reference_combo(P, atom), c if op == "+" else -c)
+        _assert_lowest(s, want)
