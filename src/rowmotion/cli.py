@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -425,9 +426,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` reads every call with, built once per process:
+    parsing leaves it as it was, and building it is most of a small call.
+    Each subcommand's `fn` is bound when it is built."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # argparse (3.11) parses `--opt=--` to []; no option here takes a list
     listed = [dest for dest, value in vars(args).items() if isinstance(value, list)]
     if listed:

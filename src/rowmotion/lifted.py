@@ -12,10 +12,12 @@ every value on (1/D)Z); a birational state is the values' numerators and
 denominators, and a toggle clears its two cover sums and takes one gcd.
 Orbits compare integer states and build each point once, at the end.  Each
 point caches one integer table (`_atoms`) that a single atom is read off as
-one Fraction.  Constancy is proved by factor exponents (`prove_lift`); where
-they do not cancel, and for orbit laws, one law, `_law_sides`, runs over states:
-the PL sum is an integer dot product per state, and the birational product
-collects integer exponents per base, so what cancels is never multiplied out.
+one Fraction.  Constancy is proved by factor exponents (`prove_lift`), read
+once per statistic as the constant its lift equals, if any; where they do not
+cancel, and for orbit laws, one law, `_law_sides`, runs over states: the PL sum
+is an integer dot product per state, and the birational product collects
+integer exponents per base, so what cancels is never multiplied out.  The
+toggleability law of every element is one pass over the states at each level.
 """
 
 from __future__ import annotations
@@ -148,13 +150,19 @@ class BPoint(_Point):
     def _toggleability(self, p, a, b):
         """T+_p^a T-_p^b, read off the table: T+_p = n_p prod d_r / (d_p L_p)
         and T-_p = d_p prod n_u / (n_p U_p)."""
-        P, t = self.poset, self._atoms
-        n, low, up = P.n, P.lower_covers[p], P.upper_covers[p]
-        Dl = prod(t[n + r] for r in low) if low else t[-1]
-        Nu = prod(t[u] for u in up) if up else t[-4]
+        t, n = self._atoms, self.poset.n
+        Dl, Nu = _cover_products(self.poset, t, p)
         factors = ((t[p] * Dl, a), (t[n + p] * t[2 * n + p], -a),
                    (t[n + p] * Nu, b), (t[p] * t[3 * n + p], -b))
         return Fraction(_power_product(factors, 1), _power_product(factors, -1))
+
+
+def _cover_products(P, t, p):
+    """(prod d_r, prod n_u) over the lower and upper covers of p, read off the
+    birational table t (alpha_d and omega_n where p has none)."""
+    n, low, up = P.n, P.lower_covers[p], P.upper_covers[p]
+    return (prod(t[n + r] for r in low) if low else t[-1],
+            prod(t[u] for u in up) if up else t[-4])
 
 
 def _cover_sums(P, ends, s, p):
@@ -263,6 +271,14 @@ class LiftedStatistic:
             for f, e in factors:
                 ex[f] = ex.get(f, 0) + e
         return E, {f: e for f, e in ex.items() if e}
+
+    @cached_property
+    def _lift_constant(self):
+        """The c0 with h = (omega/alpha)^c0 identically, read off the factor
+        exponents; None when a factor other than alpha and omega is left.
+        Every lift has degree 0, so alpha's exponent is then minus omega's."""
+        E, ex = self._factor_exponents
+        return None if ex.keys() - {"alpha", "omega"} else Fraction(ex.get("omega", 0), E)
 
 
 def lift_statistic(stat: Statistic) -> LiftedStatistic:
@@ -382,12 +398,13 @@ def prove_lift(h: LiftedStatistic, c) -> dict:
 
 def check_constant(h: LiftedStatistic, c: Fraction, pt) -> bool:
     """Whether h equals c * (omega - alpha) (PL) or (omega/alpha)^c at pt: True
-    if `prove_lift` is empty, else the law evaluated at pt."""
+    if c equals h's lift constant, read once per statistic by factor exponents
+    (where `prove_lift` is empty), else the law evaluated at pt."""
     if not isinstance(pt, (PLPoint, BPoint)):
         raise ValueError(f"no lifted level for {type(pt).__name__}")
     if pt.poset is not h.poset:
         raise ValueError("point belongs to a different poset")
-    return not prove_lift(h, c) or _law_holds(h._terms, c, (pt,))
+    return c == h._lift_constant or _law_holds(h._terms, c, (pt,))
 
 
 # -- orbits and orbit laws --------------------------------------------------------------
@@ -458,9 +475,15 @@ def toggleability_orbit_law(states) -> bool:
         for D, atoms in (pt._atoms for pt in states):
             totals = [t + (den // D) * (a - b) for t, a, b in zip(totals, atoms, atoms[n:2 * n])]
         return not any(totals)
-    signs = TOGGLEABILITY_KINDS["signed"]
-    table = [_law_terms(P, 1, ((p, *signs, 0),)) for p in range(n)]  # sparse rows
-    return all(_law_holds(terms, 0, states) for terms in table)
+    # one pass: T+_p / T-_p = n_p^2 prod d_r U_p / (d_p^2 prod n_u L_p), each
+    # side multiplied over the states
+    tops, bottoms = [1] * n, [1] * n
+    for t in (pt._atoms for pt in states):
+        for p in range(n):
+            Dl, Nu = _cover_products(P, t, p)
+            tops[p] *= t[p] * t[p] * Dl * t[3 * n + p]
+            bottoms[p] *= t[n + p] * t[n + p] * Nu * t[2 * n + p]
+    return tops == bottoms
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -558,6 +558,26 @@ def run_cli_err(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_one_parser_serves_every_call_of_a_process(monkeypatch):
+    """`main` parses with one parser per process: a success, a usage error
+    and --help in turn leave it as a fresh parser would be."""
+    from rowmotion import cli
+
+    calls = [("orbits", "rect:2,3", "--level", "pl"),
+             ("orbits", "rect:2,3", "--level", "tropical"),
+             ("--help",),
+             ("orbits", "rect:2,3", "--level", "pl")]
+    assert build_parser() is not build_parser()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build_parser)  # a fresh parser for every call
+        fresh = [run_cli_err(*argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert "usage: rowmotion" in fresh[2][1] and fresh[1][2].startswith("usage: rowmotion")
+    cli._parser.cache_clear()
+    assert [run_cli_err(*argv) for argv in calls] == fresh
+    assert cli._parser() is cli._parser()
+
+
 # each call, and a smaller number (k digits) that it prints in full
 LONG_OUTPUT = [
     (("orbits", "rect:2,2", "--level", "pl", "--start", "random:1", "--omega={}"), 4000),

@@ -333,6 +333,22 @@ def test_toggleability_orbit_law_rejects_broken_orbits():
         assert not toggleability_orbit_law(tampered)
 
 
+def test_toggleability_orbit_law_refutes_any_one_value_changed():
+    from rowmotion.lifted import toggleability_orbit_law
+
+    rng = random.Random(47)
+    P = rectangle(3, 3)
+    for level, alpha, omega in ((PLPoint, Fraction(-1, 2), Fraction(5, 3)),
+                                (BPoint, Fraction(2, 3), Fraction(7, 5))):
+        states = lifted_orbit(random_point(level, P, rng, alpha=alpha, omega=omega))
+        assert toggleability_orbit_law(states)
+        for k in (0, len(states) - 1):
+            for p in range(P.n):
+                tampered = list(states)
+                tampered[k] = states[k].replace_value(p, states[k].values[p] * Fraction(6, 5))
+                assert not toggleability_orbit_law(tampered), (level.__name__, k, p)
+
+
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(hyp.integers(0, 10 ** 6), hyp.integers(1, 6),
        hyp.sampled_from(["orbit", "prefix", "random"]), hyp.sampled_from([PLPoint, BPoint]))
@@ -514,6 +530,47 @@ def test_prove_lift_names_the_factors_left_over():
         "x3": 1, "e1(x0,x1,x2)": -1}
     with pytest.raises(ValueError, match="no lifted level"):
         check_constant(ind_0, 1, (Fraction(1),) * 4)
+
+
+def test_cached_lift_constant_gives_the_verdicts_of_the_full_proof():
+    """For every liftable certificate, and constants that are and are not its
+    own (a Fraction, an int and text that `Fraction` reads), `check_constant`
+    gives the verdict of `prove_lift` with the law at the point as its
+    fallback; so too for the certificate with one coefficient bumped, which
+    no constant proves."""
+    from rowmotion.lifted import LiftedStatistic, _law_holds, prove_lift
+
+    rng = random.Random(139)
+    for P, h, c in _liftable_certificates():
+        assert h._lift_constant == c
+        out = list(h.coeff_out)
+        out[rng.randrange(P.n)] += Fraction(1, 2)
+        bumped = LiftedStatistic(P, h.coeff_in, tuple(out), h.coeff_ind)  # not proved
+        assert bumped._lift_constant is None
+        pls, bps = _points(P, rng, k=1)
+        for stat in (h, bumped):
+            for d in (c, c + Fraction(1, 3), 2 * c + 1, 0, int(c), "1/2"):
+                proof = prove_lift(stat, d)
+                for pt in pls + bps:
+                    want = not proof or _law_holds(stat._terms, d, (pt,))
+                    assert check_constant(stat, d, pt) is want, (P.covers, h.label, d)
+
+
+def test_a_proved_check_evaluates_nothing(monkeypatch):
+    from rowmotion import lifted
+
+    P = rectangle(3, 3)
+    f = named_statistic(P, "antichain_card")
+    h, c = certificate_witness(f, decompose(P, f))
+    pls, bps = _points(P, random.Random(149), k=16)
+    assert check_constant(h, c, pls[0])  # the lift is read once, here
+
+    def evaluated(*args):
+        raise AssertionError("a proved check evaluated")
+
+    for name in ("_law_holds", "_law_sides", "prove_lift", "Fraction"):
+        monkeypatch.setattr(lifted, name, evaluated)
+    assert all(check_constant(h, c, pt) for pt in pls + bps)
 
 
 def _reference_atoms(pt, p):
